@@ -43,7 +43,6 @@ from .lattice import (
 )
 from .measures import (
     brute_force_measures,
-    coinvariants,
     measure_basis,
     measure_module,
     parse_domain,
@@ -159,9 +158,7 @@ def _cmd_aut(args) -> int:
 def _cmd_module(args) -> int:
     lattice = load_lattice(args.lattice, args.max_elements)
     action = _load_action(args, lattice)
-    module = measure_module(lattice)
-    if action is not None:
-        module = coinvariants(module, action)
+    module = measure_module(lattice, action)
     report = module.report_dict()
     report["variant"] = module.variant
     _emit(args, "module", {"lattice": _digest(args.lattice)}, report)

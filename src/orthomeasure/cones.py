@@ -25,7 +25,6 @@ from .lattice import CheckResult, OrthoLattice
 from .measures import (
     MeasureModule,
     RATIONALS,
-    coinvariants,
     is_measure,
     measure_module,
 )
@@ -228,17 +227,10 @@ def cones_equivalent(a: PolyCone, b: PolyCone) -> bool:
 # --- measure cones -----------------------------------------------------------------
 
 
-def _module_for(lattice: OrthoLattice, action: GroupAction | None) -> MeasureModule:
-    module = measure_module(lattice)
-    if action is not None:
-        module = coinvariants(module, action)
-    return module
-
-
 def measure_coordinates(lattice: OrthoLattice,
                         action: GroupAction | None = None) -> tuple[MeasureModule, list[Vector]]:
     """Free measure-basis coordinates of every element, canonical order."""
-    module = _module_for(lattice, action)
+    module = measure_module(lattice, action)
     k = len(module.moduli)
     coords = [module.projection_index(i)[k:] for i in range(len(lattice))]
     return module, coords

@@ -46,7 +46,6 @@ from .measures import (
     Measure,
     RATIONALS,
     basis_from_module,
-    coinvariants,
     hom_count,
     is_measure,
     measure_module,
@@ -147,20 +146,27 @@ class ActionGeneratingReport:
 
 
 def is_generating_for_action(lattice: OrthoLattice, action: GroupAction,
-                             members: Iterable[str]) -> ActionGeneratingReport:
+                             members: Iterable[str],
+                             norm: GroupAction | None = None) -> ActionGeneratingReport:
     """Injectivity of the class map plus orbit-set orthogonal generation.
 
     Meet closure is required of the set itself; its orbit under the group
     need not be meet-closed and is tested for generation directly.
+    ``norm`` is the normalizer of the members, when the caller has it.
     """
     gs = make_generating_set(lattice, members)
-    injective = quotient_map_injective(action, gs.members)
-    orbit_set = sorted(
-        {g(b) for g in action for b in gs.members},
-        key=lattice.index,
-    )
-    generating = _orthogonal_generating(lattice, tuple(orbit_set))
+    injective = quotient_map_injective(action, gs.members, norm)
+    generating = _orthogonal_generating(lattice, _orbit_set(lattice, action, gs.members))
     return ActionGeneratingReport(injective, generating)
+
+
+def _orbit_set(lattice: OrthoLattice, action: GroupAction,
+               members: tuple[str, ...]) -> tuple[str, ...]:
+    """The union of the members' orbits, in canonical order."""
+    return tuple(sorted(
+        {e for orb in orbits(action, members) for e in orb.members},
+        key=lattice.index,
+    ))
 
 
 def _validated_partial(lattice: OrthoLattice, members: tuple[str, ...],
@@ -276,14 +282,14 @@ def orth_groemer_extend(lattice: OrthoLattice, action: GroupAction,
     the coinvariant coordinates of every element in the member classes.
     """
     gs = make_generating_set(lattice, members)
-    report = is_generating_for_action(lattice, action, gs.members)
+    norm = normalizer(action, gs.members)
+    report = is_generating_for_action(lattice, action, gs.members, norm)
     if not report.ok:
         raise NotGeneratingForActionError(
             f"quotient_injective={report.quotient_injective}, "
             f"orbit_generating={report.orbit_generating}"
         )
     domain = partial.domain
-    norm = normalizer(action, gs.members)
     class_reps = orbits(norm, gs.members)
 
     values: dict[str, object] = {}
@@ -320,7 +326,7 @@ def orth_groemer_extend(lattice: OrthoLattice, action: GroupAction,
     if lattice.bottom in values and values[lattice.bottom] != domain.zero:
         raise KernelViolationError("the bottom member must carry value zero")
 
-    module = coinvariants(measure_module(lattice), action)
+    module = measure_module(lattice, action)
     reps = [orb.representative for orb in class_reps]
     if domain.kind in ("Z", "Q"):
         rows = [list(module.free_coordinates(b)) for b in reps]
@@ -405,16 +411,14 @@ def weak_groemer_check(lattice: OrthoLattice, action: GroupAction,
 
     Preconditions (orbit set generates orthogonally; the measure is
     invariant) are reported as failures with a labeled witness rather than
-    raised, so callers can feed candidate inputs directly.
+    raised, so callers can feed candidate inputs directly.  Invariance is
+    tried on the generators only, which is invariance under the group.
     """
     gs = make_generating_set(lattice, members)
-    orbit_set = sorted(
-        {g(b) for g in action for b in gs.members}, key=lattice.index
-    )
-    generating = _orthogonal_generating(lattice, tuple(orbit_set))
+    generating = _orthogonal_generating(lattice, _orbit_set(lattice, action, gs.members))
     if not generating.ok:
         return CheckResult(False, ("precondition:orbit_not_generating",) + generating.witness)
-    for g in action:
+    for g in action.generators:
         for x in lattice.elements:
             if measure.values[g(x)] != measure.values[x]:
                 return CheckResult(False, ("precondition:not_invariant", x))

@@ -11,6 +11,7 @@ Instances are immutable after construction and safe to share between readers.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -814,75 +815,140 @@ def orthogonal_pairs(lattice: OrthoLattice) -> list[tuple[str, str]]:
 # --- isomorphism search ---------------------------------------------------------
 
 
-def _signatures(lattice: OrthoLattice) -> list[tuple]:
+def _cover_lists(lattice: OrthoLattice) -> tuple[list[list[int]], list[list[int]]]:
+    """Upper and lower covers of every element, as index lists."""
     covers = lattice.cover_masks()
-    cover_down = _transpose_masks(covers, len(lattice))
-    sigs = []
-    for i in range(len(lattice)):
-        sigs.append(
-            (
-                lattice.down_masks[i].bit_count(),
-                lattice.up_masks[i].bit_count(),
-                cover_down[i].bit_count(),
-                covers[i].bit_count(),
-                lattice.down_masks[lattice.orth_map[i]].bit_count(),
-            )
-        )
-    return sigs
+    down = _transpose_masks(covers, len(lattice))
+
+    def bits(mask):
+        out = []
+        while mask:
+            out.append((mask & -mask).bit_length() - 1)
+            mask &= mask - 1
+        return out
+
+    return [bits(m) for m in covers], [bits(m) for m in down]
+
+
+class IsomorphismSearch:
+    """Individualization-refinement backtracking for isomorphisms src -> dst.
+
+    A node of the search is a pair of colourings, of src and of dst, drawn
+    from one palette, so a colour names the same thing on either side.
+    Fixing x -> y gives x and y a fresh shared colour; refinement then
+    replaces each element's colour by the colour together with the colour
+    multisets of its upper and lower covers and the colour of its
+    orthocomplement, until the partition stops splitting.  An isomorphism
+    that maps every fixed x to its y preserves every colour, so unequal
+    colour counts on the two sides prune the node.  Because the
+    orthocomplement's colour enters every signature, fixing x -> y forces
+    x' -> y'; and as covers carry the order, each element is split by the
+    fixed elements it is comparable to.
+
+    A discrete colouring names one candidate bijection, which is kept only
+    if it maps covers onto covers and commutes with the orthocomplement
+    (a bijection of finite posets mapping covers onto covers is an order
+    isomorphism).  Otherwise the search branches on the first element of
+    the first non-singleton colour class, over the dst elements of that
+    colour in index order, so every isomorphism is reached exactly once and
+    the output order is deterministic.
+    """
+
+    def __init__(self, src: OrthoLattice, dst: OrthoLattice):
+        self._sides = []
+        for lat in (src, dst):
+            ups, downs = _cover_lists(lat)
+            self._sides.append((ups, downs, lat.orth_map))
+        initial = [
+            [
+                (
+                    lat.down_masks[i].bit_count(),
+                    lat.up_masks[i].bit_count(),
+                    len(downs[i]),
+                    len(ups[i]),
+                    lat.down_masks[lat.orth_map[i]].bit_count(),
+                )
+                for i in range(len(lat))
+            ]
+            for lat, (ups, downs, _) in zip((src, dst), self._sides)
+        ]
+        same_size = len(src) == len(dst)
+        self.root = self._refine(initial) if same_size else None
+
+    def _refine(self, colours: list[list]) -> list[list[int]] | None:
+        """Stable joint refinement, or None when the two sides disagree."""
+        count = len(set(colours[0]))
+        while True:
+            # A cover multiset enters as a sum of hashed colours: equal
+            # multisets give equal sums, and a rare collision only leaves the
+            # partition coarser, never unsound.  Singleton classes cannot split.
+            mix = {c: hash((c, 0x9E3779B9)) for c in set(colours[0]) | set(colours[1])}
+            size = Counter(colours[0])
+            sigs = []
+            for c, (ups, downs, orth) in zip(colours, self._sides):
+                h = [mix[x] for x in c]
+                sigs.append([
+                    (x,) if size[x] == 1 else
+                    (x, sum([h[j] for j in ups[i]]), sum([h[j] for j in downs[i]]), c[orth[i]])
+                    for i, x in enumerate(c)
+                ])
+            palette = {s: k for k, s in enumerate(sorted(set(sigs[0]) | set(sigs[1])))}
+            colours = [[palette[s] for s in side] for side in sigs]
+            if sorted(colours[0]) != sorted(colours[1]):
+                return None
+            if len(palette) == count:
+                return colours
+            count = len(palette)
+
+    def fix(self, node: list[list[int]] | None, x: int, y: int) -> list[list[int]] | None:
+        """The child node with x -> y fixed, or None if it is pruned."""
+        if node is None or node[0][x] != node[1][y]:
+            return None
+        ca, cb = list(node[0]), list(node[1])
+        ca[x] = cb[y] = len(ca)  # above every colour in use
+        return self._refine([ca, cb])
+
+    def leaves(self, node: list[list[int]] | None) -> Iterator[tuple[int, ...]]:
+        """Every isomorphism below the node, in search order."""
+        if node is None:
+            return
+        ca, cb = node
+        target = first_split_colour(ca)
+        if target is None:
+            where = {c: j for j, c in enumerate(cb)}
+            perm = tuple(where[c] for c in ca)
+            if self._preserves_structure(perm):
+                yield perm
+            return
+        x = ca.index(target)
+        for y, c in enumerate(cb):
+            if c == target:
+                yield from self.leaves(self.fix(node, x, y))
+
+    def _preserves_structure(self, perm: tuple[int, ...]) -> bool:
+        (ups_a, _, orth_a), (ups_b, _, orth_b) = self._sides
+        for i, j in enumerate(perm):
+            if perm[orth_a[i]] != orth_b[j]:
+                return False
+            if sorted([perm[k] for k in ups_a[i]]) != ups_b[j]:
+                return False
+        return True
+
+
+def first_split_colour(colours: list[int]) -> int | None:
+    """The least colour held by two or more elements, if any."""
+    return min((c for c, k in Counter(colours).items() if k > 1), default=None)
 
 
 def iter_isomorphisms(src: OrthoLattice, dst: OrthoLattice) -> Iterator[tuple[int, ...]]:
     """All order- and orthocomplement-preserving bijections src -> dst.
 
     Yields index permutations: position i holds the dst index of src element
-    i.  Backtracks over candidate images filtered by degree/height signatures
-    and pruned by orthocomplement compatibility; exponential in the worst
-    case, fine at desk scale.
+    i.  See :class:`IsomorphismSearch` for the pruning; exponential only on
+    lattices whose colour refinement leaves large ambiguous classes.
     """
-    n = len(src)
-    if len(dst) != n:
-        return
-    sig_src = _signatures(src)
-    sig_dst = _signatures(dst)
-    if sorted(sig_src) != sorted(sig_dst):
-        return
-    buckets: dict[tuple, list[int]] = {}
-    for j, s in enumerate(sig_dst):
-        buckets.setdefault(s, []).append(j)
-    order = sorted(range(n), key=lambda i: (sig_src[i][0], i))
-    img = [-1] * n
-    used = [False] * n
-
-    def extend(k: int) -> Iterator[tuple[int, ...]]:
-        if k == n:
-            yield tuple(img)
-            return
-        i = order[k]
-        oi = src.orth_map[i]
-        if img[oi] >= 0:
-            candidates = [dst.orth_map[img[oi]]]
-        else:
-            candidates = buckets.get(sig_src[i], ())
-        for j in candidates:
-            if used[j] or sig_dst[j] != sig_src[i]:
-                continue
-            ok = True
-            for kk in range(k):
-                a = order[kk]
-                b = img[a]
-                if (src.leq_index(i, a) != dst.leq_index(j, b)
-                        or src.leq_index(a, i) != dst.leq_index(b, j)):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            img[i] = j
-            used[j] = True
-            yield from extend(k + 1)
-            img[i] = -1
-            used[j] = False
-
-    yield from extend(0)
+    search = IsomorphismSearch(src, dst)
+    return search.leaves(search.root)
 
 
 def find_isomorphism(a: OrthoLattice, b: OrthoLattice) -> dict[str, str] | None:

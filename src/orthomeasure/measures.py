@@ -7,6 +7,8 @@ and homomorphisms out of the coinvariants under a group action are exactly
 the invariant ones.  Smith normal form of the relation matrix yields the
 rank, the torsion, and explicit coordinates for the projection of every
 lattice element, from which measure bases over Z, Q, and Z/m are read off.
+Coinvariants need only the orbits: they are the free group on the orbits
+modulo the relation rows with each orbit's columns summed.
 
 Coefficient domains are fixed to Z, Q, and Z/m: the finitely computable
 cases.  On a finite lattice every orthogonal family is finite, so additive
@@ -192,22 +194,18 @@ class FPAbelianGroup:
 
     generator_count: int
     relation_rows: tuple[tuple[int, ...], ...]
-    left: tuple[tuple[int, ...], ...]       # U with U * A * V = D
-    diagonal: tuple[tuple[int, ...], ...]   # D
-    right: tuple[tuple[int, ...], ...]      # V
-    invariants: tuple[int, ...]             # nonzero diagonal entries
+    right: tuple[tuple[int, ...], ...]      # V with U * A * V = D
+    invariants: tuple[int, ...]             # nonzero diagonal entries of D
 
     @classmethod
     def from_relations(cls, generator_count: int, rows: Sequence[Sequence[int]]) -> "FPAbelianGroup":
         rows = [list(r) for r in rows if any(r)]
         if not rows:
             rows = [[0] * generator_count]
-        u, d, v = smith_normal_form(rows)
+        _, d, v = smith_normal_form(rows)
         return cls(
             generator_count,
             tuple(tuple(r) for r in rows),
-            tuple(tuple(r) for r in u),
-            tuple(tuple(r) for r in d),
             tuple(tuple(r) for r in v),
             tuple(snf_diagonal(d)),
         )
@@ -230,34 +228,38 @@ class FPAbelianGroup:
 
     def reduced(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Torsion coordinates (mod their invariant) followed by free ones."""
-        full = self.coordinates(vector)
+        return self._split(self.coordinates(vector))
+
+    def _split(self, full: Sequence[int]) -> tuple[int, ...]:
         s = len(self.invariants)
         torsion = tuple(
             full[i] % d for i, d in enumerate(self.invariants) if d > 1
         )
-        return torsion + full[s:]
+        return torsion + tuple(full[s:])
 
 
 class MeasureModule:
     """The universal measure group of a lattice, or its coinvariants,
-    together with the projection of every element into it."""
+    together with the projection of every element into it.
 
-    __slots__ = ("lattice", "group", "action", "moduli", "rank", "_proj")
+    The generators are the elements, or under an action the orbits, in
+    order of their least element index; ``columns[i]`` is the generator
+    that element i maps to.
+    """
+
+    __slots__ = ("lattice", "group", "action", "columns", "moduli", "rank", "_proj")
 
     def __init__(self, lattice: OrthoLattice, group: FPAbelianGroup,
                  action: GroupAction | None = None):
         self.lattice = lattice
         self.group = group
         self.action = action
+        self.columns = _orbit_columns(lattice, action)
         self.moduli = group.torsion
         self.rank = group.rank
-        n = len(lattice)
-        proj = []
-        for i in range(n):
-            unit = [0] * n
-            unit[i] = 1
-            proj.append(group.reduced(unit))
-        self._proj = tuple(proj)
+        # the Smith coordinates of generator c are row c of V
+        images = [group._split(row) for row in group.right]
+        self._proj = tuple(images[c] for c in self.columns)
 
     @property
     def torsion(self) -> tuple[int, ...]:
@@ -272,7 +274,10 @@ class MeasureModule:
 
     def evaluate(self, formal_sum: "FormalSum") -> tuple[int, ...]:
         """Image of a formal sum under the quotient map (linear in it)."""
-        return self.group.reduced(formal_sum.vector(self.lattice))
+        vector = [0] * self.group.generator_count
+        for c, x in zip(self.columns, formal_sum.vector(self.lattice)):
+            vector[c] += x
+        return self.group.reduced(vector)
 
     def projection_index(self, i: int) -> tuple[int, ...]:
         return self._proj[i]
@@ -294,39 +299,51 @@ class MeasureModule:
         return {"rank": self.rank, "torsion": list(self.moduli)}
 
 
-def measure_module(lattice: OrthoLattice) -> MeasureModule:
-    """The universal measure group, with projection coordinates per element."""
-    rows = relation_matrix(lattice)
-    return MeasureModule(
-        lattice, FPAbelianGroup.from_relations(len(lattice), rows)
-    )
+def _orbit_columns(lattice: OrthoLattice, action: GroupAction | None) -> list[int]:
+    """Generator index per element: the element itself, or its orbit."""
+    if action is None:
+        return list(range(len(lattice)))
+    labels = action.orbit_labels()
+    position = {label: k for k, label in enumerate(sorted(set(labels)))}
+    return [position[label] for label in labels]
+
+
+def measure_module(lattice: OrthoLattice,
+                   action: GroupAction | None = None) -> MeasureModule:
+    """The universal measure group, or with an action its coinvariants,
+    with projection coordinates per element."""
+    return _module_from_relations(lattice, relation_matrix(lattice), action)
 
 
 def coinvariants(module: MeasureModule, action: GroupAction) -> MeasureModule:
-    """Quotient further by the rows identifying each element with its orbit.
+    """The coinvariants of a plain module under the action."""
+    if module.action is not None:
+        raise ValueError("coinvariants needs the plain module")
+    return _module_from_relations(module.lattice, module.group.relation_rows, action)
 
-    The rows g.x - x over all group elements g coincide with the rows
-    y - x over all y in the orbit of x, so the latter (deduplicated) are
-    appended to the relation matrix before recomputing the Smith form.
+
+def _module_from_relations(lattice: OrthoLattice, rows: Sequence[Sequence[int]],
+                           action: GroupAction | None) -> MeasureModule:
+    """Z^elements modulo the relation rows; under an action, Z^orbits
+    modulo the rows with each orbit's columns summed.
+
+    The latter is the coinvariant group: e_x -> e_[x] maps Z^elements onto
+    Z^orbits, and its kernel is spanned by the rows e_gx - e_x that the
+    coinvariants add to the relations.
     """
-    lattice = module.lattice
+    if action is None:
+        return MeasureModule(lattice, FPAbelianGroup.from_relations(len(lattice), rows))
     if not same_lattice(action.lattice, lattice):
         raise ValueError("action is defined on a different lattice")
-    n = len(lattice)
-    rows = [list(r) for r in module.group.relation_rows]
-    seen = set()
-    for i in range(n):
-        for p in action.perms:
-            j = p[i]
-            if j != i and (i, j) not in seen:
-                seen.add((i, j))
-                row = [0] * n
-                row[j] += 1
-                row[i] -= 1
-                rows.append(row)
-    return MeasureModule(
-        lattice, FPAbelianGroup.from_relations(n, rows), action
-    )
+    columns = _orbit_columns(lattice, action)
+    width = max(columns) + 1
+    merged = {}
+    for row in rows:
+        out = [0] * width
+        for c, x in zip(columns, row):
+            out[c] += x
+        merged[tuple(out)] = None
+    return MeasureModule(lattice, FPAbelianGroup.from_relations(width, list(merged)), action)
 
 
 def universal_measure_eval(module: MeasureModule, name: str) -> tuple[int, ...]:
@@ -394,10 +411,7 @@ def measure_basis(lattice: OrthoLattice, domain: Domain,
                   action: GroupAction | None = None) -> list[Measure]:
     """Basis (Z, Q) or generators (Z/m) of the measure space, optionally of
     the invariant one."""
-    module = measure_module(lattice)
-    if action is not None:
-        module = coinvariants(module, action)
-    return basis_from_module(module, domain)
+    return basis_from_module(measure_module(lattice, action), domain)
 
 
 # --- brute-force oracle -------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Finite groups acting on a lattice by orthocomplementation-preserving
-automorphisms: closure, orbits, stabilizers, normalizers.
+automorphisms: search, closure, orbits, stabilizers, normalizers.
 
-Groups are stored by full element enumeration (permutations of the element
-indices); normalizers and the coinvariant relations downstream need all
-elements, and desk-scale lattices keep the groups small.  Everything is
-immutable after closure.
+A group is held by a generating set and its order.  The full automorphism
+group comes from a search over a base and strong generating set, so its
+order is known without listing a single element; orbits are the connected
+components of the generators, found by union-find.  Elements are listed
+only on demand (``perms`` and iteration, used by stabilizers and
+normalizers), and never past the group's ``max_group`` cap.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GroupTooLargeError, NotAnAutomorphismError, SchemaError
-from .lattice import OrthoLattice, iter_isomorphisms
+from .lattice import IsomorphismSearch, OrthoLattice, first_split_colour
 
 DEFAULT_MAX_GROUP = 100_000
 
@@ -84,7 +86,16 @@ def _validate_automorphism(lattice: OrthoLattice, perm: Perm) -> None:
     n = len(lattice)
     if sorted(perm) != list(range(n)):
         raise NotAnAutomorphismError("element map is not a bijection")
+    up = lattice.up_masks
     for i in range(n):
+        image = 0
+        rest = up[i]
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            image |= 1 << perm[j]
+        if image == up[perm[i]]:
+            continue
         for j in range(n):
             if lattice.leq_index(i, j) != lattice.leq_index(perm[i], perm[j]):
                 raise NotAnAutomorphismError(
@@ -105,24 +116,40 @@ class Orbit:
 
 
 class GroupAction:
-    """A finite group of lattice automorphisms, closed under composition
-    and inverse, with the identity present."""
+    """A finite group of lattice automorphisms, held by generators and order.
 
-    __slots__ = ("lattice", "generators", "perms", "_perm_set")
+    ``perms`` (and iteration, membership) list the elements on first use,
+    raising GroupTooLargeError when the order exceeds ``max_group``.
+    """
+
+    __slots__ = ("lattice", "generators", "order", "max_group", "_perms", "_labels")
 
     def __init__(self, lattice: OrthoLattice, generators: Sequence[LatticeAutomorphism],
-                 perms: Sequence[Perm]):
+                 order: int, perms: Sequence[Perm] | None = None,
+                 max_group: int = DEFAULT_MAX_GROUP):
         self.lattice = lattice
         self.generators = tuple(generators)
-        self.perms = tuple(sorted(perms))
-        self._perm_set = frozenset(self.perms)
+        self.order = order
+        self.max_group = max_group
+        self._perms = None if perms is None else tuple(sorted(perms))
+        self._labels = None
 
     @property
-    def order(self) -> int:
-        return len(self.perms)
+    def perms(self) -> tuple[Perm, ...]:
+        if self._perms is None:
+            if self.order > self.max_group:
+                raise GroupTooLargeError(
+                    f"listing {self.order} elements exceeds the cap of {self.max_group}"
+                )
+            gens = [g.perm for g in self.generators]
+            self._perms = tuple(sorted(_closure(len(self.lattice), gens, self.max_group)))
+        return self._perms
 
-    def __len__(self) -> int:
-        return len(self.perms)
+    def orbit_labels(self) -> list[int]:
+        """label[i] is the least element index in the orbit of element i."""
+        if self._labels is None:
+            self._labels = _orbit_labels(len(self.lattice), [g.perm for g in self.generators])
+        return self._labels
 
     def __iter__(self) -> Iterator[LatticeAutomorphism]:
         for p in self.perms:
@@ -130,7 +157,7 @@ class GroupAction:
 
     def __contains__(self, item) -> bool:
         perm = item.perm if isinstance(item, LatticeAutomorphism) else tuple(item)
-        return perm in self._perm_set
+        return perm in self.perms
 
     def apply(self, perm: Perm, name: str) -> str:
         return self.lattice.elements[perm[self.lattice.index(name)]]
@@ -139,26 +166,20 @@ class GroupAction:
         return f"<GroupAction of order {self.order} on {self.lattice!r}>"
 
 
-def close_group(lattice: OrthoLattice, generators: Iterable[LatticeAutomorphism],
-                max_group: int = DEFAULT_MAX_GROUP) -> GroupAction:
-    """Breadth-first closure of the generators under composition.
+def _closure(n: int, gen_perms: Sequence[Perm], max_group: int) -> set[Perm]:
+    """Breadth-first closure of the permutations under composition.
 
     Inverses come for free: the closure of a finite set of permutations
     under composition is already a group.
     """
-    gens = list(generators)
-    for g in gens:
-        if g.lattice is not lattice:
-            raise NotAnAutomorphismError("generator defined on a different lattice")
-    identity = tuple(range(len(lattice)))
+    identity = tuple(range(n))
     seen = {identity}
     frontier = [identity]
-    gen_perms = [g.perm for g in gens]
     while frontier:
         new = []
         for p in frontier:
             for g in gen_perms:
-                q = tuple(g[j] for j in p)
+                q = tuple(map(g.__getitem__, p))
                 if q not in seen:
                     seen.add(q)
                     new.append(q)
@@ -167,75 +188,135 @@ def close_group(lattice: OrthoLattice, generators: Iterable[LatticeAutomorphism]
                             f"closure exceeds the cap of {max_group}"
                         )
         frontier = new
-    return GroupAction(lattice, gens, sorted(seen))
+    return seen
+
+
+def _orbit_labels(n: int, perms: Iterable[Perm]) -> list[int]:
+    """Classes of the equivalence generated by i ~ p[i] for every map p,
+    found by union-find; each class is labelled by its least index."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for p in perms:
+        for i, j in enumerate(p):
+            a, b = find(i), find(j)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return [find(i) for i in range(n)]
+
+
+def close_group(lattice: OrthoLattice, generators: Iterable[LatticeAutomorphism],
+                max_group: int = DEFAULT_MAX_GROUP) -> GroupAction:
+    """The group the generators generate, listed by breadth-first closure."""
+    gens = list(generators)
+    for g in gens:
+        if g.lattice is not lattice:
+            raise NotAnAutomorphismError("generator defined on a different lattice")
+    perms = _closure(len(lattice), [g.perm for g in gens], max_group)
+    return GroupAction(lattice, gens, len(perms), perms, max_group)
 
 
 def automorphism_group(lattice: OrthoLattice,
                        max_group: int = DEFAULT_MAX_GROUP) -> GroupAction:
     """The full group of orthocomplement-preserving lattice automorphisms,
-    found by backtracking over element images."""
-    perms = []
-    for perm in iter_isomorphisms(lattice, lattice):
-        perms.append(perm)
-        if len(perms) > max_group:
-            raise GroupTooLargeError(f"automorphism group exceeds {max_group}")
-    perms.sort()
-    gens = [LatticeAutomorphism(lattice, p, _checked=True) for p in perms]
-    return GroupAction(lattice, gens, perms)
+    as a strong generating set relative to a base.
+
+    The base b_1, ..., b_k individualizes elements of the search's colour
+    refinement until the colouring is discrete, so only the identity fixes
+    all of it.  Let G_i fix b_1, ..., b_{i-1}.  From the last level up, the
+    generators found so far generate G_{i+1}; for each element c of b_i's
+    colour class that their orbit of b_i does not reach, one search for an
+    automorphism fixing b_1, ..., b_{i-1} with b_i -> c either fails or
+    yields a new generator.  Then the generators generate G_i, b_i's orbit
+    is all of G_i b_i, and |G| is the product of the orbit lengths, so no
+    element is ever listed.  ``max_group`` caps later element listing only.
+    """
+    search = IsomorphismSearch(lattice, lattice)
+    base: list[int] = []
+    nodes = [search.root]  # nodes[i] fixes base[:i] pointwise
+    while (target := first_split_colour(nodes[-1][0])) is not None:
+        base.append(nodes[-1][0].index(target))
+        nodes.append(search.fix(nodes[-1], base[-1], base[-1]))
+
+    found: list[LatticeAutomorphism] = []
+    labels = list(range(len(lattice)))  # orbits of the generators found so far
+    order = 1
+    for level in reversed(range(len(base))):
+        b = base[level]
+        colours = nodes[level][0]
+        for c in range(len(lattice)):
+            if colours[c] != colours[b] or labels[c] == labels[b]:
+                continue
+            perm = next(search.leaves(search.fix(nodes[level], b, c)), None)
+            if perm is not None:
+                found.append(LatticeAutomorphism(lattice, perm))
+                # the old labels, read as a map, keep the old orbits joined
+                labels = _orbit_labels(len(lattice), [labels, perm])
+        order *= labels.count(labels[b])
+    return GroupAction(lattice, found[::-1], order, max_group=max_group)
 
 
 def trivial_action(lattice: OrthoLattice) -> GroupAction:
-    identity = LatticeAutomorphism.identity(lattice)
-    return GroupAction(lattice, (identity,), (identity.perm,))
+    return GroupAction(lattice, (), 1, (tuple(range(len(lattice))),))
 
 
 def orbits(action: GroupAction, subset: Iterable[str] | None = None) -> list[Orbit]:
-    """Orbit partition of the subset (default: all elements), canonical order."""
+    """Orbit partition of the subset (default: all elements), canonical order.
+
+    Each orbit is listed whole, represented by its first subset member.
+    """
     lattice = action.lattice
     pool = list(subset) if subset is not None else list(lattice.elements)
     pool_idx = sorted({lattice.index(e) for e in pool})
+    labels = action.orbit_labels()
     seen: set[int] = set()
     out = []
     for i in pool_idx:
-        if i in seen:
+        if labels[i] in seen:
             continue
-        members = sorted({p[i] for p in action.perms})
-        seen.update(members)
-        out.append(
-            Orbit(lattice.elements[i], tuple(lattice.elements[m] for m in members))
-        )
+        seen.add(labels[i])
+        out.append(Orbit(lattice.elements[i], orbit_of(action, lattice.elements[i])))
     return out
 
 
 def orbit_of(action: GroupAction, name: str) -> tuple[str, ...]:
-    i = action.lattice.index(name)
-    members = sorted({p[i] for p in action.perms})
-    return tuple(action.lattice.elements[m] for m in members)
+    labels = action.orbit_labels()
+    label = labels[action.lattice.index(name)]
+    return tuple(e for e, k in zip(action.lattice.elements, labels) if k == label)
 
 
 def stabilizer(action: GroupAction, name: str) -> GroupAction:
-    i = action.lattice.index(name)
-    perms = [p for p in action.perms if p[i] == i]
-    gens = [LatticeAutomorphism(action.lattice, p, _checked=True) for p in perms]
-    return GroupAction(action.lattice, gens, perms)
+    return normalizer(action, [name])
 
 
 def normalizer(action: GroupAction, members: Iterable[str]) -> GroupAction:
-    """Subgroup of elements mapping the set onto itself."""
+    """Subgroup of elements mapping the set onto itself, found by listing
+    the group; its generators are all of its elements."""
     lattice = action.lattice
     target = {lattice.index(e) for e in members}
     perms = [p for p in action.perms if {p[i] for i in target} == target]
     gens = [LatticeAutomorphism(lattice, p, _checked=True) for p in perms]
-    return GroupAction(lattice, gens, perms)
+    return GroupAction(lattice, gens, len(perms), perms, action.max_group)
 
 
-def quotient_map_injective(action: GroupAction, members: Iterable[str]) -> bool:
-    """Distinct normalizer orbits inside the set land in distinct full orbits."""
+def quotient_map_injective(action: GroupAction, members: Iterable[str],
+                           norm: GroupAction | None = None) -> bool:
+    """Distinct normalizer orbits inside the set land in distinct full orbits.
+
+    ``norm`` is the normalizer of the members, when the caller has it.
+    """
     members = list(members)
-    norm = normalizer(action, members)
-    seen: dict[frozenset, frozenset] = {}
+    if norm is None:
+        norm = normalizer(action, members)
+    labels = action.orbit_labels()
+    seen: dict[int, frozenset] = {}
     for orb in orbits(norm, members):
-        big = frozenset(orbit_of(action, orb.representative))
+        big = labels[action.lattice.index(orb.representative)]
         small = frozenset(orb.members)
         if big in seen and seen[big] != small:
             return False
@@ -244,19 +325,15 @@ def quotient_map_injective(action: GroupAction, members: Iterable[str]) -> bool:
 
 
 def generating_subset(action: GroupAction) -> list[LatticeAutomorphism]:
-    """A small (greedy) generating set, for compact reports."""
+    """The action's generators without the identity and repeats: the strong
+    generators of a searched group, the given generators of a closed one."""
     identity = tuple(range(len(action.lattice)))
     have = {identity}
     gens: list[LatticeAutomorphism] = []
-    for p in action.perms:
-        if p in have:
-            continue
-        gens.append(LatticeAutomorphism(action.lattice, p, _checked=True))
-        have = set(
-            close_group(action.lattice, gens, max_group=len(action.perms)).perms
-        )
-        if len(have) == action.order:
-            break
+    for g in action.generators:
+        if g.perm not in have:
+            have.add(g.perm)
+            gens.append(g)
     return gens
 
 

@@ -198,3 +198,41 @@ def unique_measure_with_atom_values(lattice, atom_values):
     extend(0)
     assert len(found) == 1, f"expected a unique measure, found {len(found)}"
     return found[0]
+
+
+def row_appended_coinvariant_rows(lattice, perms):
+    """Relation rows of the coinvariants, built the long way.
+
+    One row per unordered orthogonal pair (the join minus the two parts),
+    followed by one row e_gx - e_x for every group element g and element x
+    it moves, deduplicated: the quotient of the free group on the elements
+    by all of them is the coinvariant measure group.  ``perms`` must list
+    every group element.
+    """
+    elements = list(lattice.elements)
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    rows = []
+    for i, x in enumerate(elements):
+        for y in elements[i:]:
+            if lattice.orthogonal(x, y):
+                row = [0] * n
+                row[index[lattice.join(x, y)]] += 1
+                row[index[x]] -= 1
+                row[index[y]] -= 1
+                rows.append(row)
+    seen = set()
+    for p in perms:
+        for i, j in enumerate(p):
+            if i != j and (i, j) not in seen:
+                seen.add((i, j))
+                row = [0] * n
+                row[j] += 1
+                row[i] -= 1
+                rows.append(row)
+    return rows
+
+
+def orbits_by_listing(perms, n):
+    """The orbit of every index, read off the listed group elements."""
+    return [frozenset(p[i] for p in perms) for i in range(n)]

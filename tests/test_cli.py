@@ -230,3 +230,30 @@ def test_round_trip_constructor_export(tmp_path, capsys):
         code = run(["check", str(path)])
         capsys.readouterr()
         assert code == (0 if lat.name != "benzene" else 1)
+
+
+def test_aut_mo7_needs_no_listing(tmp_path, capsys):
+    path = tmp_path / "mo7.json"
+    save_lattice(mo(7), path)
+    code, data = run_json(capsys, ["aut", str(path)])
+    assert code == 0
+    assert data["report"]["order"] == 645120
+    assert data["report"]["generators"]
+
+
+def test_full_aut_queries_on_mo20(tmp_path, capsys):
+    # |Aut(mo(20))| = 2^20 20! is about 2.6e24: these answers prove that no
+    # query lists the group
+    path = str(tmp_path / "mo20.json")
+    save_lattice(mo(20), path)
+    code, data = run_json(capsys, ["module", path, "--full-aut"])
+    assert code == 0 and data["report"]["rank"] == 1
+    assert data["report"]["torsion"] == []
+    code, data = run_json(capsys, ["invariant-measures", path, "--full-aut"])
+    assert code == 0 and data["report"]["count"] == 1
+    code, data = run_json(capsys, ["states", path, "--full-aut"])
+    assert code == 0 and data["report"]["count"] == 1
+    assert set(data["report"]["vertices"][0]["values"].values()) == {"0", "1/2", "1"}
+    code, data = run_json(capsys, ["cone", path, "--full-aut"])
+    assert code == 0 and data["report"]["dimension"] == 1
+    assert len(data["report"]["rays"]) == 1

@@ -370,3 +370,24 @@ def test_weak_check_reports_noninvariant_input(family, aut_groups):
     result = weak_groemer_check(lat, aut_groups["mo(2)"], ["a1"], dirac)
     assert not result.ok
     assert result.witness[0] == "precondition:not_invariant"
+
+
+def test_orth_extend_builds_the_normalizer_once(monkeypatch):
+    import orthomeasure.groemer as groemer_module
+    import orthomeasure.symmetry as symmetry_module
+
+    calls = []
+    original = symmetry_module.normalizer
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(symmetry_module, "normalizer", counting)
+    monkeypatch.setattr(groemer_module, "normalizer", counting)
+    lat = mo(2)
+    measure = orth_groemer_extend(
+        lat, automorphism_group(lat), ["a1"], PartialMeasure(RATIONALS, {"a1": 1})
+    )
+    assert measure.values["1"] == 2
+    assert len(calls) == 1
