@@ -3,9 +3,17 @@
 The cone of positive measures is cut out, in measure-basis coordinates, by
 one halfspace per lattice element (the dual-cone picture applied to the
 image of the whole lattice); slicing it by the normalization at the top
-element gives the polytope of probability measures.  Vertex and ray
-enumeration uses the double description method over exact rationals with a
-rank-based adjacency test, so vertex counts are exact and deterministic.
+element gives the polytope of probability measures.
+
+Vertex and ray enumeration uses the double description method in exact
+integers.  Each ray carries the set of inserted constraints tight at it, as
+an int bitset, and two rays are adjacent when no third ray is tight on every
+constraint tight at both (Fukuda & Prodon, *Double description method
+revisited*, 1996).  The test is exact because the rays are precisely the
+extreme rays of the cone modulo its lineality space: the constraints tight
+at both rays cut out the smallest face holding them, and that face is
+two-dimensional exactly when it has no third extreme ray.  No rank is
+computed, so vertex counts are exact and deterministic.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ from .errors import (
     EmptyPolytopeError,
     UnboundedSliceError,
 )
-from .intlinalg import rational_rank
 from .lattice import CheckResult, OrthoLattice
 from .measures import (
     MeasureModule,
@@ -37,15 +44,15 @@ Vector = tuple[int, ...]
 
 def _primitive(vec) -> Vector:
     """Scale a rational vector to coprime integers, keeping its direction."""
-    fracs = [Fraction(x) for x in vec]
-    denom = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    ints = tuple(vec)
+    if not all(type(x) is int for x in ints):
+        fracs = [Fraction(x) for x in ints]
+        denom = lcm(*(f.denominator for f in fracs))
+        ints = tuple(int(f * denom) for f in fracs)
+    g = gcd(*ints)
     if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+        ints = tuple(x // g for x in ints)
+    return ints
 
 
 def _sign_canonical(vec: Vector) -> Vector:
@@ -107,18 +114,31 @@ def double_description(normals, dim: int) -> tuple[list[Vector], list[Vector]]:
 
     Constraints are inserted in the given order; while a constraint cuts the
     current lineality space a pivot vector is turned into a ray, afterwards
-    new rays come from adjacent positive/negative pairs.  Adjacency of two
-    rays is decided by the rank of the inserted constraints tight at both.
+    new rays come from adjacent positive/negative pairs.
+
+    Each ray keeps an int bitset of the inserted constraints tight at it.
+    The bitsets update exactly: a projected ray keeps its set and gains the
+    new constraint (inserted constraints vanish on the lineality space, so
+    the projection moves no old pairing off zero); the pivot is tight at
+    every inserted constraint; a combination of p and n is tight where both
+    are, and at the new constraint.  The inserted constraints span the
+    complement of the lineality space, so a face of the cone modulo it has
+    dimension dim - len(lineality) minus the rank of its tight constraints.
+    Two rays are adjacent when the face cut out by their common tight set is
+    two-dimensional: that set must hold at least dim - len(lineality) - 2
+    constraints, and no third ray may be tight on all of them.
     """
     lineality: list[Vector] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
     ]
     rays: list[Vector] = []
-    processed: list[Vector] = []
+    tight: list[int] = []  # per ray: bit j set when constraint j is tight
+    inserted = 0  # bitset of every constraint inserted so far
     for raw in normals:
         a = _primitive(raw)
         if not any(a):
             continue
+        bit = inserted + 1
         pairings = [_dot(a, l) for l in lineality]
         pivot = next((i for i, d in enumerate(pairings) if d), None)
         if pivot is not None:
@@ -135,40 +155,49 @@ def double_description(normals, dim: int) -> tuple[list[Vector], list[Vector]]:
                         tuple(d0 * x - pairings[i] * y for x, y in zip(l, l0))
                     )
                 new_lineality.append(_sign_canonical(l))
-            rays = [
-                _primitive(
-                    tuple(d0 * x - _dot(a, r) * y for x, y in zip(r, l0))
-                )
-                for r in rays
-            ]
-            rays.append(l0)
+            projected = {}
+            for r, z in zip(rays, tight):
+                v = _dot(a, r)
+                projected[_primitive(
+                    tuple(d0 * x - v * y for x, y in zip(r, l0))
+                )] = z | bit
+            projected[l0] = inserted
             lineality = new_lineality
-            rays = list(dict.fromkeys(rays))
+            rays, tight = list(projected), list(projected.values())
         else:
             values = [_dot(a, r) for r in rays]
             if any(v < 0 for v in values):
-                target = rational_rank(processed) - 2
-                keep = [r for r, v in zip(rays, values) if v >= 0]
-                combos = []
-                for p, vp in zip(rays, values):
-                    if vp <= 0:
-                        continue
-                    for nray, vn in zip(rays, values):
-                        if vn >= 0:
+                need = dim - len(lineality) - 2
+                nxt = {}
+                positive, negative = [], []
+                for r, z, v in zip(rays, tight, values):
+                    if v >= 0:
+                        nxt[r] = z | bit if v == 0 else z
+                    if v > 0:
+                        positive.append((r, z, v))
+                    elif v < 0:
+                        negative.append((r, z, v))
+                for p, zp, vp in positive:
+                    for n, zn, vn in negative:
+                        common = zp & zn
+                        if common.bit_count() < need:
                             continue
-                        tight = [
-                            row for row in processed
-                            if _dot(row, p) == 0 and _dot(row, nray) == 0
-                        ]
-                        if rational_rank(tight) != target:
+                        # p and n are tight on common; a third ray is not
+                        holders = 0
+                        for z in tight:
+                            if z & common == common:
+                                holders += 1
+                                if holders > 2:
+                                    break
+                        if holders > 2:
                             continue
-                        combos.append(
-                            _primitive(
-                                tuple(vp * x - vn * y for x, y in zip(nray, p))
-                            )
-                        )
-                rays = list(dict.fromkeys(keep + combos))
-        processed.append(a)
+                        nxt[_primitive(
+                            tuple(vp * x - vn * y for x, y in zip(n, p))
+                        )] = common | bit
+                rays, tight = list(nxt), list(nxt.values())
+            else:
+                tight = [z if v else z | bit for z, v in zip(tight, values)]
+        inserted |= bit
     rays.sort()
     lineality = sorted(lineality)
     return rays, lineality
@@ -236,6 +265,20 @@ def measure_coordinates(lattice: OrthoLattice,
     return module, coords
 
 
+def _measure_cone(lattice: OrthoLattice,
+                  action: GroupAction | None) -> tuple[PolyCone, list[Vector]]:
+    """The positive cone and the free coordinates of every element."""
+    module, coords = measure_coordinates(lattice, action)
+    dim = module.rank
+    if dim > DEFAULT_MAX_DIMENSION:
+        raise DimensionCapError(
+            f"dimension {dim} exceeds the cap of {DEFAULT_MAX_DIMENSION}"
+        )
+    normals = list(dict.fromkeys(c for c in coords if any(c)))
+    rays, lineality = double_description(normals, dim)
+    return PolyCone.from_parts(dim, normals, rays, lineality), coords
+
+
 def positive_cone(lattice: OrthoLattice,
                   action: GroupAction | None = None) -> PolyCone:
     """Cone of measures nonnegative on every lattice element.
@@ -243,13 +286,10 @@ def positive_cone(lattice: OrthoLattice,
     Constraints are imposed for every element, not only atoms; on
     non-atomistic lattices the two constraint sets differ.  With an action
     the same construction runs in coinvariant coordinates, which realizes
-    the invariant slice.
+    the invariant slice.  Raises DimensionCapError when the measure space
+    has rank above DEFAULT_MAX_DIMENSION.
     """
-    module, coords = measure_coordinates(lattice, action)
-    dim = module.rank
-    normals = list(dict.fromkeys(c for c in coords if any(c)))
-    rays, lineality = double_description(normals, dim)
-    return PolyCone.from_parts(dim, normals, rays, lineality)
+    return _measure_cone(lattice, action)[0]
 
 
 @dataclass(frozen=True)
@@ -271,35 +311,33 @@ def state_polytope(lattice: OrthoLattice,
                    action: GroupAction | None = None) -> StatePolytope:
     """Exact vertices of the polytope of (invariant) probability measures.
 
-    Raises UnboundedSliceError when the top element projects to zero (the
-    degenerate case where no normalization is possible) and
-    EmptyPolytopeError when no probability measure exists.
+    Each vertex is a ray r of the positive cone scaled by 1 / (top . r), so
+    every value is one exact integer dot product over that scale.  Raises
+    DimensionCapError above DEFAULT_MAX_DIMENSION, UnboundedSliceError when
+    the top element projects to zero (the degenerate case where no
+    normalization is possible) and EmptyPolytopeError when no probability
+    measure exists.
     """
-    module, coords = measure_coordinates(lattice, action)
-    dim = module.rank
-    normals = list(dict.fromkeys(c for c in coords if any(c)))
-    rays, lineality = double_description(normals, dim)
-    cone = PolyCone.from_parts(dim, normals, rays, lineality)
+    cone, coords = _measure_cone(lattice, action)
     top = coords[lattice.top_index]
     if not any(top):
         raise UnboundedSliceError(
             "the top element is zero in the rational measure space"
         )
-    if lineality or any(_dot(top, r) <= 0 for r in rays):
+    if cone.lineality or any(_dot(top, r) <= 0 for r in cone.rays):
         # positivity at every element together with additivity at the top
         # rules this out; reaching it means the input is degenerate
         raise UnboundedSliceError("the normalized slice is not a polytope")
     vertices = []
-    for r in rays:
-        scale = Fraction(1, _dot(top, r))
-        coeff = tuple(scale * x for x in r)
+    for r in cone.rays:
+        scale = _dot(top, r)
         values = {
-            e: sum(
-                (c * x for c, x in zip(coeff, coords[i])), Fraction(0)
-            )
+            e: Fraction(_dot(coords[i], r), scale)
             for i, e in enumerate(lattice.elements)
         }
-        vertices.append(StateVertex(coeff, values))
+        vertices.append(
+            StateVertex(tuple(Fraction(x, scale) for x in r), values)
+        )
     if not vertices:
         raise EmptyPolytopeError("no probability measure exists")
     vertices.sort(key=lambda v: v.coords)

@@ -8,6 +8,7 @@ independent computational paths.
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 
 
 def row_reduce(rows):
@@ -236,3 +237,99 @@ def row_appended_coinvariant_rows(lattice, perms):
 def orbits_by_listing(perms, n):
     """The orbit of every index, read off the listed group elements."""
     return [frozenset(p[i] for p in perms) for i in range(n)]
+
+
+def _primitive(vec):
+    """Scale a rational vector to coprime integers, keeping its direction."""
+    fracs = [Fraction(x) for x in vec]
+    denom = lcm(*(f.denominator for f in fracs)) if fracs else 1
+    ints = [int(f * denom) for f in fracs]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    if g > 1:
+        ints = [x // g for x in ints]
+    return tuple(ints)
+
+
+def _sign_canonical(vec):
+    first = next((x for x in vec if x), 0)
+    return tuple(-x for x in vec) if first < 0 else vec
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def double_description_by_rank(normals, dim):
+    """Extreme rays and lineality basis of {x : n . x >= 0 for all n}.
+
+    The double description method with the rank-based adjacency test: two
+    rays are adjacent when the inserted constraints tight at both have rank
+    two less than all inserted constraints.  Ranks come from ``rank`` above
+    (Fraction Gauss-Jordan), so this is the slow path the package's
+    tight-set test is checked against; it returns the same canonical
+    (sorted, primitive) rays and lineality basis.
+    """
+    lineality = [
+        tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
+    ]
+    rays = []
+    processed = []
+    for raw in normals:
+        a = _primitive(raw)
+        if not any(a):
+            continue
+        pairings = [_dot(a, l) for l in lineality]
+        pivot = next((i for i, d in enumerate(pairings) if d), None)
+        if pivot is not None:
+            l0 = lineality[pivot]
+            if pairings[pivot] < 0:
+                l0 = tuple(-x for x in l0)
+            d0 = abs(pairings[pivot])
+            new_lineality = []
+            for i, l in enumerate(lineality):
+                if i == pivot:
+                    continue
+                if pairings[i]:
+                    l = _primitive(
+                        tuple(d0 * x - pairings[i] * y for x, y in zip(l, l0))
+                    )
+                new_lineality.append(_sign_canonical(l))
+            rays = [
+                _primitive(
+                    tuple(d0 * x - _dot(a, r) * y for x, y in zip(r, l0))
+                )
+                for r in rays
+            ]
+            rays.append(l0)
+            lineality = new_lineality
+            rays = list(dict.fromkeys(rays))
+        else:
+            values = [_dot(a, r) for r in rays]
+            if any(v < 0 for v in values):
+                target = rank(processed) - 2
+                keep = [r for r, v in zip(rays, values) if v >= 0]
+                combos = []
+                for p, vp in zip(rays, values):
+                    if vp <= 0:
+                        continue
+                    for nray, vn in zip(rays, values):
+                        if vn >= 0:
+                            continue
+                        tight = [
+                            row for row in processed
+                            if _dot(row, p) == 0 and _dot(row, nray) == 0
+                        ]
+                        if rank(tight) != target:
+                            continue
+                        combos.append(
+                            _primitive(
+                                tuple(vp * x - vn * y for x, y in zip(nray, p))
+                            )
+                        )
+                rays = list(dict.fromkeys(keep + combos))
+        processed.append(a)
+    rays.sort()
+    lineality = sorted(lineality)
+    return rays, lineality

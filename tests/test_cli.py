@@ -10,6 +10,7 @@ Claims:
 """
 
 import json
+import time
 
 import pytest
 
@@ -257,3 +258,15 @@ def test_full_aut_queries_on_mo20(tmp_path, capsys):
     code, data = run_json(capsys, ["cone", path, "--full-aut"])
     assert code == 0 and data["report"]["dimension"] == 1
     assert len(data["report"]["rays"]) == 1
+
+
+def test_states_above_dimension_cap_exit_3(tmp_path, capsys):
+    # mo(24) has rank 25: the double description would list 2^24 vertices
+    path = str(tmp_path / "mo24.json")
+    save_lattice(mo(24), path)
+    for command in ("states", "cone"):
+        start = time.perf_counter()
+        code, data = run_json(capsys, [command, path])
+        assert time.perf_counter() - start < 5.0
+        assert code == 3
+        assert data["error"] == "DimensionCapError"

@@ -13,13 +13,21 @@ Claims:
     - every vertex is a probability measure; every dyadic-grid probability
       measure lies in the exact convex hull of the vertices
     - degenerate slices raise the documented errors
+    - closed forms: |V(MO(n))| = 2^n for n = 1..11 (mo(11) within 10 s),
+      V(A x B) = V(A) + V(B) and V(hsum(A, B)) = V(A) V(B), every vertex a
+      probability measure
+    - cones and state polytopes above the dimension cap raise
+      DimensionCapError
 """
 
+import time
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from orthomeasure import (
+    DimensionCapError,
     EmptyPolytopeError,
     RATIONALS,
     UnboundedSliceError,
@@ -29,13 +37,15 @@ from orthomeasure import (
     cone_from_rays,
     cones_equivalent,
     dual_cone,
+    horizontal_sum,
     is_probability_measure,
     measure_coordinates,
     mo,
     positive_cone,
+    product,
     state_polytope,
 )
-from orthomeasure.cones import PolyCone, double_description
+from orthomeasure.cones import DEFAULT_MAX_DIMENSION, PolyCone, double_description
 
 from oracles import in_convex_hull
 
@@ -264,3 +274,46 @@ def test_state_polytope_error_paths(monkeypatch):
     monkeypatch.setattr(cones_mod, "measure_coordinates", no_positive)
     with pytest.raises((EmptyPolytopeError, UnboundedSliceError)):
         state_polytope(lat)
+
+
+def _checked_vertex_count(lattice):
+    vertices = state_polytope(lattice).vertices
+    for v in vertices:
+        assert is_probability_measure(lattice, v.values).ok
+    return len(vertices)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_mo_state_polytope_is_cube(n):
+    lattice = mo(n)
+    start = time.perf_counter()
+    vertices = state_polytope(lattice).vertices
+    assert time.perf_counter() - start < 10.0
+    assert len(vertices) == 2 ** n
+    for v in vertices:
+        assert is_probability_measure(lattice, v.values).ok
+    # the cube's vertices are the 0/1 assignments to the atom pairs
+    assert {tuple(v.values[f"a{i}"] for i in range(1, n + 1)) for v in vertices} == {
+        tuple(Fraction(b) for b in format(m, f"0{n}b")) for m in range(2 ** n)
+    }
+
+
+PARTS = {"boolean(2)": boolean(2), "boolean(3)": boolean(3), "mo(2)": mo(2), "mo(3)": mo(3)}
+
+
+@pytest.mark.parametrize("left,right", list(combinations_with_replacement(PARTS, 2)))
+def test_vertex_counts_of_products_and_horizontal_sums(left, right):
+    a, b = PARTS[left], PARTS[right]
+    va, vb = _checked_vertex_count(a), _checked_vertex_count(b)
+    # a state of A x B is a convex combination t s_A + (1 - t) s_B
+    assert _checked_vertex_count(product(a, b)) == va + vb
+    # a state of the horizontal sum is a free pair of states
+    assert _checked_vertex_count(horizontal_sum(a, b)) == va * vb
+
+
+def test_cone_layer_dimension_cap():
+    n = DEFAULT_MAX_DIMENSION  # mo(n) has rank n + 1
+    with pytest.raises(DimensionCapError):
+        positive_cone(mo(n))
+    with pytest.raises(DimensionCapError):
+        state_polytope(mo(n))
