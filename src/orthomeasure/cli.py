@@ -35,7 +35,6 @@ from .lattice import (
     DEFAULT_MAX_ELEMENTS,
     atoms,
     is_atomistic,
-    is_boolean,
     is_distributive,
     is_orthomodular,
     load_lattice,
@@ -136,7 +135,7 @@ def _cmd_check(args) -> int:
         },
         "orthomodular": _check_result_dict(omod),
         "distributive": _check_result_dict(dist),
-        "boolean": is_boolean(lattice),
+        "boolean": dist.ok,  # complemented by construction, so Boolean = distributive
         "atomistic": _check_result_dict(atomistic),
         "atoms": list(atoms(lattice)),
     }

@@ -38,6 +38,8 @@ from .measures import (
 from .symmetry import GroupAction
 
 DEFAULT_MAX_DIMENSION = 20
+# rays one double description step may hold; MO(14) has exactly this many
+MAX_RAYS = 2 ** 14
 
 Vector = tuple[int, ...]
 
@@ -127,6 +129,9 @@ def double_description(normals, dim: int) -> tuple[list[Vector], list[Vector]]:
     Two rays are adjacent when the face cut out by their common tight set is
     two-dimensional: that set must hold at least dim - len(lineality) - 2
     constraints, and no third ray may be tight on all of them.
+
+    Raises DimensionCapError as soon as a step holds more than MAX_RAYS
+    rays, which bounds the work as well as the output.
     """
     lineality: list[Vector] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
@@ -194,6 +199,10 @@ def double_description(normals, dim: int) -> tuple[list[Vector], list[Vector]]:
                         nxt[_primitive(
                             tuple(vp * x - vn * y for x, y in zip(n, p))
                         )] = common | bit
+                        if len(nxt) > MAX_RAYS:
+                            raise DimensionCapError(
+                                f"more than {MAX_RAYS} rays in the double description"
+                            )
                 rays, tight = list(nxt), list(nxt.values())
             else:
                 tight = [z if v else z | bit for z, v in zip(tight, values)]
@@ -287,7 +296,7 @@ def positive_cone(lattice: OrthoLattice,
     non-atomistic lattices the two constraint sets differ.  With an action
     the same construction runs in coinvariant coordinates, which realizes
     the invariant slice.  Raises DimensionCapError when the measure space
-    has rank above DEFAULT_MAX_DIMENSION.
+    has rank above DEFAULT_MAX_DIMENSION or the cone past MAX_RAYS rays.
     """
     return _measure_cone(lattice, action)[0]
 
@@ -313,10 +322,10 @@ def state_polytope(lattice: OrthoLattice,
 
     Each vertex is a ray r of the positive cone scaled by 1 / (top . r), so
     every value is one exact integer dot product over that scale.  Raises
-    DimensionCapError above DEFAULT_MAX_DIMENSION, UnboundedSliceError when
-    the top element projects to zero (the degenerate case where no
-    normalization is possible) and EmptyPolytopeError when no probability
-    measure exists.
+    DimensionCapError above DEFAULT_MAX_DIMENSION or past MAX_RAYS rays,
+    UnboundedSliceError when the top element projects to zero (the
+    degenerate case where no normalization is possible) and
+    EmptyPolytopeError when no probability measure exists.
     """
     cone, coords = _measure_cone(lattice, action)
     top = coords[lattice.top_index]

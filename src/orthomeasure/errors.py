@@ -32,7 +32,7 @@ class OracleTooLargeError(ResourceCapError):
 
 
 class DimensionCapError(ResourceCapError):
-    """Ambient dimension of a cone computation beyond the configured cap."""
+    """A cone computation past its dimension cap or its ray budget."""
 
 
 # --- lattice construction ---------------------------------------------------

@@ -74,7 +74,10 @@ def _require_boolean_atomistic(lattice: OrthoLattice) -> tuple[str, ...]:
 
 def indicator(lattice: OrthoLattice, x: str) -> SimpleFunction:
     """1 on the atoms below x, 0 elsewhere."""
-    atom_list = _require_boolean_atomistic(lattice)
+    return _indicator(lattice, _require_boolean_atomistic(lattice), x)
+
+
+def _indicator(lattice: OrthoLattice, atom_list: tuple[str, ...], x: str) -> SimpleFunction:
     return SimpleFunction(
         {z: Fraction(1) if lattice.leq(z, x) else Fraction(0) for z in atom_list}
     )
@@ -94,25 +97,32 @@ def check_indicator_identities(lattice: OrthoLattice,
     join indicator equals one minus the product of the complements.  A
     failure would indicate a lattice construction bug; the witness names the
     identity and the offending tuple.
+
+    Indicators take only the values 0 and 1, so each is held as the bitmask
+    of the atoms below its element: the product is AND, and one minus the
+    product of the complements is the OR over the subset.  Once the product
+    identity holds at (x, y), ind(x v y) + ind(x ^ y) == ind(x) + ind(y)
+    says exactly that ind(x v y) is the OR of ind(x) and ind(y).
     """
     _require_boolean_atomistic(lattice)
-    one = constant_one(lattice)
-    ind = {x: indicator(lattice, x) for x in lattice.elements}
-    for x in lattice.elements:
-        for y in lattice.elements:
-            if ind[x] * ind[y] != ind[lattice.meet(x, y)]:
-                return CheckResult(False, ("product", x, y))
-            lhs = ind[lattice.join(x, y)] + ind[lattice.meet(x, y)]
-            if lhs != ind[x] + ind[y]:
-                return CheckResult(False, ("modular", x, y))
+    elements = lattice.elements
+    meet, join = lattice.meet_table, lattice.join_table
+    atom_mask = sum(1 << a for a in lattice.atom_indices())
+    ind = [d & atom_mask for d in lattice.down_masks]
+    for x, ix in enumerate(ind):
+        for y, iy in enumerate(ind):
+            if ix & iy != ind[meet[x][y]]:
+                return CheckResult(False, ("product", elements[x], elements[y]))
+            if ix | iy != ind[join[x][y]]:
+                return CheckResult(False, ("modular", elements[x], elements[y]))
     for k in range(1, max_product_size + 1):
-        for combo in combinations(lattice.elements, k):
-            expected = one
+        for combo in combinations(range(len(elements)), k):
+            union, top = 0, lattice.bottom_index
             for x in combo:
-                expected = expected * (one - ind[x])
-            expected = one - expected
-            if expected != ind[lattice.join_all(combo)]:
-                return CheckResult(False, ("join_product", *combo))
+                union |= ind[x]
+                top = join[top][x]
+            if union != ind[top]:
+                return CheckResult(False, ("join_product", *(elements[x] for x in combo)))
     return CheckResult(True)
 
 
@@ -130,9 +140,9 @@ def functional_from_measure(lattice: OrthoLattice, measure: Measure) -> LinearFu
 def measure_from_functional(lattice: OrthoLattice,
                             functional: LinearFunctional) -> Measure:
     """Restrict a functional to the lattice via its indicators."""
-    _require_boolean_atomistic(lattice)
+    atom_list = _require_boolean_atomistic(lattice)
     values = {
-        x: functional(indicator(lattice, x)) for x in lattice.elements
+        x: functional(_indicator(lattice, atom_list, x)) for x in lattice.elements
     }
     return Measure(RATIONALS, values)
 
@@ -147,13 +157,15 @@ def invariant_functional_check(lattice: OrthoLattice, action: GroupAction,
     invariance under the group, so only the generators are tried.
     """
     functional = functional_from_measure(lattice, measure)
+    atom_list = tuple(functional.weights)
     measure_invariant = all(
         measure.values[g(x)] == measure.values[x]
         for g in action.generators
         for x in lattice.elements
     )
     functional_invariant = all(
-        functional(indicator(lattice, g(x))) == functional(indicator(lattice, x))
+        functional(_indicator(lattice, atom_list, g(x)))
+        == functional(_indicator(lattice, atom_list, x))
         for g in action.generators
         for x in lattice.elements
     )

@@ -4,9 +4,12 @@ The free abelian group on the elements, modulo one relation per unordered
 orthogonal pair (the join minus the two parts), parameterizes measures:
 group homomorphisms out of the quotient are exactly the additive measures,
 and homomorphisms out of the coinvariants under a group action are exactly
-the invariant ones.  Smith normal form of the relation matrix yields the
-rank, the torsion, and explicit coordinates for the projection of every
-lattice element, from which measure bases over Z, Q, and Z/m are read off.
+the invariant ones.  Every relation row has at most three nonzero
+entries, all +-1, so unit pivots are eliminated on the sparse rows first;
+the Smith normal form of the core left over (empty for the plain relation
+matrix of every lattice in the test family) yields the torsion, and back-substitution gives explicit coordinates for
+the projection of every lattice element, from which measure bases over Z,
+Q, and Z/m are read off.
 Coinvariants need only the orbits: they are the free group on the orbits
 modulo the relation rows with each orbit's columns summed.
 
@@ -19,11 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainMismatchError, OracleTooLargeError
-from .intlinalg import smith_normal_form, snf_diagonal
+from .intlinalg import eliminate_unit_pivots, smith_normal_form, snf_diagonal
 from .lattice import CheckResult, OrthoLattice, same_lattice
 from .symmetry import GroupAction
 
@@ -189,26 +193,60 @@ def relation_matrix(lattice: OrthoLattice) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class FPAbelianGroup:
-    """Z^n modulo the subgroup generated by the relation rows, in Smith
-    normal form coordinates."""
+    """Z^n modulo the subgroup generated by the relation rows.
+
+    The group is Z/d for each torsion invariant d, then Z^rank; ``images``
+    holds, per generator, its coordinates there: torsion coordinates reduced
+    mod their invariant, then free ones.
+    """
 
     generator_count: int
     relation_rows: tuple[tuple[int, ...], ...]
-    right: tuple[tuple[int, ...], ...]      # V with U * A * V = D
-    invariants: tuple[int, ...]             # nonzero diagonal entries of D
+    invariants: tuple[int, ...]             # nonzero Smith invariants, 1s first
+    images: tuple[tuple[int, ...], ...]     # per generator, torsion then free
 
     @classmethod
     def from_relations(cls, generator_count: int, rows: Sequence[Sequence[int]]) -> "FPAbelianGroup":
-        rows = [list(r) for r in rows if any(r)]
-        if not rows:
-            rows = [[0] * generator_count]
-        _, d, v = smith_normal_form(rows)
-        return cls(
-            generator_count,
-            tuple(tuple(r) for r in rows),
-            tuple(tuple(r) for r in v),
-            tuple(snf_diagonal(d)),
+        """Unit pivots are eliminated on the sparse rows first; the dense
+        Smith normal form runs only on the core left over, which is where
+        any torsion lives.  Each live generator's coordinates are its row of
+        the core's V (or a unit vector when no core row holds it), and each
+        eliminated generator's are back-substituted from the generators its
+        pivot row names, in reverse elimination order.
+        """
+        rows = tuple(tuple(r) for r in rows if any(r))
+        columns = range(generator_count)
+        pivots, core = eliminate_unit_pivots(
+            [{j: r[j] for j in compress(columns, r)} for r in rows]
         )
+        core_columns = sorted({j for row in core for j in row})
+        if core:
+            _, d, v = smith_normal_form([[row.get(j, 0) for j in core_columns] for row in core])
+            diagonal = snf_diagonal(d)
+        else:
+            diagonal, v = [], []
+        eliminated = {c for c, _ in pivots}
+        in_core = set(core_columns)
+        free_columns = [j for j in columns if j not in eliminated and j not in in_core]
+        moduli = [x for x in diagonal if x > 1]
+        s = len(diagonal)
+        width = len(moduli) + len(core_columns) - s + len(free_columns)
+        images: list = [None] * generator_count
+        for i, j in enumerate(core_columns):
+            torsion = [v[i][t] % x for t, x in enumerate(diagonal) if x > 1]
+            images[j] = (*torsion, *v[i][s:], *[0] * len(free_columns))
+        offset = width - len(free_columns)
+        for q, j in enumerate(free_columns):
+            images[j] = tuple(int(t == offset + q) for t in range(width))
+        k = len(moduli)
+        for c, row in reversed(pivots):
+            acc = [0] * width
+            for j, a in row.items():
+                if j != c:
+                    f = -row[c] * a
+                    acc = [x + f * y for x, y in zip(acc, images[j])]
+            images[c] = (*(x % m for x, m in zip(acc[:k], moduli)), *acc[k:])
+        return cls(generator_count, rows, (1,) * len(pivots) + tuple(diagonal), tuple(images))
 
     @property
     def rank(self) -> int:
@@ -218,24 +256,15 @@ class FPAbelianGroup:
     def torsion(self) -> tuple[int, ...]:
         return tuple(d for d in self.invariants if d > 1)
 
-    def coordinates(self, vector: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of a formal sum in the Smith basis (full length n)."""
-        n = self.generator_count
-        v = self.right
-        return tuple(
-            sum(vector[j] * v[j][i] for j in range(n)) for i in range(n)
-        )
-
     def reduced(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Torsion coordinates (mod their invariant) followed by free ones."""
-        return self._split(self.coordinates(vector))
-
-    def _split(self, full: Sequence[int]) -> tuple[int, ...]:
-        s = len(self.invariants)
-        torsion = tuple(
-            full[i] % d for i, d in enumerate(self.invariants) if d > 1
-        )
-        return torsion + tuple(full[s:])
+        moduli = self.torsion
+        acc = [0] * (len(moduli) + self.rank)
+        for x, image in zip(vector, self.images):
+            if x:
+                acc = [a + x * b for a, b in zip(acc, image)]
+        k = len(moduli)
+        return (*(a % m for a, m in zip(acc[:k], moduli)), *acc[k:])
 
 
 class MeasureModule:
@@ -257,9 +286,7 @@ class MeasureModule:
         self.columns = _orbit_columns(lattice, action)
         self.moduli = group.torsion
         self.rank = group.rank
-        # the Smith coordinates of generator c are row c of V
-        images = [group._split(row) for row in group.right]
-        self._proj = tuple(images[c] for c in self.columns)
+        self._proj = tuple(group.images[c] for c in self.columns)
 
     @property
     def torsion(self) -> tuple[int, ...]:

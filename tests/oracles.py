@@ -333,3 +333,46 @@ def double_description_by_rank(normals, dim):
     rays.sort()
     lineality = sorted(lineality)
     return rays, lineality
+
+
+def distributivity_witness(lattice):
+    """First triple (x, y, z) in element order breaking either distributive
+    law, read through the lattice's name-level meet and join; None if
+    there is none."""
+    meet, join = lattice.meet, lattice.join
+    for x in lattice.elements:
+        for y in lattice.elements:
+            for z in lattice.elements:
+                if (join(x, meet(y, z)) != meet(join(x, y), join(x, z))
+                        or meet(x, join(y, z)) != join(meet(x, y), meet(x, z))):
+                    return (x, y, z)
+    return None
+
+
+def indicator_identities_by_functions(lattice, max_product_size=3):
+    """The indicator identity suite on Fraction-valued simple functions.
+
+    Builds every indicator as a function on the atoms and checks the
+    product, modular and join-product identities pointwise, in the same
+    order as ``check_indicator_identities``; returns its (ok, witness).
+    """
+    from orthomeasure.indicators import constant_one, indicator
+
+    one = constant_one(lattice)
+    ind = {x: indicator(lattice, x) for x in lattice.elements}
+    for x in lattice.elements:
+        for y in lattice.elements:
+            if ind[x] * ind[y] != ind[lattice.meet(x, y)]:
+                return False, ("product", x, y)
+            lhs = ind[lattice.join(x, y)] + ind[lattice.meet(x, y)]
+            if lhs != ind[x] + ind[y]:
+                return False, ("modular", x, y)
+    for k in range(1, max_product_size + 1):
+        for combo in combinations(lattice.elements, k):
+            expected = one
+            for x in combo:
+                expected = expected * (one - ind[x])
+            expected = one - expected
+            if expected != ind[lattice.join_all(combo)]:
+                return False, ("join_product", *combo)
+    return True, None

@@ -270,3 +270,14 @@ def test_states_above_dimension_cap_exit_3(tmp_path, capsys):
         assert time.perf_counter() - start < 5.0
         assert code == 3
         assert data["error"] == "DimensionCapError"
+
+
+def test_cone_past_ray_budget_exit_3(tmp_path, capsys):
+    # mo(19) passes the dimension cap (rank 20) but has 2^19 extreme rays
+    path = str(tmp_path / "mo19.json")
+    save_lattice(mo(19), path)
+    start = time.perf_counter()
+    code, data = run_json(capsys, ["cone", path])
+    assert time.perf_counter() - start < 20.0
+    assert code == 3
+    assert data["error"] == "DimensionCapError"

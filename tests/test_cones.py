@@ -17,7 +17,8 @@ Claims:
       V(A x B) = V(A) + V(B) and V(hsum(A, B)) = V(A) V(B), every vertex a
       probability measure
     - cones and state polytopes above the dimension cap raise
-      DimensionCapError
+      DimensionCapError, and so do those past the ray budget (mo(19),
+      within 20 s)
 """
 
 import time
@@ -45,7 +46,7 @@ from orthomeasure import (
     product,
     state_polytope,
 )
-from orthomeasure.cones import DEFAULT_MAX_DIMENSION, PolyCone, double_description
+from orthomeasure.cones import DEFAULT_MAX_DIMENSION, MAX_RAYS, PolyCone, double_description
 
 from oracles import in_convex_hull
 
@@ -309,6 +310,16 @@ def test_vertex_counts_of_products_and_horizontal_sums(left, right):
     assert _checked_vertex_count(product(a, b)) == va + vb
     # a state of the horizontal sum is a free pair of states
     assert _checked_vertex_count(horizontal_sum(a, b)) == va * vb
+
+
+@pytest.mark.parametrize("build", [positive_cone, state_polytope])
+def test_ray_budget_bounds_the_work(build):
+    # mo(19) has rank 20, inside the dimension cap, and 2^19 extreme rays
+    assert 2 ** 19 > MAX_RAYS >= 2 ** 11
+    start = time.perf_counter()
+    with pytest.raises(DimensionCapError, match="rays"):
+        build(mo(19))
+    assert time.perf_counter() - start < 20.0
 
 
 def test_cone_layer_dimension_cap():

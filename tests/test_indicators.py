@@ -3,7 +3,10 @@
 Claims:
     - indicators take the documented 0/1 values; bottom gives the zero
       function and top the constant one
-    - the product, modular, and join-product identities hold exhaustively
+    - the product, modular, and join-product identities hold exhaustively,
+      and the atom-bitmask check gives the verdict and witness of the
+      Fraction-valued simple-function loop, also on lattices with one
+      corrupted meet or join entry
     - measures and linear functionals are in exact bijection (round trips
       both ways, basis and random rational measures)
     - the evaluation functional at an atom corresponds to the Dirac measure
@@ -37,6 +40,9 @@ from orthomeasure import (
     trivial_action,
 )
 from orthomeasure.indicators import LinearFunctional
+from orthomeasure.lattice import OrthoLattice
+
+from oracles import indicator_identities_by_functions
 
 
 def random_rational_measure(lat, rng):
@@ -71,6 +77,63 @@ def test_identities(n):
 
 def test_identities_triples_on_boolean_4():
     assert check_indicator_identities(boolean(4), max_product_size=3).ok
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_identities_match_simple_function_oracle(n):
+    lat = boolean(n)
+    for size in (1, 2, 3):
+        got = check_indicator_identities(lat, max_product_size=size)
+        assert (got.ok, got.witness) == indicator_identities_by_functions(lat, size)
+
+
+def test_booleanity_is_verified_once_per_call(monkeypatch):
+    import orthomeasure.indicators as indicators_mod
+
+    calls = []
+    original = indicators_mod.is_boolean
+    monkeypatch.setattr(indicators_mod, "is_boolean", lambda lat: calls.append(1) or original(lat))
+    lat = boolean(3)
+    measure = measure_basis(lat, RATIONALS)[0]
+    functional = functional_from_measure(lat, measure)
+    action = automorphism_group(lat)
+    for run in (
+        lambda: check_indicator_identities(lat),
+        lambda: measure_from_functional(lat, functional),
+        lambda: invariant_functional_check(lat, action, measure),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
+def _outcome(check, lat):
+    try:
+        result = check(lat)
+    except NotBooleanAtomisticError:
+        return "rejected"
+    return tuple(result) if isinstance(result, tuple) else (result.ok, result.witness)
+
+
+def test_identities_match_oracle_on_corrupted_tables():
+    # the raw constructor skips validation, so one wrong table entry gets
+    # through to the identity checks (or makes the Booleanity check reject)
+    base = boolean(3)
+    n = len(base)
+    seen = set()
+    for which in ("meet", "join"):
+        for i in range(n):
+            for j in range(n):
+                tables = {"meet": [list(r) for r in base.meet_table],
+                          "join": [list(r) for r in base.join_table]}
+                tables[which][i][j] = (tables[which][i][j] + 1) % n
+                lat = OrthoLattice(base.name, base.elements, base.up_masks, tables["meet"],
+                                   tables["join"], base.orth_map, base.bottom_index,
+                                   base.top_index)
+                got = _outcome(check_indicator_identities, lat)
+                assert got == _outcome(indicator_identities_by_functions, lat), (which, i, j)
+                seen.add(got if got == "rejected" else got[1][0])
+    assert seen == {"rejected", "product", "modular"}
 
 
 def test_functional_round_trip_exact():

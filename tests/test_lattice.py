@@ -4,6 +4,8 @@ Claims:
     - constructors produce valid orthocomplemented lattices of the right size
     - classification flags (orthomodular, distributive, Boolean, atomistic)
       match the known test family, with correct minimal witnesses
+    - is_distributive gives the verdict and first witness of a plain triple
+      scan on the family, its products and its horizontal sums
     - orthocomplementation axioms, De Morgan, and the table laws hold
       exhaustively on every family member
     - bad descriptions raise the specific construction errors
@@ -45,6 +47,8 @@ from orthomeasure import (
     subspace_lattice,
     verify_ortho,
 )
+
+from oracles import distributivity_witness
 
 
 def mo2_description():
@@ -176,6 +180,20 @@ def test_mo2_not_distributive_with_atom_witness():
     result = is_distributive(mo(2))
     assert not result.ok
     assert set(result.witness) <= set(atoms(mo(2)))
+
+
+def test_distributivity_matches_triple_scan(family):
+    parts = [boolean(1), boolean(2), boolean(3), mo(1), mo(2), mo(3), benzene()]
+    cases = list(family.values())
+    cases += [product(a, b) for i, a in enumerate(parts) for b in parts[i:]]
+    cases += [horizontal_sum(a, b) for i, a in enumerate(parts) for b in parts[i:]]
+    verdicts = set()
+    for lattice in cases:
+        result = is_distributive(lattice)
+        witness = distributivity_witness(lattice)
+        assert (result.ok, result.witness) == (witness is None, witness), lattice.name
+        verdicts.add(result.ok)
+    assert verdicts == {True, False}
 
 
 def test_benzene_classification():
