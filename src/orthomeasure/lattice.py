@@ -4,6 +4,11 @@ Elements are identified by strings; the element order given at construction
 time is canonical and every scan, witness, and report iterates in that order.
 Internally the order relation is kept as one bitmask row per element and the
 meet/join tables are precomputed, so downstream exhaustive checks are cheap.
+Construction puts the elements in a topological order of the given pairs,
+closes the order in one pass over it, and reads each meet (join) off the
+highest (lowest) position of a pair's common down-set (up-set), so an
+accepted description costs O(pairs + n^2) big-int operations; only a
+rejected one runs the witness scans that name its first failure.
 
 Instances are immutable after construction and safe to share between readers.
 """
@@ -255,9 +260,25 @@ def _transpose_masks(up_masks, n):
 def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEMENTS) -> OrthoLattice:
     """Validate a description and construct the lattice.
 
-    Computes the reflexive-transitive closure of the order pairs, fills the
-    meet/join tables, locates bottom and top, and checks every
-    orthocomplementation axiom.
+    The elements are first put in a linear extension of the order: Kahn's
+    topological sort of the given pairs, which leaves elements unsorted
+    exactly when the pairs close into a cycle.  One pass over the order in
+    reverse closes the up-sets (x together with the up-sets of the elements
+    given above x), one pass forwards the down-sets, so the reflexive-
+    transitive closure costs one big-int OR per given pair.
+
+    The up- and down-sets are also kept as bitmasks over topological
+    positions.  Every element of a set below its maximum sits at a lower
+    position, so if the lower bounds of a pair have a greatest element, it is
+    the one at the highest set bit of their down-sets' AND; one equality
+    check (its down-set is the whole bound set) decides whether the meet
+    exists.  Joins are the lowest set bit of the up-sets' AND, dually.
+
+    Order reversal of the orthocomplement is checked on the given pairs
+    only: reversing a generating relation reverses its transitive closure.
+    Only a failing input runs the quadratic and cubic witness scans, which
+    name the same first failure as a scan of the closed relation would; an
+    accepted input never reaches them.
     """
     elements = desc.elements
     n = len(elements)
@@ -265,54 +286,77 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
         raise NotALatticeError("a lattice needs at least one element")
     if n > max_elements:
         raise SizeCapError(f"{n} elements exceeds the cap of {max_elements}")
-    if len(set(elements)) != n:
+    index = {e: i for i, e in enumerate(elements)}
+    if len(index) != n:
         dup = next(e for e in elements if elements.count(e) > 1)
         raise SchemaError(f"duplicate element identifier {dup!r}")
-    index = {e: i for i, e in enumerate(elements)}
 
-    up = [1 << i for i in range(n)]
+    above = [[] for _ in range(n)]  # given strict upper neighbours
+    below = [[] for _ in range(n)]
     for a, b in desc.leq_pairs:
         if a not in index or b not in index:
             missing = a if a not in index else b
             raise SchemaError(f"leq pair references unknown element {missing!r}")
-        up[index[a]] |= 1 << index[b]
-    # Warshall closure over bitmask rows
-    for k in range(n):
-        mk = up[k]
-        bit = 1 << k
-        for i in range(n):
-            if up[i] & bit:
-                up[i] |= mk
-    for i in range(n):
-        for j in range(i + 1, n):
-            if up[i] >> j & 1 and up[j] >> i & 1:
-                raise NotAPartialOrderError(
-                    f"cycle: {elements[i]!r} <= {elements[j]!r} <= {elements[i]!r}"
-                )
+        i, j = index[a], index[b]
+        if i != j:
+            above[i].append(j)
+            below[j].append(i)
 
-    down = _transpose_masks(up, n)
+    unplaced = [len(lower) for lower in below]
+    order = [i for i in range(n) if not unplaced[i]]
+    for i in order:  # grows while it is read
+        for j in above[i]:
+            unplaced[j] -= 1
+            if not unplaced[j]:
+                order.append(j)
+    if len(order) < n:
+        i, j = _cycle_witness(above)
+        raise NotAPartialOrderError(
+            f"cycle: {elements[i]!r} <= {elements[j]!r} <= {elements[i]!r}"
+        )
+
+    # up: bits over element indices; up_pos, down_pos: bits over positions
+    up = [0] * n
+    up_pos = [0] * n
+    for p in range(n - 1, -1, -1):
+        i = order[p]
+        mask, mask_pos = 1 << i, 1 << p
+        for j in above[i]:
+            mask |= up[j]
+            mask_pos |= up_pos[j]
+        up[i], up_pos[i] = mask, mask_pos
+    down_pos = [0] * n
+    for p, i in enumerate(order):
+        mask_pos = 1 << p
+        for j in below[i]:
+            mask_pos |= down_pos[j]
+        down_pos[i] = mask_pos
+
+    up_at = [up_pos[i] for i in order]
+    down_at = [down_pos[i] for i in order]
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
     for i in range(n):
+        down_i, up_i = down_pos[i], up_pos[i]
+        meet_i, join_i = meet[i], join[i]
         for j in range(i, n):
-            lb = down[i] & down[j]
-            m = _bound_of(lb, down)
-            if m is None:
+            lb = down_i & down_pos[j]
+            p = lb.bit_length() - 1
+            if not lb or down_at[p] != lb:
                 raise NotALatticeError(
                     f"{elements[i]!r} and {elements[j]!r} have no meet"
                 )
-            ub = up[i] & up[j]
-            jn = _bound_of(ub, up)
-            if jn is None:
+            ub = up_i & up_pos[j]
+            q = (ub & -ub).bit_length() - 1
+            if not ub or up_at[q] != ub:
                 raise NotALatticeError(
                     f"{elements[i]!r} and {elements[j]!r} have no join"
                 )
-            meet[i][j] = meet[j][i] = m
-            join[i][j] = join[j][i] = jn
+            meet_i[j] = meet[j][i] = order[p]
+            join_i[j] = join[j][i] = order[q]
 
-    full = (1 << n) - 1
-    bottom = next(i for i in range(n) if up[i] == full)
-    top = next(i for i in range(n) if down[i] == full)
+    # a lattice's only minimal element is its bottom, its only maximal its top
+    bottom, top = order[0], order[-1]
 
     orth = [None] * n
     for e in elements:
@@ -334,25 +378,42 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
             raise BadOrthocomplementError(
                 f"complement laws fail at {elements[i]!r}"
             )
-    for i in range(n):
-        for j in range(n):
-            if up[i] >> j & 1 and not up[orth[j]] >> orth[i] & 1:
-                raise BadOrthocomplementError(
-                    f"order reversal fails on ({elements[i]!r}, {elements[j]!r})"
-                )
+    if any(not up[orth[j]] >> orth[i] & 1 for i in range(n) for j in above[i]):
+        i, j = _order_reversal_witness(up, orth)
+        raise BadOrthocomplementError(
+            f"order reversal fails on ({elements[i]!r}, {elements[j]!r})"
+        )
 
     return OrthoLattice(desc.name, elements, up, meet, join, orth, bottom, top)
 
 
-def _bound_of(candidate_mask, reach):
-    """Element m in candidate_mask with reach[m] == candidate_mask, if any."""
-    rest = candidate_mask
-    while rest:
-        m = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        if reach[m] == candidate_mask:
-            return m
-    return None
+def _cycle_witness(above):
+    """First (i, j), i < j, with i <= j <= i in the closure of ``above``.
+
+    Warshall's closure over bitmask rows and a scan of all pairs; only a
+    description whose pairs close into a cycle gets here.
+    """
+    n = len(above)
+    up = [1 << i | sum({1 << j for j in js}) for i, js in enumerate(above)]
+    for k in range(n):
+        mk = up[k]
+        bit = 1 << k
+        for i in range(n):
+            if up[i] & bit:
+                up[i] |= mk
+    return next(
+        (i, j) for i in range(n) for j in range(i + 1, n)
+        if up[i] >> j & 1 and up[j] >> i & 1
+    )
+
+
+def _order_reversal_witness(up, orth):
+    """First (i, j) with i <= j but not j' <= i', scanning all pairs."""
+    n = len(up)
+    return next(
+        (i, j) for i in range(n) for j in range(n)
+        if up[i] >> j & 1 and not up[orth[j]] >> orth[i] & 1
+    )
 
 
 # --- file format --------------------------------------------------------------

@@ -376,3 +376,115 @@ def indicator_identities_by_functions(lattice, max_product_size=3):
             if expected != ind[lattice.join_all(combo)]:
                 return False, ("join_product", *combo)
     return True, None
+
+
+def build_lattice_by_scan(desc, max_elements=4096):
+    """The lattice tables of a description, built the long way.
+
+    Warshall's closure over bitmask rows, an antisymmetry scan of all pairs,
+    every meet and join found by scanning the bound set for an element whose
+    own down- or up-set is the whole set, and order reversal checked on
+    every pair of the closure.  Raises what ``build_lattice`` raises, with
+    the same message, on every rejected description; otherwise returns the
+    tables as a dict keyed like the ``OrthoLattice`` attributes.
+    """
+    from orthomeasure.errors import (
+        BadOrthocomplementError,
+        NotALatticeError,
+        NotAPartialOrderError,
+        SchemaError,
+        SizeCapError,
+    )
+
+    elements = desc.elements
+    n = len(elements)
+    if n == 0:
+        raise NotALatticeError("a lattice needs at least one element")
+    if n > max_elements:
+        raise SizeCapError(f"{n} elements exceeds the cap of {max_elements}")
+    if len(set(elements)) != n:
+        dup = next(e for e in elements if elements.count(e) > 1)
+        raise SchemaError(f"duplicate element identifier {dup!r}")
+    index = {e: i for i, e in enumerate(elements)}
+
+    up = [1 << i for i in range(n)]
+    for a, b in desc.leq_pairs:
+        if a not in index or b not in index:
+            missing = a if a not in index else b
+            raise SchemaError(f"leq pair references unknown element {missing!r}")
+        up[index[a]] |= 1 << index[b]
+    for k in range(n):
+        mk = up[k]
+        bit = 1 << k
+        for i in range(n):
+            if up[i] & bit:
+                up[i] |= mk
+    for i in range(n):
+        for j in range(i + 1, n):
+            if up[i] >> j & 1 and up[j] >> i & 1:
+                raise NotAPartialOrderError(
+                    f"cycle: {elements[i]!r} <= {elements[j]!r} <= {elements[i]!r}"
+                )
+
+    down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+
+    def bound_of(candidates, reach):
+        for m in range(n):
+            if candidates >> m & 1 and reach[m] == candidates:
+                return m
+        return None
+
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m = bound_of(down[i] & down[j], down)
+            if m is None:
+                raise NotALatticeError(
+                    f"{elements[i]!r} and {elements[j]!r} have no meet"
+                )
+            jn = bound_of(up[i] & up[j], up)
+            if jn is None:
+                raise NotALatticeError(
+                    f"{elements[i]!r} and {elements[j]!r} have no join"
+                )
+            meet[i][j] = meet[j][i] = m
+            join[i][j] = join[j][i] = jn
+
+    full = (1 << n) - 1
+    bottom = next(i for i in range(n) if up[i] == full)
+    top = next(i for i in range(n) if down[i] == full)
+
+    orth = [None] * n
+    for e in elements:
+        img = desc.orthocomplement.get(e)
+        if img is None:
+            raise BadOrthocomplementError(f"no orthocomplement given for {e!r}")
+        if img not in index:
+            raise SchemaError(f"orthocomplement references unknown element {img!r}")
+        orth[index[e]] = index[img]
+    extra = set(desc.orthocomplement) - set(elements)
+    if extra:
+        raise SchemaError(f"orthocomplement keys not in elements: {sorted(extra)}")
+    for i in range(n):
+        if orth[orth[i]] != i:
+            raise BadOrthocomplementError(f"involution fails at {elements[i]!r}")
+        if join[i][orth[i]] != top or meet[i][orth[i]] != bottom:
+            raise BadOrthocomplementError(f"complement laws fail at {elements[i]!r}")
+    for i in range(n):
+        for j in range(n):
+            if up[i] >> j & 1 and not up[orth[j]] >> orth[i] & 1:
+                raise BadOrthocomplementError(
+                    f"order reversal fails on ({elements[i]!r}, {elements[j]!r})"
+                )
+
+    return {
+        "elements": tuple(elements),
+        "up_masks": tuple(up),
+        "down_masks": tuple(down),
+        "meet_table": tuple(map(tuple, meet)),
+        "join_table": tuple(map(tuple, join)),
+        "orth_map": tuple(orth),
+        "bottom_index": bottom,
+        "top_index": top,
+    }

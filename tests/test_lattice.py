@@ -12,11 +12,22 @@ Claims:
     - building blocks compose: products and horizontal sums give the
       expected isomorphism types
     - the JSON file format round-trips every constructor
+    - build_lattice gives the tables of the scan-based builder in
+      ``oracles`` on shuffled, redundant descriptions of boolean, mo,
+      product, horizontal-sum and benzene lattices, and the same exception
+      class and message on every kind of defective description; an accepted
+      description never reaches the witness scans
+    - on boolean(10) meets, joins and complements are bitwise AND, OR and
+      NOT of the names, and on mo(400) distinct non-complementary atoms meet
+      at 0 and join at 1, each built under a 10 s bound
 """
 
+import functools
 import json
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthomeasure import (
     BadOrthocomplementError,
@@ -25,6 +36,7 @@ from orthomeasure import (
     NotALatticeError,
     NotAPartialOrderError,
     NotDistributiveError,
+    OrthomeasureError,
     SchemaError,
     SizeCapError,
     are_isomorphic,
@@ -48,7 +60,8 @@ from orthomeasure import (
     verify_ortho,
 )
 
-from oracles import distributivity_witness
+import orthomeasure.lattice as lattice_mod
+from oracles import build_lattice_by_scan, distributivity_witness
 
 
 def mo2_description():
@@ -365,3 +378,203 @@ def test_leq_pairs_any_generating_set():
     lat = build_lattice(desc)
     assert lat.leq("0", "1")
     assert lat.leq("x", "1") and lat.leq("0", "x")
+
+
+# --- build_lattice against the scan-based builder -------------------------------
+
+TABLES = ("elements", "up_masks", "down_masks", "meet_table", "join_table",
+          "orth_map", "bottom_index", "top_index")
+
+DIFFERENTIAL_BASES = {
+    "boolean(1)": lambda: boolean(1),
+    "boolean(3)": lambda: boolean(3),
+    "boolean(4)": lambda: boolean(4),
+    "mo(1)": lambda: mo(1),
+    "mo(3)": lambda: mo(3),
+    "benzene": benzene,
+    "product(mo(2),boolean(2))": lambda: product(mo(2), boolean(2)),
+    "product(benzene,boolean(1))": lambda: product(benzene(), boolean(1)),
+    "hsum(benzene,mo(2))": lambda: horizontal_sum(benzene(), mo(2)),
+    "hsum(boolean(3),benzene)": lambda: horizontal_sum(boolean(3), benzene()),
+}
+
+
+@functools.cache
+def _base(name):
+    return DIFFERENTIAL_BASES[name]()
+
+
+def _outcome(build, desc):
+    """The tables a builder returns, or the class and message it raises."""
+    try:
+        built = build(desc)
+    except OrthomeasureError as exc:
+        return type(exc), str(exc)
+    if isinstance(built, dict):
+        return built
+    return {key: getattr(built, key) for key in TABLES}
+
+
+DEFECTS = ("cycle", "no_meet", "no_join", "bowtie", "unknown_element",
+           "duplicate_element", "missing_image", "not_involution", "complement_law",
+           "order_reversal")
+
+
+def _with_defect(desc, lattice, kind, k):
+    """``desc`` (a description of ``lattice``) with one defect; ``k`` picks
+    where.  None when the lattice offers no place for that defect."""
+    elements = list(desc.elements)
+    pairs = list(desc.leq_pairs)
+    orth = dict(desc.orthocomplement)
+    n = len(elements)
+    comp = lattice.orthocomplement
+    if kind == "cycle":
+        strict = [(a, b) for a, b in pairs if a != b]
+        a, b = strict[k % len(strict)]
+        pairs.append((b, a))
+    elif kind in ("no_meet", "no_join"):
+        gone = lattice.bottom if kind == "no_meet" else lattice.top
+        elements.remove(gone)
+        pairs = [p for p in pairs if gone not in p]
+        del orth[gone]
+    elif kind == "bowtie":
+        # two new elements below two incomparable ones: the new pair has
+        # upper bounds but no join, the old pair lower bounds but no meet
+        apart = [(a, b) for a in elements for b in elements
+                 if not lattice.leq(a, b) and not lattice.leq(b, a)]
+        if not apart:
+            return None
+        a, b = apart[k % len(apart)]
+        for step, new in enumerate(("bow1", "bow2")):
+            elements.insert((k >> 4 * step) % (len(elements) + 1), new)
+            pairs += [(lattice.bottom, new), (new, a), (new, b)]
+            orth[new] = new
+    elif kind == "unknown_element":
+        pair = (elements[k % n], "missing")
+        pairs.insert(k % (len(pairs) + 1), pair if k % 2 else pair[::-1])
+    elif kind == "duplicate_element":
+        elements.insert(k % (n + 1), elements[k % n])
+    elif kind == "missing_image":
+        del orth[elements[k % n]]
+    elif kind == "not_involution":
+        a = elements[k % n]
+        others = [c for c in elements if c != orth[a]]
+        orth[a] = others[k % len(others)]
+    elif kind == "complement_law":
+        x = elements[k % n]
+        orth[x], orth[comp(x)] = x, comp(x)
+    else:  # order_reversal: x < y, complements crossed, so x -> y' and y -> x'
+        ends = (lattice.bottom, lattice.top)
+        chains = [(x, y) for x in elements for y in elements
+                  if x != y and lattice.leq(x, y) and x not in ends
+                  and y not in ends and y != comp(x)]
+        if not chains:
+            return None
+        x, y = chains[k % len(chains)]
+        orth[x], orth[comp(y)] = comp(y), x
+        orth[y], orth[comp(x)] = comp(x), y
+    return LatticeDescription(desc.name, tuple(elements), tuple(pairs), orth)
+
+
+@st.composite
+def varied_descriptions(draw):
+    """A description of a base lattice with its elements and pairs shuffled
+    and extra comparable pairs (transitive ones and self-pairs) added."""
+    lattice = _base(draw(st.sampled_from(sorted(DIFFERENTIAL_BASES))))
+    desc = lattice.to_description()
+    comparable = [(a, b) for a in lattice.elements for b in lattice.elements
+                  if lattice.leq(a, b)]
+    extra = draw(st.lists(st.sampled_from(comparable), max_size=2 * len(lattice)))
+    pairs = draw(st.permutations(list(desc.leq_pairs) + extra))
+    elements = draw(st.permutations(desc.elements))
+    return lattice, LatticeDescription(
+        desc.name, tuple(elements), tuple(pairs), dict(desc.orthocomplement)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(varied_descriptions(), st.one_of(st.none(), st.sampled_from(DEFECTS)),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_build_matches_scan_builder(case, defect, k):
+    lattice, desc = case
+    if defect is not None:
+        desc = _with_defect(desc, lattice, defect, k)
+        if desc is None:
+            return
+    got = _outcome(build_lattice, desc)
+    assert got == _outcome(build_lattice_by_scan, desc)
+    if defect is None:
+        assert isinstance(got, dict)
+    else:
+        assert isinstance(got, tuple)
+
+
+@pytest.mark.parametrize("defect,error,message", [
+    ("cycle", NotAPartialOrderError, "cycle: "),
+    ("no_meet", NotALatticeError, "have no meet"),
+    ("no_join", NotALatticeError, "have no join"),
+    ("bowtie", NotALatticeError, "have no meet"),
+    ("bowtie", NotALatticeError, "have no join"),
+    ("unknown_element", SchemaError, "leq pair references unknown element"),
+    ("duplicate_element", SchemaError, "duplicate element identifier"),
+    ("missing_image", BadOrthocomplementError, "no orthocomplement given"),
+    ("not_involution", BadOrthocomplementError, "involution fails"),
+    ("complement_law", BadOrthocomplementError, "complement laws fail"),
+    ("order_reversal", BadOrthocomplementError, "order reversal fails"),
+])
+@pytest.mark.parametrize("base", ["benzene", "hsum(benzene,mo(2))"])
+def test_each_defect_is_rejected_alike(defect, error, message, base):
+    lattice = _base(base)
+    for k in range(256):
+        desc = _with_defect(lattice.to_description(), lattice, defect, k)
+        got = _outcome(build_lattice, desc)
+        assert got == _outcome(build_lattice_by_scan, desc)
+        if got[0] is error and message in got[1]:
+            return
+    pytest.fail(f"no {defect} placement on {base} raised {error.__name__}")
+
+
+def test_accepted_input_skips_the_witness_scans(monkeypatch, family):
+    def unreachable(*args):
+        raise AssertionError("witness scan on an accepted input")
+
+    monkeypatch.setattr(lattice_mod, "_cycle_witness", unreachable)
+    monkeypatch.setattr(lattice_mod, "_order_reversal_witness", unreachable)
+    for lattice in [*family.values(), product(benzene(), mo(2))]:
+        assert lattice_mod.same_lattice(build_lattice(lattice.to_description()), lattice)
+
+
+# --- closed forms beyond 32 elements ----------------------------------------------
+
+
+def test_boolean_10_tables_are_bitwise():
+    start = time.perf_counter()
+    lat = boolean(10)
+    assert time.perf_counter() - start < 10.0
+    assert len(lat) == 1024
+    # names are membership bitstrings; read each as an int (point i -> bit i)
+    mask = [int(name[::-1], 2) for name in lat.elements]
+    where = {m: i for i, m in enumerate(mask)}
+    full = 1023
+    for i, m in enumerate(mask):
+        assert lat.meet_table[i] == tuple(where[m & other] for other in mask)
+        assert lat.join_table[i] == tuple(where[m | other] for other in mask)
+        assert lat.orth_map[i] == where[m ^ full]
+
+
+def test_mo_400_atoms_meet_at_0_and_join_at_1():
+    start = time.perf_counter()
+    lat = mo(400)
+    assert time.perf_counter() - start < 10.0
+    assert len(lat) == 802
+    zero, one = lat.index("0"), lat.index("1")
+    atom_idx = [lat.index(a) for a in atoms(lat)]
+    assert len(atom_idx) == 800
+    for a in atom_idx:
+        comp = lat.orth_map[a]
+        meets, joins = lat.meet_table[a], lat.join_table[a]
+        for b in atom_idx:
+            if b != a and b != comp:
+                assert meets[b] == zero and joins[b] == one
+        assert meets[comp] == zero and joins[comp] == one
+        assert meets[a] == a and joins[a] == a
