@@ -3,8 +3,12 @@
 Commands read lattices (and optionally groups, generating sets, partial
 measures) from the documented JSON schemas and print a deterministic report:
 the JSON form is the contract, the text form is a human summary of the same
-data.  Exit codes: 0 success, 1 mathematical negative (the report is still
-printed), 2 input or schema error, 3 resource cap.
+data.  The JSON form is byte for byte ``json.dumps(envelope, indent=2)``; a
+small recursive writer produces it, because the standard encoder falls back
+to pure Python whenever it indents.  State values go straight from integer
+numerator and scale to text.  Exit codes: 0 success, 1 mathematical
+negative (the report is still printed), 2 input or schema error, 3 resource
+cap.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import argparse
 import hashlib
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
 from . import __version__
 from .cones import positive_cone, state_polytope
@@ -101,6 +107,42 @@ def _render_text(value, indent=0) -> list[str]:
     return lines
 
 
+def _json_text(value, pad="\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for report values.
+
+    Reports hold dicts with str keys, lists, tuples, str, int, bool and
+    None.  json.dumps runs its pure-Python encoder whenever it indents;
+    this writer does the same work with one join per container.
+    """
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join([
+            _quote(k) + ": " + (_quote(v) if type(v) is str else _json_text(v, inner))
+            for k, v in value.items()
+        ]) + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([
+            _quote(v) if type(v) is str else _json_text(v, inner) for v in value
+        ]) + pad + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(value)
+    raise TypeError(f"{kind.__name__} is not a report value")
+
+
 def _emit(args, command, inputs, report) -> None:
     envelope = {
         "tool": "orthomeasure",
@@ -110,9 +152,21 @@ def _emit(args, command, inputs, report) -> None:
         "report": report,
     }
     if args.format == "json":
-        print(json.dumps(envelope, indent=2))
+        print(_json_text(envelope))
     else:
         print("\n".join(_render_text(envelope)))
+
+
+def _ratios(nums, den: int) -> list[str]:
+    """``str(Fraction(n, den))`` for each n, given den > 0, without Fractions.
+
+    A vertex repeats few distinct values, so each is formatted once.
+    """
+    text = {}
+    for n in set(nums):
+        g = gcd(n, den)
+        text[n] = str(n // den) if g == den else f"{n // g}/{den // g}"
+    return [text[n] for n in nums]
 
 
 def _measure_json(measure) -> dict:
@@ -201,8 +255,8 @@ def _cmd_states(args) -> int:
     polytope = state_polytope(lattice, action)
     vertices = [
         {
-            "coords": [str(c) for c in v.coords],
-            "values": {e: str(v.values[e]) for e in lattice.elements},
+            "coords": _ratios(v.ray, v.scale),
+            "values": dict(zip(lattice.elements, _ratios(v.numerators, v.scale))),
         }
         for v in polytope.vertices
     ]
@@ -210,8 +264,8 @@ def _cmd_states(args) -> int:
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(",".join(lattice.elements) + "\n")
-            for v in polytope.vertices:
-                fh.write(",".join(str(v.values[e]) for e in lattice.elements) + "\n")
+            for vertex in vertices:
+                fh.write(",".join(vertex["values"].values()) + "\n")
     _emit(args, "states", {"lattice": _digest(args.lattice)}, report)
     return EXIT_OK
 

@@ -14,13 +14,23 @@ extreme rays of the cone modulo its lineality space: the constraints tight
 at both rays cut out the smallest face holding them, and that face is
 two-dimensional exactly when it has no third extreme ray.  No rank is
 computed, so vertex counts are exact and deterministic.
+
+The state polytope stays in integers too.  A vertex is an extreme ray r over
+its scale top . r; its value at an element is the integer pairing of that
+element's coordinates with r, over the same scale.  Vertices are sorted by
+their coordinates, compared as the integer vectors r * (L // scale) with L
+the lcm of all scales, which orders them exactly as the Fractions r / scale
+would.  Fractions are built only when a caller reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
 from math import gcd, lcm
+from operator import add, mul
 
 from .errors import (
     DimensionCapError,
@@ -63,7 +73,7 @@ def _sign_canonical(vec: Vector) -> Vector:
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 @dataclass(frozen=True)
@@ -303,8 +313,30 @@ def positive_cone(lattice: OrthoLattice,
 
 @dataclass(frozen=True)
 class StateVertex:
-    coords: tuple[Fraction, ...]
-    values: dict[str, Fraction]
+    """One vertex of the state polytope, kept as exact integers.
+
+    The vertex is ``ray / scale``: ``ray`` is a primitive extreme ray of the
+    positive cone and ``scale`` its pairing with the top element (always
+    positive).  ``numerators[i]`` is the vertex's value at ``elements[i]``
+    times ``scale``.  ``coords`` and ``values`` give the same numbers as
+    Fractions.
+    """
+
+    ray: Vector
+    scale: int
+    numerators: tuple[int, ...]
+    elements: tuple[str, ...]
+
+    @cached_property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.scale) for x in self.ray)
+
+    @cached_property
+    def values(self) -> dict[str, Fraction]:
+        return {
+            e: Fraction(n, self.scale)
+            for e, n in zip(self.elements, self.numerators)
+        }
 
 
 @dataclass(frozen=True)
@@ -316,16 +348,39 @@ class StatePolytope:
     vertices: tuple[StateVertex, ...]
 
 
+def _pairings(coords, rays) -> list[tuple[int, ...]]:
+    """Row k holds coords[i] . rays[k] for every i.
+
+    Computed one coordinate row at a time across every ray: a row has only
+    a few nonzero entries, so its pairings are a combination of that many
+    columns of the ray matrix.
+    """
+    columns = list(zip(*rays))
+    count = len(rays)
+    per_row = []
+    for row in coords:
+        acc = [0] * count
+        for j, c in enumerate(row):
+            if c:
+                column = columns[j] if c == 1 else map(mul, columns[j], repeat(c))
+                acc = list(map(add, acc, column))
+        per_row.append(acc)
+    return list(zip(*per_row))
+
+
 def state_polytope(lattice: OrthoLattice,
                    action: GroupAction | None = None) -> StatePolytope:
     """Exact vertices of the polytope of (invariant) probability measures.
 
-    Each vertex is a ray r of the positive cone scaled by 1 / (top . r), so
-    every value is one exact integer dot product over that scale.  Raises
-    DimensionCapError above DEFAULT_MAX_DIMENSION or past MAX_RAYS rays,
-    UnboundedSliceError when the top element projects to zero (the
-    degenerate case where no normalization is possible) and
-    EmptyPolytopeError when no probability measure exists.
+    Each vertex is a ray r of the positive cone over its scale top . r, so
+    every value is one integer pairing over that scale, and nothing else is
+    computed until a caller asks for Fractions.  The vertices are sorted by
+    their coordinates, compared exactly in integers: with L the lcm of the
+    scales, r / s orders as r * (L // s) does.  Raises DimensionCapError
+    above DEFAULT_MAX_DIMENSION or past MAX_RAYS rays, UnboundedSliceError
+    when the top element projects to zero (the degenerate case where no
+    normalization is possible) and EmptyPolytopeError when no probability
+    measure exists.
     """
     cone, coords = _measure_cone(lattice, action)
     top = coords[lattice.top_index]
@@ -333,24 +388,24 @@ def state_polytope(lattice: OrthoLattice,
         raise UnboundedSliceError(
             "the top element is zero in the rational measure space"
         )
-    if cone.lineality or any(_dot(top, r) <= 0 for r in cone.rays):
+    scales = [_dot(top, r) for r in cone.rays]
+    if cone.lineality or any(s <= 0 for s in scales):
         # positivity at every element together with additivity at the top
         # rules this out; reaching it means the input is degenerate
         raise UnboundedSliceError("the normalized slice is not a polytope")
-    vertices = []
-    for r in cone.rays:
-        scale = _dot(top, r)
-        values = {
-            e: Fraction(_dot(coords[i], r), scale)
-            for i, e in enumerate(lattice.elements)
-        }
-        vertices.append(
-            StateVertex(tuple(Fraction(x, scale) for x in r), values)
-        )
-    if not vertices:
+    if not scales:
         raise EmptyPolytopeError("no probability measure exists")
-    vertices.sort(key=lambda v: v.coords)
-    return StatePolytope(cone, top, tuple(vertices))
+    common = lcm(*scales)
+    order = sorted(
+        range(len(scales)),
+        key=lambda k: [x * (common // scales[k]) for x in cone.rays[k]],
+    )
+    numerators = _pairings(coords, cone.rays)
+    vertices = tuple(
+        StateVertex(cone.rays[k], scales[k], numerators[k], lattice.elements)
+        for k in order
+    )
+    return StatePolytope(cone, top, vertices)
 
 
 def is_probability_measure(lattice: OrthoLattice, values) -> CheckResult:

@@ -450,16 +450,16 @@ def boolean(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> OrthoLattice:
     masks = sorted(range(2 ** n), key=lambda m: (m.bit_count(), m))
     full = 2 ** n - 1
 
-    def name(mask):
-        return "".join("1" if mask >> i & 1 else "0" for i in range(n))
-
-    elements = tuple(name(m) for m in masks)
-    pairs = []
-    for a in masks:
-        for b in masks:
-            if a != b and a & b == a:
-                pairs.append((name(a), name(b)))
-    orth = {name(m): name(m ^ full) for m in masks}
+    name = ["".join("1" if m >> i & 1 else "0" for i in range(n)) for m in range(full + 1)]
+    elements = tuple(name[m] for m in masks)
+    # the covers m < m | bit generate the order
+    pairs = [
+        (name[m], name[m | 1 << i])
+        for m in masks
+        for i in range(n)
+        if not m >> i & 1
+    ]
+    orth = {name[m]: name[m ^ full] for m in masks}
     return build_lattice(
         LatticeDescription(f"boolean({n})", elements, tuple(pairs), orth),
         max_elements,

@@ -373,11 +373,6 @@ def _module_from_relations(lattice: OrthoLattice, rows: Sequence[Sequence[int]],
     return MeasureModule(lattice, FPAbelianGroup.from_relations(width, list(merged)), action)
 
 
-def universal_measure_eval(module: MeasureModule, name: str) -> tuple[int, ...]:
-    """Coordinates of the universal measure at one element."""
-    return module.projection(name)
-
-
 def hom_count(module: MeasureModule | FPAbelianGroup, m: int) -> int:
     """Number of homomorphisms into Z/m: m^rank times gcd(d, m) per torsion d."""
     if m < 1:

@@ -335,6 +335,27 @@ def double_description_by_rank(normals, dim):
     return rays, lineality
 
 
+def state_vertices_by_fractions(lattice, rays, coords):
+    """State-polytope vertices sliced in Fractions from the cone's rays.
+
+    Each ray r is scaled by 1 / (top . r); every coordinate and every
+    element's value (its coordinate row paired with r) becomes a Fraction,
+    and the vertices are sorted on their Fraction coordinates.  Returns
+    (coords, values) pairs in that order.
+    """
+    top = coords[lattice.top_index]
+    vertices = []
+    for r in rays:
+        scale = _dot(top, r)
+        values = {
+            e: Fraction(_dot(coords[i], r), scale)
+            for i, e in enumerate(lattice.elements)
+        }
+        vertices.append((tuple(Fraction(x, scale) for x in r), values))
+    vertices.sort(key=lambda v: v[0])
+    return vertices
+
+
 def distributivity_witness(lattice):
     """First triple (x, y, z) in element order breaking either distributive
     law, read through the lattice's name-level meet and join; None if

@@ -11,11 +11,13 @@ Claims:
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from orthomeasure import benzene, boolean, mo, save_group, save_lattice
-from orthomeasure.cli import run
+from orthomeasure import atoms, benzene, boolean, mo, save_group, save_lattice
+from orthomeasure.cli import _json_text, _ratios, run
 from orthomeasure.symmetry import automorphism_group
 
 
@@ -98,10 +100,17 @@ def test_states_full_aut(files, capsys):
 
 def test_states_csv(files, capsys, tmp_path):
     out = tmp_path / "vertices.csv"
-    code, data = run_json(capsys, ["states", files["mo2"], "--csv", str(out)])
-    assert code == 0
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 1 + data["report"]["count"]
+    for name in ("mo2", "b3", "benzene"):
+        for group in ([], ["--full-aut"]):
+            code, data = run_json(capsys, ["states", files[name], *group, "--csv", str(out)])
+            assert code == 0
+            lines = out.read_text().strip().splitlines()
+            assert len(lines) == 1 + data["report"]["count"]
+            header = lines[0].split(",")
+            for line, vertex in zip(lines[1:], data["report"]["vertices"]):
+                cells = line.split(",")
+                assert len(cells) == len(header)
+                assert dict(zip(header, cells)) == vertex["values"]
 
 
 def test_cone(files, capsys):
@@ -281,3 +290,75 @@ def test_cone_past_ray_budget_exit_3(tmp_path, capsys):
     assert time.perf_counter() - start < 20.0
     assert code == 3
     assert data["error"] == "DimensionCapError"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=8), st.integers(1, 2 ** 70))
+@example([0, 1, -1, 2, 3, 4, -6], 6)
+@example([0, 5, -5], 1)
+def test_ratios_print_as_fractions(nums, den):
+    assert _ratios(nums, den) == [str(Fraction(n, den)) for n in nums]
+
+
+# --- the JSON writer ----------------------------------------------------------------
+
+_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+    st.characters(),
+))
+_REPORT_VALUES = st.recursive(
+    st.one_of(_TEXT, st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPORT_VALUES)
+@example({"": {}, "a": [[], {"b": [{}, []]}], "c": [[[[{}]]]], "d": ({},)})
+@example([True, False, None, 0, -1, 2 ** 64, -(2 ** 65), "\"\\\u00ff"])
+def test_json_writer_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_rejects_values_reports_never_hold():
+    for value in (1.5, {"x": [Fraction(1, 2)]}, {1: "a"}):
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+
+FAMILY_COMMANDS = (
+    ["check"], ["aut"], ["module"], ["module", "--full-aut"],
+    ["measures"], ["measures", "--domain", "z"], ["measures", "--domain", "z/6"],
+    ["invariant-measures", "--full-aut"], ["cone"], ["cone", "--full-aut"],
+    ["states"], ["states", "--full-aut"], ["boolean-check"],
+    ["oracle", "--domain", "z/2"],
+)
+
+
+def test_json_reports_are_json_dumps_output(family, capsys, tmp_path):
+    reported = set()
+    for label, lattice in family.items():
+        path = tmp_path / f"{len(reported)}-{lattice.name}.json"
+        save_lattice(lattice, path)
+        atom = atoms(lattice)[0]
+        gs = tmp_path / "gs.json"
+        gs.write_text(json.dumps({"members": [atom]}))
+        pm = tmp_path / "pm.json"
+        pm.write_text(json.dumps({"values": {atom: "1/2"}}))
+        argvs = [[cmd[0], str(path), *cmd[1:]] for cmd in FAMILY_COMMANDS]
+        argvs.append(["extend", str(path), "--full-aut",
+                      "--generating-set", str(gs), "--partial", str(pm)])
+        for argv in argvs:
+            run(argv)
+            out = capsys.readouterr().out
+            data = json.loads(out)
+            if "error" in data:  # error lines are one compact json.dumps each
+                continue
+            assert out == json.dumps(data, indent=2) + "\n", (label, argv)
+            reported.add(argv[0])
+    assert reported == {cmd[0] for cmd in FAMILY_COMMANDS} | {"extend"}

@@ -13,6 +13,9 @@ Claims:
     - every vertex is a probability measure; every dyadic-grid probability
       measure lies in the exact convex hull of the vertices
     - degenerate slices raise the documented errors
+    - the integer slicing gives the vertices, coordinates and values of a
+      Fraction slicing of the same rays, in the same order, on the family
+      and on products and horizontal sums, with and without the full group
     - closed forms: |V(MO(n))| = 2^n for n = 1..11 (mo(11) within 10 s),
       V(A x B) = V(A) + V(B) and V(hsum(A, B)) = V(A) V(B), every vertex a
       probability measure
@@ -32,6 +35,7 @@ from orthomeasure import (
     EmptyPolytopeError,
     RATIONALS,
     UnboundedSliceError,
+    automorphism_group,
     benzene,
     boolean,
     brute_force_measures,
@@ -48,7 +52,7 @@ from orthomeasure import (
 )
 from orthomeasure.cones import DEFAULT_MAX_DIMENSION, MAX_RAYS, PolyCone, double_description
 
-from oracles import in_convex_hull
+from oracles import in_convex_hull, state_vertices_by_fractions
 
 
 def test_dual_cone_positive_orthant():
@@ -240,6 +244,24 @@ def test_dyadic_probability_measures_in_hull(family):
             point = solve_exact(rows, [m.values[e] for e in lat.elements])
             assert point is not None
             assert in_convex_hull(point, vertex_coords)
+
+
+def test_state_polytope_matches_fraction_slicing(family, aut_groups):
+    parts = [boolean(1), boolean(2), boolean(3), mo(1), mo(2), mo(3), benzene()]
+    composites = [product(a, b) for i, a in enumerate(parts) for b in parts[i:]]
+    composites += [horizontal_sum(a, b) for i, a in enumerate(parts) for b in parts[i:]]
+    cases = [(lat, None) for lat in family.values()]
+    cases += [(lat, aut_groups[name]) for name, lat in family.items()]
+    cases += [(lat, None) for lat in composites]
+    cases += [(lat, automorphism_group(lat)) for lat in composites]
+    for lattice, action in cases:
+        polytope = state_polytope(lattice, action)
+        _, coords = measure_coordinates(lattice, action)
+        expected = state_vertices_by_fractions(
+            lattice, positive_cone(lattice, action).rays, coords
+        )
+        got = [(v.coords, v.values) for v in polytope.vertices]
+        assert got == expected, (lattice.name, action is not None)
 
 
 def test_state_polytope_error_paths(monkeypatch):

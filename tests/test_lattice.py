@@ -17,6 +17,8 @@ Claims:
       product, horizontal-sum and benzene lattices, and the same exception
       class and message on every kind of defective description; an accepted
       description never reaches the witness scans
+    - boolean(n), described by its covers, has the tables of the all-pairs
+      description for n = 1..10
     - on boolean(10) meets, joins and complements are bitwise AND, OR and
       NOT of the names, and on mo(400) distinct non-complementary atoms meet
       at 0 and join at 1, each built under a 10 s bound
@@ -560,6 +562,22 @@ def test_boolean_10_tables_are_bitwise():
         assert lat.meet_table[i] == tuple(where[m & other] for other in mask)
         assert lat.join_table[i] == tuple(where[m | other] for other in mask)
         assert lat.orth_map[i] == where[m ^ full]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_boolean_covers_give_the_all_pairs_tables(n):
+    lat = boolean(n)
+    # every comparable pair of distinct subsets, as the order was first described
+    bits = {e: int(e[::-1], 2) for e in lat.elements}
+    pairs = tuple(
+        (a, b) for a in lat.elements for b in lat.elements
+        if a != b and bits[a] & bits[b] == bits[a]
+    )
+    orth = {e: lat.orthocomplement(e) for e in lat.elements}
+    full = build_lattice(LatticeDescription(lat.name, lat.elements, pairs, orth))
+    assert {key: getattr(lat, key) for key in TABLES} == {
+        key: getattr(full, key) for key in TABLES
+    }
 
 
 def test_mo_400_atoms_meet_at_0_and_join_at_1():

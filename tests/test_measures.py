@@ -37,7 +37,6 @@ from orthomeasure import (
     parse_domain,
     relation_matrix,
     trivial_action,
-    universal_measure_eval,
 )
 
 from orthomeasure import atoms as atoms_of
@@ -111,12 +110,6 @@ def test_projection_additivity(family):
                 module.projection(x),
                 module.projection(lat.orthocomplement(x)),
             ) == top
-
-
-def test_universal_measure_eval_is_projection():
-    lat = mo(2)
-    module = measure_module(lat)
-    assert universal_measure_eval(module, "a1") == module.projection("a1")
 
 
 def test_formal_sum_evaluation_is_linear():
