@@ -61,6 +61,11 @@ def _primitive(vec) -> Vector:
         fracs = [Fraction(x) for x in ints]
         denom = lcm(*(f.denominator for f in fracs))
         ints = tuple(int(f * denom) for f in fracs)
+    return _coprime(ints)
+
+
+def _coprime(ints: Vector) -> Vector:
+    """Divide an integer vector by the gcd of its entries."""
     g = gcd(*ints)
     if g > 1:
         ints = tuple(x // g for x in ints)
@@ -140,6 +145,10 @@ def double_description(normals, dim: int) -> tuple[list[Vector], list[Vector]]:
     two-dimensional: that set must hold at least dim - len(lineality) - 2
     constraints, and no third ray may be tight on all of them.
 
+    Only the given normals may be rational; every vector the method forms
+    is an integer combination of integer vectors, so it is reduced by the
+    gcd alone.
+
     Raises DimensionCapError as soon as a step holds more than MAX_RAYS
     rays, which bounds the work as well as the output.
     """
@@ -166,14 +175,14 @@ def double_description(normals, dim: int) -> tuple[list[Vector], list[Vector]]:
                 if i == pivot:
                     continue
                 if pairings[i]:
-                    l = _primitive(
+                    l = _coprime(
                         tuple(d0 * x - pairings[i] * y for x, y in zip(l, l0))
                     )
                 new_lineality.append(_sign_canonical(l))
             projected = {}
             for r, z in zip(rays, tight):
                 v = _dot(a, r)
-                projected[_primitive(
+                projected[_coprime(
                     tuple(d0 * x - v * y for x, y in zip(r, l0))
                 )] = z | bit
             projected[l0] = inserted
@@ -206,7 +215,7 @@ def double_description(normals, dim: int) -> tuple[list[Vector], list[Vector]]:
                                     break
                         if holders > 2:
                             continue
-                        nxt[_primitive(
+                        nxt[_coprime(
                             tuple(vp * x - vn * y for x, y in zip(n, p))
                         )] = common | bit
                         if len(nxt) > MAX_RAYS:

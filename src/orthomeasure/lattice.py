@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadOrthocomplementError,
@@ -936,16 +936,31 @@ class IsomorphismSearch:
     """Individualization-refinement backtracking for isomorphisms src -> dst.
 
     A node of the search is a pair of colourings, of src and of dst, drawn
-    from one palette, so a colour names the same thing on either side.
-    Fixing x -> y gives x and y a fresh shared colour; refinement then
-    replaces each element's colour by the colour together with the colour
-    multisets of its upper and lower covers and the colour of its
-    orthocomplement, until the partition stops splitting.  An isomorphism
-    that maps every fixed x to its y preserves every colour, so unequal
-    colour counts on the two sides prune the node.  Because the
-    orthocomplement's colour enters every signature, fixing x -> y forces
-    x' -> y'; and as covers carry the order, each element is split by the
-    fixed elements it is comparable to.
+    from one palette, so a colour names the same thing on either side.  The
+    root colours each element by its rank data and the rank of its
+    orthocomplement, and by its mark when ``marks`` gives one per element
+    of each side.  Fixing x -> y gives x and y a fresh shared colour;
+    refinement then replaces each element's colour by the colour together
+    with the colour multisets of its upper and lower covers and the colour
+    of its orthocomplement, until the partition stops splitting.  An
+    isomorphism that maps every fixed x to its y (and every mark to an
+    equal mark) preserves every colour, so unequal colour counts on the
+    two sides prune the node.  Because the orthocomplement's colour enters
+    every signature, fixing x -> y forces x' -> y'; and as covers carry the
+    order, each element is split by the fixed elements it is comparable to.
+
+    The source side is refined once per source colouring.  While a node
+    survives, each round leaves equal colour multisets on both sides, so
+    the next round's palette (the sorted set of signatures) is the sorted
+    set of source signatures alone, and the source colours of every round
+    depend on the source colouring only.  The search keeps each round's
+    palette and sorted colours under the source colouring it started from,
+    and refines the target side against them: a target signature missing
+    from the palette, or target colours with another multiset, prune the
+    node.  Colours are numbered exactly as by a joint refinement.  Every
+    child of a node branches on the same source element, so all nodes at
+    one depth share their source colouring, and a whole search refines
+    one source colouring per depth.
 
     A discrete colouring names one candidate bijection, which is kept only
     if it maps covers onto covers and commutes with the orthocomplement
@@ -956,13 +971,14 @@ class IsomorphismSearch:
     the output order is deterministic.
     """
 
-    def __init__(self, src: OrthoLattice, dst: OrthoLattice):
-        self._sides = []
-        for lat in (src, dst):
-            ups, downs = _cover_lists(lat)
-            self._sides.append((ups, downs, lat.orth_map))
-        initial = [
-            [
+    def __init__(self, src: OrthoLattice, dst: OrthoLattice,
+                 marks: tuple[Sequence[int], Sequence[int]] | None = None):
+        self._src = _cover_lists(src) + (src.orth_map,)
+        self._dst = self._src if dst is src else _cover_lists(dst) + (dst.orth_map,)
+        self._plans: dict[tuple, tuple[list, list[int]]] = {}
+        initial = []
+        for k, (lat, (ups, downs, _)) in enumerate(((src, self._src), (dst, self._dst))):
+            colours = [
                 (
                     lat.down_masks[i].bit_count(),
                     lat.up_masks[i].bit_count(),
@@ -972,35 +988,66 @@ class IsomorphismSearch:
                 )
                 for i in range(len(lat))
             ]
-            for lat, (ups, downs, _) in zip((src, dst), self._sides)
-        ]
+            if marks is not None:
+                colours = [c + (m,) for c, m in zip(colours, marks[k])]
+            initial.append(colours)
         same_size = len(src) == len(dst)
-        self.root = self._refine(initial) if same_size else None
+        self.root = self._refine(*initial) if same_size else None
 
-    def _refine(self, colours: list[list]) -> list[list[int]] | None:
-        """Stable joint refinement, or None when the two sides disagree."""
-        count = len(set(colours[0]))
+    def _plan(self, colours: list) -> tuple[list, list[int]]:
+        """The rounds of the source side's stable refinement, and its end.
+
+        Each round is (hash of each colour, new colour of each singleton
+        class, palette of signatures, sorted new colours).
+        """
+        ups, downs, orth = self._src
+        rounds = []
+        count = len(set(colours))
         while True:
             # A cover multiset enters as a sum of hashed colours: equal
             # multisets give equal sums, and a rare collision only leaves the
             # partition coarser, never unsound.  Singleton classes cannot split.
-            mix = {c: hash((c, 0x9E3779B9)) for c in set(colours[0]) | set(colours[1])}
-            size = Counter(colours[0])
-            sigs = []
-            for c, (ups, downs, orth) in zip(colours, self._sides):
-                h = [mix[x] for x in c]
-                sigs.append([
-                    (x,) if size[x] == 1 else
-                    (x, sum([h[j] for j in ups[i]]), sum([h[j] for j in downs[i]]), c[orth[i]])
-                    for i, x in enumerate(c)
-                ])
-            palette = {s: k for k, s in enumerate(sorted(set(sigs[0]) | set(sigs[1])))}
-            colours = [[palette[s] for s in side] for side in sigs]
-            if sorted(colours[0]) != sorted(colours[1]):
-                return None
+            mix = {c: hash((c, 0x9E3779B9)) for c in set(colours)}
+            size = Counter(colours)
+            h = [mix[x] for x in colours]
+            sigs = [
+                (x,) if size[x] == 1 else
+                (x, sum([h[j] for j in ups[i]]), sum([h[j] for j in downs[i]]), colours[orth[i]])
+                for i, x in enumerate(colours)
+            ]
+            palette = {s: k for k, s in enumerate(sorted(set(sigs)))}
+            single = {x: palette[(x,)] for x, k in size.items() if k == 1}
+            colours = [palette[s] for s in sigs]
+            rounds.append((mix, single, palette, sorted(colours)))
             if len(palette) == count:
-                return colours
+                return rounds, colours
             count = len(palette)
+
+    def _refine(self, ca: list, cb: list) -> list[list[int]] | None:
+        """Stable joint refinement, or None when the two sides disagree.
+
+        The source side's rounds come from the plan of its colouring, made
+        on first use; only the target side is refined here.
+        """
+        key = tuple(ca)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(ca)
+        rounds, final = plan
+        ups, downs, orth = self._dst
+        for mix, single, palette, counts in rounds:
+            try:
+                h = [mix[x] for x in cb]
+                cb = [
+                    single[x] if x in single else
+                    palette[(x, sum([h[j] for j in ups[i]]), sum([h[j] for j in downs[i]]), cb[orth[i]])]
+                    for i, x in enumerate(cb)
+                ]
+            except KeyError:  # a colour or signature the source side lacks
+                return None
+            if sorted(cb) != counts:
+                return None
+        return [final, cb]
 
     def fix(self, node: list[list[int]] | None, x: int, y: int) -> list[list[int]] | None:
         """The child node with x -> y fixed, or None if it is pruned."""
@@ -1008,7 +1055,7 @@ class IsomorphismSearch:
             return None
         ca, cb = list(node[0]), list(node[1])
         ca[x] = cb[y] = len(ca)  # above every colour in use
-        return self._refine([ca, cb])
+        return self._refine(ca, cb)
 
     def leaves(self, node: list[list[int]] | None) -> Iterator[tuple[int, ...]]:
         """Every isomorphism below the node, in search order."""
@@ -1028,7 +1075,7 @@ class IsomorphismSearch:
                 yield from self.leaves(self.fix(node, x, y))
 
     def _preserves_structure(self, perm: tuple[int, ...]) -> bool:
-        (ups_a, _, orth_a), (ups_b, _, orth_b) = self._sides
+        (ups_a, _, orth_a), (ups_b, _, orth_b) = self._src, self._dst
         for i, j in enumerate(perm):
             if perm[orth_a[i]] != orth_b[j]:
                 return False

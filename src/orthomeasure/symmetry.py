@@ -4,9 +4,16 @@ automorphisms: search, closure, orbits, stabilizers, normalizers.
 A group is held by a generating set and its order.  The full automorphism
 group comes from a search over a base and strong generating set, so its
 order is known without listing a single element; orbits are the connected
-components of the generators, found by union-find.  Elements are listed
-only on demand (``perms`` and iteration, used by stabilizers and
-normalizers), and never past the group's ``max_group`` cap.
+components of the generators, found by union-find.  A searched group also
+remembers the element sets it stabilizes (none for the full group): the
+stabilizer in Aut(L) of sets S_1, ..., S_k is the automorphism group of L
+coloured by membership in each S_i.  So a normalizer or stabilizer in a
+searched group is one more search with one more set, and membership is an
+automorphism check plus a check of the sets; neither lists elements.  A
+group given by generators (``close_group``, ``load_group``) is listed when
+it is built, and its normalizers filter that list.  Elements are listed
+only on demand (``perms`` and iteration), and never past the group's
+``max_group`` cap.
 """
 
 from __future__ import annotations
@@ -118,19 +125,26 @@ class Orbit:
 class GroupAction:
     """A finite group of lattice automorphisms, held by generators and order.
 
-    ``perms`` (and iteration, membership) list the elements on first use,
-    raising GroupTooLargeError when the order exceeds ``max_group``.
+    ``stabilized`` is None for a group given by its generators.  For a
+    searched group it holds the element index sets whose common setwise
+    stabilizer in the full automorphism group the group is; membership is
+    then decided without listing.  ``perms`` (and iteration, and membership
+    in a group given by generators) list the elements on first use, raising
+    GroupTooLargeError when the order exceeds ``max_group``.
     """
 
-    __slots__ = ("lattice", "generators", "order", "max_group", "_perms", "_labels")
+    __slots__ = ("lattice", "generators", "order", "max_group", "stabilized",
+                 "_perms", "_labels")
 
     def __init__(self, lattice: OrthoLattice, generators: Sequence[LatticeAutomorphism],
                  order: int, perms: Sequence[Perm] | None = None,
-                 max_group: int = DEFAULT_MAX_GROUP):
+                 max_group: int = DEFAULT_MAX_GROUP,
+                 stabilized: Sequence[frozenset[int]] | None = None):
         self.lattice = lattice
         self.generators = tuple(generators)
         self.order = order
         self.max_group = max_group
+        self.stabilized = None if stabilized is None else tuple(stabilized)
         self._perms = None if perms is None else tuple(sorted(perms))
         self._labels = None
 
@@ -157,7 +171,13 @@ class GroupAction:
 
     def __contains__(self, item) -> bool:
         perm = item.perm if isinstance(item, LatticeAutomorphism) else tuple(item)
-        return perm in self.perms
+        if self.stabilized is None:
+            return perm in self.perms
+        try:
+            _validate_automorphism(self.lattice, perm)
+        except NotAnAutomorphismError:
+            return False
+        return all({perm[i] for i in s} == s for s in self.stabilized)
 
     def apply(self, perm: Perm, name: str) -> str:
         return self.lattice.elements[perm[self.lattice.index(name)]]
@@ -222,10 +242,14 @@ def close_group(lattice: OrthoLattice, generators: Iterable[LatticeAutomorphism]
 
 
 def automorphism_group(lattice: OrthoLattice,
-                       max_group: int = DEFAULT_MAX_GROUP) -> GroupAction:
-    """The full group of orthocomplement-preserving lattice automorphisms,
-    as a strong generating set relative to a base.
+                       max_group: int = DEFAULT_MAX_GROUP,
+                       stabilize: Iterable[Iterable[str]] = ()) -> GroupAction:
+    """The group of orthocomplement-preserving lattice automorphisms that
+    map each of the ``stabilize`` element sets onto itself (by default the
+    full group), as a strong generating set relative to a base.
 
+    Each element's initial search colour records which of the sets hold
+    it, so the search meets exactly the automorphisms that keep the sets.
     The base b_1, ..., b_k individualizes elements of the search's colour
     refinement until the colouring is discrete, so only the identity fixes
     all of it.  Let G_i fix b_1, ..., b_{i-1}.  From the last level up, the
@@ -236,7 +260,20 @@ def automorphism_group(lattice: OrthoLattice,
     is all of G_i b_i, and |G| is the product of the orbit lengths, so no
     element is ever listed.  ``max_group`` caps later element listing only.
     """
-    search = IsomorphismSearch(lattice, lattice)
+    sets = tuple(frozenset(lattice.index(e) for e in s) for s in stabilize)
+    return _search_group(lattice, sets, max_group)
+
+
+def _search_group(lattice: OrthoLattice, sets: tuple[frozenset[int], ...],
+                  max_group: int) -> GroupAction:
+    marks = None
+    if sets:
+        mark = [0] * len(lattice)
+        for k, s in enumerate(sets):
+            for i in s:
+                mark[i] |= 1 << k
+        marks = (mark, mark)
+    search = IsomorphismSearch(lattice, lattice, marks)
     base: list[int] = []
     nodes = [search.root]  # nodes[i] fixes base[:i] pointwise
     while (target := first_split_colour(nodes[-1][0])) is not None:
@@ -254,11 +291,12 @@ def automorphism_group(lattice: OrthoLattice,
                 continue
             perm = next(search.leaves(search.fix(nodes[level], b, c)), None)
             if perm is not None:
-                found.append(LatticeAutomorphism(lattice, perm))
+                # every leaf has passed _preserves_structure
+                found.append(LatticeAutomorphism(lattice, perm, _checked=True))
                 # the old labels, read as a map, keep the old orbits joined
                 labels = _orbit_labels(len(lattice), [labels, perm])
         order *= labels.count(labels[b])
-    return GroupAction(lattice, found[::-1], order, max_group=max_group)
+    return GroupAction(lattice, found[::-1], order, max_group=max_group, stabilized=sets)
 
 
 def trivial_action(lattice: OrthoLattice) -> GroupAction:
@@ -295,10 +333,19 @@ def stabilizer(action: GroupAction, name: str) -> GroupAction:
 
 
 def normalizer(action: GroupAction, members: Iterable[str]) -> GroupAction:
-    """Subgroup of elements mapping the set onto itself, found by listing
-    the group; its generators are all of its elements."""
+    """Subgroup of elements mapping the set onto itself.
+
+    In a searched group (the stabilizer in Aut(L) of the sets it
+    remembers) this is the stabilizer of those sets and the new one, so it
+    is searched for with one more initial colour and nothing is listed;
+    nested normalizers stay exact.  A group given by generators is listed
+    (under its ``max_group`` cap) and filtered; the result's generators are
+    all of its elements.
+    """
     lattice = action.lattice
-    target = {lattice.index(e) for e in members}
+    target = frozenset(lattice.index(e) for e in members)
+    if action.stabilized is not None:
+        return _search_group(lattice, action.stabilized + (target,), action.max_group)
     perms = [p for p in action.perms if {p[i] for i in target} == target]
     gens = [LatticeAutomorphism(lattice, p, _checked=True) for p in perms]
     return GroupAction(lattice, gens, len(perms), perms, action.max_group)

@@ -509,3 +509,73 @@ def build_lattice_by_scan(desc, max_elements=4096):
         "bottom_index": bottom,
         "top_index": top,
     }
+
+
+class TwoSidedRefinement:
+    """Nodes of the isomorphism search by joint refinement of both sides.
+
+    Each round refines the source and target colourings together over one
+    palette, the sorted union of both sides' signatures, and prunes on
+    unequal colour multisets.  Covers come from a scan of the order
+    relation.  ``root`` and ``fix`` give the nodes the search should give.
+    """
+
+    def __init__(self, src, dst, marks=None):
+        self.sides = []
+        initial = []
+        for k, lat in enumerate((src, dst)):
+            n = len(lat)
+            less = [[lat.leq_index(i, j) and i != j for j in range(n)] for i in range(n)]
+            ups = [
+                [j for j in range(n) if less[i][j]
+                 and not any(less[i][k] and less[k][j] for k in range(n))]
+                for i in range(n)
+            ]
+            downs = [[i for i in range(n) if j in ups[i]] for j in range(n)]
+            orth = lat.orth_map
+            self.sides.append((ups, downs, orth))
+            colours = [
+                (sum(lat.leq_index(j, i) for j in range(n)),
+                 sum(lat.leq_index(i, j) for j in range(n)),
+                 len(downs[i]), len(ups[i]),
+                 sum(lat.leq_index(j, orth[i]) for j in range(n)))
+                for i in range(n)
+            ]
+            if marks is not None:
+                colours = [c + (m,) for c, m in zip(colours, marks[k])]
+            initial.append(colours)
+        self.root = self.refine(initial) if len(src) == len(dst) else None
+
+    def refine(self, colours):
+        count = len(set(colours[0]))
+        while True:
+            mix = {c: hash((c, 0x9E3779B9)) for c in set(colours[0]) | set(colours[1])}
+            size = {c: colours[0].count(c) for c in set(colours[0]) | set(colours[1])}
+            sigs = []
+            for c, (ups, downs, orth) in zip(colours, self.sides):
+                sigs.append([
+                    (x,) if size[x] == 1 else
+                    (x, sum(mix[c[j]] for j in ups[i]), sum(mix[c[j]] for j in downs[i]),
+                     c[orth[i]])
+                    for i, x in enumerate(c)
+                ])
+            palette = {s: k for k, s in enumerate(sorted(set(sigs[0]) | set(sigs[1])))}
+            colours = [[palette[s] for s in side] for side in sigs]
+            if sorted(colours[0]) != sorted(colours[1]):
+                return None
+            if len(palette) == count:
+                return colours
+            count = len(palette)
+
+    def fix(self, node, x, y):
+        if node is None or node[0][x] != node[1][y]:
+            return None
+        ca, cb = list(node[0]), list(node[1])
+        ca[x] = cb[y] = len(ca)
+        return self.refine([ca, cb])
+
+
+def normalizer_by_listing(perms, members):
+    """The listed elements that map the index set onto itself."""
+    target = set(members)
+    return {p for p in perms if {p[i] for i in target} == target}

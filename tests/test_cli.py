@@ -146,6 +146,28 @@ def test_extend_classical_and_invariant(files, capsys, tmp_path):
     assert data["report"]["measure"]["values"]["1"] == "2/3"
 
 
+def test_extend_full_aut_on_mo9_lists_no_group(capsys, tmp_path):
+    # Aut(MO(9)) has 185 794 560 elements, past the default listing cap of
+    # --max-group; the normalizer of {a1} comes from a search instead
+    path = tmp_path / "mo9.json"
+    save_lattice(mo(9), path)
+    gs = tmp_path / "gs.json"
+    gs.write_text(json.dumps({"members": ["a1"]}))
+    pm = tmp_path / "pm.json"
+    pm.write_text(json.dumps({"values": {"a1": "1/2"}}))
+    start = time.perf_counter()
+    code, data = run_json(
+        capsys,
+        ["extend", str(path), "--full-aut", "--generating-set", str(gs), "--partial", str(pm)],
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    values = data["report"]["measure"]["values"]
+    assert all(values[a] == "1/2" for a in atoms(mo(9)))
+    assert values["1"] == "1"
+    assert elapsed < 5.0
+
+
 def test_extend_inconsistent_is_negative(files, capsys, tmp_path):
     gs = tmp_path / "gs.json"
     gs.write_text(json.dumps({"members": ["000", "100", "010", "001"]}))
