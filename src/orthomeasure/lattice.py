@@ -939,7 +939,7 @@ class IsomorphismSearch:
     from one palette, so a colour names the same thing on either side.  The
     root colours each element by its rank data and the rank of its
     orthocomplement, and by its mark when ``marks`` gives one per element
-    of each side.  Fixing x -> y gives x and y a fresh shared colour;
+    index, read alike on both sides.  Fixing x -> y gives x and y a fresh shared colour;
     refinement then replaces each element's colour by the colour together
     with the colour multisets of its upper and lower covers and the colour
     of its orthocomplement, until the partition stops splitting.  An
@@ -972,12 +972,12 @@ class IsomorphismSearch:
     """
 
     def __init__(self, src: OrthoLattice, dst: OrthoLattice,
-                 marks: tuple[Sequence[int], Sequence[int]] | None = None):
+                 marks: Sequence[int] | None = None):
         self._src = _cover_lists(src) + (src.orth_map,)
         self._dst = self._src if dst is src else _cover_lists(dst) + (dst.orth_map,)
         self._plans: dict[tuple, tuple[list, list[int]]] = {}
         initial = []
-        for k, (lat, (ups, downs, _)) in enumerate(((src, self._src), (dst, self._dst))):
+        for lat, (ups, downs, _) in ((src, self._src), (dst, self._dst)):
             colours = [
                 (
                     lat.down_masks[i].bit_count(),
@@ -989,7 +989,7 @@ class IsomorphismSearch:
                 for i in range(len(lat))
             ]
             if marks is not None:
-                colours = [c + (m,) for c, m in zip(colours, marks[k])]
+                colours = [c + (m,) for c, m in zip(colours, marks)]
             initial.append(colours)
         same_size = len(src) == len(dst)
         self.root = self._refine(*initial) if same_size else None

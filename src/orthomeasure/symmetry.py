@@ -242,14 +242,10 @@ def close_group(lattice: OrthoLattice, generators: Iterable[LatticeAutomorphism]
 
 
 def automorphism_group(lattice: OrthoLattice,
-                       max_group: int = DEFAULT_MAX_GROUP,
-                       stabilize: Iterable[Iterable[str]] = ()) -> GroupAction:
-    """The group of orthocomplement-preserving lattice automorphisms that
-    map each of the ``stabilize`` element sets onto itself (by default the
-    full group), as a strong generating set relative to a base.
+                       max_group: int = DEFAULT_MAX_GROUP) -> GroupAction:
+    """The full group of orthocomplement-preserving lattice automorphisms,
+    as a strong generating set relative to a base.
 
-    Each element's initial search colour records which of the sets hold
-    it, so the search meets exactly the automorphisms that keep the sets.
     The base b_1, ..., b_k individualizes elements of the search's colour
     refinement until the colouring is discrete, so only the identity fixes
     all of it.  Let G_i fix b_1, ..., b_{i-1}.  From the last level up, the
@@ -260,19 +256,20 @@ def automorphism_group(lattice: OrthoLattice,
     is all of G_i b_i, and |G| is the product of the orbit lengths, so no
     element is ever listed.  ``max_group`` caps later element listing only.
     """
-    sets = tuple(frozenset(lattice.index(e) for e in s) for s in stabilize)
-    return _search_group(lattice, sets, max_group)
+    return _search_group(lattice, (), max_group)
 
 
 def _search_group(lattice: OrthoLattice, sets: tuple[frozenset[int], ...],
                   max_group: int) -> GroupAction:
+    """The automorphisms that map each index set onto itself, searched as
+    in ``automorphism_group`` with each element's initial colour recording
+    which of the sets hold it."""
     marks = None
     if sets:
-        mark = [0] * len(lattice)
+        marks = [0] * len(lattice)
         for k, s in enumerate(sets):
             for i in s:
-                mark[i] |= 1 << k
-        marks = (mark, mark)
+                marks[i] |= 1 << k
     search = IsomorphismSearch(lattice, lattice, marks)
     base: list[int] = []
     nodes = [search.root]  # nodes[i] fixes base[:i] pointwise

@@ -523,7 +523,7 @@ class TwoSidedRefinement:
     def __init__(self, src, dst, marks=None):
         self.sides = []
         initial = []
-        for k, lat in enumerate((src, dst)):
+        for lat in (src, dst):
             n = len(lat)
             less = [[lat.leq_index(i, j) and i != j for j in range(n)] for i in range(n)]
             ups = [
@@ -542,7 +542,7 @@ class TwoSidedRefinement:
                 for i in range(n)
             ]
             if marks is not None:
-                colours = [c + (m,) for c, m in zip(colours, marks[k])]
+                colours = [c + (m,) for c, m in zip(colours, marks)]
             initial.append(colours)
         self.root = self.refine(initial) if len(src) == len(dst) else None
 
