@@ -85,7 +85,8 @@ class MeetClosureError(OrthomeasureError):
 
 
 class NotGeneratingError(OrthomeasureError):
-    """Some lattice element has no decomposition over the generating set."""
+    """Some lattice element is not a join of pairwise orthogonal members of
+    the generating set."""
 
 
 class NotGeneratingForActionError(OrthomeasureError):
@@ -103,7 +104,8 @@ class KernelViolationError(OrthomeasureError):
 
 
 class InconsistentExtensionError(OrthomeasureError):
-    """Two decompositions of the same element yield different values."""
+    """The values forced by the generating set are not a measure, or
+    disagree with a given member value; no extension exists."""
 
 
 class EmptyPolytopeError(OrthomeasureError):

@@ -1,21 +1,42 @@
 """Generating sets and measure extension from them.
 
-Classical route: on a distributive lattice, a partial measure on a
-meet-closed generating set satisfying the inclusion-exclusion identities
-extends uniquely; the extension is computed by inclusion-exclusion over
-subset decompositions and verified independent of the chosen decomposition.
+Both extensions run on one closure over pairwise orthogonal joins
+(``_orthogonal_closure``).  Starting from bottom, it joins every element x
+reached so far with every member b <= x', in O(n |B|) table lookups.  By
+De Morgan, b <= (v S)' holds exactly when b is orthogonal to every s in S,
+so the elements reached are exactly the joins of pairwise orthogonal sets
+of members, in any ortholattice and with no bound on the size of those
+sets.  Orthogonal generation is therefore decided exactly.
 
-Invariant route: for a group action and a set that generates for the action
-(the quotient map on normalizer classes is injective and the orbit of the
-set generates orthogonally), normalizer-invariant additive functions on the
-set correspond exactly to invariant measures.  The extension is computed
-through the coinvariant measure module, which is decomposition-independent
-by construction; decomposition sums agree with it and the tests cross-check
-both routes.
+The closure also records, for every element it reaches, the sum of the
+member values along the path that first reached it.  Each step adds a
+member orthogonal to the join so far, so every measure restricting to the
+values takes exactly that sum there: when the members generate, the path
+sums are the only candidate.  An extension exists exactly when the
+candidate is a measure and agrees with the value of every member;
+otherwise none exists, and the first failing check is the witness.  The
+argument uses addition alone, so it holds alike over Z, Q and Z/m, and the
+extension is unique by construction.
+
+Classical route: a distributive ortholattice is Boolean, and a set
+generating it by joins contains every atom (atoms are join-irreducible),
+so it also generates by orthogonal joins.  The route checks distributivity
+and meet closure, then runs the closure on the members.
+
+Invariant route: the set must generate for the action (the class map from
+normalizer orbits to full orbits is injective, and the orbit set of the
+members generates orthogonally).  Each element of the orbit set gets the
+value of the member in its full orbit; injectivity makes that well defined,
+and any invariant extension takes those values.  The closure then runs on
+the orbit set.  A candidate that is a measure is invariant: each element of
+the orbit set other than bottom is reached from bottom directly, so the
+candidate takes the orbit-constant values there, and for an automorphism g
+the measure x -> mu(g x) agrees with mu on the g-stable orbit set, so by
+uniqueness it is mu.  No group element is listed.
 
 Conventions: the bottom element is the join of the empty subset, so it need
-not belong to a generating set.  Decomposition searches are exhaustive over
-subsets up to size 8, smallest first, in canonical order.
+not belong to a generating set.  Witnesses are the first in canonical
+element order.
 """
 
 from __future__ import annotations
@@ -23,8 +44,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iproduct
-from math import gcd
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -36,24 +56,11 @@ from .errors import (
     NotGeneratingError,
     NotGeneratingForActionError,
     NotInvariantOnGeneratorsError,
-    OracleTooLargeError,
     SchemaError,
 )
-from .intlinalg import rational_rank, rational_solve
 from .lattice import CheckResult, OrthoLattice, is_distributive
-from .measures import (
-    Domain,
-    Measure,
-    RATIONALS,
-    basis_from_module,
-    hom_count,
-    is_measure,
-    measure_module,
-)
+from .measures import Domain, Measure, RATIONALS, is_measure
 from .symmetry import GroupAction, normalizer, orbits, quotient_map_injective
-
-MAX_DECOMPOSITION_SIZE = 8
-MAX_HOM_ENUMERATION = 10_000
 
 
 @dataclass(frozen=True)
@@ -92,31 +99,52 @@ def make_generating_set(lattice: OrthoLattice, members: Iterable[str]) -> Genera
     return GeneratingSet(tuple(names))
 
 
-def _subsets_by_join(lattice: OrthoLattice, members: tuple[str, ...],
-                     orthogonal: bool,
-                     max_size: int = MAX_DECOMPOSITION_SIZE) -> dict[str, list[tuple[str, ...]]]:
-    """Subsets of the members grouped by their join, smallest subsets first.
+def _orthogonal_closure(lattice: OrthoLattice, members: Iterable[str],
+                        values: Mapping[str, object]) -> tuple[str | None, dict[int, object]]:
+    """The joins of pairwise orthogonal members, reached from bottom.
 
-    The empty subset joins to bottom.  In orthogonal mode only pairwise
-    orthogonal subsets are kept.
+    From each element x reached, x v b is reached for every member b <= x';
+    see the module docstring for why this reaches exactly the joins of
+    pairwise orthogonal sets of members.  Returns the first element not
+    reached, in canonical order (None when all are), and, by element index,
+    the sum of ``values`` along the path that first reached each element
+    (bottom: 0), unreduced.
     """
-    out: dict[str, list[tuple[str, ...]]] = {lattice.bottom: [()]}
-    for k in range(1, min(len(members), max_size) + 1):
-        for combo in combinations(members, k):
-            if orthogonal and any(
-                not lattice.orthogonal(a, b) for a, b in combinations(combo, 2)
-            ):
-                continue
-            out.setdefault(lattice.join_all(combo), []).append(combo)
-    return out
+    gens = [(lattice.index(b), values[b]) for b in members]
+    orth, join, down = lattice.orth_map, lattice.join_table, lattice.down_masks
+    sums = {lattice.bottom_index: 0}
+    queue = [lattice.bottom_index]
+    for x in queue:  # grows while it is read
+        below, row, total = down[orth[x]], join[x], sums[x]
+        for b, v in gens:
+            if below >> b & 1 and row[b] not in sums:
+                sums[row[b]] = total + v
+                queue.append(row[b])
+    missing = next((e for i, e in enumerate(lattice.elements) if i not in sums), None)
+    return missing, sums
 
 
 def _orthogonal_generating(lattice: OrthoLattice, members: tuple[str, ...]) -> CheckResult:
-    table = _subsets_by_join(lattice, members, orthogonal=True)
-    for e in lattice.elements:
-        if e not in table:
-            return CheckResult(False, (e,))
-    return CheckResult(True)
+    missing, _ = _orthogonal_closure(lattice, members, dict.fromkeys(members, 0))
+    return CheckResult(True) if missing is None else CheckResult(False, (missing,))
+
+
+def _checked_extension(lattice: OrthoLattice, sums: dict[int, object],
+                       values: Mapping[str, object], domain: Domain, error) -> Measure:
+    """The closure's path sums as a measure, if they are one that agrees
+    with ``values``; otherwise ``error`` naming the first failing check."""
+    extension = {e: domain.validate(sums[i]) for i, e in enumerate(lattice.elements)}
+    check = is_measure(lattice, extension, domain)
+    if not check.ok:
+        a, b = check.witness
+        raise error(
+            f"the forced values violate additivity on pair ({a!r}, {b!r}) "
+            f"with join {lattice.join(a, b)!r}"
+        )
+    for b, v in values.items():
+        if extension[b] != v:
+            raise error(f"the forced value at {b!r} is {extension[b]!r}, not {v!r}")
+    return Measure(domain, extension)
 
 
 def is_orthogonal_generating_set(lattice: OrthoLattice,
@@ -163,10 +191,9 @@ def is_generating_for_action(lattice: OrthoLattice, action: GroupAction,
 def _orbit_set(lattice: OrthoLattice, action: GroupAction,
                members: tuple[str, ...]) -> tuple[str, ...]:
     """The union of the members' orbits, in canonical order."""
-    return tuple(sorted(
-        {e for orb in orbits(action, members) for e in orb.members},
-        key=lattice.index,
-    ))
+    labels = action.orbit_labels()
+    hit = {labels[lattice.index(b)] for b in members}
+    return tuple(e for e, k in zip(lattice.elements, labels) if k in hit)
 
 
 def _validated_partial(lattice: OrthoLattice, members: tuple[str, ...],
@@ -184,102 +211,44 @@ def _validated_partial(lattice: OrthoLattice, members: tuple[str, ...],
     return values
 
 
-def _inclusion_exclusion_value(lattice: OrthoLattice, values, combo, domain: Domain):
-    """Alternating sum of values over meets of nonempty subsets.
-
-    A meet landing on bottom outside the value map contributes zero.
-    """
-    total = 0
-    for k in range(1, len(combo) + 1):
-        sign = 1 if k % 2 else -1
-        for sub in combinations(combo, k):
-            m = sub[0]
-            for b in sub[1:]:
-                m = lattice.meet(m, b)
-            if m in values:
-                total += sign * values[m]
-            elif m != lattice.bottom:
-                raise DomainMismatchError(f"no value given for meet {m!r}")
-    return total % domain.modulus if domain.kind == "Zmod" else total
-
-
-def inclusion_exclusion_check(lattice: OrthoLattice, members: Iterable[str],
-                              partial: PartialMeasure,
-                              k_max: int = MAX_DECOMPOSITION_SIZE) -> CheckResult:
-    """Inclusion-exclusion identities for tuples with join inside the set.
-
-    Checks every combination of 2..k_max distinct members whose join is a
-    member; the lattice must be distributive.  Meet closure guarantees the
-    value is defined on every meet the identity needs.
-    """
-    dist = is_distributive(lattice)
-    if not dist.ok:
-        raise NotDistributiveError(f"witness {dist.witness}")
-    gs = make_generating_set(lattice, members)
-    values = _validated_partial(lattice, gs.members, partial)
-    present = set(gs.members)
-    for k in range(2, min(len(gs.members), k_max) + 1):
-        for combo in combinations(gs.members, k):
-            join = lattice.join_all(combo)
-            if join not in present:
-                continue
-            expected = _inclusion_exclusion_value(lattice, values, combo, partial.domain)
-            if expected != values[join]:
-                return CheckResult(False, combo)
-    return CheckResult(True)
-
-
 def classical_groemer_extend(lattice: OrthoLattice, members: Iterable[str],
                              partial: PartialMeasure) -> Measure:
-    """Unique extension of a partial measure from a generating set.
+    """The unique measure restricting to the values on a generating set of
+    a distributive lattice.
 
-    The value at each element is the inclusion-exclusion sum over a
-    decomposition into members; every decomposition (up to the subset-size
-    cap) is evaluated and disagreement raises InconsistentExtensionError,
-    an element with no decomposition raises NotGeneratingError.  The result
-    always passes the additivity check.
+    The lattice must be distributive (NotDistributiveError) and the set
+    meet-closed (MeetClosureError).  Generation is checked first: an
+    element that is no join of pairwise orthogonal members raises
+    NotGeneratingError, even when the values are also inconsistent.  The
+    extension is the closure's path sums (module docstring); when they do
+    not form a measure agreeing with every member value, no extension
+    exists and InconsistentExtensionError names the first failure.
     """
     dist = is_distributive(lattice)
     if not dist.ok:
         raise NotDistributiveError(f"witness {dist.witness}")
     gs = make_generating_set(lattice, members)
     values = _validated_partial(lattice, gs.members, partial)
-    domain = partial.domain
-    table = _subsets_by_join(lattice, gs.members, orthogonal=False)
-    extension = {}
-    for e in lattice.elements:
-        decomps = table.get(e)
-        if not decomps:
-            raise NotGeneratingError(f"{e!r} is not a join of members")
-        first = decomps[0]
-        value = _inclusion_exclusion_value(lattice, values, first, domain)
-        for other in decomps[1:]:
-            got = _inclusion_exclusion_value(lattice, values, other, domain)
-            if got != value:
-                raise InconsistentExtensionError(
-                    f"decompositions {first!r} and {other!r} of {e!r} "
-                    f"give {value!r} and {got!r}"
-                )
-        extension[e] = domain.validate(value)
-    check = is_measure(lattice, extension, domain)
-    if not check.ok:
-        raise InconsistentExtensionError(
-            f"values violate additivity on pair {check.witness}"
-        )
-    return Measure(domain, extension)
+    missing, sums = _orthogonal_closure(lattice, gs.members, values)
+    if missing is not None:
+        raise NotGeneratingError(f"{missing!r} is not a join of pairwise orthogonal members")
+    return _checked_extension(lattice, sums, values, partial.domain,
+                              InconsistentExtensionError)
 
 
 def orth_groemer_extend(lattice: OrthoLattice, action: GroupAction,
-                        members: Iterable[str], partial: PartialMeasure,
-                        max_hom_enumeration: int = MAX_HOM_ENUMERATION) -> Measure:
+                        members: Iterable[str], partial: PartialMeasure) -> Measure:
     """The unique invariant measure restricting to the given values.
 
-    Requires the set to generate for the action and the values to be
-    constant on normalizer orbits.  The values must kill the kernel of the
-    class map onto the coinvariant module, whose generators are the
-    additivity relations among members (KernelViolationError otherwise);
-    the extension is then the solution of an exact linear system expressing
-    the coinvariant coordinates of every element in the member classes.
+    Requires the set to generate for the action (NotGeneratingForActionError)
+    and the values to be constant on normalizer orbits of the members
+    (NotInvariantOnGeneratorsError); a value given for one member of a
+    normalizer orbit stands for the whole orbit.  Each element of the orbit
+    set takes the value of the member in its full orbit, and the extension
+    is the closure's path sums over the orbit set (module docstring); when
+    they do not form a measure agreeing with every member value, no
+    extension exists and KernelViolationError names the first failure.  A
+    measure they form is invariant (module docstring).
     """
     gs = make_generating_set(lattice, members)
     norm = normalizer(action, gs.members)
@@ -290,10 +259,11 @@ def orth_groemer_extend(lattice: OrthoLattice, action: GroupAction,
             f"orbit_generating={report.orbit_generating}"
         )
     domain = partial.domain
-    class_reps = orbits(norm, gs.members)
+    labels = action.orbit_labels()
 
     values: dict[str, object] = {}
-    for orb in class_reps:
+    by_orbit: dict[int, object] = {}
+    for orb in orbits(norm, gs.members):
         given = {
             b: domain.validate(partial.values[b])
             for b in orb.members
@@ -311,97 +281,17 @@ def orth_groemer_extend(lattice: OrthoLattice, action: GroupAction,
         v = distinct.pop()
         for b in orb.members:
             values[b] = v
+        # the class map is injective: one normalizer orbit per full orbit
+        by_orbit[labels[lattice.index(orb.representative)]] = v
     for b in partial.values:
         if b not in values:
             raise SchemaError(f"partial measure names non-member {b!r}")
 
-    # kernel generators of the class map: additivity among members
-    for b1, b2 in combinations(gs.members, 2):
-        if lattice.orthogonal(b1, b2):
-            join = lattice.join(b1, b2)
-            if join in values and domain.add(values[b1], values[b2]) != values[join]:
-                raise KernelViolationError(
-                    f"additivity fails on members ({b1!r}, {b2!r})"
-                )
-    if lattice.bottom in values and values[lattice.bottom] != domain.zero:
-        raise KernelViolationError("the bottom member must carry value zero")
-
-    module = measure_module(lattice, action)
-    reps = [orb.representative for orb in class_reps]
-    if domain.kind in ("Z", "Q"):
-        rows = [list(module.free_coordinates(b)) for b in reps]
-        rhs = [values[b] for b in reps]
-        if rational_rank(rows) != module.rank:
-            raise NotGeneratingForActionError(
-                "member classes do not span the coinvariant measure space"
-            )
-        sol = rational_solve(rows, rhs)
-        if sol is None:
-            raise KernelViolationError(
-                "the values are inconsistent with the coinvariant relations"
-            )
-        extension = {}
-        for i, e in enumerate(lattice.elements):
-            coords = module.projection_index(i)[len(module.moduli):]
-            v = sum((c * f for c, f in zip(coords, sol)), Fraction(0))
-            if domain.kind == "Z":
-                if v.denominator != 1:
-                    raise KernelViolationError(
-                        f"no integer extension: value at {e!r} is {v}"
-                    )
-                v = int(v)
-            extension[e] = v
-    else:
-        total = hom_count(module, domain.modulus)
-        if total > max_hom_enumeration:
-            raise OracleTooLargeError(
-                f"{total} homomorphisms exceed the enumeration budget"
-            )
-        matches = [
-            m for m in _all_zmod_measures(lattice, module, domain)
-            if all(m.values[b] == values[b] for b in reps)
-        ]
-        if not matches:
-            raise KernelViolationError(
-                "no invariant measure restricts to the given values"
-            )
-        if len(matches) > 1:
-            raise NotGeneratingForActionError(
-                "the restriction to the set is not injective"
-            )
-        extension = dict(matches[0].values)
-
-    result = Measure(domain, extension)
-    check = is_measure(lattice, extension, domain)
-    if not check.ok:
-        raise KernelViolationError(
-            f"extension violates additivity on pair {check.witness}"
-        )
-    return result
-
-
-def _all_zmod_measures(lattice: OrthoLattice, module, domain: Domain) -> list[Measure]:
-    """Every measure mod m factoring through the module, each exactly once.
-
-    The homomorphism group is the direct sum of one cyclic group of order
-    gcd(d, m) per torsion invariant d and one of order m per free
-    coordinate; combinations of the corresponding generator measures with
-    coefficients below those orders enumerate it without repetition.
-    """
-    gens = basis_from_module(module, domain)
-    m = domain.modulus
-    orders = [g for d in module.moduli if (g := gcd(d, m)) > 1]
-    orders += [m] * module.rank
-    assert len(orders) == len(gens)
-    out = []
-    for counters in iproduct(*(range(o) for o in orders)):
-        values = {e: 0 for e in lattice.elements}
-        for c, g in zip(counters, gens):
-            if c:
-                for e in values:
-                    values[e] = (values[e] + c * g.values[e]) % m
-        out.append(Measure(domain, values))
-    return out
+    orbit_values = {
+        e: by_orbit[k] for e, k in zip(lattice.elements, labels) if k in by_orbit
+    }
+    _, sums = _orthogonal_closure(lattice, orbit_values, orbit_values)
+    return _checked_extension(lattice, sums, values, domain, KernelViolationError)
 
 
 def weak_groemer_check(lattice: OrthoLattice, action: GroupAction,

@@ -87,15 +87,14 @@ def constant_one(lattice: OrthoLattice) -> SimpleFunction:
     return SimpleFunction({z: Fraction(1) for z in atom_list})
 
 
-def check_indicator_identities(lattice: OrthoLattice,
-                               max_product_size: int = 3) -> CheckResult:
+def check_indicator_identities(lattice: OrthoLattice) -> CheckResult:
     """The three indicator identities, exhaustively.
 
     Pointwise product realizes the meet, the modular identity relates joins
-    and meets, and for every subset of size up to ``max_product_size`` the
-    join indicator equals one minus the product of the complements.  A
-    failure would indicate a lattice construction bug; the witness names the
-    identity and the offending tuple.
+    and meets, and for every subset the join indicator equals one minus the
+    product of the complements.  A failure would indicate a lattice
+    construction bug; the witness names the identity and the offending
+    tuple.
 
     Indicators take only the values 0 and 1, so each is held as the bitmask
     of the atoms below its element: the product is AND, and one minus the
@@ -106,8 +105,7 @@ def check_indicator_identities(lattice: OrthoLattice,
     So once every pair passes, the third identity holds for every subset:
     folding the subset's join one element at a time, each step ORs one more
     indicator into the indicator of the join so far.  It is therefore not
-    scanned, and ``max_product_size`` no longer changes the work; it is kept
-    so that callers naming a subset size still run.
+    scanned.
     """
     _require_boolean_atomistic(lattice)
     elements = lattice.elements

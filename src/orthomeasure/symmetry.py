@@ -211,23 +211,31 @@ def _closure(n: int, gen_perms: Sequence[Perm], max_group: int) -> set[Perm]:
     return seen
 
 
+def _find(parent: list[int], i: int) -> int:
+    """The root of i's class in a union-find forest, halving the path."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
+def _join_cycles(parent: list[int], perm: Perm) -> None:
+    """Merge the classes of i and perm[i] for every point perm moves; each
+    class stays rooted at its least index."""
+    for i, j in enumerate(perm):
+        if i != j:
+            a, b = _find(parent, i), _find(parent, j)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+
+
 def _orbit_labels(n: int, perms: Iterable[Perm]) -> list[int]:
     """Classes of the equivalence generated by i ~ p[i] for every map p,
     found by union-find; each class is labelled by its least index."""
     parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     for p in perms:
-        for i, j in enumerate(p):
-            a, b = find(i), find(j)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    return [find(i) for i in range(n)]
+        _join_cycles(parent, p)
+    return [_find(parent, i) for i in range(n)]
 
 
 def close_group(lattice: OrthoLattice, generators: Iterable[LatticeAutomorphism],
@@ -277,22 +285,23 @@ def _search_group(lattice: OrthoLattice, sets: tuple[frozenset[int], ...],
         base.append(nodes[-1][0].index(target))
         nodes.append(search.fix(nodes[-1], base[-1], base[-1]))
 
+    n = len(lattice)
     found: list[LatticeAutomorphism] = []
-    labels = list(range(len(lattice)))  # orbits of the generators found so far
+    parent = list(range(n))  # orbits of the generators found so far
     order = 1
     for level in reversed(range(len(base))):
         b = base[level]
         colours = nodes[level][0]
-        for c in range(len(lattice)):
-            if colours[c] != colours[b] or labels[c] == labels[b]:
+        for c in range(n):
+            if colours[c] != colours[b] or _find(parent, c) == _find(parent, b):
                 continue
             perm = next(search.leaves(search.fix(nodes[level], b, c)), None)
             if perm is not None:
                 # every leaf has passed _preserves_structure
                 found.append(LatticeAutomorphism(lattice, perm, _checked=True))
-                # the old labels, read as a map, keep the old orbits joined
-                labels = _orbit_labels(len(lattice), [labels, perm])
-        order *= labels.count(labels[b])
+                _join_cycles(parent, perm)
+        root = _find(parent, b)
+        order *= sum(_find(parent, c) == root for c in range(n))
     return GroupAction(lattice, found[::-1], order, max_group=max_group, stabilized=sets)
 
 

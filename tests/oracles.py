@@ -370,6 +370,67 @@ def distributivity_witness(lattice):
     return None
 
 
+def inclusion_exclusion_check(lattice, members, partial, k_max=8):
+    """Groemer's inclusion-exclusion identities, by a scan over subsets.
+
+    Checks every combination of 2..k_max distinct members whose join is a
+    member: its value must be the alternating sum of the values at the meets
+    of its nonempty subcombinations, a meet landing on bottom outside the
+    set counting zero.  The lattice must be distributive and the set
+    meet-closed.  Returns a CheckResult whose witness is the first failing
+    combination.
+    """
+    from orthomeasure import (
+        CheckResult,
+        DomainMismatchError,
+        NotDistributiveError,
+        SchemaError,
+        is_distributive,
+        make_generating_set,
+    )
+
+    dist = is_distributive(lattice)
+    if not dist.ok:
+        raise NotDistributiveError(f"witness {dist.witness}")
+    names = make_generating_set(lattice, members).members
+    domain = partial.domain
+    for b in partial.values:
+        if b not in names:
+            raise SchemaError(f"partial measure names non-member {b!r}")
+    values = {}
+    for b in names:
+        if b not in partial.values:
+            raise DomainMismatchError(f"no value given for member {b!r}")
+        values[b] = domain.validate(partial.values[b])
+    for k in range(2, min(len(names), k_max) + 1):
+        for combo in combinations(names, k):
+            join = lattice.join_all(combo)
+            if join not in values:
+                continue
+            expected = 0
+            for size in range(1, k + 1):
+                sign = 1 if size % 2 else -1
+                for sub in combinations(combo, size):
+                    meet = sub[0]
+                    for b in sub[1:]:
+                        meet = lattice.meet(meet, b)
+                    expected += sign * values.get(meet, 0)
+            if domain.validate(expected) != values[join]:
+                return CheckResult(False, combo)
+    return CheckResult(True)
+
+
+def orthogonal_joins_by_subsets(lattice, members):
+    """The joins of every pairwise orthogonal subset of the members, the
+    empty one (bottom) included, by a scan over all subsets."""
+    out = set()
+    for k in range(len(members) + 1):
+        for combo in combinations(members, k):
+            if all(lattice.orthogonal(a, b) for a, b in combinations(combo, 2)):
+                out.add(lattice.join_all(combo))
+    return out
+
+
 def indicator_identities_by_functions(lattice, max_product_size=3):
     """The indicator identity suite on Fraction-valued simple functions.
 

@@ -5,9 +5,10 @@ Claims:
       including the bottom-as-empty-join convention
     - generating-for-the-action combines class-map injectivity with orbit
       generation and reports which half failed
-    - inclusion-exclusion identities are verified and violated as expected
+    - the inclusion-exclusion oracle (a subset scan, kept in the test
+      oracles) verifies and rejects identities as expected
     - the classical extension reproduces the brute-force measure on power
-      sets, is decomposition-independent, and rejects inconsistent input
+      sets and rejects inconsistent input
     - the invariant extension matches the invariant basis, realizes the
       dimension-function example, restricts back to its input, and rejects
       non-invariant or relation-violating values
@@ -40,7 +41,6 @@ from orthomeasure import (
     boolean,
     brute_force_measures,
     classical_groemer_extend,
-    inclusion_exclusion_check,
     integers_mod,
     is_generating_for_action,
     is_measure,
@@ -55,7 +55,7 @@ from orthomeasure import (
     weak_groemer_check,
 )
 
-from oracles import unique_measure_with_atom_values
+from oracles import inclusion_exclusion_check, unique_measure_with_atom_values
 
 
 def test_meet_closure():

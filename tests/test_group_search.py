@@ -8,6 +8,8 @@ Claims:
     - the order matches an independent count of networkx DiGraphMatcher
       isomorphisms of the cover graph with its orthocomplement edges
     - union-find orbits equal the orbits read off the listed closure
+    - each strong generator joins two orbits of the generators found before
+      it, so none is redundant
     - element listing stays under the group's max_group cap
 """
 
@@ -23,6 +25,7 @@ from orthomeasure import (
     close_group,
     horizontal_sum,
     mo,
+    normalizer,
     orbit_of,
     orbits,
     product,
@@ -133,6 +136,36 @@ def test_union_find_orbits_of_a_closed_subgroup():
     listed = orbits_by_listing(action.perms, len(lattice))
     for i, e in enumerate(lattice.elements):
         assert {lattice.index(x) for x in orbit_of(action, e)} == listed[i]
+
+
+def _orbit_count(perms, n):
+    """Connected components of i -- p[i] over the maps, by search."""
+    seen, count = set(), 0
+    for start in range(n):
+        if start in seen:
+            continue
+        count += 1
+        stack = [start]
+        seen.add(start)
+        while stack:
+            i = stack.pop()
+            for p in perms:
+                if p[i] not in seen:
+                    seen.add(p[i])
+                    stack.append(p[i])
+    return count
+
+
+def test_each_generator_joins_orbits():
+    # generators are returned last found first
+    for action in (automorphism_group(mo(4)), automorphism_group(boolean(4)),
+                   automorphism_group(product(mo(2), mo(2))),
+                   automorphism_group(horizontal_sum(boolean(3), mo(3))),
+                   normalizer(automorphism_group(mo(5)), ["a1", "a2'"])):
+        perms = [g.perm for g in action.generators]
+        n = len(action.lattice)
+        for k in range(len(perms)):
+            assert _orbit_count(perms[k:], n) < _orbit_count(perms[k + 1:], n), k
 
 
 def test_listing_respects_the_cap():
