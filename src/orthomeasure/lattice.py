@@ -207,6 +207,20 @@ class OrthoLattice:
                 out.append(i)
         return out
 
+    def orthogonal_index_pairs(self) -> Iterator[tuple[int, int]]:
+        """Index pairs (i, j) with i <= j and j <= i', i ascending, then j.
+
+        The j of one i are the set bits of the down-set of i', from bit i
+        up, so the walk costs one step per orthogonal pair rather than one
+        order test per index pair.
+        """
+        for i, o in enumerate(self.orth_map):
+            rest = self.down_masks[o] >> i << i
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                yield i, j
+
     def cover_masks(self) -> list[int]:
         """covers[i] = bitmask of elements covering i."""
         n = len(self.elements)
@@ -781,14 +795,13 @@ def verify_ortho(lattice: OrthoLattice) -> VerificationReport:
 
 def is_orthomodular(lattice: OrthoLattice) -> CheckResult:
     """a <= b implies a v (a' ^ b) == b; witness is the first failing pair."""
-    n = len(lattice)
-    orth, meet, join = lattice.orth_map, lattice.meet_table, lattice.join_table
-    for i in range(n):
-        rest = lattice.up_masks[i]
+    meet, join = lattice.meet_table, lattice.join_table
+    for i, (rest, o) in enumerate(zip(lattice.up_masks, lattice.orth_map)):
+        join_i, meet_o = join[i], meet[o]
         while rest:
             j = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            if join[i][meet[orth[i]][j]] != j:
+            if join_i[meet_o[j]] != j:
                 return CheckResult(False, (lattice.elements[i], lattice.elements[j]))
     return CheckResult(True)
 
@@ -905,13 +918,8 @@ def orthogonal_pairs(lattice: OrthoLattice) -> list[tuple[str, str]]:
     Includes ("0", "0"): bottom is the only self-orthogonal element, since
     a <= a' forces a == a ^ a' == 0.
     """
-    n = len(lattice)
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            if lattice.leq_index(j, lattice.orth_map[i]):
-                out.append((lattice.elements[i], lattice.elements[j]))
-    return out
+    names = lattice.elements
+    return [(names[i], names[j]) for i, j in lattice.orthogonal_index_pairs()]
 
 
 # --- isomorphism search ---------------------------------------------------------

@@ -4,14 +4,21 @@ The free abelian group on the elements, modulo one relation per unordered
 orthogonal pair (the join minus the two parts), parameterizes measures:
 group homomorphisms out of the quotient are exactly the additive measures,
 and homomorphisms out of the coinvariants under a group action are exactly
-the invariant ones.  Every relation row has at most three nonzero
-entries, all +-1, so unit pivots are eliminated on the sparse rows first;
-the Smith normal form of the core left over (empty for the plain relation
-matrix of every lattice in the test family) yields the torsion, and back-substitution gives explicit coordinates for
-the projection of every lattice element, from which measure bases over Z,
-Q, and Z/m are read off.
-Coinvariants need only the orbits: they are the free group on the orbits
-modulo the relation rows with each orbit's columns summed.
+the invariant ones.  Coinvariants need only the orbits: they are the free
+group on the orbits modulo the relation rows with each orbit's columns
+summed.
+
+On an orthomodular lattice the same group is presented by -e_0 and one
+row per covering pair, built sparse from the masks (the proof is at
+``_presentation_rows``).  Every such row has its +1 strictly above its two
+parts, so one pass over the columns in order of down-set size takes a unit
+pivot for every element but the bottom and the atoms, writing each as the
+sum of the images of its parts.  Only the rows left over, rewritten over
+the atoms (or atom orbits), go through unit-pivot elimination and the Smith
+normal form, which yields any torsion.  Other ortholattices send their
+orthogonal-pair rows to the elimination directly.  Back-substitution gives
+explicit coordinates for the projection of every lattice element, from
+which measure bases over Z, Q, and Z/m are read off.
 
 Coefficient domains are fixed to Z, Q, and Z/m: the finitely computable
 cases.  On a finite lattice every orthogonal family is finite, so additive
@@ -22,13 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainMismatchError, OracleTooLargeError
 from .intlinalg import eliminate_unit_pivots, smith_normal_form, snf_diagonal
-from .lattice import CheckResult, OrthoLattice, same_lattice
+from .lattice import CheckResult, OrthoLattice, is_orthomodular, same_lattice
 from .symmetry import GroupAction
 
 DEFAULT_MAX_ORACLE = 10_000_000
@@ -146,16 +152,10 @@ def is_measure(lattice: OrthoLattice, values: Mapping[str, object],
     itself a violation.
     """
     vals = _validated_values(lattice, values, domain)
-    n = len(lattice)
-    for i in range(n):
-        oi = lattice.orth_map[i]
-        for j in range(i, n):
-            if lattice.leq_index(j, oi):
-                k = lattice.join_table[i][j]
-                if domain.add(vals[i], vals[j]) != vals[k]:
-                    return CheckResult(
-                        False, (lattice.elements[i], lattice.elements[j])
-                    )
+    join = lattice.join_table
+    for i, j in lattice.orthogonal_index_pairs():
+        if domain.add(vals[i], vals[j]) != vals[join[i][j]]:
+            return CheckResult(False, (lattice.elements[i], lattice.elements[j]))
     return CheckResult(True)
 
 
@@ -175,19 +175,18 @@ def relation_matrix(lattice: OrthoLattice) -> list[list[int]]:
     """One row per unordered orthogonal pair: join minus the two parts.
 
     Columns follow the canonical element order.  The ("0", "0") pair
-    contributes the row forcing the bottom element to zero.
+    contributes the row forcing the bottom element to zero.  This is the
+    dense view of the defining relations; :func:`measure_module` builds
+    its rows sparse, and on an OML far fewer (see ``_presentation_rows``).
     """
     n = len(lattice)
     rows = []
-    for i in range(n):
-        oi = lattice.orth_map[i]
-        for j in range(i, n):
-            if lattice.leq_index(j, oi):
-                row = [0] * n
-                row[lattice.join_table[i][j]] += 1
-                row[i] -= 1
-                row[j] -= 1
-                rows.append(row)
+    for i, j in lattice.orthogonal_index_pairs():
+        row = [0] * n
+        row[lattice.join_table[i][j]] += 1
+        row[i] -= 1
+        row[j] -= 1
+        rows.append(row)
     return rows
 
 
@@ -197,37 +196,80 @@ class FPAbelianGroup:
 
     The group is Z/d for each torsion invariant d, then Z^rank; ``images``
     holds, per generator, its coordinates there: torsion coordinates reduced
-    mod their invariant, then free ones.
+    mod their invariant, then free ones.  ``relation_rows`` holds each row
+    sparse, as its nonzero (column, coefficient) pairs in column order.
     """
 
     generator_count: int
-    relation_rows: tuple[tuple[int, ...], ...]
+    relation_rows: tuple[tuple[tuple[int, int], ...], ...]
     invariants: tuple[int, ...]             # nonzero Smith invariants, 1s first
     images: tuple[tuple[int, ...], ...]     # per generator, torsion then free
 
     @classmethod
     def from_relations(cls, generator_count: int, rows: Sequence[Sequence[int]]) -> "FPAbelianGroup":
-        """Unit pivots are eliminated on the sparse rows first; the dense
+        """Z^generator_count modulo dense rows, by unit-pivot elimination
+        and the Smith normal form of the core (see :meth:`_presented`)."""
+        sparse = (tuple((j, a) for j, a in enumerate(r) if a) for r in rows)
+        return cls._presented(generator_count, [r for r in sparse if r])
+
+    @classmethod
+    def _presented(cls, generator_count: int, rows: Sequence[tuple[tuple[int, int], ...]],
+                   heights: Sequence[int] | None = None) -> "FPAbelianGroup":
+        """Z^generator_count modulo sparse rows.
+
+        With ``heights``, a triangular pass comes first.  Columns are put in
+        order of (height, index), and a row's top is its last column in that
+        order.  A row whose top has coefficient +-1, and whose top no earlier
+        row took, is taken as that column's pivot: it writes e_top as minus
+        that coefficient times the rest of the row.  The taken rows are
+        triangular with unit diagonal, so taking them all is a unimodular
+        change of generators.  Visiting the columns in order writes each
+        taken column over the columns left untaken, and every other row,
+        rewritten the same way, is a residual row over those.
+
+        Unit pivots are then eliminated on the residual rows, and the dense
         Smith normal form runs only on the core left over, which is where
         any torsion lives.  Each live generator's coordinates are its row of
-        the core's V (or a unit vector when no core row holds it), and each
+        the core's V (or a unit vector when no core row holds it).  Each
         eliminated generator's are back-substituted from the generators its
-        pivot row names, in reverse elimination order.
+        pivot row names, in reverse elimination order, and after them each
+        taken column's from its row, in the pass's column order.
         """
-        rows = tuple(tuple(r) for r in rows if any(r))
-        columns = range(generator_count)
-        pivots, core = eliminate_unit_pivots(
-            [{j: r[j] for j in compress(columns, r)} for r in rows]
-        )
+        rows = tuple(rows)
+        taken: dict[int, tuple[tuple[int, int], ...]] = {}
+        order: list[int] = []
+        if heights is None:
+            residual = [dict(row) for row in rows]
+        else:
+            order = sorted(range(generator_count), key=lambda c: (heights[c], c))
+            position = [0] * generator_count
+            for t, c in enumerate(order):
+                position[c] = t
+            rest = []
+            for row in rows:
+                c, a = max(row, key=lambda e: position[e[0]])
+                if a in (1, -1) and c not in taken:
+                    taken[c] = row
+                else:
+                    rest.append(row)
+            over_left: list = [None] * generator_count  # column -> {untaken column: coefficient}
+            for c in order:
+                row = taken.get(c)
+                if row is None:
+                    over_left[c] = {c: 1}
+                else:
+                    p = dict(row)[c]
+                    over_left[c] = _combine(((j, -p * a) for j, a in row if j != c), over_left)
+            residual = [r for r in (_combine(row, over_left) for row in rest) if r]
+        pivots, core = eliminate_unit_pivots(residual)
         core_columns = sorted({j for row in core for j in row})
         if core:
             _, d, v = smith_normal_form([[row.get(j, 0) for j in core_columns] for row in core])
             diagonal = snf_diagonal(d)
         else:
             diagonal, v = [], []
-        eliminated = {c for c, _ in pivots}
-        in_core = set(core_columns)
-        free_columns = [j for j in columns if j not in eliminated and j not in in_core]
+        bound = set(taken) | {c for c, _ in pivots} | set(core_columns)
+        free_columns = [j for j in range(generator_count) if j not in bound]
         moduli = [x for x in diagonal if x > 1]
         s = len(diagonal)
         width = len(moduli) + len(core_columns) - s + len(free_columns)
@@ -239,14 +281,22 @@ class FPAbelianGroup:
         for q, j in enumerate(free_columns):
             images[j] = tuple(int(t == offset + q) for t in range(width))
         k = len(moduli)
-        for c, row in reversed(pivots):
+
+        def substitute(c, row):
             acc = [0] * width
             for j, a in row.items():
                 if j != c:
                     f = -row[c] * a
                     acc = [x + f * y for x, y in zip(acc, images[j])]
             images[c] = (*(x % m for x, m in zip(acc[:k], moduli)), *acc[k:])
-        return cls(generator_count, rows, (1,) * len(pivots) + tuple(diagonal), tuple(images))
+
+        for c, row in reversed(pivots):
+            substitute(c, row)
+        for c in order:
+            if c in taken:
+                substitute(c, dict(taken[c]))
+        invariants = (1,) * (len(taken) + len(pivots)) + tuple(diagonal)
+        return cls(generator_count, rows, invariants, tuple(images))
 
     @property
     def rank(self) -> int:
@@ -339,38 +389,123 @@ def measure_module(lattice: OrthoLattice,
                    action: GroupAction | None = None) -> MeasureModule:
     """The universal measure group, or with an action its coinvariants,
     with projection coordinates per element."""
-    return _module_from_relations(lattice, relation_matrix(lattice), action)
+    orthomodular = is_orthomodular(lattice).ok
+    return _module(lattice, _presentation_rows(lattice, orthomodular), action, orthomodular)
 
 
 def coinvariants(module: MeasureModule, action: GroupAction) -> MeasureModule:
     """The coinvariants of a plain module under the action."""
     if module.action is not None:
         raise ValueError("coinvariants needs the plain module")
-    return _module_from_relations(module.lattice, module.group.relation_rows, action)
+    lattice = module.lattice
+    return _module(lattice, module.group.relation_rows, action, is_orthomodular(lattice).ok)
 
 
-def _module_from_relations(lattice: OrthoLattice, rows: Sequence[Sequence[int]],
-                           action: GroupAction | None) -> MeasureModule:
-    """Z^elements modulo the relation rows; under an action, Z^orbits
-    modulo the rows with each orbit's columns summed.
+def _presentation_rows(lattice: OrthoLattice,
+                       orthomodular: bool) -> list[tuple[tuple[int, int], ...]]:
+    """Sparse rows presenting the measure group.
+
+    Write R(x, y) = e_{x v y} - e_x - e_y for x orthogonal to y.  On an
+    orthomodular lattice (OML) the rows are R(0, 0) = -e_0, then R(x, a)
+    for every x != 0 and every atom a <= x', once for each pair of atoms.  On any other ortholattice
+    they are R(x, y) for every orthogonal pair, as in
+    :func:`relation_matrix`.
+
+    On an OML the rows R(x, a) are one per covering pair, and together
+    with -e_0 they generate every R(x, y).  Let S(x, z) = e_z - e_x -
+    e_{z ^ x'} for x <= z.
+      - Orthogonal pairs biject with comparable ones.  For x _|_ y,
+        orthomodularity applied to y <= x' gives x' ^ (x v y) = y, so
+        R(x, y) = S(x, x v y).  Conversely z = x v (z ^ x') for x <= z,
+        so S(x, z) = R(x, z ^ x').
+      - t -> t ^ x' maps [x, z] isomorphically onto [0, z ^ x'], with
+        inverse s -> s v x.  So z covers x exactly when z ^ x' is an
+        atom, and the covering pairs give the rows R(x, a) above.
+      - For x <= y <= z, S(x, z) = S(x, y) + S(y, z) - S(y ^ x', z ^ x').
+        Expanded, this needs (z ^ x') ^ (y ^ x')' = z ^ y'.  The left
+        side is z ^ (x' ^ (y' v x)), and x' ^ (y' v x) = y' by
+        orthomodularity applied to y' <= x' (Foulis-Holland).
+      - Induct on the length of the longest chain in [x, z].  Length 0
+        gives S(x, x) = -e_0, length 1 a covering pair.  Otherwise pick y
+        with x covered by y < z; each interval on the right is shorter,
+        since [y ^ x', z ^ x'] is the image of [y, z] under the
+        isomorphism.
+    Outside OMLs the isomorphism fails (benzene has a < b with b ^ a' = 0).
+    """
+    join = lattice.join_table
+    bottom = lattice.bottom_index
+    if orthomodular:
+        atom_mask = sum(1 << a for a in lattice.atom_indices())
+        # two orthogonal atoms give one row, taken at the lower index
+        pairs = ((i, j) for i, o in enumerate(lattice.orth_map) if i != bottom
+                 for j in _bits(lattice.down_masks[o] & atom_mask
+                                & (-1 << i if atom_mask >> i & 1 else -1)))
+        rows = [((bottom, -1),)]
+    else:
+        pairs = lattice.orthogonal_index_pairs()
+        rows = []
+    for i, j in pairs:
+        if bottom in (i, j):
+            rows.append(((bottom, -1),))
+        else:
+            rows.append(tuple(sorted(((join[i][j], 1), (i, -1), (j, -1)))))
+    return rows
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
+def _combine(terms: Iterable[tuple[int, int]], vectors: Sequence[Mapping[int, int]]) -> dict[int, int]:
+    """The sum of a * vectors[j] over the terms (j, a), zeros dropped."""
+    acc: dict[int, int] = {}
+    for j, a in terms:
+        for k, b in vectors[j].items():
+            acc[k] = acc.get(k, 0) + a * b
+    return {k: x for k, x in acc.items() if x}
+
+
+def _module(lattice: OrthoLattice, rows: Sequence[tuple[tuple[int, int], ...]],
+            action: GroupAction | None, orthomodular: bool) -> MeasureModule:
+    """Z^elements modulo the rows; under an action, Z^orbits modulo the
+    rows with each orbit's columns summed.
 
     The latter is the coinvariant group: e_x -> e_[x] maps Z^elements onto
     Z^orbits, and its kernel is spanned by the rows e_gx - e_x that the
     coinvariants add to the relations.
+
+    On an OML the triangular pass of :meth:`FPAbelianGroup._presented`
+    runs first, with a column's height the size of its element's down-set,
+    which automorphisms keep.  Every row R(x, a) has its +1 at x v a,
+    strictly above both parts (a is not below x, and x v a = a would put
+    x below a and a', so x = 0).  Every z other than 0 and the atoms
+    covers some x != 0 and so tops a row: the pass takes one pivot per
+    such z, or per orbit of them, -e_0 takes the bottom, and only the
+    atoms, or the atom orbits, are left to the elimination.  Other
+    ortholattices go to the elimination whole, so their bases are those
+    of the orthogonal-pair elimination.
     """
-    if action is None:
-        return MeasureModule(lattice, FPAbelianGroup.from_relations(len(lattice), rows))
-    if not same_lattice(action.lattice, lattice):
+    if action is not None and not same_lattice(action.lattice, lattice):
         raise ValueError("action is defined on a different lattice")
     columns = _orbit_columns(lattice, action)
     width = max(columns) + 1
-    merged = {}
-    for row in rows:
-        out = [0] * width
-        for c, x in zip(columns, row):
-            out[c] += x
-        merged[tuple(out)] = None
-    return MeasureModule(lattice, FPAbelianGroup.from_relations(width, list(merged)), action)
+    heights = None
+    if orthomodular:
+        heights = [0] * width
+        for c, down in zip(columns, lattice.down_masks):
+            heights[c] = down.bit_count()
+    if action is not None:
+        merged = {}
+        for row in rows:
+            acc = {}
+            for j, a in row:
+                acc[columns[j]] = acc.get(columns[j], 0) + a
+            merged[tuple(sorted((c, a) for c, a in acc.items() if a))] = None
+        merged.pop((), None)
+        rows = list(merged)
+    return MeasureModule(lattice, FPAbelianGroup._presented(width, rows, heights), action)
 
 
 def hom_count(module: MeasureModule | FPAbelianGroup, m: int) -> int:
@@ -459,12 +594,9 @@ def brute_force_measures(lattice: OrthoLattice, value_range: Iterable,
         )
     # constraint triples (i, j, join), grouped by the last element assigned
     by_last: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for i in range(n):
-        oi = lattice.orth_map[i]
-        for j in range(i, n):
-            if lattice.leq_index(j, oi):
-                k = lattice.join_table[i][j]
-                by_last[max(i, j, k)].append((i, j, k))
+    for i, j in lattice.orthogonal_index_pairs():
+        k = lattice.join_table[i][j]
+        by_last[max(i, j, k)].append((i, j, k))
     assignment = [None] * n
     found: list[Measure] = []
 

@@ -3,7 +3,10 @@
 Everything here is deliberately written from scratch (plain Gaussian
 elimination, Bareiss determinants, exhaustive counting) and must not import
 the package's linear algebra, so that every cross-check runs down two
-independent computational paths.
+independent computational paths.  The one exception is
+``measure_group_by_pairs``, whose independence lies in its presentation:
+it feeds every orthogonal-pair row to ``FPAbelianGroup.from_relations``,
+which is itself checked against the dense Smith normal form and sympy.
 """
 
 from fractions import Fraction
@@ -232,6 +235,32 @@ def row_appended_coinvariant_rows(lattice, perms):
                 row[i] -= 1
                 rows.append(row)
     return rows
+
+
+def measure_group_by_pairs(lattice, action=None):
+    """The measure group, or its coinvariants, from one dense row per
+    orthogonal pair.
+
+    The rows are ``relation_matrix``'s.  Under an action each orbit's
+    columns are summed (orbits numbered by their least element, in order)
+    and repeated rows dropped; unit pivots are eliminated by Markowitz cost
+    with no height order.
+    """
+    from orthomeasure import FPAbelianGroup, relation_matrix
+
+    rows = relation_matrix(lattice)
+    if action is None:
+        return FPAbelianGroup.from_relations(len(lattice), rows)
+    labels = action.orbit_labels()
+    position = {label: k for k, label in enumerate(sorted(set(labels)))}
+    columns = [position[label] for label in labels]
+    merged = {}
+    for row in rows:
+        out = [0] * len(position)
+        for c, x in zip(columns, row):
+            out[c] += x
+        merged[tuple(out)] = None
+    return FPAbelianGroup.from_relations(len(position), list(merged))
 
 
 def orbits_by_listing(perms, n):

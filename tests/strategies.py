@@ -1,0 +1,58 @@
+"""Hypothesis strategies shared by the test modules."""
+
+from functools import lru_cache
+
+from hypothesis import strategies as st
+
+from orthomeasure import (
+    LatticeDescription,
+    benzene,
+    boolean,
+    build_lattice,
+    horizontal_sum,
+    mo,
+    product,
+    subspace_lattice,
+)
+
+BASES = {
+    "boolean(1)": lambda: boolean(1),
+    "boolean(2)": lambda: boolean(2),
+    "boolean(3)": lambda: boolean(3),
+    "mo(1)": lambda: mo(1),
+    "mo(2)": lambda: mo(2),
+    "mo(3)": lambda: mo(3),
+    "benzene": benzene,
+    "subspaces(F_3^2)": lambda: subspace_lattice(3, 2, (1, 1)),
+}
+MAX_ELEMENTS = 64
+MAX_STEPS = 2
+
+
+@lru_cache(maxsize=None)
+def base(name):
+    return BASES[name]()
+
+
+@st.composite
+def composite_lattices(draw):
+    """A base lattice, then up to MAX_STEPS products or horizontal sums
+    with another base on either side; a step that would pass
+    MAX_ELEMENTS elements is skipped.  In half the cases the elements are put
+    in a shuffled order, so that index order need not extend the lattice
+    order."""
+    lattice = base(draw(st.sampled_from(sorted(BASES))))
+    for _ in range(draw(st.integers(0, MAX_STEPS))):
+        other = base(draw(st.sampled_from(sorted(BASES))))
+        op = draw(st.sampled_from([product, horizontal_sum]))
+        size = len(lattice) * len(other) if op is product else len(lattice) + len(other) - 2
+        if size > MAX_ELEMENTS:
+            continue
+        pair = (lattice, other) if draw(st.booleans()) else (other, lattice)
+        lattice = op(*pair)
+    if draw(st.booleans()):
+        desc = lattice.to_description()
+        elements = tuple(draw(st.permutations(desc.elements)))
+        lattice = build_lattice(LatticeDescription(
+            desc.name, elements, desc.leq_pairs, dict(desc.orthocomplement)))
+    return lattice
