@@ -288,7 +288,7 @@ def measure_coordinates(lattice: OrthoLattice,
                         action: GroupAction | None = None) -> tuple[MeasureModule, list[Vector]]:
     """Free measure-basis coordinates of every element, canonical order."""
     module = measure_module(lattice, action)
-    k = len(module.moduli)
+    k = len(module.torsion)
     coords = [module.projection_index(i)[k:] for i in range(len(lattice))]
     return module, coords
 

@@ -8,15 +8,9 @@ correctness one.
 
 from __future__ import annotations
 
-import heapq
-from collections import defaultdict
 from fractions import Fraction
 
 IntMatrix = list[list[int]]
-
-
-def identity_matrix(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
@@ -45,8 +39,8 @@ def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     M = [[int(x) for x in row] for row in matrix]
     if any(len(row) != n for row in M):
         raise ValueError("ragged matrix")
-    U = identity_matrix(m)
-    V = identity_matrix(n)
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):
         M[i], M[j] = M[j], M[i]
@@ -143,97 +137,6 @@ def snf_diagonal(d: IntMatrix) -> list[int]:
         if d[i][i]:
             out.append(d[i][i])
     return out
-
-
-# --- sparse unit-pivot elimination -------------------------------------------
-
-
-def eliminate_unit_pivots(rows: list[dict[int, int]]
-                          ) -> tuple[list[tuple[int, dict[int, int]]], list[dict[int, int]]]:
-    """Eliminate +-1 pivots from sparse integer rows, cheapest first.
-
-    Rows map column to nonzero entry.  A pivot is an entry +-1 at (r, c);
-    its Markowitz cost is (len(r) - 1) * (rows holding c - 1), and the
-    least (cost, row, column) is taken next.  Taking it subtracts multiples
-    of row r from every other row holding c, then drops row r and column c:
-    unimodular row operations followed by a unimodular column change, so
-    Z^columns modulo the rows is unchanged up to that change of generators.
-    Read as relations on generators, row r says e_c = -r[c] * sum of
-    r[j] e_j over the other columns j, all still live when c is taken.
-
-    Returns the pivots in elimination order as (c, row r as taken) and the
-    remaining core rows, none holding a +-1 entry, in original row order.
-
-    Within one column the cheapest pivot is the shortest unit row (least
-    row on ties), so each column keeps a heap of (length, row) for its unit
-    entries and a global heap holds one (cost, row, column) per column.  A
-    pivot changes only the counts of its own row's columns and the lengths
-    of the rows it touches, and those columns alone are pushed again; an
-    entry that is no longer current is dropped when it surfaces.
-    """
-    live = {r: dict(row) for r, row in enumerate(rows) if row}
-    holders: dict[int, set[int]] = defaultdict(set)  # column -> live rows holding it
-    units: dict[int, list[tuple[int, int]]] = defaultdict(list)  # column -> (len, row)
-    heap: list[tuple[int, int, int]] = []
-
-    def note(r):
-        row = live[r]
-        for j, a in row.items():
-            if a in (1, -1):
-                heapq.heappush(units[j], (len(row), r))
-
-    def refresh(c):
-        h = units[c]
-        while h:
-            length, r = h[0]
-            row = live.get(r)
-            if row is not None and len(row) == length and row.get(c) in (1, -1):
-                heapq.heappush(heap, ((length - 1) * (len(holders[c]) - 1), r, c))
-                return
-            heapq.heappop(h)
-
-    for r, row in live.items():
-        for j in row:
-            holders[j].add(r)
-        note(r)
-    for c in units:
-        refresh(c)
-    pivots = []
-    while heap:
-        cost, r, c = heapq.heappop(heap)
-        row = live.get(r)
-        if (row is None or row.get(c) not in (1, -1) or units[c][0][1] != r
-                or cost != (len(row) - 1) * (len(holders[c]) - 1)):
-            continue
-        del live[r]
-        for j in row:
-            holders[j].discard(r)
-        p = row[c]
-        touched = holders.pop(c)
-        changed = set(row)
-        changed.discard(c)
-        for s in touched:
-            srow = live[s]
-            f = srow[c] * p
-            for j, a in row.items():
-                v = srow.get(j, 0) - f * a
-                if v:
-                    if j not in srow:
-                        holders[j].add(s)
-                    srow[j] = v
-                else:
-                    del srow[j]
-                    if j != c:
-                        holders[j].discard(s)
-            if srow:
-                note(s)
-                changed.update(srow)
-            else:
-                del live[s]
-        pivots.append((c, row))
-        for j in changed:
-            refresh(j)
-    return pivots, [live[r] for r in sorted(live)]
 
 
 # --- rational elimination ----------------------------------------------------

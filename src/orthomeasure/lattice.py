@@ -368,6 +368,8 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
                 )
             meet_i[j] = meet[j][i] = order[p]
             join_i[j] = join[j][i] = order[q]
+        # later rows write only to rows past i, so row i is complete
+        meet[i], join[i] = tuple(meet_i), tuple(join_i)
 
     # a lattice's only minimal element is its bottom, its only maximal its top
     bottom, top = order[0], order[-1]

@@ -10,15 +10,15 @@ summed.
 
 On an orthomodular lattice the same group is presented by -e_0 and one
 row per covering pair, built sparse from the masks (the proof is at
-``_presentation_rows``).  Every such row has its +1 strictly above its two
-parts, so one pass over the columns in order of down-set size takes a unit
-pivot for every element but the bottom and the atoms, writing each as the
-sum of the images of its parts.  Only the rows left over, rewritten over
-the atoms (or atom orbits), go through unit-pivot elimination and the Smith
-normal form, which yields any torsion.  Other ortholattices send their
-orthogonal-pair rows to the elimination directly.  Back-substitution gives
-explicit coordinates for the projection of every lattice element, from
-which measure bases over Z, Q, and Z/m are read off.
+``_presentation_rows``); other ortholattices keep one row per orthogonal
+pair.  Either way every row has its +1 strictly above its two parts, so a
+pass over the columns in order of down-set size takes a unit pivot for
+every element but the bottom and the atoms, writing each as the sum of the
+images of its parts.  The pass repeats on the rows left over, rewritten
+over the columns still untaken, until it takes nothing; the Smith normal
+form of what is left yields any torsion.  Back-substitution gives explicit
+coordinates for the projection of every lattice element, from which
+measure bases over Z, Q, and Z/m are read off.
 
 Coefficient domains are fixed to Z, Q, and Z/m: the finitely computable
 cases.  On a finite lattice every orthogonal family is finite, so additive
@@ -33,7 +33,7 @@ from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainMismatchError, OracleTooLargeError
-from .intlinalg import eliminate_unit_pivots, smith_normal_form, snf_diagonal
+from .intlinalg import smith_normal_form, snf_diagonal
 from .lattice import CheckResult, OrthoLattice, is_orthomodular, same_lattice
 from .symmetry import GroupAction
 
@@ -207,68 +207,73 @@ class FPAbelianGroup:
 
     @classmethod
     def from_relations(cls, generator_count: int, rows: Sequence[Sequence[int]]) -> "FPAbelianGroup":
-        """Z^generator_count modulo dense rows, by unit-pivot elimination
-        and the Smith normal form of the core (see :meth:`_presented`)."""
+        """Z^generator_count modulo dense rows, by the triangular passes of
+        :meth:`_presented` with every column at the same height."""
         sparse = (tuple((j, a) for j, a in enumerate(r) if a) for r in rows)
-        return cls._presented(generator_count, [r for r in sparse if r])
+        return cls._presented(generator_count, [r for r in sparse if r], [0] * generator_count)
 
     @classmethod
     def _presented(cls, generator_count: int, rows: Sequence[tuple[tuple[int, int], ...]],
-                   heights: Sequence[int] | None = None) -> "FPAbelianGroup":
-        """Z^generator_count modulo sparse rows.
+                   heights: Sequence[int]) -> "FPAbelianGroup":
+        """Z^generator_count modulo sparse rows, by repeated triangular
+        passes and the Smith normal form of what they leave.
 
-        With ``heights``, a triangular pass comes first.  Columns are put in
-        order of (height, index), and a row's top is its last column in that
-        order.  A row whose top has coefficient +-1, and whose top no earlier
-        row took, is taken as that column's pivot: it writes e_top as minus
-        that coefficient times the rest of the row.  The taken rows are
-        triangular with unit diagonal, so taking them all is a unimodular
-        change of generators.  Visiting the columns in order writes each
-        taken column over the columns left untaken, and every other row,
-        rewritten the same way, is a residual row over those.
+        A pass puts the columns its rows hold in order of (height, most
+        rows holding the column first, index), and a row's top is its last
+        column in that order.  A row whose top has coefficient +-1, and
+        whose top no earlier row took, is taken as that column's pivot: it
+        writes e_top as minus that coefficient times the rest of the row.
+        The taken rows are triangular with unit diagonal, so taking them
+        all is a unimodular change of generators.  Visiting the columns in
+        order writes each taken column over the columns left untaken, and
+        every other row, rewritten the same way, is a residual row over
+        those.  Passes repeat on the residual rows until one takes nothing.
+        Putting the columns that many rows hold first keeps them below the
+        tops, so one pass takes many pivots whatever the element order.
 
-        Unit pivots are then eliminated on the residual rows, and the dense
-        Smith normal form runs only on the core left over, which is where
-        any torsion lives.  Each live generator's coordinates are its row of
-        the core's V (or a unit vector when no core row holds it).  Each
-        eliminated generator's are back-substituted from the generators its
-        pivot row names, in reverse elimination order, and after them each
-        taken column's from its row, in the pass's column order.
+        The dense Smith normal form runs only on the rows left, which is
+        where any torsion lives.  Each live generator's coordinates are its
+        row of their V (or a unit vector when no row left holds it).  Each
+        taken column's come from its row, pass by pass in reverse, and
+        within a pass in its column order.
         """
         rows = tuple(rows)
-        taken: dict[int, tuple[tuple[int, int], ...]] = {}
-        order: list[int] = []
-        if heights is None:
-            residual = [dict(row) for row in rows]
-        else:
-            order = sorted(range(generator_count), key=lambda c: (heights[c], c))
-            position = [0] * generator_count
-            for t, c in enumerate(order):
-                position[c] = t
+        passes: list[list[tuple[int, dict[int, int]]]] = []
+        residual = [dict(row) for row in rows]
+        while residual:
+            holders: dict[int, int] = {}
+            for row in residual:
+                for j in row:
+                    holders[j] = holders.get(j, 0) + 1
+            order = sorted(holders, key=lambda c: (heights[c], -holders[c], c))
+            position = {c: t for t, c in enumerate(order)}
+            taken: dict[int, dict[int, int]] = {}
             rest = []
-            for row in rows:
-                c, a = max(row, key=lambda e: position[e[0]])
-                if a in (1, -1) and c not in taken:
+            for row in residual:
+                c = max(row, key=position.__getitem__)
+                if row[c] in (1, -1) and c not in taken:
                     taken[c] = row
                 else:
                     rest.append(row)
-            over_left: list = [None] * generator_count  # column -> {untaken column: coefficient}
+            if not taken:
+                break
+            over_left: dict[int, dict[int, int]] = {}  # column -> {untaken column: coefficient}
             for c in order:
                 row = taken.get(c)
                 if row is None:
                     over_left[c] = {c: 1}
                 else:
-                    p = dict(row)[c]
-                    over_left[c] = _combine(((j, -p * a) for j, a in row if j != c), over_left)
-            residual = [r for r in (_combine(row, over_left) for row in rest) if r]
-        pivots, core = eliminate_unit_pivots(residual)
-        core_columns = sorted({j for row in core for j in row})
-        if core:
-            _, d, v = smith_normal_form([[row.get(j, 0) for j in core_columns] for row in core])
+                    p = row[c]
+                    over_left[c] = _combine(((j, -p * a) for j, a in row.items() if j != c), over_left)
+            passes.append([(c, taken[c]) for c in order if c in taken])
+            residual = [r for r in (_combine(row.items(), over_left) for row in rest) if r]
+        core_columns = sorted({j for row in residual for j in row})
+        if residual:
+            _, d, v = smith_normal_form([[row.get(j, 0) for j in core_columns] for row in residual])
             diagonal = snf_diagonal(d)
         else:
             diagonal, v = [], []
-        bound = set(taken) | {c for c, _ in pivots} | set(core_columns)
+        bound = {c for pivots in passes for c, _ in pivots} | set(core_columns)
         free_columns = [j for j in range(generator_count) if j not in bound]
         moduli = [x for x in diagonal if x > 1]
         s = len(diagonal)
@@ -281,21 +286,15 @@ class FPAbelianGroup:
         for q, j in enumerate(free_columns):
             images[j] = tuple(int(t == offset + q) for t in range(width))
         k = len(moduli)
-
-        def substitute(c, row):
-            acc = [0] * width
-            for j, a in row.items():
-                if j != c:
-                    f = -row[c] * a
-                    acc = [x + f * y for x, y in zip(acc, images[j])]
-            images[c] = (*(x % m for x, m in zip(acc[:k], moduli)), *acc[k:])
-
-        for c, row in reversed(pivots):
-            substitute(c, row)
-        for c in order:
-            if c in taken:
-                substitute(c, dict(taken[c]))
-        invariants = (1,) * (len(taken) + len(pivots)) + tuple(diagonal)
+        for pivots in reversed(passes):
+            for c, row in pivots:
+                acc = [0] * width
+                for j, a in row.items():
+                    if j != c:
+                        f = -row[c] * a
+                        acc = [x + f * y for x, y in zip(acc, images[j])]
+                images[c] = (*(x % m for x, m in zip(acc[:k], moduli)), *acc[k:])
+        invariants = (1,) * sum(map(len, passes)) + tuple(diagonal)
         return cls(generator_count, rows, invariants, tuple(images))
 
     @property
@@ -326,21 +325,17 @@ class MeasureModule:
     that element i maps to.
     """
 
-    __slots__ = ("lattice", "group", "action", "columns", "moduli", "rank", "_proj")
+    __slots__ = ("lattice", "group", "action", "columns", "torsion", "rank", "_proj")
 
     def __init__(self, lattice: OrthoLattice, group: FPAbelianGroup,
-                 action: GroupAction | None = None):
+                 action: GroupAction | None, columns: Sequence[int]):
         self.lattice = lattice
         self.group = group
         self.action = action
-        self.columns = _orbit_columns(lattice, action)
-        self.moduli = group.torsion
+        self.columns = columns
+        self.torsion = group.torsion
         self.rank = group.rank
-        self._proj = tuple(group.images[c] for c in self.columns)
-
-    @property
-    def torsion(self) -> tuple[int, ...]:
-        return self.moduli
+        self._proj = tuple(group.images[c] for c in columns)
 
     @property
     def variant(self) -> str:
@@ -359,21 +354,18 @@ class MeasureModule:
     def projection_index(self, i: int) -> tuple[int, ...]:
         return self._proj[i]
 
-    def free_coordinates(self, name: str) -> tuple[int, ...]:
-        return self._proj[self.lattice.index(name)][len(self.moduli):]
-
     def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        k = len(self.moduli)
-        torsion = tuple((x + y) % d for x, y, d in zip(a[:k], b[:k], self.moduli))
+        k = len(self.torsion)
+        torsion = tuple((x + y) % d for x, y, d in zip(a[:k], b[:k], self.torsion))
         free = tuple(x + y for x, y in zip(a[k:], b[k:]))
         return torsion + free
 
     @property
     def zero(self) -> tuple[int, ...]:
-        return (0,) * (len(self.moduli) + self.rank)
+        return (0,) * (len(self.torsion) + self.rank)
 
     def report_dict(self) -> dict:
-        return {"rank": self.rank, "torsion": list(self.moduli)}
+        return {"rank": self.rank, "torsion": list(self.torsion)}
 
 
 def _orbit_columns(lattice: OrthoLattice, action: GroupAction | None) -> list[int]:
@@ -388,17 +380,16 @@ def _orbit_columns(lattice: OrthoLattice, action: GroupAction | None) -> list[in
 def measure_module(lattice: OrthoLattice,
                    action: GroupAction | None = None) -> MeasureModule:
     """The universal measure group, or with an action its coinvariants,
-    with projection coordinates per element."""
-    orthomodular = is_orthomodular(lattice).ok
-    return _module(lattice, _presentation_rows(lattice, orthomodular), action, orthomodular)
+    with projection coordinates per element.  The rows are cover rows on an
+    orthomodular lattice and orthogonal-pair rows on any other."""
+    return _module(lattice, _presentation_rows(lattice, is_orthomodular(lattice).ok), action)
 
 
 def coinvariants(module: MeasureModule, action: GroupAction) -> MeasureModule:
     """The coinvariants of a plain module under the action."""
     if module.action is not None:
         raise ValueError("coinvariants needs the plain module")
-    lattice = module.lattice
-    return _module(lattice, module.group.relation_rows, action, is_orthomodular(lattice).ok)
+    return _module(module.lattice, module.group.relation_rows, action)
 
 
 def _presentation_rows(lattice: OrthoLattice,
@@ -468,7 +459,7 @@ def _combine(terms: Iterable[tuple[int, int]], vectors: Sequence[Mapping[int, in
 
 
 def _module(lattice: OrthoLattice, rows: Sequence[tuple[tuple[int, int], ...]],
-            action: GroupAction | None, orthomodular: bool) -> MeasureModule:
+            action: GroupAction | None) -> MeasureModule:
     """Z^elements modulo the rows; under an action, Z^orbits modulo the
     rows with each orbit's columns summed.
 
@@ -476,26 +467,23 @@ def _module(lattice: OrthoLattice, rows: Sequence[tuple[tuple[int, int], ...]],
     Z^orbits, and its kernel is spanned by the rows e_gx - e_x that the
     coinvariants add to the relations.
 
-    On an OML the triangular pass of :meth:`FPAbelianGroup._presented`
-    runs first, with a column's height the size of its element's down-set,
-    which automorphisms keep.  Every row R(x, a) has its +1 at x v a,
-    strictly above both parts (a is not below x, and x v a = a would put
-    x below a and a', so x = 0).  Every z other than 0 and the atoms
-    covers some x != 0 and so tops a row: the pass takes one pivot per
-    such z, or per orbit of them, -e_0 takes the bottom, and only the
-    atoms, or the atom orbits, are left to the elimination.  Other
-    ortholattices go to the elimination whole, so their bases are those
-    of the orthogonal-pair elimination.
+    The group is reduced by the triangular passes of
+    :meth:`FPAbelianGroup._presented`, with a column's height the size of
+    its element's down-set, which automorphisms keep.  A row R(x, y) with
+    x, y != 0 has its +1 at x v y, strictly above both parts (x v y = x
+    would put y below x and x', so y = 0); the rows with a part 0 are
+    -e_0.  On an OML every z other than 0 and the atoms covers some x != 0
+    and so tops a row: the first pass takes one pivot per such z, or per
+    orbit of them, -e_0 takes the bottom, and only the atoms, or the atom
+    orbits, are left to the later passes and the Smith normal form.
     """
     if action is not None and not same_lattice(action.lattice, lattice):
         raise ValueError("action is defined on a different lattice")
     columns = _orbit_columns(lattice, action)
     width = max(columns) + 1
-    heights = None
-    if orthomodular:
-        heights = [0] * width
-        for c, down in zip(columns, lattice.down_masks):
-            heights[c] = down.bit_count()
+    heights = [0] * width
+    for c, down in zip(columns, lattice.down_masks):
+        heights[c] = down.bit_count()
     if action is not None:
         merged = {}
         for row in rows:
@@ -505,7 +493,7 @@ def _module(lattice: OrthoLattice, rows: Sequence[tuple[tuple[int, int], ...]],
             merged[tuple(sorted((c, a) for c, a in acc.items() if a))] = None
         merged.pop((), None)
         rows = list(merged)
-    return MeasureModule(lattice, FPAbelianGroup._presented(width, rows, heights), action)
+    return MeasureModule(lattice, FPAbelianGroup._presented(width, rows, heights), action, columns)
 
 
 def hom_count(module: MeasureModule | FPAbelianGroup, m: int) -> int:
@@ -532,7 +520,7 @@ def basis_from_module(module: MeasureModule, domain: Domain) -> list[Measure]:
     invariant d plus one of order m per free coordinate.
     """
     lattice = module.lattice
-    k = len(module.moduli)
+    k = len(module.torsion)
     out = []
     if domain.kind in ("Z", "Q"):
         for j in range(module.rank):
@@ -545,7 +533,7 @@ def basis_from_module(module: MeasureModule, domain: Domain) -> list[Measure]:
             out.append(Measure(domain, dict(zip(lattice.elements, values))))
         return out
     m = domain.modulus
-    for t, d in enumerate(module.moduli):
+    for t, d in enumerate(module.torsion):
         g = gcd(d, m)
         if g == 1:
             continue

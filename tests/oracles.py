@@ -243,8 +243,9 @@ def measure_group_by_pairs(lattice, action=None):
 
     The rows are ``relation_matrix``'s.  Under an action each orbit's
     columns are summed (orbits numbered by their least element, in order)
-    and repeated rows dropped; unit pivots are eliminated by Markowitz cost
-    with no height order.
+    and repeated rows dropped.  ``from_relations`` reduces them with every
+    column at the same height, so its passes order the columns by how many
+    rows hold them alone, not by the down-set sizes ``measure_module`` uses.
     """
     from orthomeasure import FPAbelianGroup, relation_matrix
 

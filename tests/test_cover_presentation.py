@@ -1,4 +1,4 @@
-"""The measure group from cover rows in one height-ordered pass.
+"""The measure group from cover rows in repeated height-ordered passes.
 
 Claims:
     - orthogonal_index_pairs visits the pairs of the all-pairs scan, in its
@@ -7,12 +7,17 @@ Claims:
       and horizontal sum, plain and under the full and a cyclic group, the
       rank and torsion equal those of the orthogonal-pair oracle, and every
       orthogonal-pair row maps to zero in the new group
-    - on an orthomodular lattice only atom columns (or atom orbits) reach
-      the elimination, and the Smith normal form never sees an empty core
-    - a Boolean lattice's integer basis is the atom indicators; benzene
-      keeps the basis of the orthogonal-pair elimination
+    - on an orthomodular lattice the first pass leaves only atom columns
+      (or atom orbits), and the Smith normal form never sees an empty core
+    - a Boolean lattice's integer basis is the atom indicators; benzene's
+      basis measures are additive and generate its integer measures
+    - the coinvariants of hsum(benzene, MO3) under its full group are
+      Z (+) Z/2: the orthogonal-pair oracle, hom counts into Z/2 and Z/3
+      and brute-force invariant measures agree
     - closed forms past the 32-element test family, under wall-clock
-      bounds: rank M(B_11) = 11 and rank M(MO(400)) = 401
+      bounds: rank M(B_11) = 11 and rank M(MO(400)) = 401; with the atoms
+      of MO(400) listed a1..a400, a400'..a1', the passes make at most two
+      rewrites per element, as in the canonical order
 """
 
 import time
@@ -23,10 +28,17 @@ from hypothesis import given, settings, strategies as st
 import orthomeasure.measures as measures_mod
 from orthomeasure import (
     INTEGERS,
+    LatticeDescription,
     benzene,
     boolean,
+    brute_force_measures,
+    build_lattice,
     close_group,
     coinvariants,
+    hom_count,
+    horizontal_sum,
+    integers_mod,
+    is_measure,
     is_orthomodular,
     measure_basis,
     measure_module,
@@ -36,7 +48,7 @@ from orthomeasure import (
 )
 from orthomeasure.symmetry import automorphism_group
 
-from oracles import measure_group_by_pairs
+from oracles import measure_group_by_pairs, solve_exact
 from strategies import composite_lattices
 
 
@@ -101,29 +113,35 @@ def test_composites_match_orthogonal_pair_oracle(lattice):
 @settings(max_examples=40, deadline=None)
 @given(composite_lattices(), st.booleans())
 def test_only_atoms_reach_the_elimination(lattice, use_group):
+    # on an OML the first pass takes every column but the atoms, so every
+    # rewritten row and every taken column's expression is over the atoms,
+    # and the SNF sees no more columns than there are atoms
     action = automorphism_group(lattice) if use_group else None
-    seen = []
-    original_eliminate = measures_mod.eliminate_unit_pivots
+    written, widths = [], []
+    original_combine = measures_mod._combine
     original_snf = measures_mod.smith_normal_form
 
-    def eliminate(rows):
-        seen.extend(j for row in rows for j in row)
-        return original_eliminate(rows)
+    def combine(terms, vectors):
+        out = original_combine(terms, vectors)
+        written.extend(out)
+        return out
 
     def snf(matrix):
         assert matrix and matrix[0]
+        widths.append(len(matrix[0]))
         return original_snf(matrix)
 
-    measures_mod.eliminate_unit_pivots = eliminate
+    measures_mod._combine = combine
     measures_mod.smith_normal_form = snf
     try:
         module = measure_module(lattice, action)
     finally:
-        measures_mod.eliminate_unit_pivots = original_eliminate
+        measures_mod._combine = original_combine
         measures_mod.smith_normal_form = original_snf
     if is_orthomodular(lattice).ok:
         atom_columns = {module.columns[a] for a in lattice.atom_indices()}
-        assert set(seen) <= atom_columns
+        assert set(written) <= atom_columns
+        assert all(w <= len(atom_columns) for w in widths)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
@@ -137,16 +155,36 @@ def test_boolean_basis_is_the_atom_indicators(n):
     assert [dict(m.values) for m in basis] == expected
 
 
-def test_benzene_keeps_the_orthogonal_pair_basis():
+def test_benzene_basis_generates_its_integer_measures():
     lattice = benzene()
     assert not is_orthomodular(lattice).ok
-    basis = [dict(m.values) for m in measure_basis(lattice, INTEGERS)]
-    assert basis == [
-        {"0": 0, "a": 1, "b": 1, "b'": -1, "a'": -1, "1": 0},
-        {"0": 0, "a": 1, "b": 1, "b'": 0, "a'": 0, "1": 1},
-    ]
-    oracle = measure_group_by_pairs(lattice)
-    assert measure_module(lattice).group.images == oracle.images
+    basis = measure_basis(lattice, INTEGERS)
+    assert len(basis) == measure_module(lattice).rank == 2
+    for m in basis:
+        assert is_measure(lattice, m.values, INTEGERS).ok
+    columns = [[m(e) for m in basis] for e in lattice.elements]
+    found = brute_force_measures(lattice, range(-2, 3), INTEGERS)
+    assert len(found) > 1
+    for m in found:
+        x = solve_exact(columns, [m(e) for e in lattice.elements])
+        assert x is not None and all(c.denominator == 1 for c in x), dict(m.values)
+
+
+def test_first_torsion_in_an_invariant_measure_group():
+    lattice = horizontal_sum(benzene(), mo(3))
+    action = automorphism_group(lattice)
+    module = measure_module(lattice, action)
+    oracle = measure_group_by_pairs(lattice, action)
+    assert (module.rank, module.torsion) == (oracle.rank, oracle.torsion) == (1, (2,))
+    labels = action.orbit_labels()
+    orbit_count = len(set(labels))
+    for m, count in ((2, 4), (3, 3)):
+        assert hom_count(module, m) == count
+        found = brute_force_measures(lattice, range(m), integers_mod(m))
+        invariant = [x for x in found
+                     if len({(label, x(e)) for label, e in zip(labels, lattice.elements)})
+                     == orbit_count]
+        assert len(invariant) == count
 
 
 def test_rank_of_boolean_11():
@@ -162,4 +200,37 @@ def test_rank_of_mo_400():
     start = time.perf_counter()
     module = measure_module(lattice)
     assert (module.rank, module.torsion) == (401, ())
+    assert time.perf_counter() - start < 3.0
+
+
+def _nested_mo(n):
+    """MO(n) with its elements listed 0, a1..an, an'..a1', 1."""
+    atoms = [f"a{i}" for i in range(1, n + 1)]
+    primes = [f"a{i}'" for i in range(n, 0, -1)]
+    orth = {"0": "1", "1": "0"}
+    for i in range(1, n + 1):
+        orth[f"a{i}"], orth[f"a{i}'"] = f"a{i}'", f"a{i}"
+    pairs = [("0", a) for a in atoms + primes] + [(a, "1") for a in atoms + primes]
+    return build_lattice(LatticeDescription(f"nested mo({n})", ("0", *atoms, *primes, "1"),
+                                            tuple(pairs), orth))
+
+
+def test_work_on_mo_400_does_not_depend_on_element_order(monkeypatch):
+    # every row a1 + a1' - ai - ai' left by the first pass holds a1 and a1';
+    # listed first in the second pass's order, they are no row's top, so
+    # that pass takes all 399 rows instead of one per pass
+    lattice = _nested_mo(400)
+    calls = 0
+    original = measures_mod._combine
+
+    def combine(terms, vectors):
+        nonlocal calls
+        calls += 1
+        return original(terms, vectors)
+
+    monkeypatch.setattr(measures_mod, "_combine", combine)
+    start = time.perf_counter()
+    module = measure_module(lattice)
+    assert (module.rank, module.torsion) == (401, ())
+    assert calls <= 2 * len(lattice)
     assert time.perf_counter() - start < 3.0

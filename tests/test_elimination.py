@@ -1,4 +1,4 @@
-"""Sparse unit-pivot elimination in front of the Smith normal form.
+"""Repeated triangular passes in front of the Smith normal form.
 
 Claims:
     - FPAbelianGroup.from_relations gives the rank and torsion of the dense
@@ -9,8 +9,8 @@ Claims:
       element of Z/d (+) ... (+) Z^rank
     - the free coordinates of the images and the free columns of the dense
       V span the same Z-module of integer measures
-    - eliminate_unit_pivots leaves no +-1 entry in its core and takes the
-      cheapest Markowitz pivot first
+    - the Smith normal form sees only the rows the passes leave, and on the
+      family's orthogonal-pair rows it is never called
     - closed forms past the 32-element test family, under wall-clock
       bounds: rank M(B_8) = 8, rank M(MO3 x MO4) = 9, B_9 distributive
 """
@@ -20,6 +20,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import orthomeasure.measures as measures_mod
 from orthomeasure import (
     FPAbelianGroup,
     boolean,
@@ -30,7 +31,7 @@ from orthomeasure import (
     relation_matrix,
     smith_normal_form,
 )
-from orthomeasure.intlinalg import eliminate_unit_pivots, snf_diagonal
+from orthomeasure.intlinalg import snf_diagonal
 
 from oracles import solve_exact
 
@@ -111,32 +112,40 @@ def test_from_relations_matches_sympy(case):
     assert group.torsion == tuple(int(d) for d in factors if d > 1)
 
 
-def test_core_carries_the_torsion():
-    # the unit row goes first; the rows left over hold only even entries
+def _snf_inputs(monkeypatch):
+    """The matrices measures.smith_normal_form is called on, as they come."""
+    seen = []
+    original = measures_mod.smith_normal_form
+
+    def snf(matrix):
+        seen.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(measures_mod, "smith_normal_form", snf)
+    return seen
+
+
+def test_core_carries_the_torsion(monkeypatch):
+    # the unit row is taken; the rows left for the SNF are the two even rows
+    seen = _snf_inputs(monkeypatch)
     group = _check_group(4, [[2, 0, 0, 0], [0, 2, 2, 0], [1, 1, 1, 1]])
     assert group.torsion == (2, 2) and group.rank == 1
-    pivots, core = eliminate_unit_pivots([{0: 2}, {1: 2, 2: 2}, {0: 1, 1: 1, 2: 1, 3: 1}])
-    assert [c for c, _ in pivots] == [3]
-    assert core == [{0: 2}, {1: 2, 2: 2}]
+    assert seen == [[[2, 0, 0], [0, 2, 2]]]
 
 
-def test_pivots_are_taken_cheapest_first():
-    # first costs: row 0 at any column 2 * 1, row 1 at columns 0 and 1
-    # 1 * 1, row 2 at column 2 0 * 1; taking (2, 2) shortens row 0 to
-    # e0 + e1, whose cost 1 * 1 at column 0 then ties row 1 and wins on row
-    rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: -1}, {2: -1}]
-    pivots, core = eliminate_unit_pivots(rows)
-    assert pivots == [(2, {2: -1}), (0, {0: 1, 1: 1})]
-    assert core == [{1: -2}]
+def test_pivots_are_taken_cheapest_first(monkeypatch):
+    # rows 0 and 1 are taken at columns 2 and 1; row 2 is left as 2 e0
+    seen = _snf_inputs(monkeypatch)
     assert FPAbelianGroup.from_relations(3, [[1, 1, 1], [1, -1, 0], [0, 0, -1]]).torsion == (2,)
+    assert seen == [[[2]]]
 
 
-def test_measure_group_of_the_family_has_no_core(family):
+def test_measure_group_of_the_family_has_no_core(family, monkeypatch):
+    seen = _snf_inputs(monkeypatch)
     for name, lattice in family.items():
-        rows = [{j: a for j, a in enumerate(r) if a} for r in relation_matrix(lattice)]
-        pivots, core = eliminate_unit_pivots(rows)
-        assert core == [], name
-        assert len(lattice) - len(pivots) == measure_module(lattice).rank, name
+        group = FPAbelianGroup.from_relations(len(lattice), relation_matrix(lattice))
+        assert group.rank == measure_module(lattice).rank, name
+        assert seen == [], name
 
 
 def test_rank_of_boolean_8():
