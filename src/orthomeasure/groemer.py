@@ -2,7 +2,7 @@
 
 Both extensions run on one closure over pairwise orthogonal joins
 (``_orthogonal_closure``).  Starting from bottom, it joins every element x
-reached so far with every member b <= x', in O(n |B|) table lookups.  By
+reached so far with every member b <= x', in O(n |B|) mask operations.  By
 De Morgan, b <= (v S)' holds exactly when b is orthogonal to every s in S,
 so the elements reached are exactly the joins of pairwise orthogonal sets
 of members, in any ortholattice and with no bound on the size of those
@@ -111,15 +111,19 @@ def _orthogonal_closure(lattice: OrthoLattice, members: Iterable[str],
     (bottom: 0), unreduced.
     """
     gens = [(lattice.index(b), values[b]) for b in members]
-    orth, join, down = lattice.orth_map, lattice.join_table, lattice.down_masks
+    orth, down = lattice.orth_map, lattice.down_masks
+    order, up_pos = lattice.order, lattice.up_pos
     sums = {lattice.bottom_index: 0}
     queue = [lattice.bottom_index]
     for x in queue:  # grows while it is read
-        below, row, total = down[orth[x]], join[x], sums[x]
+        below, up_x, total = down[orth[x]], up_pos[x], sums[x]
         for b, v in gens:
-            if below >> b & 1 and row[b] not in sums:
-                sums[row[b]] = total + v
-                queue.append(row[b])
+            if below >> b & 1:
+                ub = up_x & up_pos[b]  # x v b is at its lowest position
+                z = order[(ub & -ub).bit_length() - 1]
+                if z not in sums:
+                    sums[z] = total + v
+                    queue.append(z)
     missing = next((e for i, e in enumerate(lattice.elements) if i not in sums), None)
     return missing, sums
 

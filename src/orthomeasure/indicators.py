@@ -106,17 +106,21 @@ def check_indicator_identities(lattice: OrthoLattice) -> CheckResult:
     folding the subset's join one element at a time, each step ORs one more
     indicator into the indicator of the join so far.  It is therefore not
     scanned.
+
+    Meets and joins are symmetric, so the pairs y >= x (by index) meet the
+    first failing pair of a scan over all ordered pairs.
     """
     _require_boolean_atomistic(lattice)
     elements = lattice.elements
-    meet, join = lattice.meet_table, lattice.join_table
+    meet, join = lattice.meet_index, lattice.join_index
     atom_mask = sum(1 << a for a in lattice.atom_indices())
     ind = [d & atom_mask for d in lattice.down_masks]
     for x, ix in enumerate(ind):
-        for y, iy in enumerate(ind):
-            if ix & iy != ind[meet[x][y]]:
+        for y in range(x, len(ind)):
+            iy = ind[y]
+            if ix & iy != ind[meet(x, y)]:
                 return CheckResult(False, ("product", elements[x], elements[y]))
-            if ix | iy != ind[join[x][y]]:
+            if ix | iy != ind[join(x, y)]:
                 return CheckResult(False, ("modular", elements[x], elements[y]))
     return CheckResult(True)
 

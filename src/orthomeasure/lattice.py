@@ -2,19 +2,23 @@
 
 Elements are identified by strings; the element order given at construction
 time is canonical and every scan, witness, and report iterates in that order.
-Internally the order relation is kept as one bitmask row per element and the
-meet/join tables are precomputed, so downstream exhaustive checks are cheap.
+Internally the order relation is kept as bitmask rows, one per element, over
+element indices and again over the positions of a topological order.  No
+meet or join is stored: the meet of two elements is the element at the
+highest position of their common down-set, the join the one at the lowest
+position of their common up-set, each one AND and one bit scan.
 Construction puts the elements in a topological order of the given pairs,
-closes the order in one pass over it, and reads each meet (join) off the
-highest (lowest) position of a pair's common down-set (up-set), so an
-accepted description costs O(pairs + n^2) big-int operations; only a
-rejected one runs the witness scans that name its first failure.
+closes the order in one pass over it, and proves that every pair has a
+meet, so an accepted description costs O(pairs + n^2) big-int operations
+and writes nothing quadratic; only a rejected one runs the witness scans
+that name its first failure.
 
 Instances are immutable after construction and safe to share between readers.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -114,9 +118,16 @@ class OrthoLattice:
     """A validated finite orthocomplemented lattice.
 
     Use :func:`build_lattice` or one of the constructors below; the raw
-    constructor assumes already-validated tables.  The index-level tables
-    (`up_masks`, `down_masks`, `meet_table`, `join_table`, `orth_map`) are
-    part of the API for sibling modules that run exhaustive scans.
+    constructor assumes already-validated data.  ``up_masks`` and
+    ``down_masks`` hold each element's up- and down-set as bits over element
+    indices; ``order`` lists the element indices in a linear extension of
+    the order, and ``up_pos`` and ``down_pos`` hold the same sets as bits
+    over positions in it.  Every element of a down-set sits at a lower
+    position than its maximum, so the meet of i and j is the element at the
+    highest set bit of ``down_pos[i] & down_pos[j]``, and dually the join is
+    at the lowest set bit of ``up_pos[i] & up_pos[j]``.  These index-level
+    fields and ``orth_map`` are part of the API for sibling modules that
+    run exhaustive scans.
     """
 
     __slots__ = (
@@ -125,27 +136,28 @@ class OrthoLattice:
         "_index",
         "up_masks",
         "down_masks",
-        "meet_table",
-        "join_table",
         "orth_map",
+        "order",
+        "up_pos",
+        "down_pos",
         "bottom_index",
         "top_index",
     )
 
-    def __init__(self, name, elements, up_masks, meet_table, join_table, orth_map,
-                 bottom_index, top_index):
+    def __init__(self, name, elements, up_masks, down_masks, orth_map, order,
+                 up_pos, down_pos):
         self.name = name
         self.elements = tuple(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
         self.up_masks = tuple(up_masks)
-        self.down_masks = tuple(
-            _transpose_masks(self.up_masks, len(self.elements))
-        )
-        self.meet_table = tuple(tuple(row) for row in meet_table)
-        self.join_table = tuple(tuple(row) for row in join_table)
+        self.down_masks = tuple(down_masks)
         self.orth_map = tuple(orth_map)
-        self.bottom_index = bottom_index
-        self.top_index = top_index
+        self.order = tuple(order)
+        self.up_pos = tuple(up_pos)
+        self.down_pos = tuple(down_pos)
+        # a lattice's only minimal element is its bottom, its only maximal its top
+        self.bottom_index = self.order[0]
+        self.top_index = self.order[-1]
 
     # --- basic queries -------------------------------------------------------
 
@@ -179,11 +191,18 @@ class OrthoLattice:
     def leq_index(self, i: int, j: int) -> bool:
         return bool(self.up_masks[i] >> j & 1)
 
+    def meet_index(self, i: int, j: int) -> int:
+        return self.order[(self.down_pos[i] & self.down_pos[j]).bit_length() - 1]
+
+    def join_index(self, i: int, j: int) -> int:
+        common = self.up_pos[i] & self.up_pos[j]
+        return self.order[(common & -common).bit_length() - 1]
+
     def meet(self, a: str, b: str) -> str:
-        return self.elements[self.meet_table[self._index[a]][self._index[b]]]
+        return self.elements[self.meet_index(self._index[a], self._index[b])]
 
     def join(self, a: str, b: str) -> str:
-        return self.elements[self.join_table[self._index[a]][self._index[b]]]
+        return self.elements[self.join_index(self._index[a], self._index[b])]
 
     def orthocomplement(self, a: str) -> str:
         return self.elements[self.orth_map[self._index[a]]]
@@ -194,10 +213,12 @@ class OrthoLattice:
         return self.leq_index(j, self.orth_map[i])
 
     def join_all(self, names: Iterable[str]) -> str:
-        idx = self.bottom_index
+        """The least element above all of ``names``: the lowest position of
+        their common up-set (bottom for no names)."""
+        common = self.up_pos[self.bottom_index]
         for name in names:
-            idx = self.join_table[idx][self._index[name]]
-        return self.elements[idx]
+            common &= self.up_pos[self._index[name]]
+        return self.elements[self.order[(common & -common).bit_length() - 1]]
 
     def atom_indices(self) -> list[int]:
         out = []
@@ -286,13 +307,19 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
     position, so if the lower bounds of a pair have a greatest element, it is
     the one at the highest set bit of their down-sets' AND; one equality
     check (its down-set is the whole bound set) decides whether the meet
-    exists.  Joins are the lowest set bit of the up-sets' AND, dually.
+    exists.  Every pair i < j gets that check, and nothing is written.
 
-    Order reversal of the orthocomplement is checked on the given pairs
-    only: reversing a generating relation reverses its transitive closure.
-    Only a failing input runs the quadratic and cubic witness scans, which
-    name the same first failure as a scan of the closed relation would; an
-    accepted input never reaches them.
+    Joins need no check of their own once the orthocomplement is an
+    order-reversing involution: then z >= x, y exactly when z' <= x', y',
+    so x v y = (x' ^ y')'.  The same reasoning gives the join half of the
+    complement laws: x v x' = (x' ^ x)' = 0', and 0' is the top.  Order
+    reversal is checked on the given pairs only: reversing a generating
+    relation reverses its transitive closure.
+
+    Any failure hands over to :func:`_raise_first_failure`, which repeats
+    the checks in the order that names the first failure (each pair's meet,
+    then its join, then the orthocomplement); an accepted input never
+    reaches it.
     """
     elements = desc.elements
     n = len(elements)
@@ -329,7 +356,7 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
             f"cycle: {elements[i]!r} <= {elements[j]!r} <= {elements[i]!r}"
         )
 
-    # up: bits over element indices; up_pos, down_pos: bits over positions
+    # up, down: bits over element indices; up_pos, down_pos: bits over positions
     up = [0] * n
     up_pos = [0] * n
     for p in range(n - 1, -1, -1):
@@ -339,40 +366,69 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
             mask |= up[j]
             mask_pos |= up_pos[j]
         up[i], up_pos[i] = mask, mask_pos
+    down = [0] * n
     down_pos = [0] * n
     for p, i in enumerate(order):
-        mask_pos = 1 << p
+        mask, mask_pos = 1 << i, 1 << p
         for j in below[i]:
+            mask |= down[j]
             mask_pos |= down_pos[j]
-        down_pos[i] = mask_pos
+        down[i], down_pos[i] = mask, mask_pos
 
+    # None marks a missing or unknown image
+    orth = [index.get(desc.orthocomplement.get(e)) for e in elements]
+    # with every meet, position 0 holds the bottom, so x ^ x' = 0 reads
+    # as a common down-set of the bottom alone
+    if not (
+        _every_pair_meets(down_pos, order)
+        and None not in orth
+        and len(desc.orthocomplement) == n
+        and all(orth[o] == i and down_pos[i] & down_pos[o] == 1 for i, o in enumerate(orth))
+        and all(up[orth[j]] >> orth[i] & 1 for i in range(n) for j in above[i])
+    ):
+        _raise_first_failure(desc, index, above, order, up, up_pos, down_pos)
+    return OrthoLattice(desc.name, elements, up, down, orth, order, up_pos, down_pos)
+
+
+def _every_pair_meets(down_pos, order) -> bool:
+    """Whether the lower bounds of every pair have a greatest element: the
+    one at their highest position, whose down-set must be all of them.  An
+    empty bound set fails too, as position -1 holds a nonempty down-set."""
+    down_at = [down_pos[i] for i in order]
+    for p, d in enumerate(down_at):
+        for e in down_at[p + 1:]:
+            lb = d & e
+            if down_at[lb.bit_length() - 1] != lb:
+                return False
+    return True
+
+
+def _raise_first_failure(desc, index, above, order, up, up_pos, down_pos):
+    """Raise the error of the first check a rejected description fails.
+
+    The checks run in the order that fixes which failure is named: each
+    pair's meet and then its join, pairs in index order; then the
+    orthocomplement's images, involution and complement laws element by
+    element, and order reversal.  :func:`build_lattice` comes here only
+    when one of them fails.
+    """
+    elements = desc.elements
+    n = len(elements)
     up_at = [up_pos[i] for i in order]
     down_at = [down_pos[i] for i in order]
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
     for i in range(n):
         down_i, up_i = down_pos[i], up_pos[i]
-        meet_i, join_i = meet[i], join[i]
         for j in range(i, n):
             lb = down_i & down_pos[j]
-            p = lb.bit_length() - 1
-            if not lb or down_at[p] != lb:
+            if not lb or down_at[lb.bit_length() - 1] != lb:
                 raise NotALatticeError(
                     f"{elements[i]!r} and {elements[j]!r} have no meet"
                 )
             ub = up_i & up_pos[j]
-            q = (ub & -ub).bit_length() - 1
-            if not ub or up_at[q] != ub:
+            if not ub or up_at[(ub & -ub).bit_length() - 1] != ub:
                 raise NotALatticeError(
                     f"{elements[i]!r} and {elements[j]!r} have no join"
                 )
-            meet_i[j] = meet[j][i] = order[p]
-            join_i[j] = join[j][i] = order[q]
-        # later rows write only to rows past i, so row i is complete
-        meet[i], join[i] = tuple(meet_i), tuple(join_i)
-
-    # a lattice's only minimal element is its bottom, its only maximal its top
-    bottom, top = order[0], order[-1]
 
     orth = [None] * n
     for e in elements:
@@ -390,17 +446,15 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
             raise BadOrthocomplementError(
                 f"involution fails at {elements[i]!r}"
             )
-        if join[i][orth[i]] != top or meet[i][orth[i]] != bottom:
+        ub = up_pos[i] & up_pos[orth[i]]
+        if ub & -ub != 1 << n - 1 or down_pos[i] & down_pos[orth[i]] != 1:
             raise BadOrthocomplementError(
                 f"complement laws fail at {elements[i]!r}"
             )
-    if any(not up[orth[j]] >> orth[i] & 1 for i in range(n) for j in above[i]):
-        i, j = _order_reversal_witness(up, orth)
-        raise BadOrthocomplementError(
-            f"order reversal fails on ({elements[i]!r}, {elements[j]!r})"
-        )
-
-    return OrthoLattice(desc.name, elements, up, meet, join, orth, bottom, top)
+    i, j = _order_reversal_witness(up, orth)
+    raise BadOrthocomplementError(
+        f"order reversal fails on ({elements[i]!r}, {elements[j]!r})"
+    )
 
 
 def _cycle_witness(above):
@@ -563,8 +617,13 @@ def subspace_lattice(q: int, n: int, form: tuple[int, ...],
 
     ``form`` lists the diagonal coefficients of the bilinear form.  The form
     must be anisotropic (no nonzero self-orthogonal vector), which is exactly
-    what makes the orthogonality map a genuine orthocomplementation; this is
-    checked exhaustively and violations raise IsotropicFormError.
+    what makes the orthogonality map a genuine orthocomplementation;
+    violations raise IsotropicFormError naming the first isotropic vector in
+    lexicographic order.  The vectors are scanned lazily: for n >= 3 some
+    vector is isotropic (Chevalley-Warning: a quadratic form in more
+    variables than its degree has a nontrivial zero), and one is met within
+    the q^3 vectors that vary only the last three coordinates, so F_q^n is
+    listed only for an anisotropic form, when n <= 2.
     """
     if n < 1 or len(form) != n:
         raise ValueError("form must list one diagonal coefficient per dimension")
@@ -575,18 +634,17 @@ def subspace_lattice(q: int, n: int, form: tuple[int, ...],
     def pairing(u, v):
         return sum(c * a * b for c, a, b in zip(coeffs, u, v)) % q
 
-    all_vectors = _all_vectors(q, n)
-    for v in all_vectors:
+    for v in itertools.product(range(q), repeat=n):
         if any(v) and pairing(v, v) == 0:
             raise IsotropicFormError(f"isotropic vector {v} over F_{q}")
+    all_vectors = list(itertools.product(range(q), repeat=n))
 
     # enumerate subspaces as row-echelon forms of spans of point subsets
     points = [v for v in all_vectors if _is_projective_rep(v, q)]
-    from itertools import combinations
 
     subspaces = {(): ()}  # rref basis tuple -> basis
     for k in range(1, n + 1):
-        for combo in combinations(points, k):
+        for combo in itertools.combinations(points, k):
             rref = tuple(_ffield_rref([list(p) for p in combo], q))
             subspaces[rref] = rref
     ordered = sorted(subspaces, key=lambda b: (len(b), b))
@@ -619,13 +677,6 @@ def subspace_lattice(q: int, n: int, form: tuple[int, ...],
         orth,
     )
     return build_lattice(desc, max_elements)
-
-
-def _all_vectors(q, n):
-    vectors = [()]
-    for _ in range(n):
-        vectors = [v + (c,) for v in vectors for c in range(q)]
-    return vectors
 
 
 def _is_projective_rep(v, q):
@@ -711,10 +762,22 @@ def horizontal_sum(a: OrthoLattice, b: OrthoLattice,
 
 
 def verify_ortho(lattice: OrthoLattice) -> VerificationReport:
-    """Exhaustively re-verify every orthocomplemented-lattice axiom."""
+    """Exhaustively re-verify every orthocomplemented-lattice axiom.
+
+    ``meet_join_tables`` compares the meet and join of every pair i <= j,
+    read off the position masks, with the AND of their down- and up-sets;
+    both are symmetric in i and j, so the first failure is the one a scan
+    of all ordered pairs would meet first.  ``de_morgan`` needs no scan when
+    the partial order, the meets and joins, the involution and order
+    reversal all hold: x v y is then the least upper bound of x and y, and
+    an order-reversing involution carries it to the greatest lower bound of
+    x' and y', which is x' ^ y'.  Only when one of those fails is every pair
+    scanned, for the witness.
+    """
     n = len(lattice)
     elements = lattice.elements
     up, down = lattice.up_masks, lattice.down_masks
+    order, up_pos, down_pos = lattice.order, lattice.up_pos, lattice.down_pos
     orth = lattice.orth_map
     checks: dict[str, CheckResult] = {}
 
@@ -731,8 +794,13 @@ def verify_ortho(lattice: OrthoLattice) -> VerificationReport:
                 witness = (elements[i], elements[j])
             if i != j and up[j] >> i & 1:
                 witness = (elements[i], elements[j])
+            if not down[j] >> i & 1:  # the down masks transpose the up masks
+                witness = (elements[i], elements[j])
         if witness:
             break
+    if witness is None and sum(m.bit_count() for m in up) != sum(m.bit_count() for m in down):
+        witness = next((elements[i], elements[j]) for j in range(n)
+                       for i in _bits(down[j]) if not up[i] >> j & 1)
     checks["partial_order"] = CheckResult(witness is None, witness)
 
     witness = None
@@ -743,13 +811,13 @@ def verify_ortho(lattice: OrthoLattice) -> VerificationReport:
 
     witness = None
     for i in range(n):
-        for j in range(n):
-            lb = down[i] & down[j]
-            if down[lattice.meet_table[i][j]] != lb:
+        down_i, up_i, dpos_i, upos_i = down[i], up[i], down_pos[i], up_pos[i]
+        for j in range(i, n):
+            if down[order[(dpos_i & down_pos[j]).bit_length() - 1]] != down_i & down[j]:
                 witness = ("meet", elements[i], elements[j])
                 break
-            ub = up[i] & up[j]
-            if up[lattice.join_table[i][j]] != ub:
+            ub = upos_i & up_pos[j]
+            if up[order[(ub & -ub).bit_length() - 1]] != up_i & up[j]:
                 witness = ("join", elements[i], elements[j])
                 break
         if witness:
@@ -761,12 +829,12 @@ def verify_ortho(lattice: OrthoLattice) -> VerificationReport:
     )
     checks["involution"] = CheckResult(witness is None, witness)
 
-    witness = None
-    for i in range(n):
-        if (lattice.join_table[i][orth[i]] != lattice.top_index
-                or lattice.meet_table[i][orth[i]] != lattice.bottom_index):
-            witness = (elements[i],)
-            break
+    witness = next(
+        ((elements[i],) for i, o in enumerate(orth)
+         if lattice.join_index(i, o) != lattice.top_index
+         or lattice.meet_index(i, o) != lattice.bottom_index),
+        None,
+    )
     checks["complement"] = CheckResult(witness is None, witness)
 
     witness = None
@@ -783,27 +851,42 @@ def verify_ortho(lattice: OrthoLattice) -> VerificationReport:
     checks["order_reversal"] = CheckResult(witness is None, witness)
 
     witness = None
-    for i in range(n):
-        for j in range(n):
-            if orth[lattice.join_table[i][j]] != lattice.meet_table[orth[i]][orth[j]]:
-                witness = (elements[i], elements[j])
-                break
-        if witness:
-            break
+    if not all(checks[name].ok for name in
+               ("partial_order", "meet_join_tables", "involution", "order_reversal")):
+        witness = next(
+            ((elements[i], elements[j]) for i in range(n) for j in range(n)
+             if orth[lattice.join_index(i, j)] != lattice.meet_index(orth[i], orth[j])),
+            None,
+        )
     checks["de_morgan"] = CheckResult(witness is None, witness)
 
     return VerificationReport(checks)
 
 
 def is_orthomodular(lattice: OrthoLattice) -> CheckResult:
-    """a <= b implies a v (a' ^ b) == b; witness is the first failing pair."""
-    meet, join = lattice.meet_table, lattice.join_table
+    """a <= b implies a v (a' ^ b) == b; witness is the first failing pair.
+
+    A distributive lattice passes at once (a v (a' ^ b) = (a v a') ^ (a v b)
+    = b), by the proof of :func:`is_boolean`.  Any other ortholattice is
+    orthomodular exactly when a <= b and a' ^ b = 0 force a = b, one AND
+    per comparable pair: the law gives b = a v 0 = a, and conversely
+    c = a v (a' ^ b) <= b has c' ^ b = d ^ d' = 0 for d = a' ^ b, so c = b.
+    Only when that test fails are the pairs scanned for the witness.
+    """
+    order, up_pos, down_pos = lattice.order, lattice.up_pos, lattice.down_pos
+    # position 0 holds the bottom, so a' ^ b = 0 reads as a common down-set of 1
+    if is_boolean(lattice) or not any(
+            down_pos[o] & down_pos[j] == 1
+            for i, o in enumerate(lattice.orth_map)
+            for j in _bits(lattice.up_masks[i] ^ 1 << i)):
+        return CheckResult(True)
     for i, (rest, o) in enumerate(zip(lattice.up_masks, lattice.orth_map)):
-        join_i, meet_o = join[i], meet[o]
+        up_i, down_o = up_pos[i], down_pos[o]
         while rest:
             j = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            if join_i[meet_o[j]] != j:
+            ub = up_i & up_pos[order[(down_o & down_pos[j]).bit_length() - 1]]
+            if order[(ub & -ub).bit_length() - 1] != j:
                 return CheckResult(False, (lattice.elements[i], lattice.elements[j]))
     return CheckResult(True)
 
@@ -811,23 +894,21 @@ def is_orthomodular(lattice: OrthoLattice) -> CheckResult:
 def is_distributive(lattice: OrthoLattice) -> CheckResult:
     """Both distributive laws over all triples; witness is the first failure.
 
-    "ok" is proved in O(n^2) by :func:`_join_irreducibles_split_joins`; only
-    a lattice failing that proof gets the triple scan, which finds the
-    witness.
+    "ok" is proved in O(n |J|) by :func:`is_boolean`; only a lattice
+    failing that proof gets the triple scan, which finds the witness.  The
+    scan skips x = 0 and x = 1, where both laws hold in any lattice.
     """
-    if _join_irreducibles_split_joins(lattice):
+    if is_boolean(lattice):
         return CheckResult(True)
     n = len(lattice)
-    meet, join = lattice.meet_table, lattice.join_table
+    meet, join = lattice.meet_index, lattice.join_index
     for x in range(n):
+        if x in (lattice.bottom_index, lattice.top_index):
+            continue
         for y in range(n):
             for z in range(n):
-                if join[x][meet[y][z]] != meet[join[x][y]][join[x][z]]:
-                    return CheckResult(
-                        False,
-                        (lattice.elements[x], lattice.elements[y], lattice.elements[z]),
-                    )
-                if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
+                if (join(x, meet(y, z)) != meet(join(x, y), join(x, z))
+                        or meet(x, join(y, z)) != join(meet(x, y), meet(x, z))):
                     return CheckResult(
                         False,
                         (lattice.elements[x], lattice.elements[y], lattice.elements[z]),
@@ -835,43 +916,48 @@ def is_distributive(lattice: OrthoLattice) -> CheckResult:
     return CheckResult(True)
 
 
-def _join_irreducibles_split_joins(lattice: OrthoLattice) -> bool:
-    """Whether x -> J(x), the join-irreducibles below x, preserves joins.
+def is_boolean(lattice: OrthoLattice) -> bool:
+    """Distributive, and so Boolean, as the lattice is complemented.
 
-    J always preserves meets, and x is the join of J(x), so J is injective;
-    when it also preserves joins it embeds the lattice in a lattice of sets,
-    which is distributive.  Conversely, in a distributive lattice every
-    join-irreducible j is join-prime (j <= x v y gives j <= x or j <= y).
-    So this holds exactly when the lattice is distributive.  It suffices to
-    check J(x v j) = J(x) | J(j) for every x and join-irreducible j: joining
-    the elements of J(y) onto x one at a time then gives J(x v y) = J(x) | J(y).
-    An element is join-irreducible when the join of everything strictly
-    below it falls short of it.
+    Decided by whether x -> J(x), the join-irreducibles below x, preserves
+    joins.  J always preserves meets, and x is the join of J(x), so J is
+    injective; when it also preserves joins it embeds the lattice in a
+    lattice of sets, which is distributive.  Conversely, in a distributive
+    lattice every join-irreducible j is join-prime (j <= x v y gives j <= x
+    or j <= y).  So this holds exactly when the lattice is distributive.  It
+    suffices to check J(x v j) = J(x) | J(j) for every x and join-irreducible
+    j: joining the elements of J(y) onto x one at a time then gives
+    J(x v y) = J(x) | J(y).
+
+    An element x != 0 is join-irreducible when the elements strictly below
+    it have a greatest element, their join; otherwise that join is x.  The
+    greatest candidate is the one at the highest position below x's, so
+    finding J costs O(n) big-int operations and the whole proof O(n |J|).
+    A finite Boolean lattice has 2^k elements and k join-irreducibles, its
+    atoms, so any other count fails at once.
     """
-    join, down = lattice.join_table, lattice.down_masks
+    n = len(lattice)
+    if n & n - 1:
+        return False
+    order, down_pos, up_pos = lattice.order, lattice.down_pos, lattice.up_pos
     irreducible = []
-    for x in range(len(lattice)):
-        acc = lattice.bottom_index
-        rest = down[x] & ~(1 << x)
-        while rest:
-            y = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            acc = join[acc][y]
-        if acc != x:
+    for x, d in enumerate(down_pos):
+        strictly_below = d ^ 1 << d.bit_length() >> 1  # x is at the top bit
+        if strictly_below and down_pos[order[strictly_below.bit_length() - 1]] == strictly_below:
             irreducible.append(x)
+    if len(irreducible) != n.bit_length() - 1:
+        return False
     mask = sum(1 << j for j in irreducible)
-    below = [d & mask for d in down]
-    for x, row in enumerate(join):
-        bx = below[x]
+    below = [d & mask for d in lattice.down_masks]
+    for x, bx in enumerate(below):
+        if x in (lattice.bottom_index, lattice.top_index):
+            continue  # 0 v j = j and 1 v j = 1 keep the identity
+        up_x = up_pos[x]
         for j in irreducible:
-            if below[row[j]] != bx | below[j]:
+            ub = up_x & up_pos[j]
+            if below[order[(ub & -ub).bit_length() - 1]] != bx | below[j]:
                 return False
     return True
-
-
-def is_boolean(lattice: OrthoLattice) -> bool:
-    """Complemented (by construction) and distributive."""
-    return is_distributive(lattice).ok
 
 
 def atoms(lattice: OrthoLattice) -> tuple[str, ...]:
@@ -880,12 +966,16 @@ def atoms(lattice: OrthoLattice) -> tuple[str, ...]:
 
 
 def is_atomistic(lattice: OrthoLattice) -> CheckResult:
-    """Every element is the join of the atoms below it."""
-    atom_idx = lattice.atom_indices()
-    for i, e in enumerate(lattice.elements):
-        below = [lattice.elements[a] for a in atom_idx if lattice.down_masks[i] >> a & 1]
-        if lattice.join_all(below) != e:
-            return CheckResult(False, (e,))
+    """Every element is the join of the atoms below it: the lowest position
+    of the atoms' common up-set is its own."""
+    atom_mask = sum(1 << a for a in lattice.atom_indices())
+    order, up_pos = lattice.order, lattice.up_pos
+    for i, down in enumerate(lattice.down_masks):
+        common = up_pos[lattice.bottom_index]
+        for a in _bits(down & atom_mask):
+            common &= up_pos[a]
+        if order[(common & -common).bit_length() - 1] != i:
+            return CheckResult(False, (lattice.elements[i],))
     return CheckResult(True)
 
 
@@ -899,12 +989,12 @@ def atom_split_check(lattice: OrthoLattice) -> CheckResult:
     if not dist.ok:
         raise NotDistributiveError(f"witness {dist.witness}")
     n = len(lattice)
-    join = lattice.join_table
+    join = lattice.join_index
     for z in lattice.atom_indices():
         zu = lattice.up_masks[z]
         for a in range(n):
             for b in range(n):
-                lhs = bool(zu >> join[a][b] & 1)
+                lhs = bool(zu >> join(a, b) & 1)
                 rhs = bool(zu >> a & 1 or zu >> b & 1)
                 if lhs != rhs:
                     return CheckResult(
@@ -912,6 +1002,13 @@ def atom_split_check(lattice: OrthoLattice) -> CheckResult:
                         (lattice.elements[z], lattice.elements[a], lattice.elements[b]),
                     )
     return CheckResult(True)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of a mask, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
 def orthogonal_pairs(lattice: OrthoLattice) -> list[tuple[str, str]]:

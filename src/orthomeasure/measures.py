@@ -8,10 +8,12 @@ the invariant ones.  Coinvariants need only the orbits: they are the free
 group on the orbits modulo the relation rows with each orbit's columns
 summed.
 
-On an orthomodular lattice the same group is presented by -e_0 and one
-row per covering pair, built sparse from the masks (the proof is at
-``_presentation_rows``); other ortholattices keep one row per orthogonal
-pair.  Either way every row has its +1 strictly above its two parts, so a
+On a distributive lattice, which is Boolean, the group is free on the
+atoms and is written down directly (``_boolean_module``).  On any other
+orthomodular lattice it is presented by -e_0 and one row per covering
+pair, built sparse from the masks (the proof is at ``_presentation_rows``);
+other ortholattices keep one row per orthogonal pair.  Either way every
+row has its +1 strictly above its two parts, so a
 pass over the columns in order of down-set size takes a unit pivot for
 every element but the bottom and the atoms, writing each as the sum of the
 images of its parts.  The pass repeats on the rows left over, rewritten
@@ -30,11 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainMismatchError, OracleTooLargeError
 from .intlinalg import smith_normal_form, snf_diagonal
-from .lattice import CheckResult, OrthoLattice, is_orthomodular, same_lattice
+from .lattice import CheckResult, OrthoLattice, _bits, is_boolean, is_orthomodular, same_lattice
 from .symmetry import GroupAction
 
 DEFAULT_MAX_ORACLE = 10_000_000
@@ -152,9 +154,10 @@ def is_measure(lattice: OrthoLattice, values: Mapping[str, object],
     itself a violation.
     """
     vals = _validated_values(lattice, values, domain)
-    join = lattice.join_table
+    order, up_pos = lattice.order, lattice.up_pos
     for i, j in lattice.orthogonal_index_pairs():
-        if domain.add(vals[i], vals[j]) != vals[join[i][j]]:
+        ub = up_pos[i] & up_pos[j]  # the join is at its lowest position
+        if domain.add(vals[i], vals[j]) != vals[order[(ub & -ub).bit_length() - 1]]:
             return CheckResult(False, (lattice.elements[i], lattice.elements[j]))
     return CheckResult(True)
 
@@ -183,7 +186,7 @@ def relation_matrix(lattice: OrthoLattice) -> list[list[int]]:
     rows = []
     for i, j in lattice.orthogonal_index_pairs():
         row = [0] * n
-        row[lattice.join_table[i][j]] += 1
+        row[lattice.join_index(i, j)] += 1
         row[i] -= 1
         row[j] -= 1
         rows.append(row)
@@ -284,7 +287,7 @@ class FPAbelianGroup:
             images[j] = (*torsion, *v[i][s:], *[0] * len(free_columns))
         offset = width - len(free_columns)
         for q, j in enumerate(free_columns):
-            images[j] = tuple(int(t == offset + q) for t in range(width))
+            images[j] = (0,) * (offset + q) + (1,) + (0,) * (width - offset - q - 1)
         k = len(moduli)
         for pivots in reversed(passes):
             for c, row in pivots:
@@ -372,6 +375,8 @@ def _orbit_columns(lattice: OrthoLattice, action: GroupAction | None) -> list[in
     """Generator index per element: the element itself, or its orbit."""
     if action is None:
         return list(range(len(lattice)))
+    if not same_lattice(action.lattice, lattice):
+        raise ValueError("action is defined on a different lattice")
     labels = action.orbit_labels()
     position = {label: k for k, label in enumerate(sorted(set(labels)))}
     return [position[label] for label in labels]
@@ -380,8 +385,11 @@ def _orbit_columns(lattice: OrthoLattice, action: GroupAction | None) -> list[in
 def measure_module(lattice: OrthoLattice,
                    action: GroupAction | None = None) -> MeasureModule:
     """The universal measure group, or with an action its coinvariants,
-    with projection coordinates per element.  The rows are cover rows on an
-    orthomodular lattice and orthogonal-pair rows on any other."""
+    with projection coordinates per element.  A Boolean lattice takes the
+    closed form; otherwise the rows are cover rows on an orthomodular
+    lattice and orthogonal-pair rows on any other."""
+    if is_boolean(lattice):
+        return _boolean_module(lattice, action)
     return _module(lattice, _presentation_rows(lattice, is_orthomodular(lattice).ok), action)
 
 
@@ -423,7 +431,7 @@ def _presentation_rows(lattice: OrthoLattice,
         isomorphism.
     Outside OMLs the isomorphism fails (benzene has a < b with b ^ a' = 0).
     """
-    join = lattice.join_table
+    join = lattice.join_index
     bottom = lattice.bottom_index
     if orthomodular:
         atom_mask = sum(1 << a for a in lattice.atom_indices())
@@ -439,14 +447,8 @@ def _presentation_rows(lattice: OrthoLattice,
         if bottom in (i, j):
             rows.append(((bottom, -1),))
         else:
-            rows.append(tuple(sorted(((join[i][j], 1), (i, -1), (j, -1)))))
+            rows.append(tuple(sorted(((join(i, j), 1), (i, -1), (j, -1)))))
     return rows
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
 
 
 def _combine(terms: Iterable[tuple[int, int]], vectors: Sequence[Mapping[int, int]]) -> dict[int, int]:
@@ -477,23 +479,67 @@ def _module(lattice: OrthoLattice, rows: Sequence[tuple[tuple[int, int], ...]],
     orbit of them, -e_0 takes the bottom, and only the atoms, or the atom
     orbits, are left to the later passes and the Smith normal form.
     """
-    if action is not None and not same_lattice(action.lattice, lattice):
-        raise ValueError("action is defined on a different lattice")
     columns = _orbit_columns(lattice, action)
     width = max(columns) + 1
     heights = [0] * width
     for c, down in zip(columns, lattice.down_masks):
         heights[c] = down.bit_count()
     if action is not None:
-        merged = {}
-        for row in rows:
-            acc = {}
-            for j, a in row:
-                acc[columns[j]] = acc.get(columns[j], 0) + a
-            merged[tuple(sorted((c, a) for c, a in acc.items() if a))] = None
-        merged.pop((), None)
-        rows = list(merged)
+        rows = _merged_rows(rows, columns)
     return MeasureModule(lattice, FPAbelianGroup._presented(width, rows, heights), action, columns)
+
+
+def _merged_rows(rows: Sequence[tuple[tuple[int, int], ...]],
+                 columns: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
+    """The rows with each orbit's columns summed; zero and repeated rows
+    dropped, the rest in order of first appearance."""
+    merged = {}
+    for row in rows:
+        acc = {}
+        for j, a in row:
+            acc[columns[j]] = acc.get(columns[j], 0) + a
+        merged[tuple(sorted((c, a) for c, a in acc.items() if a))] = None
+    merged.pop((), None)
+    return list(merged)
+
+
+def _boolean_module(lattice: OrthoLattice, action: GroupAction | None) -> MeasureModule:
+    """The measure group of a Boolean lattice in closed form: Z^atoms, or
+    under an action Z^(atom orbits), each element at the number of its
+    atoms in each coordinate.
+
+    Every element x is the orthogonal join of the atoms below it, so a
+    measure is the sum of its atom values, and any atom values give one:
+    the group is free on the atoms, with e_x -> the sum of e_a over the
+    atoms a <= x.  The rows e_x - (that sum), one per element other than
+    the atoms (e_0 for the bottom), present it; under an action they are
+    merged by orbit as in :func:`_module`, and the coinvariants of a
+    permutation module are free on the orbits.  The row route reaches the
+    same images and invariants, taking a pivot at every column but the
+    atoms' (or atom orbits'); ``relation_rows`` keep :func:`coinvariants`
+    exact.
+    """
+    columns = _orbit_columns(lattice, action)
+    atom_mask = sum(1 << a for a in lattice.atom_indices())
+    coordinate = {c: t for t, c in enumerate(sorted({columns[a] for a in _bits(atom_mask)}))}
+    rows = []
+    images: dict[int, tuple[int, ...]] = {}
+    for x, down in enumerate(lattice.down_masks):
+        below = list(_bits(down & atom_mask))
+        if below != [x]:
+            rows.append(tuple(sorted([(x, 1), *((a, -1) for a in below)])))
+        c = columns[x]
+        if c not in images:
+            counts = [0] * len(coordinate)
+            for a in below:
+                counts[coordinate[columns[a]]] += 1
+            images[c] = tuple(counts)
+    if action is not None:
+        rows = _merged_rows(rows, columns)
+    width = len(images)
+    group = FPAbelianGroup(width, tuple(rows), (1,) * (width - len(coordinate)),
+                           tuple(images[c] for c in range(width)))
+    return MeasureModule(lattice, group, action, columns)
 
 
 def hom_count(module: MeasureModule | FPAbelianGroup, m: int) -> int:
@@ -583,7 +629,7 @@ def brute_force_measures(lattice: OrthoLattice, value_range: Iterable,
     # constraint triples (i, j, join), grouped by the last element assigned
     by_last: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for i, j in lattice.orthogonal_index_pairs():
-        k = lattice.join_table[i][j]
+        k = lattice.join_index(i, j)
         by_last[max(i, j, k)].append((i, j, k))
     assignment = [None] * n
     found: list[Measure] = []

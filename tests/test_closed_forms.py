@@ -1,0 +1,159 @@
+"""Closed forms against the routes they stand in for.
+
+Claims:
+    - on boolean(1..9), plain, under the full group and under the cyclic
+      rotation of the points, the Boolean closed form of measure_module
+      gives the rank, invariants, columns and coordinates of the cover-row
+      route, and the coinvariants of the plain module equal the module
+      under the action
+    - M(A x B) = M(A) (+) M(B) in rank and torsion over pairs of family
+      members
+    - past the 32-element family, under wall-clock bounds: rank M(B_12) =
+      12, rank M(MO(2000)) = 2001, and verify_ortho(boolean(11)) passes
+      every check
+    - subspace_lattice rejects n >= 3 at the first isotropic vector in
+      lexicographic order without listing F_q^n, in under 1 s for
+      F_101^4, and for n = 2 and an anisotropic form it is MO((q + 1) / 2)
+"""
+
+import itertools
+import time
+
+import pytest
+
+import orthomeasure.measures as measures_mod
+from orthomeasure import (
+    IsotropicFormError,
+    LatticeAutomorphism,
+    are_isomorphic,
+    boolean,
+    close_group,
+    coinvariants,
+    measure_module,
+    mo,
+    product,
+    subspace_lattice,
+    verify_ortho,
+)
+from orthomeasure.symmetry import automorphism_group
+
+
+def _row_route(lattice, action):
+    rows = measures_mod._presentation_rows(lattice, True)
+    return measures_mod._module(lattice, rows, action)
+
+
+def _rotation(lattice):
+    """The group generated by moving point i of boolean(n) to point i + 1."""
+    mapping = {s: s[-1] + s[:-1] for s in lattice.elements}
+    return close_group(lattice, [LatticeAutomorphism.from_mapping(lattice, mapping)])
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_boolean_closed_form_matches_the_row_route(n):
+    lattice = boolean(n)
+    plain = measure_module(lattice)
+    for action in (None, automorphism_group(lattice), _rotation(lattice)):
+        module = measure_module(lattice, action)
+        oracle = _row_route(lattice, action)
+        assert (module.rank, module.torsion) == (oracle.rank, oracle.torsion)
+        assert module.rank == (n if action is None else 1)
+        assert module.group.invariants == oracle.group.invariants
+        assert module.columns == oracle.columns
+        assert [module.projection_index(i) for i in range(len(lattice))] == [
+            oracle.projection_index(i) for i in range(len(lattice))]
+        if action is not None:
+            via_plain = coinvariants(plain, action)
+            assert via_plain.group == module.group
+            assert via_plain.columns == module.columns
+
+
+def _elementary_divisors(torsion):
+    """The prime powers of the torsion invariants, sorted."""
+    out = []
+    for d in torsion:
+        p = 2
+        while d > 1:
+            power = 1
+            while d % p == 0:
+                d //= p
+                power *= p
+            if power > 1:
+                out.append(power)
+            p += 1
+    return sorted(out)
+
+
+def test_measure_group_of_a_product_is_the_direct_sum(family):
+    # a measure on A x B is (x, y) -> mu(x, 0) + mu(0, y), as (x, 0) and
+    # (0, y) are orthogonal with join (x, y), so Hom(M(A x B), G) =
+    # Hom(M(A), G) x Hom(M(B), G) for every abelian group G
+    pairs = 0
+    for a_name, b_name in itertools.combinations_with_replacement(sorted(family), 2):
+        a, b = family[a_name], family[b_name]
+        if len(a) * len(b) > 64:
+            continue
+        pairs += 1
+        left, right = measure_module(a), measure_module(b)
+        both = measure_module(product(a, b))
+        assert both.rank == left.rank + right.rank, (a_name, b_name)
+        assert _elementary_divisors(both.torsion) == _elementary_divisors(
+            left.torsion + right.torsion), (a_name, b_name)
+    assert pairs >= 40
+
+
+def test_rank_of_boolean_12():
+    start = time.perf_counter()
+    lattice = boolean(12)
+    built = time.perf_counter()
+    module = measure_module(lattice)
+    done = time.perf_counter()
+    assert (module.rank, module.torsion) == (12, ())
+    assert built - start < 10.0
+    assert done - built < 1.0
+
+
+def test_rank_of_mo_2000():
+    start = time.perf_counter()
+    lattice = mo(2000)
+    built = time.perf_counter()
+    module = measure_module(lattice)
+    done = time.perf_counter()
+    assert (module.rank, module.torsion) == (2001, ())
+    assert built - start < 10.0
+    assert done - built < 5.0
+
+
+def test_verify_ortho_on_boolean_11():
+    lattice = boolean(11)
+    start = time.perf_counter()
+    report = verify_ortho(lattice)
+    assert time.perf_counter() - start < 10.0
+    assert report.ok
+    assert all(check.ok for check in report.checks.values())
+
+
+def test_subspace_lattice_rejects_four_dimensions_without_listing():
+    start = time.perf_counter()
+    with pytest.raises(IsotropicFormError, match=r"isotropic vector \(0, 0, 1, 10\) over F_101"):
+        subspace_lattice(101, 4, (1, 1, 1, 1))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("q,form", [
+    (2, (1, 1, 1)), (3, (1, 1, 1)), (5, (1, 2, 3)), (7, (3, 5, 6, 1)), (11, (1, 1, 1)),
+    (3, (0, 1, 1)),
+])
+def test_subspace_lattice_names_the_first_isotropic_vector(q, form):
+    # Chevalley-Warning: every form in three or more variables is isotropic
+    first = min(v for v in itertools.product(range(q), repeat=len(form))
+                if any(v) and sum(c * x * x for c, x in zip(form, v)) % q == 0)
+    with pytest.raises(IsotropicFormError, match=rf"isotropic vector \({', '.join(map(str, first))}\) "):
+        subspace_lattice(q, len(form), form)
+
+
+@pytest.mark.parametrize("q,form", [(3, (1, 1)), (5, (1, 2)), (7, (1, 1)), (11, (1, 1)),
+                                    (13, (1, 2))])
+def test_anisotropic_plane_is_mo(q, form):
+    # an anisotropic form pairs each of the q + 1 lines with another line
+    assert are_isomorphic(subspace_lattice(q, 2, form), mo((q + 1) // 2))

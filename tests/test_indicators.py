@@ -6,7 +6,7 @@ Claims:
     - the product, modular, and join-product identities hold exhaustively,
       and the atom-bitmask check gives the verdict and witness of the
       Fraction-valued simple-function loop, also on lattices with one
-      corrupted meet or join entry
+      corrupted bit in a position mask, so one wrong meet or join
     - measures and linear functionals are in exact bijection (round trips
       both ways, basis and random rational measures)
     - the evaluation functional at an atom corresponds to the Dirac measure
@@ -111,23 +111,24 @@ def _outcome(check, lat):
     return tuple(result) if isinstance(result, tuple) else (result.ok, result.witness)
 
 
-def test_identities_match_oracle_on_corrupted_tables():
-    # the raw constructor skips validation, so one wrong table entry gets
-    # through to the identity checks (or makes the Booleanity check reject)
+def test_identities_match_oracle_on_corrupted_masks():
+    # the raw constructor skips validation, so one wrong bit of a position
+    # mask gets through to the identity checks as wrong meets (down) or
+    # joins (up), or makes the Booleanity check reject; the top's bit of an
+    # up mask is never read, as an empty common up-set also reads as the top
     base = boolean(3)
     n = len(base)
     seen = set()
-    for which in ("meet", "join"):
+    for which in ("down_pos", "up_pos"):
         for i in range(n):
-            for j in range(n):
-                tables = {"meet": [list(r) for r in base.meet_table],
-                          "join": [list(r) for r in base.join_table]}
-                tables[which][i][j] = (tables[which][i][j] + 1) % n
-                lat = OrthoLattice(base.name, base.elements, base.up_masks, tables["meet"],
-                                   tables["join"], base.orth_map, base.bottom_index,
-                                   base.top_index)
+            for p in range(n - 1 if which == "up_pos" else n):
+                masks = {"down_pos": list(base.down_pos), "up_pos": list(base.up_pos)}
+                masks[which][i] ^= 1 << p
+                lat = OrthoLattice(base.name, base.elements, base.up_masks, base.down_masks,
+                                   base.orth_map, base.order, masks["up_pos"],
+                                   masks["down_pos"])
                 got = _outcome(check_indicator_identities, lat)
-                assert got == _outcome(indicator_identities_by_functions, lat), (which, i, j)
+                assert got == _outcome(indicator_identities_by_functions, lat), (which, i, p)
                 seen.add(got if got == "rejected" else got[1][0])
     assert seen == {"rejected", "product", "modular"}
 

@@ -5,20 +5,23 @@ Claims:
     - classification flags (orthomodular, distributive, Boolean, atomistic)
       match the known test family, with correct minimal witnesses
     - is_distributive gives the verdict and first witness of a plain triple
-      scan on the family, its products and its horizontal sums
+      scan on the family, its products and its horizontal sums; on
+      composites, is_boolean agrees with that scan and is_orthomodular
+      with a scan of every comparable pair
     - orthocomplementation axioms, De Morgan, and the table laws hold
       exhaustively on every family member
     - bad descriptions raise the specific construction errors
     - building blocks compose: products and horizontal sums give the
       expected isomorphism types
     - the JSON file format round-trips every constructor
-    - build_lattice gives the tables of the scan-based builder in
-      ``oracles`` on shuffled, redundant descriptions of boolean, mo,
-      product, horizontal-sum and benzene lattices, and the same exception
-      class and message on every kind of defective description; an accepted
+    - build_lattice gives the masks of the scan-based builder in
+      ``oracles``, and every pair's meet and join equal its tables, on
+      shuffled, redundant descriptions of boolean, mo, product,
+      horizontal-sum and benzene lattices, and the same exception class and
+      message on every kind of defective description; an accepted
       description never reaches the witness scans
-    - boolean(n), described by its covers, has the tables of the all-pairs
-      description for n = 1..10
+    - boolean(n), described by its covers, has the masks, meets and joins
+      of the all-pairs description for n = 1..10
     - on boolean(10) meets, joins and complements are bitwise AND, OR and
       NOT of the names, and on mo(400) distinct non-complementary atoms meet
       at 0 and join at 1, each built under a 10 s bound
@@ -64,6 +67,7 @@ from orthomeasure import (
 
 import orthomeasure.lattice as lattice_mod
 from oracles import build_lattice_by_scan, distributivity_witness
+from strategies import composite_lattices
 
 
 def mo2_description():
@@ -211,6 +215,25 @@ def test_distributivity_matches_triple_scan(family):
     assert verdicts == {True, False}
 
 
+def _orthomodular_witness(lattice):
+    """The first comparable pair, by index, where a v (a' ^ b) != b."""
+    return next(((a, b) for a in lattice.elements for b in lattice.elements
+                 if lattice.leq(a, b)
+                 and lattice.join(a, lattice.meet(lattice.orthocomplement(a), b)) != b),
+                None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(composite_lattices())
+def test_classification_shortcuts_match_the_scans(lattice):
+    # is_boolean's proof against the triple scan, and is_orthomodular's
+    # proof and a' ^ b = 0 test against the scan of every comparable pair
+    assert is_boolean(lattice) == (distributivity_witness(lattice) is None)
+    witness = _orthomodular_witness(lattice)
+    result = is_orthomodular(lattice)
+    assert (result.ok, result.witness) == (witness is None, witness)
+
+
 def test_benzene_classification():
     lat = benzene()
     assert len(lat) == 6
@@ -315,6 +338,42 @@ def test_family_de_morgan(family):
                 )
 
 
+def _with_fields(lat, **fields):
+    """The raw constructor on ``lat``'s fields, some replaced; unvalidated."""
+    names = ("name", "elements", "up_masks", "down_masks", "orth_map", "order",
+             "up_pos", "down_pos")
+    return lattice_mod.OrthoLattice(*(fields.get(k, getattr(lat, k)) for k in names))
+
+
+def test_verify_ortho_scans_de_morgan_when_order_reversal_fails():
+    # benzene with a <-> b' and b <-> a': an involution obeying the
+    # complement laws, but a <= b while b' < a'
+    base = benzene()
+    idx = base.index
+    orth = list(base.orth_map)
+    for x, y in (("a", "b'"), ("b", "a'")):
+        orth[idx(x)], orth[idx(y)] = idx(y), idx(x)
+    lat = _with_fields(base, orth_map=orth)
+    checks = verify_ortho(lat).checks
+    assert checks["involution"].ok and checks["complement"].ok
+    assert not checks["order_reversal"].ok
+    scan = next((a, b) for a in lat.elements for b in lat.elements
+                if lat.orthocomplement(lat.join(a, b))
+                != lat.meet(lat.orthocomplement(a), lat.orthocomplement(b)))
+    assert checks["de_morgan"] == lattice_mod.CheckResult(False, scan)
+
+
+def test_verify_ortho_checks_the_down_masks_against_the_up_masks():
+    base = boolean(2)
+    n = len(base)
+    for j in range(n):
+        for i in range(n):
+            down = list(base.down_masks)
+            down[j] ^= 1 << i
+            check = verify_ortho(_with_fields(base, down_masks=down)).checks["partial_order"]
+            assert check == lattice_mod.CheckResult(False, (base.elements[i], base.elements[j]))
+
+
 def test_table_laws(family):
     for lat in family.values():
         if len(lat) > 64:
@@ -384,8 +443,17 @@ def test_leq_pairs_any_generating_set():
 
 # --- build_lattice against the scan-based builder -------------------------------
 
-TABLES = ("elements", "up_masks", "down_masks", "meet_table", "join_table",
-          "orth_map", "bottom_index", "top_index")
+TABLES = ("elements", "up_masks", "down_masks", "orth_map", "bottom_index", "top_index")
+
+
+def _tables(lattice):
+    """The fields the scan builder also returns, and the meet and join of
+    every pair as the scan builder's tables."""
+    n = len(lattice)
+    out = {key: getattr(lattice, key) for key in TABLES}
+    for key, op in (("meet_table", lattice.meet_index), ("join_table", lattice.join_index)):
+        out[key] = tuple(tuple(map(op, [i] * n, range(n))) for i in range(n))
+    return out
 
 DIFFERENTIAL_BASES = {
     "boolean(1)": lambda: boolean(1),
@@ -414,7 +482,7 @@ def _outcome(build, desc):
         return type(exc), str(exc)
     if isinstance(built, dict):
         return built
-    return {key: getattr(built, key) for key in TABLES}
+    return _tables(built)
 
 
 DEFECTS = ("cycle", "no_meet", "no_join", "bowtie", "unknown_element",
@@ -542,6 +610,7 @@ def test_accepted_input_skips_the_witness_scans(monkeypatch, family):
 
     monkeypatch.setattr(lattice_mod, "_cycle_witness", unreachable)
     monkeypatch.setattr(lattice_mod, "_order_reversal_witness", unreachable)
+    monkeypatch.setattr(lattice_mod, "_raise_first_failure", unreachable)
     for lattice in [*family.values(), product(benzene(), mo(2))]:
         assert lattice_mod.same_lattice(build_lattice(lattice.to_description()), lattice)
 
@@ -559,8 +628,10 @@ def test_boolean_10_tables_are_bitwise():
     where = {m: i for i, m in enumerate(mask)}
     full = 1023
     for i, m in enumerate(mask):
-        assert lat.meet_table[i] == tuple(where[m & other] for other in mask)
-        assert lat.join_table[i] == tuple(where[m | other] for other in mask)
+        assert tuple(map(lat.meet_index, [i] * 1024, range(1024))) == tuple(
+            where[m & other] for other in mask)
+        assert tuple(map(lat.join_index, [i] * 1024, range(1024))) == tuple(
+            where[m | other] for other in mask)
         assert lat.orth_map[i] == where[m ^ full]
 
 
@@ -575,9 +646,7 @@ def test_boolean_covers_give_the_all_pairs_tables(n):
     )
     orth = {e: lat.orthocomplement(e) for e in lat.elements}
     full = build_lattice(LatticeDescription(lat.name, lat.elements, pairs, orth))
-    assert {key: getattr(lat, key) for key in TABLES} == {
-        key: getattr(full, key) for key in TABLES
-    }
+    assert _tables(lat) == _tables(full)
 
 
 def test_mo_400_atoms_meet_at_0_and_join_at_1():
@@ -590,7 +659,8 @@ def test_mo_400_atoms_meet_at_0_and_join_at_1():
     assert len(atom_idx) == 800
     for a in atom_idx:
         comp = lat.orth_map[a]
-        meets, joins = lat.meet_table[a], lat.join_table[a]
+        meets = [lat.meet_index(a, b) for b in range(len(lat))]
+        joins = [lat.join_index(a, b) for b in range(len(lat))]
         for b in atom_idx:
             if b != a and b != comp:
                 assert meets[b] == zero and joins[b] == one
