@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -279,17 +281,6 @@ def same_lattice(a: OrthoLattice, b: OrthoLattice) -> bool:
         and a.up_masks == b.up_masks
         and a.orth_map == b.orth_map
     )
-
-
-def _transpose_masks(up_masks, n):
-    down = [0] * n
-    for i, mask in enumerate(up_masks):
-        rest = mask
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            down[j] |= 1 << i
-    return down
 
 
 def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEMENTS) -> OrthoLattice:
@@ -1025,175 +1016,382 @@ def orthogonal_pairs(lattice: OrthoLattice) -> list[tuple[str, str]]:
 
 
 def _cover_lists(lattice: OrthoLattice) -> tuple[list[list[int]], list[list[int]]]:
-    """Upper and lower covers of every element, as index lists."""
-    covers = lattice.cover_masks()
-    down = _transpose_masks(covers, len(lattice))
+    """Upper and lower covers of every element, as sorted index lists."""
+    ups = [list(_bits(mask)) for mask in lattice.cover_masks()]
+    downs: list[list[int]] = [[] for _ in ups]
+    for i, above in enumerate(ups):
+        for j in above:
+            downs[j].append(i)
+    return ups, downs
 
-    def bits(mask):
+
+class _Partition:
+    """An ordered partition of the element indices into numbered cells.
+
+    ``order`` lists the elements with each cell contiguous: cell c holds
+    positions start[c] .. start[c] + size[c] - 1.  ``where`` inverts
+    ``order`` and ``colours`` gives each element's cell.  All five are
+    arrays of machine ints, so a copy is one memory copy each and the
+    garbage collector never scans them.
+    """
+
+    __slots__ = ("colours", "order", "where", "start", "size")
+
+    def __init__(self, colours: array, order: array, where: array,
+                 start: array, size: array):
+        self.colours = colours
+        self.order = order
+        self.where = where
+        self.start = start
+        self.size = size
+
+    @classmethod
+    def from_colours(cls, colours: list[int], count: int) -> "_Partition":
+        """Cells 0 .. count - 1 in order, each in index order."""
+        size = [0] * count
+        for c in colours:
+            size[c] += 1
+        start = [0] * count
+        for c in range(1, count):
+            start[c] = start[c - 1] + size[c - 1]
+        fill = start.copy()
+        order = [0] * len(colours)
+        where = [0] * len(colours)
+        for i, c in enumerate(colours):
+            order[fill[c]] = i
+            where[i] = fill[c]
+            fill[c] += 1
+        return cls(*(array("i", a) for a in (colours, order, where, start, size)))
+
+    def copy(self) -> "_Partition":
+        return _Partition(self.colours[:], self.order[:], self.where[:],
+                          self.start[:], self.size[:])
+
+    def members(self, c: int) -> array:
+        a = self.start[c]
+        return self.order[a:a + self.size[c]]
+
+    def individualize(self, x: int) -> int:
+        """Move x out of its cell into a new singleton cell at the cell's
+        last position, numbered after every cell; return that number."""
+        order, where, start, size = self.order, self.where, self.start, self.size
+        c = self.colours[x]
+        size[c] -= 1
+        last = start[c] + size[c]
+        other = order[last]
+        order[where[x]], where[other] = other, where[x]
+        order[last], where[x] = x, last
+        new = self.colours[x] = len(size)
+        start.append(last)
+        size.append(1)
+        return new
+
+    def split(self, codes: list[int], jbits: int, shift: int) -> list[tuple[int, list[int]]]:
+        """Split the touched cells in place; return each cell that split with
+        the numbers of its parts.
+
+        ``codes`` are the sorted codes colour << shift | key | element of
+        the touched elements of cells of two or more, the element in the
+        low ``jbits`` bits, so they come grouped by cell and within a cell
+        by key.  The untouched part keeps the cell's number and its first
+        positions, or the part of the least key does when every element is
+        touched; the other parts follow it in increasing key, numbered
+        after every cell in use.  Only the touched elements and the
+        untouched ones they displace move.
+        """
+        colours, order, where, start, size = (
+            self.colours, self.order, self.where, self.start, self.size)
+        low = (1 << jbits) - 1
         out = []
-        while mask:
-            out.append((mask & -mask).bit_length() - 1)
-            mask &= mask - 1
+        for c, run in itertools.groupby(codes, shift.__rrshift__):
+            run = list(run)
+            m, t = size[c], len(run)
+            if t == m and run[0] >> jbits == run[-1] >> jbits:
+                continue
+            tail = start[c] + m - t
+            touched = [code & low for code in run]
+            holes = [where[j] for j in touched if where[j] < tail]
+            if holes:
+                # untouched elements in the tail move into the holes
+                inside = set(touched)
+                for p in range(tail, tail + t):
+                    e = order[p]
+                    if e not in inside:
+                        q = holes.pop()
+                        order[q] = e
+                        where[e] = q
+            size[c] = m - t
+            ids = [c]
+            part, last = c, (run[0] >> jbits if t == m else None)
+            for p, code in enumerate(run, tail):
+                if code >> jbits != last:
+                    last, part = code >> jbits, len(size)
+                    ids.append(part)
+                    start.append(p)
+                    size.append(0)
+                j = code & low
+                order[p] = j
+                where[j] = p
+                colours[j] = part
+                size[part] += 1
+            out.append((c, ids))
         return out
 
-    return [bits(m) for m in covers], [bits(m) for m in down]
+
+def _neighbour_keys(ups: list[list[int]], downs: list[list[int]], orth: Sequence[int],
+                    unit: int, jbits: int) -> list[dict[int, int]]:
+    """What each element e adds to the key of each neighbour j when e is
+    in a splitter, shifted above ``jbits`` bits: 1 when e covers j, unit
+    when j covers e, unit^2 when e is j's orthocomplement.  A count of
+    covers stays below the unit, so a key's digits in base unit are the
+    three counts."""
+    covered, covering, complement = 1 << jbits, unit << jbits, unit * unit << jbits
+    keys = []
+    for e, o in enumerate(orth):
+        key = dict.fromkeys(downs[e], covered)
+        key.update(dict.fromkeys(ups[e], covering))
+        key[o] = key.get(o, 0) + complement
+        keys.append(key)
+    return keys
+
+
+class _Source:
+    """A stable colouring of the source side, and a node of the trie of
+    source fixes: ``children[x]`` is the colouring after fixing x.
+
+    ``trace`` is the refinement that led here: each splitter cell in the
+    order it was processed, with the sorted codes colour | key of the
+    elements it touched in cells of two or more.
+    ``branch`` lists the elements of the first non-singleton cell in
+    colour order, in index order, or is None when the colouring is
+    discrete.  Nothing here changes after construction, so target nodes
+    may share the partition.
+    """
+
+    __slots__ = ("partition", "trace", "branch", "children")
+
+    def __init__(self, partition: _Partition, trace: list):
+        self.partition = partition
+        self.trace = trace
+        c = next((c for c, m in enumerate(partition.size) if m > 1), None)
+        self.branch = None if c is None else sorted(partition.members(c))
+        self.children: dict[int, _Source] = {}
 
 
 class IsomorphismSearch:
     """Individualization-refinement backtracking for isomorphisms src -> dst.
 
-    A node of the search is a pair of colourings, of src and of dst, drawn
-    from one palette, so a colour names the same thing on either side.  The
-    root colours each element by its rank data and the rank of its
-    orthocomplement, and by its mark when ``marks`` gives one per element
-    index, read alike on both sides.  Fixing x -> y gives x and y a fresh shared colour;
-    refinement then replaces each element's colour by the colour together
-    with the colour multisets of its upper and lower covers and the colour
-    of its orthocomplement, until the partition stops splitting.  An
-    isomorphism that maps every fixed x to its y (and every mark to an
-    equal mark) preserves every colour, so unequal colour counts on the
-    two sides prune the node.  Because the orthocomplement's colour enters
-    every signature, fixing x -> y forces x' -> y'; and as covers carry the
-    order, each element is split by the fixed elements it is comparable to.
+    A node of the search is a pair of colourings, of src and of dst, in
+    which a colour names the same thing on either side, held as a source
+    trie node and a target partition.  A colouring is an ordered partition
+    into numbered cells, a colour the number of a cell.  The root colours
+    each element by its rank data and the rank of its orthocomplement, and
+    by its mark when ``marks`` gives one per element index, read alike on
+    both sides; the initial cells are numbered in the sorted order of these
+    tuples.  Fixing x -> y moves x and y into a new
+    singleton cell, numbered after every cell in use.  An isomorphism that
+    maps every fixed x to its y (and every mark to an equal mark) preserves
+    every colour, so a node whose two sides disagree is pruned.
 
-    The source side is refined once per source colouring.  While a node
-    survives, each round leaves equal colour multisets on both sides, so
-    the next round's palette (the sorted set of signatures) is the sorted
-    set of source signatures alone, and the source colours of every round
-    depend on the source colouring only.  The search keeps each round's
-    palette and sorted colours under the source colouring it started from,
-    and refines the target side against them: a target signature missing
-    from the palette, or target colours with another multiset, prune the
-    node.  Colours are numbered exactly as by a joint refinement.  Every
-    child of a node branches on the same source element, so all nodes at
-    one depth share their source colouring, and a whole search refines
-    one source colouring per depth.
+    Refinement splits cells from a queue of splitter cells (McKay &
+    Piperno, *Practical graph isomorphism, II*, 2014; bliss, Junttila &
+    Kaski 2007).  For a splitter S it counts, for each element it touches,
+    the element's upper covers in S, its lower covers in S and whether its
+    orthocomplement is in S, and splits every touched cell by these
+    counts: the untouched part keeps the cell's number, and the other
+    parts, in increasing counts, get new numbers in order.  The least
+    queued cell is the next splitter.  A cell that splits while queued
+    queues all its new parts; any other queues all parts but its first
+    largest (Hopcroft), since an element's counts into that part are its
+    counts into the whole cell, alike across the element's own cell, minus
+    its counts into the other parts.  So a node costs about the cover
+    edges at the cells that split: fixing an atom of MO(n) touches only
+    the atom, its complement, 0 and 1.  The stable colouring is the
+    coarsest equitable refinement of the initial one, and no step reads an
+    element index, only colours and counts, so corresponding cells on the
+    two sides get the same number.
 
-    A discrete colouring names one candidate bijection, which is kept only
-    if it maps covers onto covers and commutes with the orthocomplement
-    (a bijection of finite posets mapping covers onto covers is an order
-    isomorphism).  Otherwise the search branches on the first element of
-    the first non-singleton colour class, over the dst elements of that
-    colour in index order, so every isomorphism is reached exactly once and
-    the output order is deterministic.
+    Counts are kept and compared only for elements of cells of two or
+    more: a singleton cannot split, and its counts into a larger cell
+    follow from that cell's counts into it.  That leaves the cover and
+    complement edges between singletons unchecked, so refinement stops
+    once the source colouring is discrete, and the bijection a discrete
+    colouring names is kept only if it maps covers onto covers and
+    commutes with the orthocomplement (a bijection of finite posets
+    mapping covers onto covers is an order isomorphism).
+
+    The source side is refined once per source colouring: the search keeps
+    a trie of source colourings, keyed by the source elements fixed, each
+    with its trace, the splitters in order and, for each, the colour and
+    counts of every element it touched.  The target side replays the
+    trace, splitting by its own counts, and is pruned at the first
+    splitter whose colours and counts differ.  That prunes exactly where a
+    joint refinement of both sides over one palette finds unequal cell
+    sizes, and otherwise gives both sides its partition.  Every child of a
+    node branches on the same source element, so a whole search refines
+    one source colouring per depth.  A node that is not discrete branches
+    on the first element x of the first non-singleton source cell in
+    colour order, over the dst elements of that cell in cell order.  Every
+    isomorphism is reached exactly once and the output order is
+    deterministic.
+
+    ``refinements``, ``splitters`` and ``visits`` count the refinements
+    run on either side, the splitter cells they processed and the pairs of
+    a splitter member and a neighbour (a cover or the orthocomplement)
+    they read.
     """
 
     def __init__(self, src: OrthoLattice, dst: OrthoLattice,
                  marks: Sequence[int] | None = None):
         self._src = _cover_lists(src) + (src.orth_map,)
         self._dst = self._src if dst is src else _cover_lists(dst) + (dst.orth_map,)
-        self._plans: dict[tuple, tuple[list, list[int]]] = {}
+        covers = [(i, j) for i, above in enumerate(self._src[0]) for j in above]
+        self._src_covers = [i for i, _ in covers], [j for _, j in covers]
+        self._dst_covers = set(covers) if dst is src else {
+            (i, j) for i, above in enumerate(self._dst[0]) for j in above}
+        # a touched element's code is colour << shift | key | element, its
+        # three fields in fixed bit widths
+        unit = len(src) + 1
+        self._jbits = len(src).bit_length()
+        self._shift = (unit ** 3).bit_length() + self._jbits
+        self._keys = [_neighbour_keys(*self._src, unit, self._jbits)]
+        self._keys.append(self._keys[0] if dst is src
+                          else _neighbour_keys(*self._dst, unit, self._jbits))
+        self.refinements = self.splitters = self.visits = 0
         initial = []
-        for lat, (ups, downs, _) in ((src, self._src), (dst, self._dst)):
-            colours = [
-                (
-                    lat.down_masks[i].bit_count(),
-                    lat.up_masks[i].bit_count(),
-                    len(downs[i]),
-                    len(ups[i]),
-                    lat.down_masks[lat.orth_map[i]].bit_count(),
-                )
-                for i in range(len(lat))
-            ]
+        for lat, (ups, downs, orth) in ((src, self._src), (dst, self._dst)):
+            below = [mask.bit_count() for mask in lat.down_masks]
+            columns = [below, [mask.bit_count() for mask in lat.up_masks],
+                       map(len, downs), map(len, ups), [below[o] for o in orth]]
             if marks is not None:
-                colours = [c + (m,) for c, m in zip(colours, marks)]
-            initial.append(colours)
-        same_size = len(src) == len(dst)
-        self.root = self._refine(*initial) if same_size else None
+                columns.append(marks)
+            initial.append(list(zip(*columns)))
+        palette = {c: k for k, c in enumerate(sorted(set(initial[0])))}
+        part = _Partition.from_colours([palette[c] for c in initial[0]], len(palette))
+        sizes = part.size.tolist()
+        # every initial colour holds the element's numbers of upper and
+        # lower covers, so counts into the whole lattice split no cell and
+        # one largest cell need not be queued
+        queue = list(range(len(sizes)))
+        del queue[sizes.index(max(sizes))]
+        source = self._refine(part, queue)
+        self.root = None
+        if dst is src:
+            self.root = (source, source.partition)
+        elif len(dst) == len(src) and set(initial[1]) <= palette.keys():
+            part = _Partition.from_colours([palette[c] for c in initial[1]], len(palette))
+            if part.size.tolist() == sizes:
+                self.root = self._replay(source, part)
 
-    def _plan(self, colours: list) -> tuple[list, list[int]]:
-        """The rounds of the source side's stable refinement, and its end.
+    def _refine(self, part: _Partition, queue: list[int]) -> _Source:
+        """The source partition refined in place from the queued cells."""
+        self.refinements += 1
+        heapify(queue)
+        queued = set(queue)
+        trace = []
+        size, jbits, n = part.size, self._jbits, len(part.colours)
+        while queue and len(size) < n:
+            s = heappop(queue)
+            queued.discard(s)
+            codes = self._counts(self._keys[0], part, s)
+            trace.append((s, list(map(jbits.__rrshift__, codes))))
+            for c, ids in part.split(codes, jbits, self._shift):
+                if c not in queued:
+                    sizes = [size[k] for k in ids]
+                    del ids[sizes.index(max(sizes))]
+                for k in ids:
+                    if k not in queued:
+                        queued.add(k)
+                        heappush(queue, k)
+        return _Source(part, trace)
 
-        Each round is (hash of each colour, new colour of each singleton
-        class, palette of signatures, sorted new colours).
-        """
-        ups, downs, orth = self._src
-        rounds = []
-        count = len(set(colours))
-        while True:
-            # A cover multiset enters as a sum of hashed colours: equal
-            # multisets give equal sums, and a rare collision only leaves the
-            # partition coarser, never unsound.  Singleton classes cannot split.
-            mix = {c: hash((c, 0x9E3779B9)) for c in set(colours)}
-            size = Counter(colours)
-            h = [mix[x] for x in colours]
-            sigs = [
-                (x,) if size[x] == 1 else
-                (x, sum([h[j] for j in ups[i]]), sum([h[j] for j in downs[i]]), colours[orth[i]])
-                for i, x in enumerate(colours)
-            ]
-            palette = {s: k for k, s in enumerate(sorted(set(sigs)))}
-            single = {x: palette[(x,)] for x, k in size.items() if k == 1}
-            colours = [palette[s] for s in sigs]
-            rounds.append((mix, single, palette, sorted(colours)))
-            if len(palette) == count:
-                return rounds, colours
-            count = len(palette)
-
-    def _refine(self, ca: list, cb: list) -> list[list[int]] | None:
-        """Stable joint refinement, or None when the two sides disagree.
-
-        The source side's rounds come from the plan of its colouring, made
-        on first use; only the target side is refined here.
-        """
-        key = tuple(ca)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = self._plan(ca)
-        rounds, final = plan
-        ups, downs, orth = self._dst
-        for mix, single, palette, counts in rounds:
-            try:
-                h = [mix[x] for x in cb]
-                cb = [
-                    single[x] if x in single else
-                    palette[(x, sum([h[j] for j in ups[i]]), sum([h[j] for j in downs[i]]), cb[orth[i]])]
-                    for i, x in enumerate(cb)
-                ]
-            except KeyError:  # a colour or signature the source side lacks
+    def _replay(self, source: _Source, part: _Partition):
+        """The node of the source and the target partition refined in place
+        along the source's trace, or None at the first splitter whose
+        counts differ."""
+        self.refinements += 1
+        jbits = self._jbits
+        for s, expected in source.trace:
+            codes = self._counts(self._keys[1], part, s)
+            if list(map(jbits.__rrshift__, codes)) != expected:
                 return None
-            if sorted(cb) != counts:
-                return None
-        return [final, cb]
+            part.split(codes, jbits, self._shift)
+        return (source, part)
 
-    def fix(self, node: list[list[int]] | None, x: int, y: int) -> list[list[int]] | None:
+    def _counts(self, keys: list[dict[int, int]], part: _Partition, s: int) -> list[int]:
+        """The sorted codes colour << shift | key | element of the elements
+        the splitter cell s touches in cells of two or more, their keys
+        summed over its members."""
+        members = part.members(s)
+        key = keys[members[0]]
+        visits = len(key)
+        if len(members) > 1:
+            key = dict(key)
+            get = key.get
+            for e in members[1:]:
+                for j, k in keys[e].items():
+                    key[j] = get(j, 0) + k
+                visits += len(keys[e])
+        self.splitters += 1
+        self.visits += visits
+        colours, size, shift = part.colours, part.size, self._shift
+        return sorted([c << shift | k | j for j, k in key.items()
+                       if size[c := colours[j]] > 1])
+
+    def fix(self, node, x: int, y: int):
         """The child node with x -> y fixed, or None if it is pruned."""
-        if node is None or node[0][x] != node[1][y]:
-            return None
-        ca, cb = list(node[0]), list(node[1])
-        ca[x] = cb[y] = len(ca)  # above every colour in use
-        return self._refine(ca, cb)
-
-    def leaves(self, node: list[list[int]] | None) -> Iterator[tuple[int, ...]]:
-        """Every isomorphism below the node, in search order."""
         if node is None:
-            return
-        ca, cb = node
-        target = first_split_colour(ca)
-        if target is None:
-            where = {c: j for j, c in enumerate(cb)}
-            perm = tuple(where[c] for c in ca)
-            if self._preserves_structure(perm):
-                yield perm
-            return
-        x = ca.index(target)
-        for y, c in enumerate(cb):
-            if c == target:
-                yield from self.leaves(self.fix(node, x, y))
+            return None
+        source, part = node
+        c = source.partition.colours[x]
+        if part.colours[y] != c:
+            return None
+        if source.partition.size[c] == 1:
+            return node
+        child = source.children.get(x)
+        if child is None:
+            fixed = source.partition.copy()
+            child = source.children[x] = self._refine(fixed, [fixed.individualize(x)])
+        if x == y and part is source.partition:
+            return (child, child.partition)
+        part = part.copy()
+        part.individualize(y)
+        return self._replay(child, part)
+
+    @staticmethod
+    def branch_cell(node) -> list[int] | None:
+        """The source elements of the node's first non-singleton cell, in
+        index order, or None when its colouring is discrete."""
+        return node[0].branch
+
+    def leaves(self, node) -> Iterator[tuple[int, ...]]:
+        """Every isomorphism below the node, in search order."""
+        stack = [iter([node])]
+        while stack:
+            for node in stack[-1]:
+                if node is not None:
+                    break
+            else:
+                stack.pop()
+                continue
+            source, part = node
+            if source.branch is None:
+                # both sides put corresponding cells at the same positions
+                perm = tuple(map(part.order.__getitem__, source.partition.where))
+                if self._preserves_structure(perm):
+                    yield perm
+                continue
+            x = source.branch[0]
+            cell = part.members(source.partition.colours[x])
+            stack.append(map(partial(self.fix, node, x), cell))
 
     def _preserves_structure(self, perm: tuple[int, ...]) -> bool:
-        (ups_a, _, orth_a), (ups_b, _, orth_b) = self._src, self._dst
-        for i, j in enumerate(perm):
-            if perm[orth_a[i]] != orth_b[j]:
-                return False
-            if sorted([perm[k] for k in ups_a[i]]) != ups_b[j]:
-                return False
-        return True
-
-
-def first_split_colour(colours: list[int]) -> int | None:
-    """The least colour held by two or more elements, if any."""
-    return min((c for c, k in Counter(colours).items() if k > 1), default=None)
+        """The bijection maps covers onto covers and commutes with the
+        orthocomplement."""
+        below, above = self._src_covers
+        image = perm.__getitem__
+        return (list(map(image, self._src[2])) == list(map(self._dst[2].__getitem__, perm))
+                and set(zip(map(image, below), map(image, above))) == self._dst_covers)
 
 
 def iter_isomorphisms(src: OrthoLattice, dst: OrthoLattice) -> Iterator[tuple[int, ...]]:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainMismatchError, OracleTooLargeError
 from .intlinalg import smith_normal_form, snf_diagonal
@@ -151,13 +151,25 @@ def is_measure(lattice: OrthoLattice, values: Mapping[str, object],
     """Additivity on every orthogonal pair; witness is the first failure.
 
     The pair ("0", "0") is orthogonal, so a nonzero value at bottom is
-    itself a violation.
+    itself a violation.  On an orthomodular lattice, mu(0) = 0 and
+    additivity on the covering pairs (x, a), x != 0 and a an atom below
+    x', prove it on every pair, since their rows generate every
+    orthogonal-pair row (see ``_presentation_rows``); the pairs are
+    scanned only when that test fails, to find the witness.
     """
     vals = _validated_values(lattice, values, domain)
     order, up_pos = lattice.order, lattice.up_pos
-    for i, j in lattice.orthogonal_index_pairs():
+
+    def additive(i, j):
         ub = up_pos[i] & up_pos[j]  # the join is at its lowest position
-        if domain.add(vals[i], vals[j]) != vals[order[(ub & -ub).bit_length() - 1]]:
+        return domain.add(vals[i], vals[j]) == vals[order[(ub & -ub).bit_length() - 1]]
+
+    bottom = lattice.bottom_index
+    if (is_orthomodular(lattice).ok and additive(bottom, bottom)
+            and all(additive(i, a) for i, a in _covering_pairs(lattice))):
+        return CheckResult(True)
+    for i, j in lattice.orthogonal_index_pairs():
+        if not additive(i, j):
             return CheckResult(False, (lattice.elements[i], lattice.elements[j]))
     return CheckResult(True)
 
@@ -434,11 +446,7 @@ def _presentation_rows(lattice: OrthoLattice,
     join = lattice.join_index
     bottom = lattice.bottom_index
     if orthomodular:
-        atom_mask = sum(1 << a for a in lattice.atom_indices())
-        # two orthogonal atoms give one row, taken at the lower index
-        pairs = ((i, j) for i, o in enumerate(lattice.orth_map) if i != bottom
-                 for j in _bits(lattice.down_masks[o] & atom_mask
-                                & (-1 << i if atom_mask >> i & 1 else -1)))
+        pairs = _covering_pairs(lattice)
         rows = [((bottom, -1),)]
     else:
         pairs = lattice.orthogonal_index_pairs()
@@ -449,6 +457,16 @@ def _presentation_rows(lattice: OrthoLattice,
         else:
             rows.append(tuple(sorted(((join(i, j), 1), (i, -1), (j, -1)))))
     return rows
+
+
+def _covering_pairs(lattice: OrthoLattice) -> Iterator[tuple[int, int]]:
+    """The pairs (x, a), x != 0 and a an atom below x', of the cover rows;
+    two orthogonal atoms give one pair, taken at the lower index."""
+    bottom = lattice.bottom_index
+    atom_mask = sum(1 << a for a in lattice.atom_indices())
+    return ((i, j) for i, o in enumerate(lattice.orth_map) if i != bottom
+            for j in _bits(lattice.down_masks[o] & atom_mask
+                           & (-1 << i if atom_mask >> i & 1 else -1)))
 
 
 def _combine(terms: Iterable[tuple[int, int]], vectors: Sequence[Mapping[int, int]]) -> dict[int, int]:

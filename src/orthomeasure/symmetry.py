@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GroupTooLargeError, NotAnAutomorphismError, SchemaError
-from .lattice import IsomorphismSearch, OrthoLattice, first_split_colour
+from .lattice import IsomorphismSearch, OrthoLattice
 
 DEFAULT_MAX_GROUP = 100_000
 
@@ -280,20 +280,21 @@ def _search_group(lattice: OrthoLattice, sets: tuple[frozenset[int], ...],
                 marks[i] |= 1 << k
     search = IsomorphismSearch(lattice, lattice, marks)
     base: list[int] = []
+    cells: list[list[int]] = []  # cells[i] holds base[i] at nodes[i]
     nodes = [search.root]  # nodes[i] fixes base[:i] pointwise
-    while (target := first_split_colour(nodes[-1][0])) is not None:
-        base.append(nodes[-1][0].index(target))
-        nodes.append(search.fix(nodes[-1], base[-1], base[-1]))
+    while (cell := search.branch_cell(nodes[-1])) is not None:
+        base.append(cell[0])
+        cells.append(cell)
+        nodes.append(search.fix(nodes[-1], cell[0], cell[0]))
 
-    n = len(lattice)
     found: list[LatticeAutomorphism] = []
-    parent = list(range(n))  # orbits of the generators found so far
+    parent = list(range(len(lattice)))  # orbits of the generators found so far
     order = 1
     for level in reversed(range(len(base))):
+        # the orbit of b under automorphisms fixing base[:level] lies in its cell
         b = base[level]
-        colours = nodes[level][0]
-        for c in range(n):
-            if colours[c] != colours[b] or _find(parent, c) == _find(parent, b):
+        for c in cells[level]:
+            if _find(parent, c) == _find(parent, b):
                 continue
             perm = next(search.leaves(search.fix(nodes[level], b, c)), None)
             if perm is not None:
@@ -301,7 +302,7 @@ def _search_group(lattice: OrthoLattice, sets: tuple[frozenset[int], ...],
                 found.append(LatticeAutomorphism(lattice, perm, _checked=True))
                 _join_cycles(parent, perm)
         root = _find(parent, b)
-        order *= sum(_find(parent, c) == root for c in range(n))
+        order *= sum(_find(parent, c) == root for c in cells[level])
     return GroupAction(lattice, found[::-1], order, max_group=max_group, stabilized=sets)
 
 

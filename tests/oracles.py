@@ -670,3 +670,13 @@ def normalizer_by_listing(perms, members):
     """The listed elements that map the index set onto itself."""
     target = set(members)
     return {p for p in perms if {p[i] for i in target} == target}
+
+
+def first_nonadditive_pair(lattice, values, domain):
+    """Additivity scanned over every orthogonal pair in canonical order:
+    (True, None), or (False, the first failing pair of names)."""
+    vals = [domain.validate(values[e]) for e in lattice.elements]
+    for i, j in lattice.orthogonal_index_pairs():
+        if domain.add(vals[i], vals[j]) != vals[lattice.join_index(i, j)]:
+            return False, (lattice.elements[i], lattice.elements[j])
+    return True, None

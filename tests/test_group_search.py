@@ -11,8 +11,15 @@ Claims:
     - each strong generator joins two orbits of the generators found before
       it, so none is redundant
     - element listing stays under the group's max_group cap
+    - the search keeps no Python frame per level: Aut(MO(120)), base
+      length 120, comes out with the recursion limit 60 frames above the
+      caller's depth
+    - the search's counts of refinements, splitter cells and neighbour
+      visits repeat exactly, and the visits grow at most 5-fold from MO(100)
+      to MO(200), as a quadratic search allows (a cubic one gives 8-fold)
 """
 
+import sys
 import time
 from math import factorial
 
@@ -31,6 +38,7 @@ from orthomeasure import (
     product,
     subspace_lattice,
 )
+from orthomeasure import symmetry
 from orthomeasure.lattice import IsomorphismSearch, iter_isomorphisms
 from orthomeasure.symmetry import _validate_automorphism, automorphism_group
 
@@ -197,3 +205,52 @@ def test_leaf_check_rejects_non_isomorphisms():
     # keeps covers, breaks complements
     assert not search._preserves_structure(swapped(("a1", "a2")))
     assert search._preserves_structure(swapped(("a1", "a1'")))
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_deep_base_needs_no_recursion():
+    lattice = mo(120)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        action = automorphism_group(lattice)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert action.order == 2 ** 120 * factorial(120)
+
+
+def _search_counts(monkeypatch, lattice):
+    """(refinements, splitter cells, neighbour visits) of the search behind
+    automorphism_group."""
+    searches = []
+
+    class Recorded(IsomorphismSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(symmetry, "IsomorphismSearch", Recorded)
+    automorphism_group(lattice)
+    (search,) = searches
+    return search.refinements, search.splitters, search.visits
+
+
+def test_search_counts_repeat_exactly(monkeypatch):
+    for make in (lambda: mo(30), lambda: boolean(6), lambda: product(mo(2), mo(2)),
+                 lambda: horizontal_sum(boolean(3), mo(3)), benzene):
+        first = _search_counts(monkeypatch, make())
+        assert all(first)
+        assert _search_counts(monkeypatch, make()) == first
+
+
+def test_search_visits_grow_quadratically_on_mo(monkeypatch):
+    small = _search_counts(monkeypatch, mo(100))
+    large = _search_counts(monkeypatch, mo(200))
+    assert large[2] <= 5 * small[2], (small, large)

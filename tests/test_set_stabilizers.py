@@ -9,11 +9,13 @@ Claims:
       do nested normalizers
     - membership in a searched group, decided without listing, agrees with
       the listed group on small lattices and holds up on Aut(MO(20))
-    - the search's root and fix nodes, and its refinement of target
-      colourings moved by random bijections (some with one element
-      recoloured), equal those of a joint refinement of both sides
-      (``oracles.TwoSidedRefinement``), for isomorphic and non-isomorphic
-      pairs, unmarked and with random marks on the element indices
+    - at the root and after each fix of random fix sequences, the search
+      prunes exactly when a joint refinement of both sides
+      (``oracles.TwoSidedRefinement``) does, and otherwise splits
+      src + dst into the same cells up to a renaming of colours: for
+      isomorphic and non-isomorphic pairs, for a lattice against copies of
+      itself listed in random orders, unmarked and with random marks on
+      the element indices, and on random composites
     - nested normalizers of pairs in Aut(boolean(4)) keep both pairs and
       have the order that filtering the listed full group gives
 """
@@ -24,6 +26,8 @@ from itertools import combinations, permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthomeasure import (
     LatticeDescription,
@@ -44,6 +48,7 @@ from orthomeasure import symmetry
 from orthomeasure.lattice import IsomorphismSearch
 
 from oracles import TwoSidedRefinement, normalizer_by_listing
+from strategies import composite_lattices
 
 
 def _no_listing(monkeypatch):
@@ -176,38 +181,61 @@ PAIRS = {
 }
 
 
+def _same_partition(node, colours):
+    """The search node splits src + dst as the oracle's colourings do, up to
+    a renaming of colours."""
+    ours = list(node[0].partition.colours) + list(node[1].colours)
+    theirs = colours[0] + colours[1]
+    return len(set(zip(ours, theirs))) == len(set(ours)) == len(set(theirs))
+
+
+def _check_against_oracle(src, dst, marks, rng, walks):
+    """The root and the nodes of random fix sequences: the search prunes
+    exactly when the joint refinement does, and otherwise partitions both
+    sides as it does."""
+    search = IsomorphismSearch(src, dst, marks)
+    oracle = TwoSidedRefinement(src, dst, marks)
+    assert (search.root is None) == (oracle.root is None)
+    if oracle.root is None:
+        return
+    assert _same_partition(search.root, oracle.root)
+    for _ in range(walks):
+        node, theirs = search.root, oracle.root
+        while theirs is not None and len(set(theirs[0])) < len(src):
+            x = rng.randrange(len(src))
+            same = [y for y, c in enumerate(theirs[1]) if c == theirs[0][x]]
+            y = rng.choice(same) if same and rng.random() < 0.9 else rng.randrange(len(dst))
+            node, theirs = search.fix(node, x, y), oracle.fix(theirs, x, y)
+            assert (node is None) == (theirs is None), (x, y)
+            if node is not None:
+                assert _same_partition(node, theirs), (x, y)
+
+
 @pytest.mark.parametrize("name", sorted(PAIRS))
 @pytest.mark.parametrize("marked", [False, True])
 def test_one_sided_refinement_matches_joint_refinement(name, marked):
     src, dst = PAIRS[name]()
     rng = random.Random(f"{name}:{marked}")
     marks = [rng.randrange(2) for _ in range(len(src))] if marked else None
-    search = IsomorphismSearch(src, dst, marks)
-    oracle = TwoSidedRefinement(src, dst, marks)
-    assert search.root == oracle.root
-    for _ in range(30):
-        node = search.root
-        while node is not None and len(set(node[0])) < len(src):
-            x = rng.randrange(len(src))
-            same = [y for y, c in enumerate(node[1]) if c == node[0][x]]
-            y = rng.choice(same) if same and rng.random() < 0.9 else rng.randrange(len(dst))
-            child = search.fix(node, x, y)
-            assert child == oracle.fix(node, x, y), (x, y)
-            node = child
-    # target colourings that are the source's moved by a random bijection
-    # (refinement keeps those moved by an isomorphism and prunes the rest),
-    # and such colourings with one element recoloured, so that the colour
-    # multisets differ
-    if search.root is not None:
-        for k in range(60):
-            ca = search.root[0]
-            moved = rng.sample(range(len(dst)), len(dst))
-            cb = [0] * len(dst)
-            for i, j in enumerate(moved):
-                cb[j] = ca[i]
-            if k % 2:
-                cb[rng.randrange(len(dst))] = rng.choice(ca)
-            assert search._refine(list(ca), cb) == oracle.refine([list(ca), cb])
+    _check_against_oracle(src, dst, marks, rng, walks=30)
+    # the source against copies of itself listed in random orders, so that
+    # the target's initial colouring is the source's moved by a random
+    # bijection; with one element index marked on both sides, the marks
+    # mostly fall on different elements and the two sides disagree
+    for k in range(12):
+        copy = _relabelled(src, f"{name}:{marked}:{k}")
+        marked_index = rng.randrange(len(src))
+        marks = [int(i == marked_index) for i in range(len(src))] if k % 2 else None
+        _check_against_oracle(src, copy, marks, rng, walks=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(composite_lattices(), st.integers(0, 2 ** 32), st.booleans(), st.booleans())
+def test_refinement_matches_joint_refinement_on_composites(lattice, seed, relabel, marked):
+    rng = random.Random(seed)
+    dst = _relabelled(lattice, rng.random()) if relabel else lattice
+    marks = [rng.randrange(2) for _ in range(len(lattice))] if marked else None
+    _check_against_oracle(lattice, dst, marks, rng, walks=4)
 
 
 def test_isomorphic_pairs_are_found_and_others_are_not():
