@@ -199,7 +199,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_aut(args) -> int:
     lattice = load_lattice(args.lattice, args.max_elements)
-    action = automorphism_group(lattice, args.max_group)
+    action = automorphism_group(lattice)
     report = {
         "order": action.order,
         "generators": [g.mapping for g in generating_subset(action)],
@@ -340,9 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--domain", default="q", help="z, q, or z/<m>")
 
     common(sub.add_parser("check", help="axioms and classification flags"))
-    p = sub.add_parser("aut", help="automorphism group order and generators")
-    common(p)
-    p.add_argument("--max-group", type=int, default=DEFAULT_MAX_GROUP)
+    common(sub.add_parser("aut", help="automorphism group order and generators"))
     common(sub.add_parser("module", help="rank and torsion of the measure group"),
            group=True)
     common(sub.add_parser("measures", help="measure basis"), group=True, domain=True)

@@ -68,7 +68,6 @@ class GeneratingSet:
     """A subset closed under pairwise meets, in canonical element order."""
 
     members: tuple[str, ...]
-    meet_closed: bool = True
 
 
 @dataclass(frozen=True)

@@ -171,24 +171,6 @@ def rational_rank(matrix) -> int:
     return len(_echelon(rows)[1])
 
 
-def rational_nullspace(matrix) -> list[list[Fraction]]:
-    """Basis of the right nullspace, one vector per free column."""
-    if not matrix:
-        return []
-    n = len(matrix[0])
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    ech, pivots = _echelon(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -ech[r][fc]
-        basis.append(vec)
-    return basis
-
-
 def rational_solve(matrix, rhs) -> list[Fraction] | None:
     """One exact solution of ``matrix * x == rhs``, or None if inconsistent.
 

@@ -10,8 +10,8 @@ position of their common up-set, each one AND and one bit scan.
 Construction puts the elements in a topological order of the given pairs,
 closes the order in one pass over it, and proves that every pair has a
 meet, so an accepted description costs O(pairs + n^2) big-int operations
-and writes nothing quadratic; only a rejected one runs the witness scans
-that name its first failure.
+and writes nothing quadratic; only a rejected one runs the scans of
+:func:`verify_ortho`, which name its first failure.
 
 Instances are immutable after construction and safe to share between readers.
 """
@@ -307,10 +307,10 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
     reversal is checked on the given pairs only: reversing a generating
     relation reverses its transitive closure.
 
-    Any failure hands over to :func:`_raise_first_failure`, which repeats
-    the checks in the order that names the first failure (each pair's meet,
-    then its join, then the orthocomplement); an accepted input never
-    reaches it.
+    Any failure hands over to :func:`_raise_first_failure`, which runs
+    :func:`verify_ortho` on what is built and names the first failure
+    (each pair's meet, then its join, then the orthocomplement); an
+    accepted input never reaches it.
     """
     elements = desc.elements
     n = len(elements)
@@ -377,7 +377,7 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
         and all(orth[o] == i and down_pos[i] & down_pos[o] == 1 for i, o in enumerate(orth))
         and all(up[orth[j]] >> orth[i] & 1 for i in range(n) for j in above[i])
     ):
-        _raise_first_failure(desc, index, above, order, up, up_pos, down_pos)
+        _raise_first_failure(desc, index, up, down, order, up_pos, down_pos)
     return OrthoLattice(desc.name, elements, up, down, orth, order, up_pos, down_pos)
 
 
@@ -394,58 +394,43 @@ def _every_pair_meets(down_pos, order) -> bool:
     return True
 
 
-def _raise_first_failure(desc, index, above, order, up, up_pos, down_pos):
+def _raise_first_failure(desc, index, up, down, order, up_pos, down_pos):
     """Raise the error of the first check a rejected description fails.
 
-    The checks run in the order that fixes which failure is named: each
-    pair's meet and then its join, pairs in index order; then the
-    orthocomplement's images, involution and complement laws element by
-    element, and order reversal.  :func:`build_lattice` comes here only
-    when one of them fails.
+    The failure is read off :func:`verify_ortho` on the lattice as built so
+    far, with a missing or unknown image standing in as the element itself:
+    first a pair without a meet or a join, in its scan order; then the
+    description's images; then the lowest element that fails the
+    involution or the complement laws (the involution first); then order
+    reversal.  :func:`build_lattice` comes here only when one of them fails.
     """
     elements = desc.elements
-    n = len(elements)
-    up_at = [up_pos[i] for i in order]
-    down_at = [down_pos[i] for i in order]
-    for i in range(n):
-        down_i, up_i = down_pos[i], up_pos[i]
-        for j in range(i, n):
-            lb = down_i & down_pos[j]
-            if not lb or down_at[lb.bit_length() - 1] != lb:
-                raise NotALatticeError(
-                    f"{elements[i]!r} and {elements[j]!r} have no meet"
-                )
-            ub = up_i & up_pos[j]
-            if not ub or up_at[(ub & -ub).bit_length() - 1] != ub:
-                raise NotALatticeError(
-                    f"{elements[i]!r} and {elements[j]!r} have no join"
-                )
+    orth = [index.get(desc.orthocomplement.get(e), i) for i, e in enumerate(elements)]
+    lattice = OrthoLattice(desc.name, elements, up, down, orth, order, up_pos, down_pos)
+    checks = verify_ortho(lattice).checks
+    if not checks["meet_join_tables"]:
+        kind, a, b = checks["meet_join_tables"].witness
+        raise NotALatticeError(f"{a!r} and {b!r} have no {kind}")
 
-    orth = [None] * n
     for e in elements:
         img = desc.orthocomplement.get(e)
         if img is None:
             raise BadOrthocomplementError(f"no orthocomplement given for {e!r}")
         if img not in index:
             raise SchemaError(f"orthocomplement references unknown element {img!r}")
-        orth[index[e]] = index[img]
     extra = set(desc.orthocomplement) - set(elements)
     if extra:
         raise SchemaError(f"orthocomplement keys not in elements: {sorted(extra)}")
-    for i in range(n):
-        if orth[orth[i]] != i:
-            raise BadOrthocomplementError(
-                f"involution fails at {elements[i]!r}"
-            )
-        ub = up_pos[i] & up_pos[orth[i]]
-        if ub & -ub != 1 << n - 1 or down_pos[i] & down_pos[orth[i]] != 1:
-            raise BadOrthocomplementError(
-                f"complement laws fail at {elements[i]!r}"
-            )
-    i, j = _order_reversal_witness(up, orth)
-    raise BadOrthocomplementError(
-        f"order reversal fails on ({elements[i]!r}, {elements[j]!r})"
-    )
+    failed = [(index[checks[name].witness[0]], message)
+              for name, message in (("involution", "involution fails at"),
+                                    ("complement", "complement laws fail at"))
+              if not checks[name]]
+    if failed:
+        # the lowest element; min keeps the first of equals, the involution
+        i, message = min(failed, key=lambda f: f[0])
+        raise BadOrthocomplementError(f"{message} {elements[i]!r}")
+    a, b = checks["order_reversal"].witness
+    raise BadOrthocomplementError(f"order reversal fails on ({a!r}, {b!r})")
 
 
 def _cycle_witness(above):
@@ -465,15 +450,6 @@ def _cycle_witness(above):
     return next(
         (i, j) for i in range(n) for j in range(i + 1, n)
         if up[i] >> j & 1 and up[j] >> i & 1
-    )
-
-
-def _order_reversal_witness(up, orth):
-    """First (i, j) with i <= j but not j' <= i', scanning all pairs."""
-    n = len(up)
-    return next(
-        (i, j) for i in range(n) for j in range(n)
-        if up[i] >> j & 1 and not up[orth[j]] >> orth[i] & 1
     )
 
 
@@ -565,43 +541,6 @@ def benzene() -> OrthoLattice:
     return build_lattice(LatticeDescription("benzene", elements, pairs, orth))
 
 
-def _ffield_inv(a: int, q: int) -> int:
-    return pow(a, q - 2, q)
-
-
-def _ffield_rref(rows: list[list[int]], q: int) -> list[tuple[int, ...]]:
-    """Reduced row echelon form over the prime field F_q; zero rows dropped."""
-    rows = [list(r) for r in rows]
-    n = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] % q), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = _ffield_inv(rows[r][c] % q, q)
-        rows[r] = [(x * inv) % q for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % q:
-                f = rows[i][c] % q
-                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return [tuple(row) for row in rows[:r]]
-
-
-def _span_vectors(basis: list[tuple[int, ...]], q: int, n: int) -> set[tuple[int, ...]]:
-    vectors = {tuple([0] * n)}
-    for row in basis:
-        new = set()
-        for v in vectors:
-            for c in range(q):
-                new.add(tuple((x + c * y) % q for x, y in zip(v, row)))
-        vectors = new
-    return vectors
-
-
 def subspace_lattice(q: int, n: int, form: tuple[int, ...],
                      max_elements: int = DEFAULT_MAX_ELEMENTS) -> OrthoLattice:
     """Lattice of subspaces of F_q^n with the form-orthogonal complement.
@@ -610,69 +549,43 @@ def subspace_lattice(q: int, n: int, form: tuple[int, ...],
     must be anisotropic (no nonzero self-orthogonal vector), which is exactly
     what makes the orthogonality map a genuine orthocomplementation;
     violations raise IsotropicFormError naming the first isotropic vector in
-    lexicographic order.  The vectors are scanned lazily: for n >= 3 some
-    vector is isotropic (Chevalley-Warning: a quadratic form in more
-    variables than its degree has a nontrivial zero), and one is met within
-    the q^3 vectors that vary only the last three coordinates, so F_q^n is
-    listed only for an anisotropic form, when n <= 2.
+    lexicographic order.  That vector has first nonzero entry 1 (dividing by
+    its leading entry would move it earlier), so only such vectors are
+    scanned, in lexicographic order.  For n >= 3 one of the q^2 + q + 1 of
+    them that vary only the last three coordinates is isotropic
+    (Chevalley-Warning: a quadratic form in more variables than its degree
+    has a nontrivial zero), so only n <= 2 passes.
+
+    What passes is built in closed form: n = 1 gives the chain 0 < 1, and
+    n = 2 gives 0, the q + 1 lines <0,1>, <1,0>, ..., <1,q-1> and 1, which
+    is MO((q + 1) / 2).  The complement of the line spanned by p is the line
+    spanned by (b p_1, -a p_0) for the form (a, b), scaled so that its first
+    nonzero entry is 1.
     """
     if n < 1 or len(form) != n:
         raise ValueError("form must list one diagonal coefficient per dimension")
     if not _is_prime(q):
         raise ValueError(f"q={q} is not prime (prime fields only)")
     coeffs = [c % q for c in form]
+    for lead in range(n - 1, -1, -1):
+        for rest in itertools.product(range(q), repeat=n - 1 - lead):
+            v = (0,) * lead + (1,) + rest
+            if sum(c * x * x for c, x in zip(coeffs, v)) % q == 0:
+                raise IsotropicFormError(f"isotropic vector {v} over F_{q}")
 
-    def pairing(u, v):
-        return sum(c * a * b for c, a, b in zip(coeffs, u, v)) % q
-
-    for v in itertools.product(range(q), repeat=n):
-        if any(v) and pairing(v, v) == 0:
-            raise IsotropicFormError(f"isotropic vector {v} over F_{q}")
-    all_vectors = list(itertools.product(range(q), repeat=n))
-
-    # enumerate subspaces as row-echelon forms of spans of point subsets
-    points = [v for v in all_vectors if _is_projective_rep(v, q)]
-
-    subspaces = {(): ()}  # rref basis tuple -> basis
-    for k in range(1, n + 1):
-        for combo in itertools.combinations(points, k):
-            rref = tuple(_ffield_rref([list(p) for p in combo], q))
-            subspaces[rref] = rref
-    ordered = sorted(subspaces, key=lambda b: (len(b), b))
-    if len(ordered) > max_elements:
-        raise SizeCapError(f"{len(ordered)} subspaces exceeds the cap")
-
-    def sub_name(basis):
-        if not basis:
-            return "0"
-        if len(basis) == n:
-            return "1"
-        return "<" + "; ".join(",".join(str(x) for x in row) for row in basis) + ">"
-
-    span_cache = {b: _span_vectors(list(b), q, n) for b in ordered}
-    names = {b: sub_name(b) for b in ordered}
-    pairs = []
-    for a in ordered:
-        for b in ordered:
-            if a != b and span_cache[a] <= span_cache[b]:
-                pairs.append((names[a], names[b]))
-    orth = {}
-    for b in ordered:
-        perp = [v for v in all_vectors if all(pairing(v, u) == 0 for u in span_cache[b])]
-        perp_rref = tuple(_ffield_rref([list(v) for v in perp if any(v)], q))
-        orth[names[b]] = names[perp_rref]
-    desc = LatticeDescription(
-        f"subspaces(F_{q}^{n})",
-        tuple(names[b] for b in ordered),
-        tuple(pairs),
-        orth,
-    )
+    size = q + 3 if n == 2 else 2
+    if size > max_elements:
+        raise SizeCapError(f"{size} subspaces exceeds the cap")
+    lines = [(0, 1), *((1, x) for x in range(q))] if n == 2 else []
+    names = [f"<{p0},{p1}>" for p0, p1 in lines]
+    orth = {"0": "1"}
+    for name, (p0, p1) in zip(names, lines):
+        u, v = coeffs[1] * p1 % q, -coeffs[0] * p0 % q
+        orth[name] = f"<1,{v * pow(u, q - 2, q) % q}>" if u else "<0,1>"
+    orth["1"] = "0"
+    pairs = (*(("0", e) for e in names), ("0", "1"), *((e, "1") for e in names))
+    desc = LatticeDescription(f"subspaces(F_{q}^{n})", ("0", *names, "1"), pairs, orth)
     return build_lattice(desc, max_elements)
-
-
-def _is_projective_rep(v, q):
-    first = next((x for x in v if x), None)
-    return first == 1
 
 
 def _is_prime(q):

@@ -179,9 +179,6 @@ class GroupAction:
             return False
         return all({perm[i] for i in s} == s for s in self.stabilized)
 
-    def apply(self, perm: Perm, name: str) -> str:
-        return self.lattice.elements[perm[self.lattice.index(name)]]
-
     def __repr__(self):
         return f"<GroupAction of order {self.order} on {self.lattice!r}>"
 

@@ -602,6 +602,85 @@ def build_lattice_by_scan(desc, max_elements=4096):
     }
 
 
+def subspace_description_by_listing(q, n, form, max_elements=4096):
+    """The description ``subspace_lattice`` builds, by listing every subspace.
+
+    Each subspace of F_q^n is the row-reduced span of some combination of
+    projective points; the order is inclusion of the spanned vector sets and
+    the complement is the row-reduced space orthogonal to the basis.  Raises what
+    ``subspace_lattice`` raises, with the same message, before it builds.
+    """
+    from orthomeasure.errors import IsotropicFormError, SizeCapError
+    from orthomeasure.lattice import LatticeDescription
+
+    if n < 1 or len(form) != n:
+        raise ValueError("form must list one diagonal coefficient per dimension")
+    if q < 2 or any(q % d == 0 for d in range(2, q) if d * d <= q):
+        raise ValueError(f"q={q} is not prime (prime fields only)")
+    coeffs = [c % q for c in form]
+
+    def pairing(u, v):
+        return sum(c * a * b for c, a, b in zip(coeffs, u, v)) % q
+
+    def rref(rows):
+        rows = [list(r) for r in rows]
+        r = 0
+        for c in range(n):
+            pivot = next((i for i in range(r, len(rows)) if rows[i][c] % q), None)
+            if pivot is None:
+                continue
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            inv = pow(rows[r][c] % q, q - 2, q)
+            rows[r] = [(x * inv) % q for x in rows[r]]
+            for i in range(len(rows)):
+                if i != r and rows[i][c] % q:
+                    f = rows[i][c] % q
+                    rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[r])]
+            r += 1
+            if r == len(rows):
+                break
+        return tuple(tuple(row) for row in rows[:r])
+
+    def span(basis):
+        vectors = {tuple([0] * n)}
+        for row in basis:
+            vectors = {tuple((x + c * y) % q for x, y in zip(v, row))
+                       for v in vectors for c in range(q)}
+        return vectors
+
+    all_vectors = list(product(range(q), repeat=n))
+    for v in all_vectors:
+        if any(v) and pairing(v, v) == 0:
+            raise IsotropicFormError(f"isotropic vector {v} over F_{q}")
+    points = [v for v in all_vectors if next((x for x in v if x), None) == 1]
+    subspaces = {()}
+    for k in range(1, n + 1):
+        for combo in combinations(points, k):
+            subspaces.add(rref(combo))
+    ordered = sorted(subspaces, key=lambda b: (len(b), b))
+    if len(ordered) > max_elements:
+        raise SizeCapError(f"{len(ordered)} subspaces exceeds the cap")
+
+    def sub_name(basis):
+        if not basis:
+            return "0"
+        if len(basis) == n:
+            return "1"
+        return "<" + "; ".join(",".join(str(x) for x in row) for row in basis) + ">"
+
+    spans = {b: span(b) for b in ordered}
+    names = {b: sub_name(b) for b in ordered}
+    pairs = tuple((names[a], names[b]) for a in ordered for b in ordered
+                  if a != b and spans[a] <= spans[b])
+    orth = {}
+    for b in ordered:
+        perp = [v for v in all_vectors if any(v) and all(pairing(v, u) == 0 for u in b)]
+        orth[names[b]] = names[rref(perp)]
+    return LatticeDescription(
+        f"subspaces(F_{q}^{n})", tuple(names[b] for b in ordered), pairs, orth
+    )
+
+
 class TwoSidedRefinement:
     """Nodes of the isomorphism search by joint refinement of both sides.
 

@@ -7,13 +7,10 @@ Claims:
     - ranks agree with an independently written row reduction
 """
 
-from fractions import Fraction
-
 from hypothesis import given, settings, strategies as st
 
 from orthomeasure.intlinalg import (
     mat_mul,
-    rational_nullspace,
     rational_rank,
     rational_solve,
     smith_normal_form,
@@ -87,16 +84,6 @@ def test_snf_random_matrices(rows):
 def test_rational_rank_against_oracle():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert rational_rank(rows) == oracle_rank(rows) == 2
-
-
-def test_rational_nullspace():
-    rows = [[1, 1, 0], [0, 0, 1]]
-    basis = rational_nullspace(rows)
-    assert len(basis) == 1
-    for vec in basis:
-        assert all(
-            sum(Fraction(r) * x for r, x in zip(row, vec)) == 0 for row in rows
-        )
 
 
 def test_rational_solve_consistent_and_not():

@@ -18,8 +18,10 @@ Claims:
       ``oracles``, and every pair's meet and join equal its tables, on
       shuffled, redundant descriptions of boolean, mo, product,
       horizontal-sum and benzene lattices, and the same exception class and
-      message on every kind of defective description; an accepted
-      description never reaches the witness scans
+      message on every kind of defective description; the lowest element
+      failing the involution or the complement laws is named, the
+      involution first on a tie; an accepted description never reaches the
+      witness scans
     - boolean(n), described by its covers, has the masks, meets and joins
       of the all-pairs description for n = 1..10
     - on boolean(10) meets, joins and complements are bitwise AND, OR and
@@ -604,12 +606,33 @@ def test_each_defect_is_rejected_alike(defect, error, message, base):
     pytest.fail(f"no {defect} placement on {base} raised {error.__name__}")
 
 
+@pytest.mark.parametrize("images,message", [
+    # a1 is its own image: complement laws fail at a1 (index 1), the
+    # involution first at a1' (index 2), whose image a2 maps on to a2'
+    ({"a1": "a1", "a1'": "a2", "a2": "a2'", "a2'": "a1'"},
+     "complement laws fail at 'a1'"),
+    # a1 -> a2 -> a2' breaks the involution at a1; a1' is its own image
+    ({"a1": "a2", "a1'": "a1'", "a2": "a2'", "a2'": "a1"},
+     "involution fails at 'a1'"),
+    # a1 -> 1 -> 0 breaks both at a1, and the involution is named
+    ({"a1": "1", "a1'": "a1", "a2": "a2'", "a2'": "a2"},
+     "involution fails at 'a1'"),
+])
+def test_the_lowest_orthocomplement_failure_is_named(images, message):
+    base = mo2_description()
+    desc = LatticeDescription(base.name, base.elements, base.leq_pairs,
+                              {"0": "1", "1": "0", **images})
+    got = _outcome(build_lattice, desc)
+    assert got == _outcome(build_lattice_by_scan, desc)
+    assert got == (BadOrthocomplementError, message)
+
+
 def test_accepted_input_skips_the_witness_scans(monkeypatch, family):
     def unreachable(*args):
         raise AssertionError("witness scan on an accepted input")
 
     monkeypatch.setattr(lattice_mod, "_cycle_witness", unreachable)
-    monkeypatch.setattr(lattice_mod, "_order_reversal_witness", unreachable)
+    monkeypatch.setattr(lattice_mod, "verify_ortho", unreachable)
     monkeypatch.setattr(lattice_mod, "_raise_first_failure", unreachable)
     for lattice in [*family.values(), product(benzene(), mo(2))]:
         assert lattice_mod.same_lattice(build_lattice(lattice.to_description()), lattice)
