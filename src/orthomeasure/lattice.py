@@ -11,7 +11,7 @@ Construction puts the elements in a topological order of the given pairs,
 closes the order in one pass over it, and proves that every pair has a
 meet, so an accepted description costs O(pairs + n^2) big-int operations
 and writes nothing quadratic; only a rejected one runs the scans of
-:func:`verify_ortho`, which name its first failure.
+:func:`verify_ortho`, up to the first that fails, to name it.
 
 Instances are immutable after construction and safe to share between readers.
 """
@@ -307,10 +307,10 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
     reversal is checked on the given pairs only: reversing a generating
     relation reverses its transitive closure.
 
-    Any failure hands over to :func:`_raise_first_failure`, which runs
-    :func:`verify_ortho` on what is built and names the first failure
-    (each pair's meet, then its join, then the orthocomplement); an
-    accepted input never reaches it.
+    Any failure hands over to :func:`_raise_first_failure`, which runs the
+    checks of :func:`verify_ortho` on what is built until one fails and
+    names it (each pair's meet, then its join, then the orthocomplement);
+    an accepted input never reaches it.
     """
     elements = desc.elements
     n = len(elements)
@@ -368,16 +368,17 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
 
     # None marks a missing or unknown image
     orth = [index.get(desc.orthocomplement.get(e)) for e in elements]
+    meets = _every_pair_meets(down_pos, order)
     # with every meet, position 0 holds the bottom, so x ^ x' = 0 reads
     # as a common down-set of the bottom alone
     if not (
-        _every_pair_meets(down_pos, order)
+        meets
         and None not in orth
         and len(desc.orthocomplement) == n
         and all(orth[o] == i and down_pos[i] & down_pos[o] == 1 for i, o in enumerate(orth))
         and all(up[orth[j]] >> orth[i] & 1 for i in range(n) for j in above[i])
     ):
-        _raise_first_failure(desc, index, up, down, order, up_pos, down_pos)
+        _raise_first_failure(desc, index, up, down, order, up_pos, down_pos, meets)
     return OrthoLattice(desc.name, elements, up, down, orth, order, up_pos, down_pos)
 
 
@@ -394,23 +395,29 @@ def _every_pair_meets(down_pos, order) -> bool:
     return True
 
 
-def _raise_first_failure(desc, index, up, down, order, up_pos, down_pos):
+def _raise_first_failure(desc, index, up, down, order, up_pos, down_pos, meets):
     """Raise the error of the first check a rejected description fails.
 
-    The failure is read off :func:`verify_ortho` on the lattice as built so
-    far, with a missing or unknown image standing in as the element itself:
-    first a pair without a meet or a join, in its scan order; then the
-    description's images; then the lowest element that fails the
-    involution or the complement laws (the involution first); then order
-    reversal.  :func:`build_lattice` comes here only when one of them fails.
+    The checks of :func:`verify_ortho` run on the lattice as built so far,
+    with a missing or unknown image standing in as the element itself, in
+    this order, and the first that fails is named: a pair without a meet or
+    a join, in its scan order; then the description's images; then the
+    lowest element that fails the involution or the complement laws (the
+    involution first); then order reversal.  :func:`build_lattice` comes
+    here only when one of them fails.
+
+    ``meets`` says whether every pair has a meet.  If so, and the stand-in
+    map is an order-reversing involution, every pair has a join too,
+    x v y = (x' ^ y')', and the pair scan is skipped.
     """
     elements = desc.elements
     orth = [index.get(desc.orthocomplement.get(e), i) for i, e in enumerate(elements)]
     lattice = OrthoLattice(desc.name, elements, up, down, orth, order, up_pos, down_pos)
-    checks = verify_ortho(lattice).checks
-    if not checks["meet_join_tables"]:
-        kind, a, b = checks["meet_join_tables"].witness
-        raise NotALatticeError(f"{a!r} and {b!r} have no {kind}")
+    if not (meets and _check_involution(lattice) and _check_order_reversal(lattice)):
+        meets_and_joins = _check_meets_and_joins(lattice)
+        if not meets_and_joins:
+            kind, a, b = meets_and_joins.witness
+            raise NotALatticeError(f"{a!r} and {b!r} have no {kind}")
 
     for e in elements:
         img = desc.orthocomplement.get(e)
@@ -421,15 +428,15 @@ def _raise_first_failure(desc, index, up, down, order, up_pos, down_pos):
     extra = set(desc.orthocomplement) - set(elements)
     if extra:
         raise SchemaError(f"orthocomplement keys not in elements: {sorted(extra)}")
-    failed = [(index[checks[name].witness[0]], message)
-              for name, message in (("involution", "involution fails at"),
-                                    ("complement", "complement laws fail at"))
-              if not checks[name]]
+    failed = [(index[check.witness[0]], message)
+              for check, message in ((_check_involution(lattice), "involution fails at"),
+                                     (_check_complement(lattice), "complement laws fail at"))
+              if not check]
     if failed:
         # the lowest element; min keeps the first of equals, the involution
         i, message = min(failed, key=lambda f: f[0])
         raise BadOrthocomplementError(f"{message} {elements[i]!r}")
-    a, b = checks["order_reversal"].witness
+    a, b = _check_order_reversal(lattice).witness
     raise BadOrthocomplementError(f"order reversal fails on ({a!r}, {b!r})")
 
 
@@ -668,23 +675,25 @@ def horizontal_sum(a: OrthoLattice, b: OrthoLattice,
 def verify_ortho(lattice: OrthoLattice) -> VerificationReport:
     """Exhaustively re-verify every orthocomplemented-lattice axiom.
 
-    ``meet_join_tables`` compares the meet and join of every pair i <= j,
-    read off the position masks, with the AND of their down- and up-sets;
-    both are symmetric in i and j, so the first failure is the one a scan
-    of all ordered pairs would meet first.  ``de_morgan`` needs no scan when
-    the partial order, the meets and joins, the involution and order
-    reversal all hold: x v y is then the least upper bound of x and y, and
-    an order-reversing involution carries it to the greatest lower bound of
-    x' and y', which is x' ^ y'.  Only when one of those fails is every pair
-    scanned, for the witness.
+    Each check is its own function below, so a rejected description can run
+    them one at a time and stop at the first that fails.
     """
+    checks = {
+        "partial_order": _check_partial_order(lattice),
+        "bounds": _check_bounds(lattice),
+        "meet_join_tables": _check_meets_and_joins(lattice),
+        "involution": _check_involution(lattice),
+        "complement": _check_complement(lattice),
+        "order_reversal": _check_order_reversal(lattice),
+    }
+    checks["de_morgan"] = _check_de_morgan(lattice, checks)
+    return VerificationReport(checks)
+
+
+def _check_partial_order(lattice: OrthoLattice) -> CheckResult:
     n = len(lattice)
     elements = lattice.elements
     up, down = lattice.up_masks, lattice.down_masks
-    order, up_pos, down_pos = lattice.order, lattice.up_pos, lattice.down_pos
-    orth = lattice.orth_map
-    checks: dict[str, CheckResult] = {}
-
     witness = None
     for i in range(n):
         if not up[i] >> i & 1:
@@ -705,66 +714,84 @@ def verify_ortho(lattice: OrthoLattice) -> VerificationReport:
     if witness is None and sum(m.bit_count() for m in up) != sum(m.bit_count() for m in down):
         witness = next((elements[i], elements[j]) for j in range(n)
                        for i in _bits(down[j]) if not up[i] >> j & 1)
-    checks["partial_order"] = CheckResult(witness is None, witness)
+    return CheckResult(witness is None, witness)
 
-    witness = None
-    full = (1 << n) - 1
-    if up[lattice.bottom_index] != full or down[lattice.top_index] != full:
-        witness = (lattice.bottom, lattice.top)
-    checks["bounds"] = CheckResult(witness is None, witness)
 
-    witness = None
+def _check_bounds(lattice: OrthoLattice) -> CheckResult:
+    full = (1 << len(lattice)) - 1
+    if (lattice.up_masks[lattice.bottom_index] != full
+            or lattice.down_masks[lattice.top_index] != full):
+        return CheckResult(False, (lattice.bottom, lattice.top))
+    return CheckResult(True)
+
+
+def _check_meets_and_joins(lattice: OrthoLattice) -> CheckResult:
+    """Compares the meet and join of every pair i <= j, read off the position
+    masks, with the AND of their down- and up-sets; both are symmetric in i
+    and j, so the first failure is the one a scan of all ordered pairs would
+    meet first."""
+    n = len(lattice)
+    elements = lattice.elements
+    up, down = lattice.up_masks, lattice.down_masks
+    order, up_pos, down_pos = lattice.order, lattice.up_pos, lattice.down_pos
     for i in range(n):
         down_i, up_i, dpos_i, upos_i = down[i], up[i], down_pos[i], up_pos[i]
         for j in range(i, n):
             if down[order[(dpos_i & down_pos[j]).bit_length() - 1]] != down_i & down[j]:
-                witness = ("meet", elements[i], elements[j])
-                break
+                return CheckResult(False, ("meet", elements[i], elements[j]))
             ub = upos_i & up_pos[j]
             if up[order[(ub & -ub).bit_length() - 1]] != up_i & up[j]:
-                witness = ("join", elements[i], elements[j])
-                break
-        if witness:
-            break
-    checks["meet_join_tables"] = CheckResult(witness is None, witness)
+                return CheckResult(False, ("join", elements[i], elements[j]))
+    return CheckResult(True)
 
+
+def _check_involution(lattice: OrthoLattice) -> CheckResult:
+    orth = lattice.orth_map
     witness = next(
-        ((elements[i],) for i in range(n) if orth[orth[i]] != i), None
+        ((lattice.elements[i],) for i in range(len(lattice)) if orth[orth[i]] != i), None
     )
-    checks["involution"] = CheckResult(witness is None, witness)
+    return CheckResult(witness is None, witness)
 
+
+def _check_complement(lattice: OrthoLattice) -> CheckResult:
     witness = next(
-        ((elements[i],) for i, o in enumerate(orth)
+        ((lattice.elements[i],) for i, o in enumerate(lattice.orth_map)
          if lattice.join_index(i, o) != lattice.top_index
          or lattice.meet_index(i, o) != lattice.bottom_index),
         None,
     )
-    checks["complement"] = CheckResult(witness is None, witness)
+    return CheckResult(witness is None, witness)
 
-    witness = None
-    for i in range(n):
+
+def _check_order_reversal(lattice: OrthoLattice) -> CheckResult:
+    up, orth = lattice.up_masks, lattice.orth_map
+    for i in range(len(lattice)):
         rest = up[i]
         while rest:
             j = (rest & -rest).bit_length() - 1
             rest &= rest - 1
             if not up[orth[j]] >> orth[i] & 1:
-                witness = (elements[i], elements[j])
-                break
-        if witness:
-            break
-    checks["order_reversal"] = CheckResult(witness is None, witness)
+                return CheckResult(False, (lattice.elements[i], lattice.elements[j]))
+    return CheckResult(True)
 
-    witness = None
-    if not all(checks[name].ok for name in
-               ("partial_order", "meet_join_tables", "involution", "order_reversal")):
-        witness = next(
-            ((elements[i], elements[j]) for i in range(n) for j in range(n)
-             if orth[lattice.join_index(i, j)] != lattice.meet_index(orth[i], orth[j])),
-            None,
-        )
-    checks["de_morgan"] = CheckResult(witness is None, witness)
 
-    return VerificationReport(checks)
+def _check_de_morgan(lattice: OrthoLattice, checks: dict[str, CheckResult]) -> CheckResult:
+    """Needs no scan when the partial order, the meets and joins, the
+    involution and order reversal all hold (``checks``): x v y is then the
+    least upper bound of x and y, and an order-reversing involution carries
+    it to the greatest lower bound of x' and y', which is x' ^ y'.  Only
+    when one of those fails is every pair scanned, for the witness."""
+    if all(checks[name].ok for name in
+           ("partial_order", "meet_join_tables", "involution", "order_reversal")):
+        return CheckResult(True)
+    n = len(lattice)
+    orth = lattice.orth_map
+    witness = next(
+        ((lattice.elements[i], lattice.elements[j]) for i in range(n) for j in range(n)
+         if orth[lattice.join_index(i, j)] != lattice.meet_index(orth[i], orth[j])),
+        None,
+    )
+    return CheckResult(witness is None, witness)
 
 
 def is_orthomodular(lattice: OrthoLattice) -> CheckResult:

@@ -7,9 +7,12 @@ Claims:
       to an equal lattice (round trip through the CLI check command)
     - exit codes: 0 success, 1 mathematical negative, 2 input error,
       3 resource cap
+    - parsing builds only the named command's parser, yet gives the same
+      namespace, output and exit code as the parser of every command
 """
 
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from orthomeasure import atoms, benzene, boolean, mo, save_group, save_lattice
-from orthomeasure.cli import _json_text, _ratios, run
+from orthomeasure.cli import _COMMANDS, _json_text, _ratios, build_parser, parse_args, run
 from orthomeasure.symmetry import automorphism_group
 
 
@@ -384,3 +387,61 @@ def test_json_reports_are_json_dumps_output(family, capsys, tmp_path):
             assert out == json.dumps(data, indent=2) + "\n", (label, argv)
             reported.add(argv[0])
     assert reported == {cmd[0] for cmd in FAMILY_COMMANDS} | {"extend"}
+
+
+# --- argument parsing ---------------------------------------------------------------
+
+
+def _every_option(name):
+    cmd = _COMMANDS[name]
+    argv = [name, "l.json", "--format", "text", "--max-elements", "9"]
+    if cmd.group:
+        argv += ["--group", "g.json", "--max-group", "7"]
+    if cmd.domain:
+        argv += ["--domain", "z/3"]
+    for flag, _ in cmd.extra:
+        argv += [flag, "v"]
+    return argv
+
+
+ARGVS = [
+    argv
+    for name in _COMMANDS
+    for argv in (
+        _every_option(name),
+        [name, "-h"],
+        [name],  # no lattice
+        [name, "l.json", "--bogus"],
+        [name, "l.json", "--max-elements", "x"],
+        [name, "l.json", "--group", "g.json", "--full-aut"],
+    )
+] + [
+    [],
+    ["--help"],
+    ["bogus", "l.json"],
+    ["extend", "l.json", "--generating-set", "gs.json"],  # no --partial
+    ["aut", "l.json", "--max-group", "5"],
+    ["module", "l.json", "--full-aut"],
+]
+
+
+def _parsed(parse, argv, capsys):
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+def test_one_command_parser_parses_like_the_full_parser(argv, capsys):
+    expected = _parsed(build_parser().parse_args, argv, capsys)
+    assert _parsed(parse_args, argv, capsys) == expected
+
+
+def test_parse_args_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["orthomeasure", "states", "l.json", "--bogus"])
+    expected = _parsed(build_parser().parse_args, None, capsys)
+    assert expected[0] == 2
+    assert _parsed(parse_args, None, capsys) == expected

@@ -119,15 +119,19 @@ def test_cycle_raises_not_a_partial_order():
 
 
 def test_missing_join_raises_not_a_lattice():
-    # two maximal elements: no join, no top
-    desc = LatticeDescription(
-        name="nojoin",
-        elements=("0", "x", "y"),
-        leq_pairs=(("0", "x"), ("0", "y")),
-        orthocomplement={"0": "x", "x": "0", "y": "y"},
-    )
-    with pytest.raises(NotALatticeError):
-        build_lattice(desc)
+    # two maximal elements: every meet, but no join and no top
+    for orthocomplement in (
+        {"0": "x", "x": "0", "y": "y"},  # an involution, not order-reversing
+        {"0": "0", "x": "0", "y": "0"},  # order-reversing, not an involution
+    ):
+        desc = LatticeDescription(
+            name="nojoin",
+            elements=("0", "x", "y"),
+            leq_pairs=(("0", "x"), ("0", "y")),
+            orthocomplement=orthocomplement,
+        )
+        with pytest.raises(NotALatticeError, match="'x' and 'y' have no join"):
+            build_lattice(desc)
 
 
 def test_bad_orthocomplement_variants():
