@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 from collections.abc import Callable
+from decimal import Decimal
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from typing import NamedTuple
@@ -87,6 +88,17 @@ def _load_action(args, lattice):
     return None
 
 
+def _scalar_text(value) -> str:
+    """``str(value)``, also for an int past the interpreter's digit limit
+    for int-to-str conversion (4300 digits by default), which |Aut(MO(n))|
+    = 2^n n! passes at n = 1430: Decimal converts without that limit and
+    gives the same digits."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
+
+
 def _render_text(value, indent=0) -> list[str]:
     pad = "  " * indent
     lines = []
@@ -96,16 +108,16 @@ def _render_text(value, indent=0) -> list[str]:
                 lines.append(f"{pad}{k}:")
                 lines.extend(_render_text(v, indent + 1))
             else:
-                lines.append(f"{pad}{k}: {v}")
+                lines.append(f"{pad}{k}: {_scalar_text(v)}")
     elif isinstance(value, list):
         for v in value:
             if isinstance(v, (dict, list)):
                 lines.append(f"{pad}-")
                 lines.extend(_render_text(v, indent + 1))
             else:
-                lines.append(f"{pad}- {v}")
+                lines.append(f"{pad}- {_scalar_text(v)}")
     else:
-        lines.append(f"{pad}{value}")
+        lines.append(f"{pad}{_scalar_text(value)}")
     return lines
 
 
@@ -141,7 +153,10 @@ def _json_text(value, pad="\n") -> str:
     if value is False:
         return "false"
     if kind is int:
-        return int.__repr__(value)
+        try:
+            return int.__repr__(value)
+        except ValueError:  # past the digit limit, see _scalar_text
+            return str(Decimal(value))
     raise TypeError(f"{kind.__name__} is not a report value")
 
 

@@ -24,6 +24,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heapify, heappop, heappush
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -950,6 +951,147 @@ def orthogonal_pairs(lattice: OrthoLattice) -> list[tuple[str, str]]:
     """
     names = lattice.elements
     return [(names[i], names[j]) for i, j in lattice.orthogonal_index_pairs()]
+
+
+# --- decomposition ----------------------------------------------------------------
+
+
+def horizontal_summands(lattice: OrthoLattice) -> list[tuple[OrthoLattice, list[int]]]:
+    """The horizontal summands of the lattice if it has two or more, else [].
+
+    The proper elements (all but 0 and 1) fall into the connected
+    components of the graph that joins comparable elements, and each
+    element to its orthocomplement.  Elements of different components
+    meet in 0 and join in 1, since a proper bound of both would be
+    comparable to both.  So each component together with 0 and 1 is a
+    sub-ortholattice, and the lattice is their horizontal sum; this holds
+    in any ortholattice.  Each summand comes with its members: the index
+    in the lattice of each of its elements, ascending.
+    """
+    up, down, orth = lattice.up_masks, lattice.down_masks, lattice.orth_map
+    ends = 1 << lattice.bottom_index | 1 << lattice.top_index
+    unseen = ((1 << len(lattice)) - 1) & ~ends
+    components = []
+    while unseen:
+        component = 0
+        frontier = unseen & -unseen
+        while frontier:
+            component |= frontier
+            reached = 0
+            for i in _bits(frontier):
+                reached |= up[i] | down[i] | 1 << orth[i]
+            frontier = reached & unseen & ~component
+        unseen &= ~component
+        components.append(component)
+    if len(components) < 2:
+        return []
+    summands = []
+    for component in components:
+        members = list(_bits(component | ends))
+        where = {i: k for k, i in enumerate(members)}
+        summands.append((_induced(lattice, members, [where[orth[i]] for i in members]),
+                         members))
+    return summands
+
+
+def direct_factors(lattice: OrthoLattice
+                   ) -> tuple[list[tuple[OrthoLattice, list[int]]], list[tuple[int, ...]]]:
+    """The factors [0, z] over the atoms z of the center, and the
+    coordinates of every element in them, if the center has two or more
+    atoms and the split checks out; else ([], []).
+
+    z is central when t = (t ^ z) v (t ^ z') for every t.  An atom below
+    neither z nor z' fails this, so only the z whose down-set, with that
+    of z', holds every atom are tested, lowest first, and any z above a
+    central element already found is skipped: the central elements found
+    are the atoms of the center.  In an orthomodular lattice, t ->
+    (t ^ z_1, ..., t ^ z_r) is then an isomorphism onto the product of the
+    [0, z_j], each with x -> x' ^ z_j as its orthocomplement (Kalmbach,
+    *Orthomodular Lattices*, 1983, ch. 3).  Since the lattice need not be
+    orthomodular, the map is checked: it is a bijection, each t is the
+    join of its coordinates (so the inverse preserves order too), and it
+    carries ' to the factors' orthocomplements.
+
+    Each factor comes with its members, as in :func:`horizontal_summands`;
+    coordinates[t][j] is the index in factor j of t ^ z_j.
+    """
+    n = len(lattice)
+    down, orth = lattice.down_masks, lattice.orth_map
+    atom_mask = sum(1 << a for a in lattice.atom_indices())
+    candidates = sorted(
+        (z for z in range(n)
+         if z not in (lattice.bottom_index, lattice.top_index)
+         and (down[z] | down[orth[z]]) & atom_mask == atom_mask),
+        key=lambda z: down[z].bit_count())
+    centre, found = 0, []
+    for z in candidates:
+        if not down[z] & centre and _is_central(lattice, z):
+            centre |= 1 << z
+            found.append(z)
+    if len(found) < 2:
+        return [], []
+
+    members = [list(_bits(down[z])) for z in found]
+    where = [{i: k for k, i in enumerate(m)} for m in members]
+    order, up_pos, down_pos = lattice.order, lattice.up_pos, lattice.down_pos
+    # t ^ z_j is the element at the highest position of their common down-set
+    coordinates = [tuple([w[order[(d & down_pos[z]).bit_length() - 1]]
+                          for z, w in zip(found, where)]) for d in down_pos]
+    orths = [[c[j] for c in (coordinates[orth[i]] for i in m)]
+             for j, m in enumerate(members)]
+    if prod(map(len, members)) != n or len(set(coordinates)) != n:
+        return [], []
+    bottom = up_pos[lattice.bottom_index]
+    for t, c in enumerate(coordinates):
+        common = bottom
+        for m, k in zip(members, c):
+            common &= up_pos[m[k]]
+        if (order[(common & -common).bit_length() - 1] != t
+                or coordinates[orth[t]] != tuple([o[k] for o, k in zip(orths, c)])):
+            return [], []
+    factors = [(_induced(lattice, m, o), m) for m, o in zip(members, orths)]
+    return factors, coordinates
+
+
+def _is_central(lattice: OrthoLattice, z: int) -> bool:
+    """t = (t ^ z) v (t ^ z') for every t."""
+    order, up_pos, down_pos = lattice.order, lattice.up_pos, lattice.down_pos
+    below_z, below_o = down_pos[z], down_pos[lattice.orth_map[z]]
+    for t, d in enumerate(down_pos):
+        common = (up_pos[order[(d & below_z).bit_length() - 1]]
+                  & up_pos[order[(d & below_o).bit_length() - 1]])
+        if order[(common & -common).bit_length() - 1] != t:
+            return False
+    return True
+
+
+def _induced(lattice: OrthoLattice, members: list[int], orth: list[int]) -> OrthoLattice:
+    """The subposet on ``members`` (ascending indices of the lattice), its
+    element k being members[k], with ``orth`` (its own indices) as its
+    orthocomplement; the caller vouches that this is an ortholattice.
+    Its masks are the lattice's, compressed to the members, and its order
+    is theirs in the lattice's topological order."""
+    position = lattice.down_pos  # an element is the top bit of its own down-set
+    order = sorted(members, key=lambda i: position[i].bit_length())
+    bit = {i: 1 << k for k, i in enumerate(members)}
+    pos_bit = {i: 1 << p for p, i in enumerate(order)}
+    inside = sum(1 << i for i in members)
+    up, down, up_pos, down_pos = [], [], [], []
+    for i in members:
+        for masks, pos_masks, rest in ((up, up_pos, lattice.up_masks[i] & inside),
+                                       (down, down_pos, lattice.down_masks[i] & inside)):
+            bits = pos = 0
+            while rest:
+                low = rest & -rest
+                j = low.bit_length() - 1
+                rest ^= low
+                bits |= bit[j]
+                pos |= pos_bit[j]
+            masks.append(bits)
+            pos_masks.append(pos)
+    index = {i: k for k, i in enumerate(members)}
+    return OrthoLattice(lattice.name, [lattice.elements[i] for i in members], up, down,
+                        orth, [index[i] for i in order], up_pos, down_pos)
 
 
 # --- isomorphism search ---------------------------------------------------------

@@ -1,29 +1,45 @@
 """Finite groups acting on a lattice by orthocomplementation-preserving
-automorphisms: search, closure, orbits, stabilizers, normalizers.
+automorphisms: decomposition, search, closure, orbits, stabilizers,
+normalizers.
 
 A group is held by a generating set and its order.  The full automorphism
-group comes from a search over a base and strong generating set, so its
-order is known without listing a single element; orbits are the connected
-components of the generators, found by union-find.  A searched group also
-remembers the element sets it stabilizes (none for the full group): the
-stabilizer in Aut(L) of sets S_1, ..., S_k is the automorphism group of L
-coloured by membership in each S_i.  So a normalizer or stabilizer in a
-searched group is one more search with one more set, and membership is an
-automorphism check plus a check of the sets; neither lists elements.  A
-group given by generators (``close_group``, ``load_group``) is listed when
-it is built, and its normalizers filter that list.  Elements are listed
-only on demand (``perms`` and iteration), and never past the group's
-``max_group`` cap.
+group is built from a decomposition of the lattice: Boolean lattices,
+horizontal sums and products over the center have it in closed form, as
+S_k and as wreath products over classes of isomorphic blocks, and only
+the blocks that are irreducible and not Boolean are searched for a base
+and strong generating set; either way its order is known without listing
+a single element.  Orbits are the connected components of the
+generators, found by union-find.  A searched group also remembers the
+element sets it stabilizes (none for the full group): the stabilizer in
+Aut(L) of sets S_1, ..., S_k is the automorphism group of L coloured by
+membership in each S_i.  So a normalizer or stabilizer in the full group
+or a searched group is one search of the whole lattice with one more set,
+and membership is an automorphism check plus a check of the sets; neither
+lists elements.  A group given by generators (``close_group``,
+``load_group``) is listed when it is built, and its normalizers filter
+that list.  Elements are listed only on demand (``perms`` and iteration),
+and never past the group's ``max_group`` cap.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from decimal import Decimal
+from itertools import groupby
+from math import factorial
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GroupTooLargeError, NotAnAutomorphismError, SchemaError
-from .lattice import IsomorphismSearch, OrthoLattice
+from .lattice import (
+    IsomorphismSearch,
+    OrthoLattice,
+    direct_factors,
+    horizontal_summands,
+    is_boolean,
+    iter_isomorphisms,
+)
 
 DEFAULT_MAX_GROUP = 100_000
 
@@ -125,11 +141,12 @@ class Orbit:
 class GroupAction:
     """A finite group of lattice automorphisms, held by generators and order.
 
-    ``stabilized`` is None for a group given by its generators.  For a
-    searched group it holds the element index sets whose common setwise
-    stabilizer in the full automorphism group the group is; membership is
-    then decided without listing.  ``perms`` (and iteration, and membership
-    in a group given by generators) list the elements on first use, raising
+    ``stabilized`` is None for a group given by its generators.  For the
+    full automorphism group it is empty, and for a searched group it holds
+    the element index sets whose common setwise stabilizer in the full
+    automorphism group the group is; membership is then decided without
+    listing.  ``perms`` (and iteration, and membership in a group given by
+    generators) list the elements on first use, raising
     GroupTooLargeError when the order exceeds ``max_group``.
     """
 
@@ -152,8 +169,9 @@ class GroupAction:
     def perms(self) -> tuple[Perm, ...]:
         if self._perms is None:
             if self.order > self.max_group:
+                # Decimal prints ints of any length
                 raise GroupTooLargeError(
-                    f"listing {self.order} elements exceeds the cap of {self.max_group}"
+                    f"listing {Decimal(self.order)} elements exceeds the cap of {self.max_group}"
                 )
             gens = [g.perm for g in self.generators]
             self._perms = tuple(sorted(_closure(len(self.lattice), gens, self.max_group)))
@@ -180,7 +198,7 @@ class GroupAction:
         return all({perm[i] for i in s} == s for s in self.stabilized)
 
     def __repr__(self):
-        return f"<GroupAction of order {self.order} on {self.lattice!r}>"
+        return f"<GroupAction of order {Decimal(self.order)} on {self.lattice!r}>"
 
 
 def _closure(n: int, gen_perms: Sequence[Perm], max_group: int) -> set[Perm]:
@@ -249,7 +267,206 @@ def close_group(lattice: OrthoLattice, generators: Iterable[LatticeAutomorphism]
 def automorphism_group(lattice: OrthoLattice,
                        max_group: int = DEFAULT_MAX_GROUP) -> GroupAction:
     """The full group of orthocomplement-preserving lattice automorphisms,
-    as a strong generating set relative to a base.
+    built from a decomposition of the lattice and searched only on the
+    blocks that have no closed form.
+
+    Applied to the lattice and, recursively, to each block and factor:
+
+    - a Boolean lattice with k atoms has Aut = S_k: a transposition and a
+      cycle of the atoms, each extended to every element through its set
+      of atoms below;
+    - a horizontal sum of m >= 2 summands (:func:`horizontal_summands`)
+      has Aut = prod Aut(B) wr S_m over the classes of isomorphic summands,
+      as every automorphism fixes 0 and 1 and permutes the summands;
+    - a lattice whose center has m >= 2 atoms (:func:`direct_factors`) has
+      Aut = prod Aut(F) wr S_m over the classes of isomorphic factors
+      [0, z], as every automorphism permutes the atoms of the center;
+    - any other lattice, irreducible and not Boolean, is searched as in
+      :func:`_search_group`.  Such blocks are matched against the ones
+      already searched by the two-lattice search, and an isomorphic one
+      takes their group by conjugation.
+
+    Each class contributes the generators of its first member, and for
+    m >= 2 a transposition and, for m >= 3, a cycle of its members, which
+    carry one member onto another by matching their listings (see
+    ``_Part``).  The order is prod |Aut(B)|^m m!, and no element is
+    listed.  ``max_group`` caps later element listing only.
+    """
+    part = _Parts(max_group).part(lattice)
+    gens = [LatticeAutomorphism(lattice, p, _checked=True) for p in part.generators]
+    return GroupAction(lattice, gens, part.order, max_group=max_group, stabilized=())
+
+
+class _Part(NamedTuple):
+    """A lattice's automorphism group, a key and a listing of its element
+    indices such that two lattices with equal keys are isomorphic by
+    matching their listings in order."""
+
+    order: int
+    generators: list[Perm]
+    key: tuple
+    listing: list[int]
+
+
+class _Parts:
+    """The decomposition of one lattice into the parts of
+    ``automorphism_group``, with the irreducible non-Boolean blocks
+    searched so far and the part of every block and factor met so far,
+    by its order and orthocomplement over its own indices: the summands
+    of MO(n) all look alike."""
+
+    def __init__(self, max_group: int):
+        self.max_group = max_group
+        self.searched: list[tuple[OrthoLattice, _Part]] = []
+        self.seen: dict[tuple, _Part] = {}
+
+    def part(self, lattice: OrthoLattice) -> _Part:
+        shape = (lattice.up_masks, lattice.orth_map)
+        part = self.seen.get(shape)
+        if part is None:
+            part = self.seen[shape] = self._part(lattice)
+        return part
+
+    def _part(self, lattice: OrthoLattice) -> _Part:
+        if is_boolean(lattice):
+            return _boolean_part(lattice)
+        summands = horizontal_summands(lattice)
+        if summands:
+            return self._sum_part(lattice, summands)
+        factors, coordinates = direct_factors(lattice)
+        if factors:
+            return self._product_part(lattice, factors, coordinates)
+        return self._searched_part(lattice)
+
+    def _searched_part(self, lattice: OrthoLattice) -> _Part:
+        """The searched group, or the group of an isomorphic block searched
+        before carried over by the isomorphism p: g -> p g p^-1."""
+        for known, part in self.searched:
+            if len(known) == len(lattice):
+                p = next(iter_isomorphisms(known, lattice), None)
+                if p is not None:
+                    gens = []
+                    for g in part.generators:
+                        image = [0] * len(p)
+                        for i, j in zip(p, g):
+                            image[i] = p[j]
+                        gens.append(tuple(image))
+                    return _Part(part.order, gens, part.key, [p[k] for k in part.listing])
+        group = _search_group(lattice, (), self.max_group)
+        part = _Part(group.order, [g.perm for g in group.generators],
+                     ("searched", len(self.searched)), list(range(len(lattice))))
+        self.searched.append((lattice, part))
+        return part
+
+    def _sum_part(self, lattice: OrthoLattice, summands) -> _Part:
+        """Summands as blocks: each moves its proper elements, and the
+        transpositions and cycles of a class carry the proper elements of
+        one block onto another's in listing order."""
+        n = len(lattice)
+        blocks = []
+        for block, members in summands:
+            part = self.part(block)
+            ends = (block.bottom_index, block.top_index)
+            proper = [members[k] for k in part.listing if k not in ends]
+            blocks.append((part, members, proper))
+        blocks.sort(key=lambda b: b[0].key)
+        order, gens = 1, []
+        for cls in _runs(blocks, lambda b: b[0].key):
+            part, members, _ = cls[0]
+            order *= part.order ** len(cls) * factorial(len(cls))
+            for g in part.generators:
+                perm = list(range(n))
+                for i, j in zip(members, g):
+                    perm[i] = members[j]
+                gens.append(tuple(perm))
+            for move in _moves(len(cls)):
+                perm = list(range(n))
+                for a, b in move:
+                    for i, j in zip(cls[a][2], cls[b][2]):
+                        perm[i] = j
+                gens.append(tuple(perm))
+        listing = [lattice.bottom_index, *(i for b in blocks for i in b[2]), lattice.top_index]
+        return _Part(order, gens, ("sum", tuple(b[0].key for b in blocks)), listing)
+
+    def _product_part(self, lattice: OrthoLattice, factors, coordinates) -> _Part:
+        """Factors as coordinates: an element is the tuple of the listing
+        positions of its coordinates, factors sorted by key, and the
+        transpositions and cycles of a class move those positions from
+        one factor to another."""
+        parts = [self.part(factor) for factor, _ in factors]
+        by_key = sorted(range(len(factors)), key=lambda j: parts[j].key)
+        parts = [parts[j] for j in by_key]
+        positions = []
+        for part in parts:
+            at = [0] * len(part.listing)
+            for p, k in enumerate(part.listing):
+                at[k] = p
+            positions.append(at)
+        points = [tuple(at[c[j]] for j, at in zip(by_key, positions)) for c in coordinates]
+        element = {point: t for t, point in enumerate(points)}
+        order, gens, start = 1, [], 0
+        for cls in _runs(parts, attrgetter("key")):
+            part, m = cls[0], len(cls)
+            order *= part.order ** m * factorial(m)
+            for g in part.generators:
+                moved = [positions[start][g[k]] for k in part.listing]
+                gens.append(tuple(element[p[:start] + (moved[p[start]],) + p[start + 1:]]
+                                  for p in points))
+            for move in _moves(m):
+                perm = []
+                for p in points:
+                    q = list(p)
+                    for a, b in move:
+                        q[start + b] = p[start + a]
+                    perm.append(element[tuple(q)])
+                gens.append(tuple(perm))
+            start += m
+        listing = sorted(range(len(lattice)), key=points.__getitem__)
+        return _Part(order, gens, ("product", tuple(p.key for p in parts)), listing)
+
+
+def _boolean_part(lattice: OrthoLattice) -> _Part:
+    """S_k on the k atoms, listed by the set of atoms below each element:
+    element x sits at the bits of the atoms below it, atoms in index
+    order."""
+    atoms = lattice.atom_indices()
+    k = len(atoms)
+    sets = [sum(1 << r for r, a in enumerate(atoms) if d >> a & 1) for d in lattice.down_masks]
+    listing = [0] * len(lattice)
+    for x, s in enumerate(sets):
+        listing[s] = x
+    full = (1 << k) - 1
+    moves = []
+    if k >= 2:
+        moves.append(lambda s: s ^ 3 * ((s ^ s >> 1) & 1))  # atoms 0 and 1 swapped
+    if k >= 3:
+        moves.append(lambda s: (s << 1 | s >> (k - 1)) & full)  # atom r -> r + 1 mod k
+    gens = [tuple(listing[move(s)] for s in sets) for move in moves]
+    return _Part(factorial(k), gens, ("boolean", k), listing)
+
+
+def _runs(items: list, key) -> list[list]:
+    """The runs of equal keys in a list sorted by key: the classes of
+    isomorphic parts."""
+    return [list(run) for _, run in groupby(items, key)]
+
+
+def _moves(m: int) -> list[list[tuple[int, int]]]:
+    """Permutations of the m members of a class, as (from, to) pairs,
+    that generate S_m: a transposition and, for m >= 3, the cycle
+    through all."""
+    moves = [[(0, 1), (1, 0)]] if m >= 2 else []
+    if m >= 3:
+        moves.append([(a, (a + 1) % m) for a in range(m)])
+    return moves
+
+
+def _search_group(lattice: OrthoLattice, sets: tuple[frozenset[int], ...],
+                  max_group: int) -> GroupAction:
+    """The automorphisms that map each index set onto itself, as a strong
+    generating set relative to a base, found by a search on the whole
+    lattice in which each element's initial colour records which of the
+    sets hold it.
 
     The base b_1, ..., b_k individualizes elements of the search's colour
     refinement until the colouring is discrete, so only the identity fixes
@@ -259,16 +476,8 @@ def automorphism_group(lattice: OrthoLattice,
     automorphism fixing b_1, ..., b_{i-1} with b_i -> c either fails or
     yields a new generator.  Then the generators generate G_i, b_i's orbit
     is all of G_i b_i, and |G| is the product of the orbit lengths, so no
-    element is ever listed.  ``max_group`` caps later element listing only.
+    element is ever listed.
     """
-    return _search_group(lattice, (), max_group)
-
-
-def _search_group(lattice: OrthoLattice, sets: tuple[frozenset[int], ...],
-                  max_group: int) -> GroupAction:
-    """The automorphisms that map each index set onto itself, searched as
-    in ``automorphism_group`` with each element's initial colour recording
-    which of the sets hold it."""
     marks = None
     if sets:
         marks = [0] * len(lattice)
@@ -376,8 +585,10 @@ def quotient_map_injective(action: GroupAction, members: Iterable[str],
 
 
 def generating_subset(action: GroupAction) -> list[LatticeAutomorphism]:
-    """The action's generators without the identity and repeats: the strong
-    generators of a searched group, the given generators of a closed one."""
+    """The action's generators without the identity and repeats: for the
+    full group those of its decomposition (``automorphism_group``), for a
+    normalizer the strong generators of its search, for a closed group the
+    given ones."""
     identity = tuple(range(len(action.lattice)))
     have = {identity}
     gens: list[LatticeAutomorphism] = []

@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -274,6 +275,32 @@ def test_aut_mo7_needs_no_listing(tmp_path, capsys):
     assert code == 0
     assert data["report"]["order"] == 645120
     assert data["report"]["generators"]
+
+
+def _digits(n):
+    """The decimal digits of n >= 0, converting at most 1000 at a time."""
+    chunks = []
+    while True:
+        n, low = divmod(n, 10 ** 1000)
+        chunks.append(low)
+        if not n:
+            break
+    return str(chunks[-1]) + "".join(f"{c:01000d}" for c in reversed(chunks[:-1]))
+
+
+def test_aut_reports_an_order_past_the_digit_limit(tmp_path, capsys):
+    # |Aut(MO(2000))| = 2^2000 2000! has 6 338 digits, past the 4 300 that
+    # int-to-str conversion allows by default
+    path = str(tmp_path / "mo2000.json")
+    save_lattice(mo(2000), path)
+    expected = _digits(2 ** 2000 * factorial(2000))
+    assert len(expected) == 6338
+    assert run(["aut", path]) == 0
+    data = json.loads(capsys.readouterr().out, parse_int=str)
+    assert data["report"]["order"] == expected
+    assert len(data["report"]["generators"]) == 3
+    assert run(["aut", path, "--format", "text"]) == 0
+    assert f"\n  order: {expected}\n" in capsys.readouterr().out
 
 
 def test_full_aut_queries_on_mo20(tmp_path, capsys):

@@ -8,6 +8,9 @@ Claims:
       under the action
     - M(A x B) = M(A) (+) M(B) in rank and torsion over pairs of family
       members
+    - M(hsum(A, B)) = (M(A) (+) M(B)) / <[1_A] - [1_B]>, the pushout over
+      the shared top, in rank and torsion over every pair of family
+      members, benzene among them
     - past the 32-element family, under wall-clock bounds: rank M(B_12) =
       12, rank M(MO(2000)) = 2001, and verify_ortho(boolean(11)) passes
       every check
@@ -30,6 +33,7 @@ import pytest
 import orthomeasure.lattice as lattice_mod
 import orthomeasure.measures as measures_mod
 from orthomeasure import (
+    FPAbelianGroup,
     IsotropicFormError,
     LatticeAutomorphism,
     SizeCapError,
@@ -37,9 +41,11 @@ from orthomeasure import (
     boolean,
     close_group,
     coinvariants,
+    horizontal_sum,
     measure_module,
     mo,
     product,
+    relation_matrix,
     subspace_lattice,
     verify_ortho,
 )
@@ -110,6 +116,27 @@ def test_measure_group_of_a_product_is_the_direct_sum(family):
         assert _elementary_divisors(both.torsion) == _elementary_divisors(
             left.torsion + right.torsion), (a_name, b_name)
     assert pairs >= 40
+
+
+def test_measure_group_of_a_horizontal_sum_is_the_pushout(family):
+    # a proper x of A and a proper y of B are incomparable, so y <= x'
+    # fails and no orthogonal pair crosses the summands: the relations are
+    # those of A and of B, with 0 and 1 shared; each side's (0, 0) row
+    # sends its bottom to zero, so only the tops need gluing
+    pairs = 0
+    for a_name, b_name in itertools.combinations_with_replacement(sorted(family), 2):
+        a, b = family[a_name], family[b_name]
+        pairs += 1
+        width = len(a) + len(b)
+        rows = [row + [0] * len(b) for row in relation_matrix(a)]
+        rows += [[0] * len(a) + row for row in relation_matrix(b)]
+        glue = [0] * width
+        glue[a.top_index] = 1
+        glue[len(a) + b.top_index] = -1
+        pushout = FPAbelianGroup.from_relations(width, rows + [glue])
+        both = measure_module(horizontal_sum(a, b))
+        assert (both.rank, both.torsion) == (pushout.rank, pushout.torsion), (a_name, b_name)
+    assert pairs >= 40 and "benzene" in family
 
 
 def test_rank_of_boolean_12():

@@ -57,7 +57,9 @@ def _actions(lattice):
     full = automorphism_group(lattice)
     yield "full", full
     if full.generators:
-        yield "cyclic", close_group(lattice, full.generators[:1])
+        # the generator that moves the most elements, the first of equals
+        g = max(full.generators, key=lambda g: sum(i != j for i, j in enumerate(g.perm)))
+        yield "cyclic", close_group(lattice, [g])
 
 
 def _merged(module, row):

@@ -1,12 +1,17 @@
-"""Automorphism groups held by a base and strong generating set.
+"""The whole-lattice automorphism search: a base and strong generating set.
+
+``automorphism_group`` runs this search only on irreducible non-Boolean
+blocks (see test_decomposition.py), so these tests call it directly.
 
 Claims:
     - the search gives the closed-form orders |Aut(MO(n))| = 2^n n! up to
       n = 20 and |Aut(B_n)| = n! up to n = 7, and 2 (|Aut A|)^2 for the
       square of a directly irreducible lattice, without listing elements
     - every returned generator passes the automorphism validation
-    - the order matches an independent count of networkx DiGraphMatcher
-      isomorphisms of the cover graph with its orthocomplement edges
+    - the order, of the search and of ``automorphism_group``, matches an
+      independent count of networkx DiGraphMatcher isomorphisms of the
+      cover graph with its orthocomplement edges, and both list exactly
+      the isomorphisms the two-lattice search enumerates
     - union-find orbits equal the orbits read off the listed closure
     - each strong generator joins two orbits of the generators found before
       it, so none is redundant
@@ -40,13 +45,19 @@ from orthomeasure import (
 )
 from orthomeasure import symmetry
 from orthomeasure.lattice import IsomorphismSearch, iter_isomorphisms
-from orthomeasure.symmetry import _validate_automorphism, automorphism_group
+from orthomeasure.symmetry import (
+    DEFAULT_MAX_GROUP,
+    LatticeAutomorphism,
+    _search_group,
+    _validate_automorphism,
+    automorphism_group,
+)
 
 from oracles import orbits_by_listing
 
 
 def searched(lattice):
-    action = automorphism_group(lattice)
+    action = _search_group(lattice, (), DEFAULT_MAX_GROUP)
     for g in action.generators:
         _validate_automorphism(lattice, g.perm)
     return action
@@ -114,16 +125,18 @@ SMALL = {
 @pytest.mark.parametrize("name", sorted(SMALL))
 def test_order_matches_networkx_count(name):
     lattice = SMALL[name]()
-    assert searched(lattice).order == _matcher_count(lattice)
+    count = _matcher_count(lattice)
+    assert searched(lattice).order == count
+    assert automorphism_group(lattice).order == count
 
 
 @pytest.mark.parametrize("name", sorted(SMALL))
 def test_order_matches_enumerated_isomorphisms(name):
     lattice = SMALL[name]()
     listed = set(iter_isomorphisms(lattice, lattice))
-    action = searched(lattice)
-    assert action.order == len(listed)
-    assert set(action.perms) == listed
+    for action in (searched(lattice), automorphism_group(lattice)):
+        assert action.order == len(listed)
+        assert set(action.perms) == listed
 
 
 def test_union_find_orbits_match_listing(family, aut_groups):
@@ -140,7 +153,11 @@ def test_union_find_orbits_match_listing(family, aut_groups):
 
 def test_union_find_orbits_of_a_closed_subgroup():
     lattice = mo(4)
-    action = close_group(lattice, automorphism_group(lattice).generators[:1])
+    # swaps the blocks of a1 and a2 and flips that of a3
+    g = LatticeAutomorphism.from_mapping(lattice, {
+        "0": "0", "1": "1", "a1": "a2", "a1'": "a2'", "a2": "a1", "a2'": "a1'",
+        "a3": "a3'", "a3'": "a3", "a4": "a4", "a4'": "a4'"})
+    action = close_group(lattice, [g])
     listed = orbits_by_listing(action.perms, len(lattice))
     for i, e in enumerate(lattice.elements):
         assert {lattice.index(x) for x in orbit_of(action, e)} == listed[i]
@@ -166,9 +183,9 @@ def _orbit_count(perms, n):
 
 def test_each_generator_joins_orbits():
     # generators are returned last found first
-    for action in (automorphism_group(mo(4)), automorphism_group(boolean(4)),
-                   automorphism_group(product(mo(2), mo(2))),
-                   automorphism_group(horizontal_sum(boolean(3), mo(3))),
+    for action in (searched(mo(4)), searched(boolean(4)),
+                   searched(product(mo(2), mo(2))),
+                   searched(horizontal_sum(boolean(3), mo(3))),
                    normalizer(automorphism_group(mo(5)), ["a1", "a2'"])):
         perms = [g.perm for g in action.generators]
         n = len(action.lattice)
@@ -220,15 +237,15 @@ def test_deep_base_needs_no_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 60)
     try:
-        action = automorphism_group(lattice)
+        action = _search_group(lattice, (), DEFAULT_MAX_GROUP)
     finally:
         sys.setrecursionlimit(limit)
     assert action.order == 2 ** 120 * factorial(120)
 
 
 def _search_counts(monkeypatch, lattice):
-    """(refinements, splitter cells, neighbour visits) of the search behind
-    automorphism_group."""
+    """(refinements, splitter cells, neighbour visits) of the whole-lattice
+    search."""
     searches = []
 
     class Recorded(IsomorphismSearch):
@@ -237,7 +254,7 @@ def _search_counts(monkeypatch, lattice):
             searches.append(self)
 
     monkeypatch.setattr(symmetry, "IsomorphismSearch", Recorded)
-    automorphism_group(lattice)
+    _search_group(lattice, (), DEFAULT_MAX_GROUP)
     (search,) = searches
     return search.refinements, search.splitters, search.visits
 

@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthomeasure import (
+    LatticeAutomorphism,
     LatticeDescription,
     automorphism_group,
     benzene,
@@ -143,7 +144,14 @@ def test_membership_in_aut_mo20_lists_nothing(monkeypatch):
     stab = stabilizer(full, "a1")
     identity = tuple(range(len(lattice)))
     assert identity in full and identity in stab
-    g, h = full.generators[0], full.generators[-1]
+    # g rotates the blocks a_i -> a_(i+1), h flips a1 <-> a1'
+    g = {"0": "0", "1": "1"}
+    for i in range(1, 21):
+        g[f"a{i}"], g[f"a{i}'"] = f"a{i % 20 + 1}", f"a{i % 20 + 1}'"
+    h = {e: e for e in lattice.elements}
+    h["a1"], h["a1'"] = "a1'", "a1"
+    g, h = (LatticeAutomorphism.from_mapping(lattice, m) for m in (g, h))
+    assert g in full and h in full
     assert g.compose(h) in full
     assert h.inverse() in full
     moves_a1 = next(g for g in full.generators if g("a1") != "a1")
