@@ -82,7 +82,7 @@ def _check_result_dict(result) -> dict:
 
 def _load_action(args, lattice):
     if getattr(args, "full_aut", False):
-        return automorphism_group(lattice, args.max_group)
+        return automorphism_group(lattice)
     if getattr(args, "group", None):
         return load_group(args.group, lattice, args.max_group)
     return None

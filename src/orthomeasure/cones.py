@@ -82,40 +82,17 @@ def _dot(a, b):
 
 
 @dataclass(frozen=True)
-class Halfspace:
-    """The set of points with nonnegative pairing against the normal."""
-
-    normal: Vector
-
-    def __post_init__(self):
-        if not any(self.normal):
-            raise ValueError("halfspace normal must be nonzero")
-
-
-@dataclass(frozen=True)
 class PolyCone:
-    """A polyhedral cone with matching halfspace and ray representations."""
+    """A polyhedral cone {x : n . x >= 0 for every normal n}, with its
+    extreme rays and a lineality basis."""
 
     dim: int
-    halfspaces: tuple[Halfspace, ...]
+    normals: tuple[Vector, ...]
     rays: tuple[Vector, ...]
     lineality: tuple[Vector, ...]
 
-    @classmethod
-    def from_parts(cls, dim, normals, rays, lineality) -> "PolyCone":
-        return cls(
-            dim,
-            tuple(Halfspace(tuple(n)) for n in normals),
-            tuple(rays),
-            tuple(lineality),
-        )
-
-    @property
-    def normals(self) -> tuple[Vector, ...]:
-        return tuple(h.normal for h in self.halfspaces)
-
     def contains(self, vec) -> bool:
-        return all(_dot(h.normal, vec) >= 0 for h in self.halfspaces)
+        return all(_dot(n, vec) >= 0 for n in self.normals)
 
     def generators(self) -> list[Vector]:
         """Rays plus both signs of the lineality basis."""
@@ -245,11 +222,9 @@ def dual_cone(generators, max_dim: int = DEFAULT_MAX_DIMENSION) -> PolyCone:
         raise ValueError("generators must share one ambient dimension")
     if dim > max_dim:
         raise DimensionCapError(f"dimension {dim} exceeds the cap of {max_dim}")
-    normals = list(
-        dict.fromkeys(_primitive(g) for g in generators if any(g))
-    )
+    normals = tuple(dict.fromkeys(_primitive(g) for g in generators if any(g)))
     rays, lineality = double_description(normals, dim)
-    return PolyCone.from_parts(dim, normals, rays, lineality)
+    return PolyCone(dim, normals, tuple(rays), tuple(lineality))
 
 
 def cone_from_rays(rays, dim: int, lineality=(),
@@ -271,7 +246,7 @@ def cone_from_rays(rays, dim: int, lineality=(),
         halfspaces.append(l)
         halfspaces.append(tuple(-x for x in l))
     canon_rays, canon_lineality = double_description(halfspaces, dim)
-    return PolyCone.from_parts(dim, halfspaces, canon_rays, canon_lineality)
+    return PolyCone(dim, tuple(halfspaces), tuple(canon_rays), tuple(canon_lineality))
 
 
 def cones_equivalent(a: PolyCone, b: PolyCone) -> bool:
@@ -295,16 +270,10 @@ def measure_coordinates(lattice: OrthoLattice,
 
 def _measure_cone(lattice: OrthoLattice,
                   action: GroupAction | None) -> tuple[PolyCone, list[Vector]]:
-    """The positive cone and the free coordinates of every element."""
-    module, coords = measure_coordinates(lattice, action)
-    dim = module.rank
-    if dim > DEFAULT_MAX_DIMENSION:
-        raise DimensionCapError(
-            f"dimension {dim} exceeds the cap of {DEFAULT_MAX_DIMENSION}"
-        )
-    normals = list(dict.fromkeys(c for c in coords if any(c)))
-    rays, lineality = double_description(normals, dim)
-    return PolyCone.from_parts(dim, normals, rays, lineality), coords
+    """The positive cone, dual to the element coordinates, and those
+    coordinates."""
+    _, coords = measure_coordinates(lattice, action)
+    return dual_cone(coords), coords
 
 
 def positive_cone(lattice: OrthoLattice,
@@ -350,10 +319,9 @@ class StateVertex:
 
 @dataclass(frozen=True)
 class StatePolytope:
-    """Probability measures as the normalized slice of the positive cone."""
+    """Probability measures as the normalized slice of the positive cone,
+    held by its vertices."""
 
-    cone: PolyCone
-    normalization: Vector
     vertices: tuple[StateVertex, ...]
 
 
@@ -414,7 +382,7 @@ def state_polytope(lattice: OrthoLattice,
         StateVertex(cone.rays[k], scales[k], numerators[k], lattice.elements)
         for k in order
     )
-    return StatePolytope(cone, top, vertices)
+    return StatePolytope(vertices)
 
 
 def is_probability_measure(lattice: OrthoLattice, values) -> CheckResult:

@@ -609,28 +609,26 @@ def _is_prime(q):
 
 def product(a: OrthoLattice, b: OrthoLattice,
             max_elements: int = DEFAULT_MAX_ELEMENTS) -> OrthoLattice:
-    """Componentwise product lattice; elements are named "(x,y)"."""
+    """Componentwise product lattice; elements are named "(x,y)", x-major.
+
+    The order is generated by the covers (x, y) < (x', y) and
+    (x, y) < (x, y') with x' covering x in a and y' covering y in b.
+    """
     if len(a) * len(b) > max_elements:
         raise SizeCapError("product exceeds the element cap")
-    names = {}
-    for x in a.elements:
-        for y in b.elements:
-            names[(x, y)] = f"({x},{y})"
+    nb = len(b)
+    names = [f"({x},{y})" for x in a.elements for y in b.elements]
+    covers_b = b.cover_masks()
     pairs = []
-    for (x1, y1), n1 in names.items():
-        for (x2, y2), n2 in names.items():
-            if n1 != n2 and a.leq(x1, x2) and b.leq(y1, y2):
-                pairs.append((n1, n2))
-    orth = {
-        name: names[(a.orthocomplement(x), b.orthocomplement(y))]
-        for (x, y), name in names.items()
-    }
-    desc = LatticeDescription(
-        f"product({a.name},{b.name})",
-        tuple(names.values()),
-        tuple(pairs),
-        orth,
-    )
+    for x, up_a in enumerate(a.cover_masks()):
+        # the covers of x in a, as bits over the product indices at y = 0
+        above_x = sum(1 << u * nb for u in _bits(up_a))
+        for y, up_b in enumerate(covers_b):
+            p = x * nb + y
+            pairs.extend((names[p], names[q]) for q in _bits(above_x << y | up_b << x * nb))
+    orth = {names[x * nb + y]: names[ox * nb + oy]
+            for x, ox in enumerate(a.orth_map) for y, oy in enumerate(b.orth_map)}
+    desc = LatticeDescription(f"product({a.name},{b.name})", tuple(names), tuple(pairs), orth)
     return build_lattice(desc, max_elements)
 
 
@@ -639,34 +637,25 @@ def horizontal_sum(a: OrthoLattice, b: OrthoLattice,
     """Glue two orthocomplemented lattices at a shared bottom and top.
 
     Proper elements keep their own order and orthocomplement and are
-    incomparable across the two summands.
+    incomparable across the two summands.  The order is generated by each
+    summand's covers, with its bottom and top renamed "0" and "1".
     """
     proper_a = [e for e in a.elements if e not in (a.bottom, a.top)]
     proper_b = [e for e in b.elements if e not in (b.bottom, b.top)]
     if len(proper_a) + len(proper_b) + 2 > max_elements:
         raise SizeCapError("horizontal sum exceeds the element cap")
-    name_a = {e: f"a:{e}" for e in proper_a}
-    name_b = {e: f"b:{e}" for e in proper_b}
-    elements = ("0", *name_a.values(), *name_b.values(), "1")
-    pairs = [("0", "1")]
-    for side, names, lat in (("a", name_a, a), ("b", name_b, b)):
-        for e in names:
-            pairs.append(("0", names[e]))
-            pairs.append((names[e], "1"))
-        for e in names:
-            for f in names:
-                if e != f and lat.leq(e, f):
-                    pairs.append((names[e], names[f]))
+    elements = ("0", *(f"a:{e}" for e in proper_a), *(f"b:{e}" for e in proper_b), "1")
+    pairs = {("0", "1"): None}  # 0 < 1 even when both summands have one element
     orth = {"0": "1", "1": "0"}
-    for names, lat in ((name_a, a), (name_b, b)):
-        for e in names:
-            image = lat.orthocomplement(e)
-            orth[names[e]] = "0" if image == lat.bottom else (
-                "1" if image == lat.top else names[image]
-            )
-    desc = LatticeDescription(
-        f"hsum({a.name},{b.name})", elements, tuple(pairs), orth
-    )
+    for side, lat in (("a", a), ("b", b)):
+        glued = [f"{side}:{e}" for e in lat.elements]
+        glued[lat.bottom_index], glued[lat.top_index] = "0", "1"
+        for i, up in enumerate(lat.cover_masks()):
+            pairs.update(((glued[i], glued[j]), None) for j in _bits(up))
+        for i, e in enumerate(lat.elements):
+            if i not in (lat.bottom_index, lat.top_index):
+                orth[glued[i]] = glued[lat.orth_map[i]]
+    desc = LatticeDescription(f"hsum({a.name},{b.name})", elements, tuple(pairs), orth)
     return build_lattice(desc, max_elements)
 
 

@@ -207,16 +207,14 @@ def relation_matrix(lattice: OrthoLattice) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class FPAbelianGroup:
-    """Z^n modulo the subgroup generated by the relation rows.
+    """Z^n modulo the subgroup generated by some relation rows.
 
     The group is Z/d for each torsion invariant d, then Z^rank; ``images``
     holds, per generator, its coordinates there: torsion coordinates reduced
-    mod their invariant, then free ones.  ``relation_rows`` holds each row
-    sparse, as its nonzero (column, coefficient) pairs in column order.
+    mod their invariant, then free ones.
     """
 
     generator_count: int
-    relation_rows: tuple[tuple[tuple[int, int], ...], ...]
     invariants: tuple[int, ...]             # nonzero Smith invariants, 1s first
     images: tuple[tuple[int, ...], ...]     # per generator, torsion then free
 
@@ -252,7 +250,6 @@ class FPAbelianGroup:
         taken column's come from its row, pass by pass in reverse, and
         within a pass in its column order.
         """
-        rows = tuple(rows)
         passes: list[list[tuple[int, dict[int, int]]]] = []
         residual = [dict(row) for row in rows]
         while residual:
@@ -310,7 +307,7 @@ class FPAbelianGroup:
                         acc = [x + f * y for x, y in zip(acc, images[j])]
                 images[c] = (*(x % m for x, m in zip(acc[:k], moduli)), *acc[k:])
         invariants = (1,) * sum(map(len, passes)) + tuple(diagonal)
-        return cls(generator_count, rows, invariants, tuple(images))
+        return cls(generator_count, invariants, tuple(images))
 
     @property
     def rank(self) -> int:
@@ -406,10 +403,12 @@ def measure_module(lattice: OrthoLattice,
 
 
 def coinvariants(module: MeasureModule, action: GroupAction) -> MeasureModule:
-    """The coinvariants of a plain module under the action."""
+    """The coinvariants of a plain module under the action: the module of
+    its lattice under that action, whose rows are the plain rows merged by
+    orbit."""
     if module.action is not None:
         raise ValueError("coinvariants needs the plain module")
-    return _module(module.lattice, module.group.relation_rows, action)
+    return measure_module(module.lattice, action)
 
 
 def _presentation_rows(lattice: OrthoLattice,
@@ -529,33 +528,24 @@ def _boolean_module(lattice: OrthoLattice, action: GroupAction | None) -> Measur
     Every element x is the orthogonal join of the atoms below it, so a
     measure is the sum of its atom values, and any atom values give one:
     the group is free on the atoms, with e_x -> the sum of e_a over the
-    atoms a <= x.  The rows e_x - (that sum), one per element other than
-    the atoms (e_0 for the bottom), present it; under an action they are
-    merged by orbit as in :func:`_module`, and the coinvariants of a
-    permutation module are free on the orbits.  The row route reaches the
-    same images and invariants, taking a pivot at every column but the
-    atoms' (or atom orbits'); ``relation_rows`` keep :func:`coinvariants`
-    exact.
+    atoms a <= x.  The coinvariants of a permutation module are free on the
+    orbits, so under an action each atom orbit is one coordinate.  The row
+    route of :func:`_module` reaches the same images and invariants, taking
+    a pivot at every column but the atoms' (or atom orbits').
     """
     columns = _orbit_columns(lattice, action)
     atom_mask = sum(1 << a for a in lattice.atom_indices())
     coordinate = {c: t for t, c in enumerate(sorted({columns[a] for a in _bits(atom_mask)}))}
-    rows = []
     images: dict[int, tuple[int, ...]] = {}
     for x, down in enumerate(lattice.down_masks):
-        below = list(_bits(down & atom_mask))
-        if below != [x]:
-            rows.append(tuple(sorted([(x, 1), *((a, -1) for a in below)])))
         c = columns[x]
         if c not in images:
             counts = [0] * len(coordinate)
-            for a in below:
+            for a in _bits(down & atom_mask):
                 counts[coordinate[columns[a]]] += 1
             images[c] = tuple(counts)
-    if action is not None:
-        rows = _merged_rows(rows, columns)
     width = len(images)
-    group = FPAbelianGroup(width, tuple(rows), (1,) * (width - len(coordinate)),
+    group = FPAbelianGroup(width, (1,) * (width - len(coordinate)),
                            tuple(images[c] for c in range(width)))
     return MeasureModule(lattice, group, action, columns)
 

@@ -264,8 +264,7 @@ def close_group(lattice: OrthoLattice, generators: Iterable[LatticeAutomorphism]
     return GroupAction(lattice, gens, len(perms), perms, max_group)
 
 
-def automorphism_group(lattice: OrthoLattice,
-                       max_group: int = DEFAULT_MAX_GROUP) -> GroupAction:
+def automorphism_group(lattice: OrthoLattice) -> GroupAction:
     """The full group of orthocomplement-preserving lattice automorphisms,
     built from a decomposition of the lattice and searched only on the
     blocks that have no closed form.
@@ -290,11 +289,11 @@ def automorphism_group(lattice: OrthoLattice,
     m >= 2 a transposition and, for m >= 3, a cycle of its members, which
     carry one member onto another by matching their listings (see
     ``_Part``).  The order is prod |Aut(B)|^m m!, and no element is
-    listed.  ``max_group`` caps later element listing only.
+    listed; ``perms`` lists them under the default cap.
     """
-    part = _Parts(max_group).part(lattice)
+    part = _Parts().part(lattice)
     gens = [LatticeAutomorphism(lattice, p, _checked=True) for p in part.generators]
-    return GroupAction(lattice, gens, part.order, max_group=max_group, stabilized=())
+    return GroupAction(lattice, gens, part.order, stabilized=())
 
 
 class _Part(NamedTuple):
@@ -315,8 +314,7 @@ class _Parts:
     by its order and orthocomplement over its own indices: the summands
     of MO(n) all look alike."""
 
-    def __init__(self, max_group: int):
-        self.max_group = max_group
+    def __init__(self):
         self.searched: list[tuple[OrthoLattice, _Part]] = []
         self.seen: dict[tuple, _Part] = {}
 
@@ -352,7 +350,7 @@ class _Parts:
                             image[i] = p[j]
                         gens.append(tuple(image))
                     return _Part(part.order, gens, part.key, [p[k] for k in part.listing])
-        group = _search_group(lattice, (), self.max_group)
+        group = _search_group(lattice, ())
         part = _Part(group.order, [g.perm for g in group.generators],
                      ("searched", len(self.searched)), list(range(len(lattice))))
         self.searched.append((lattice, part))
@@ -461,8 +459,7 @@ def _moves(m: int) -> list[list[tuple[int, int]]]:
     return moves
 
 
-def _search_group(lattice: OrthoLattice, sets: tuple[frozenset[int], ...],
-                  max_group: int) -> GroupAction:
+def _search_group(lattice: OrthoLattice, sets: tuple[frozenset[int], ...]) -> GroupAction:
     """The automorphisms that map each index set onto itself, as a strong
     generating set relative to a base, found by a search on the whole
     lattice in which each element's initial colour records which of the
@@ -509,7 +506,7 @@ def _search_group(lattice: OrthoLattice, sets: tuple[frozenset[int], ...],
                 _join_cycles(parent, perm)
         root = _find(parent, b)
         order *= sum(_find(parent, c) == root for c in cells[level])
-    return GroupAction(lattice, found[::-1], order, max_group=max_group, stabilized=sets)
+    return GroupAction(lattice, found[::-1], order, stabilized=sets)
 
 
 def trivial_action(lattice: OrthoLattice) -> GroupAction:
@@ -558,7 +555,7 @@ def normalizer(action: GroupAction, members: Iterable[str]) -> GroupAction:
     lattice = action.lattice
     target = frozenset(lattice.index(e) for e in members)
     if action.stabilized is not None:
-        return _search_group(lattice, action.stabilized + (target,), action.max_group)
+        return _search_group(lattice, action.stabilized + (target,))
     perms = [p for p in action.perms if {p[i] for i in target} == target]
     gens = [LatticeAutomorphism(lattice, p, _checked=True) for p in perms]
     return GroupAction(lattice, gens, len(perms), perms, action.max_group)

@@ -97,7 +97,7 @@ def test_cone_from_rays_round_trip():
     assert cones_equivalent(original, rebuilt)
     # and back again through the halfspaces
     rays, lineality = double_description(rebuilt.normals, 2)
-    again = PolyCone.from_parts(2, rebuilt.normals, rays, lineality)
+    again = PolyCone(2, rebuilt.normals, tuple(rays), tuple(lineality))
     assert cones_equivalent(rebuilt, again)
 
 

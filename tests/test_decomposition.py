@@ -41,7 +41,6 @@ from orthomeasure import (
 from orthomeasure import symmetry
 from orthomeasure.lattice import direct_factors, horizontal_summands
 from orthomeasure.symmetry import (
-    DEFAULT_MAX_GROUP,
     _search_group,
     _validate_automorphism,
     automorphism_group,
@@ -56,7 +55,7 @@ def _point():
 
 def _check_against_search(lattice):
     group = automorphism_group(lattice)
-    searched = _search_group(lattice, (), DEFAULT_MAX_GROUP)
+    searched = _search_group(lattice, ())
     assert group.order == searched.order, lattice
     assert group.orbit_labels() == searched.orbit_labels(), lattice
     assert group.stabilized == ()
@@ -99,9 +98,9 @@ def _searches(monkeypatch, lattice):
     """The lattices the search ran on inside automorphism_group."""
     seen = []
 
-    def recorded(lat, sets, max_group):
+    def recorded(lat, sets):
         seen.append(lat)
-        return _search_group(lat, sets, max_group)
+        return _search_group(lat, sets)
 
     monkeypatch.setattr(symmetry, "_search_group", recorded)
     group = automorphism_group(lattice)
@@ -113,7 +112,7 @@ def test_an_irreducible_lattice_goes_through_the_search(monkeypatch):
     lattice = benzene()
     group, seen = _searches(monkeypatch, lattice)
     assert seen == [lattice]
-    searched = _search_group(lattice, (), DEFAULT_MAX_GROUP)
+    searched = _search_group(lattice, ())
     assert [g.perm for g in group.generators] == [g.perm for g in searched.generators]
 
 

@@ -57,7 +57,7 @@ from oracles import orbits_by_listing
 
 
 def searched(lattice):
-    action = _search_group(lattice, (), DEFAULT_MAX_GROUP)
+    action = _search_group(lattice, ())
     for g in action.generators:
         _validate_automorphism(lattice, g.perm)
     return action
@@ -194,8 +194,8 @@ def test_each_generator_joins_orbits():
 
 
 def test_listing_respects_the_cap():
-    action = automorphism_group(mo(7), max_group=1000)
-    assert action.order == 645120
+    action = automorphism_group(mo(7))
+    assert action.order == 645120 > DEFAULT_MAX_GROUP
     with pytest.raises(GroupTooLargeError):
         action.perms
     with pytest.raises(GroupTooLargeError):
@@ -237,7 +237,7 @@ def test_deep_base_needs_no_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 60)
     try:
-        action = _search_group(lattice, (), DEFAULT_MAX_GROUP)
+        action = _search_group(lattice, ())
     finally:
         sys.setrecursionlimit(limit)
     assert action.order == 2 ** 120 * factorial(120)
@@ -254,7 +254,7 @@ def _search_counts(monkeypatch, lattice):
             searches.append(self)
 
     monkeypatch.setattr(symmetry, "IsomorphismSearch", Recorded)
-    _search_group(lattice, (), DEFAULT_MAX_GROUP)
+    _search_group(lattice, ())
     (search,) = searches
     return search.refinements, search.splitters, search.visits
 

@@ -12,7 +12,8 @@ Claims:
       exhaustively on every family member
     - bad descriptions raise the specific construction errors
     - building blocks compose: products and horizontal sums give the
-      expected isomorphism types
+      expected isomorphism types, and the lattice of the description that
+      lists every comparable pair, over the family up to 64 elements
     - the JSON file format round-trips every constructor
     - build_lattice gives the masks of the scan-based builder in
       ``oracles``, and every pair's meet and join equal its tables, on
@@ -281,6 +282,45 @@ def test_product_of_chains_is_boolean_2():
 def test_horizontal_sums():
     assert are_isomorphic(horizontal_sum(boolean(2), boolean(2)), mo(2))
     assert are_isomorphic(horizontal_sum(mo(1), mo(2)), mo(3))
+
+
+def _all_pairs_product(a, b):
+    """The product described by every componentwise-comparable pair."""
+    names = [(f"({x},{y})", i, j)
+             for i, x in enumerate(a.elements) for j, y in enumerate(b.elements)]
+    pairs = [(n1, n2) for n1, i1, j1 in names for n2, i2, j2 in names
+             if a.leq_index(i1, i2) and b.leq_index(j1, j2)]
+    name_of = {(i, j): n for n, i, j in names}
+    orth = {n: name_of[a.orth_map[i], b.orth_map[j]] for n, i, j in names}
+    return LatticeDescription("", tuple(n for n, _, _ in names), tuple(pairs), orth)
+
+
+def _all_pairs_sum(a, b):
+    """The horizontal sum described by every pair comparable in a summand,
+    with each summand's bottom and top glued into "0" and "1"."""
+    elements, pairs, orth = ["0"], [], {"0": "1", "1": "0"}
+    for side, lat in (("a", a), ("b", b)):
+        ends = {lat.bottom: "0", lat.top: "1"}
+        glued = {e: ends.get(e, f"{side}:{e}") for e in lat.elements}
+        elements += [glued[e] for e in lat.elements if e not in ends]
+        pairs += [(glued[e], glued[f]) for e in lat.elements for f in lat.elements
+                  if lat.leq(e, f)]
+        orth.update((glued[e], glued[lat.orthocomplement(e)])
+                    for e in lat.elements if e not in ends)
+    return LatticeDescription("", (*elements, "1"), tuple(pairs), orth)
+
+
+def test_products_and_sums_match_the_all_pairs_descriptions(family):
+    same, cases = lattice_mod.same_lattice, 0
+    for a in family.values():
+        for b in family.values():
+            if len(a) * len(b) <= 64:
+                assert same(product(a, b), build_lattice(_all_pairs_product(a, b)))
+                cases += 1
+            if len(a) + len(b) - 2 <= 64:
+                assert same(horizontal_sum(a, b), build_lattice(_all_pairs_sum(a, b)))
+                cases += 1
+    assert cases > 200
 
 
 @pytest.mark.parametrize("name", ["boolean(3)", "mo(2)", "benzene"])

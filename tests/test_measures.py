@@ -9,7 +9,9 @@ Claims:
     - coinvariants: trivial group changes nothing; known collapsed ranks
     - bases pass the additivity check, reconstruct every brute-force
       measure over Z, and are invariant when computed from an action
-    - hom counting matches exhaustive enumeration, including torsion cases
+    - hom counting matches exhaustive enumeration, including torsion cases;
+      on composites into Z/2 and Z/3 it counts the brute-force measures,
+      and under the full automorphism group those constant on orbits
     - the brute-force oracle is consistent with hand counts
     - is_measure, which on an orthomodular lattice checks the cover rows
       before any pair scan, gives the verdict and the first failing pair of
@@ -21,7 +23,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from orthomeasure import (
     Domain,
@@ -30,6 +32,7 @@ from orthomeasure import (
     INTEGERS,
     OracleTooLargeError,
     RATIONALS,
+    automorphism_group,
     benzene,
     boolean,
     brute_force_measures,
@@ -264,6 +267,19 @@ def test_hom_count_with_torsion_against_bruteforce():
     assert group.torsion == (2, 6)
     for m in (2, 3, 4, 6):
         assert hom_count(group, m) == hom_count_bruteforce(rows, 3, m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(composite_lattices(), st.sampled_from([2, 3]))
+def test_hom_count_matches_brute_force_on_composites(lattice, m):
+    assume(m ** len(lattice) <= 3 ** 12)
+    found = brute_force_measures(lattice, range(m), integers_mod(m))
+    assert hom_count(measure_module(lattice), m) == len(found)
+    action = automorphism_group(lattice)
+    orbit_of = [lattice.elements[k] for k in action.orbit_labels()]
+    invariant = [mu for mu in found
+                 if all(mu(e) == mu(o) for e, o in zip(lattice.elements, orbit_of))]
+    assert hom_count(measure_module(lattice, action), m) == len(invariant)
 
 
 def test_is_measure_examples():
