@@ -312,6 +312,11 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
     checks of :func:`verify_ortho` on what is built until one fails and
     names it (each pair's meet, then its join, then the orthocomplement);
     an accepted input never reaches it.
+
+    So a returned lattice satisfies every axiom :func:`verify_ortho`
+    checks.  The ``check`` command relies on this: it reports those axioms
+    for a file that :func:`load_lattice` accepted without checking any of
+    them again.  Every constructor but :func:`_induced` comes through here.
     """
     elements = desc.elements
     n = len(elements)
@@ -663,10 +668,15 @@ def horizontal_sum(a: OrthoLattice, b: OrthoLattice,
 
 
 def verify_ortho(lattice: OrthoLattice) -> VerificationReport:
-    """Exhaustively re-verify every orthocomplemented-lattice axiom.
+    """Exhaustively verify every orthocomplemented-lattice axiom.
 
-    Each check is its own function below, so a rejected description can run
-    them one at a time and stop at the first that fails.
+    :func:`build_lattice` proves all of them on every description it
+    accepts, so the ``check`` command never calls this.  It is the oracle
+    the tests run on what the constructors return, :func:`_induced`'s
+    summands and factors among them, which bypass :func:`build_lattice`.
+    Each check is its own function below, so :func:`_raise_first_failure`
+    can run them one at a time on a rejected description and stop at the
+    first that fails, to name it.
     """
     checks = {
         "partial_order": _check_partial_order(lattice),

@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and lattice lists shared by the test modules."""
 
 from functools import lru_cache
 
@@ -56,3 +56,16 @@ def composite_lattices(draw):
         lattice = build_lattice(LatticeDescription(
             desc.name, elements, desc.leq_pairs, dict(desc.orthocomplement)))
     return lattice
+
+
+def pairwise_composites(lattices):
+    """The products and horizontal sums of every ordered pair of
+    ``lattices`` that have at most MAX_ELEMENTS elements."""
+    out = []
+    for a in lattices:
+        for b in lattices:
+            if len(a) * len(b) <= MAX_ELEMENTS:
+                out.append(product(a, b))
+            if len(a) + len(b) - 2 <= MAX_ELEMENTS:
+                out.append(horizontal_sum(a, b))
+    return out

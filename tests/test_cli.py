@@ -9,6 +9,9 @@ Claims:
       3 resource cap
     - parsing builds only the named command's parser, yet gives the same
       namespace, output and exit code as the parser of every command
+    - check reports, for every accepted file, the axiom results that
+      verify_ortho gives on the loaded lattice, without calling it, and
+      exits 0 exactly when the lattice is orthomodular
 """
 
 import json
@@ -20,9 +23,18 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orthomeasure import atoms, benzene, boolean, mo, save_group, save_lattice
-from orthomeasure.cli import _COMMANDS, _json_text, _ratios, build_parser, parse_args, run
+import orthomeasure
+from orthomeasure import (
+    atoms, benzene, boolean, is_orthomodular, load_lattice, mo, save_group, save_lattice,
+    verify_ortho,
+)
+from orthomeasure.cli import (
+    _COMMANDS, _ORTHO_AXIOMS, _check_result_dict, _json_text, _ratios, build_parser,
+    parse_args, run,
+)
 from orthomeasure.symmetry import automorphism_group
+
+from strategies import pairwise_composites
 
 
 @pytest.fixture()
@@ -350,6 +362,44 @@ def test_cone_past_ray_budget_exit_3(tmp_path, capsys):
 @example([0, 5, -5], 1)
 def test_ratios_print_as_fractions(nums, den):
     assert _ratios(nums, den) == [str(Fraction(n, den)) for n in nums]
+
+
+# --- check against verify_ortho ----------------------------------------------------
+
+
+def test_check_reports_what_verify_ortho_finds(family, capsys, tmp_path):
+    # benzene, which is not orthomodular, is one of the family
+    lattices = [*family.values(), *pairwise_composites(family.values())]
+    assert len(lattices) > 200
+    path = str(tmp_path / "l.json")
+    for lattice in lattices:
+        save_lattice(lattice, path)
+        code, data = run_json(capsys, ["check", path])
+        loaded = load_lattice(path)
+        expected = {name: _check_result_dict(result)
+                    for name, result in verify_ortho(loaded).checks.items()}
+        got = data["report"]["orthocomplemented"]
+        assert list(got.items()) == list(expected.items()), lattice.name
+        assert code == (0 if is_orthomodular(loaded).ok else 1), lattice.name
+
+
+def test_check_on_an_accepted_file_never_calls_verify_ortho(monkeypatch, files, capsys):
+    assert tuple(verify_ortho(mo(2)).checks) == _ORTHO_AXIOMS
+
+    def unreachable(*args):
+        raise AssertionError("verify_ortho called on an accepted file")
+
+    bound = [module for name, module in sys.modules.items()
+             if name.split(".")[0] == "orthomeasure" and hasattr(module, "verify_ortho")]
+    assert orthomeasure in bound
+    for module in bound:
+        monkeypatch.setattr(module, "verify_ortho", unreachable)
+    for name, expected in (("mo2", 0), ("b3", 0), ("benzene", 1)):
+        assert run(["check", files[name], "--format", "text"]) == expected
+        capsys.readouterr()
+        code, data = run_json(capsys, ["check", files[name]])
+        assert code == expected
+        assert data["report"]["orthocomplemented"] == dict.fromkeys(_ORTHO_AXIOMS, {"ok": True})
 
 
 # --- the JSON writer ----------------------------------------------------------------

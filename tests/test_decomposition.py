@@ -14,7 +14,8 @@ Claims:
       Boolean lattices or their products and horizontal sums
     - MO(n) splits into n four-element summands and its group has 3
       generators; MO(2) x MO(3) splits into two factors; benzene splits
-      neither way
+      neither way; every summand and factor of the family's products and
+      horizontal sums up to 64 elements passes verify_ortho
     - past the search's reach, under wall-clock bounds on the group alone:
       |Aut(MO(2000))| = 2^2000 2000! in under 2 s (and listing it is
       refused, its 6 338-digit order in the message), |Aut(B_12)| = 12! in
@@ -37,6 +38,7 @@ from orthomeasure import (
     horizontal_sum,
     mo,
     product,
+    verify_ortho,
 )
 from orthomeasure import symmetry
 from orthomeasure.lattice import direct_factors, horizontal_summands
@@ -46,7 +48,7 @@ from orthomeasure.symmetry import (
     automorphism_group,
 )
 
-from strategies import composite_lattices
+from strategies import composite_lattices, pairwise_composites
 
 
 def _point():
@@ -144,6 +146,16 @@ def test_splits():
 
     assert horizontal_summands(benzene()) == []
     assert direct_factors(benzene()) == ([], [])
+
+
+def test_summands_and_factors_pass_verify_ortho(family):
+    # their masks are written directly, not proved by build_lattice
+    blocks = 0
+    for lattice in pairwise_composites(family.values()):
+        for block, _ in horizontal_summands(lattice) + direct_factors(lattice)[0]:
+            assert verify_ortho(block).ok, (lattice, block)
+            blocks += 1
+    assert blocks > 1000
 
 
 def _timed(lattice):
