@@ -42,6 +42,7 @@ from .groemer import (
 from .indicators import check_indicator_identities
 from .lattice import (
     DEFAULT_MAX_ELEMENTS,
+    OrthoLattice,
     atoms,
     is_atomistic,
     is_distributive,
@@ -80,9 +81,10 @@ def _check_result_dict(result) -> dict:
 
 
 def _load_action(args, lattice):
-    if getattr(args, "full_aut", False):
+    """The group that --full-aut or --group names, or None."""
+    if args.full_aut:
         return automorphism_group(lattice)
-    if getattr(args, "group", None):
+    if args.group:
         return load_group(args.group, lattice, args.max_group)
     return None
 
@@ -159,12 +161,12 @@ def _json_text(value, pad="\n") -> str:
     raise TypeError(f"{kind.__name__} is not a report value")
 
 
-def _emit(args, command, inputs, report) -> None:
+def _emit(args, report) -> None:
     envelope = {
         "tool": "orthomeasure",
         "version": __version__,
-        "command": command,
-        "inputs": inputs,
+        "command": args.command,
+        "inputs": {"lattice": _digest(args.lattice)},
         "report": report,
     }
     if args.format == "json":
@@ -192,8 +194,7 @@ _ORTHO_AXIOMS = ("partial_order", "bounds", "meet_join_tables", "involution",
                  "complement", "order_reversal", "de_morgan")
 
 
-def _cmd_check(args) -> int:
-    lattice = load_lattice(args.lattice, args.max_elements)
+def _cmd_check(args, lattice) -> tuple[dict, int]:
     omod = is_orthomodular(lattice)
     dist = is_distributive(lattice)
     atomistic = is_atomistic(lattice)
@@ -209,36 +210,29 @@ def _cmd_check(args) -> int:
         "atomistic": _check_result_dict(atomistic),
         "atoms": list(atoms(lattice)),
     }
-    _emit(args, "check", {"lattice": _digest(args.lattice)}, report)
-    return EXIT_OK if omod.ok else EXIT_NEGATIVE
+    return report, EXIT_OK if omod.ok else EXIT_NEGATIVE
 
 
-def _cmd_aut(args) -> int:
-    lattice = load_lattice(args.lattice, args.max_elements)
+def _cmd_aut(args, lattice) -> tuple[dict, int]:
     action = automorphism_group(lattice)
     report = {
         "order": action.order,
         "generators": [g.mapping for g in generating_subset(action)],
     }
-    _emit(args, "aut", {"lattice": _digest(args.lattice)}, report)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def _cmd_module(args) -> int:
-    lattice = load_lattice(args.lattice, args.max_elements)
+def _cmd_module(args, lattice) -> tuple[dict, int]:
     action = _load_action(args, lattice)
     module = measure_module(lattice, action)
     report = module.report_dict()
     report["variant"] = module.variant
-    _emit(args, "module", {"lattice": _digest(args.lattice)}, report)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def _cmd_measures(args) -> int:
-    invariant = args.command == "invariant-measures"
-    lattice = load_lattice(args.lattice, args.max_elements)
+def _cmd_measures(args, lattice) -> tuple[dict, int]:
     action = _load_action(args, lattice)
-    if invariant and action is None:
+    if args.command == "invariant-measures" and action is None:
         raise SchemaError("invariant-measures needs --group or --full-aut")
     domain = parse_domain(args.domain)
     basis = measure_basis(lattice, domain, action)
@@ -248,12 +242,10 @@ def _cmd_measures(args) -> int:
         "count": len(basis),
         "measures": [m.to_json_dict() for m in basis],
     }
-    _emit(args, args.command, {"lattice": _digest(args.lattice)}, report)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def _cmd_cone(args) -> int:
-    lattice = load_lattice(args.lattice, args.max_elements)
+def _cmd_cone(args, lattice) -> tuple[dict, int]:
     action = _load_action(args, lattice)
     cone = positive_cone(lattice, action)
     report = {
@@ -261,12 +253,10 @@ def _cmd_cone(args) -> int:
         "rays": [list(r) for r in cone.rays],
         "lineality": [list(l) for l in cone.lineality],
     }
-    _emit(args, "cone", {"lattice": _digest(args.lattice)}, report)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def _cmd_states(args) -> int:
-    lattice = load_lattice(args.lattice, args.max_elements)
+def _cmd_states(args, lattice) -> tuple[dict, int]:
     action = _load_action(args, lattice)
     polytope = state_polytope(lattice, action)
     vertices = [
@@ -282,12 +272,10 @@ def _cmd_states(args) -> int:
             fh.write(",".join(lattice.elements) + "\n")
             for vertex in vertices:
                 fh.write(",".join(vertex["values"].values()) + "\n")
-    _emit(args, "states", {"lattice": _digest(args.lattice)}, report)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def _cmd_extend(args) -> int:
-    lattice = load_lattice(args.lattice, args.max_elements)
+def _cmd_extend(args, lattice) -> tuple[dict, int]:
     action = _load_action(args, lattice)
     domain = parse_domain(args.domain)
     generating = load_generating_set(args.generating_set, lattice)
@@ -299,20 +287,16 @@ def _cmd_extend(args) -> int:
         measure = orth_groemer_extend(lattice, action, generating.members, partial)
         mode = "invariant"
     report = {"mode": mode, "measure": measure.to_json_dict()}
-    _emit(args, "extend", {"lattice": _digest(args.lattice)}, report)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def _cmd_boolean_check(args) -> int:
-    lattice = load_lattice(args.lattice, args.max_elements)
+def _cmd_boolean_check(args, lattice) -> tuple[dict, int]:
     result = check_indicator_identities(lattice)
     report = {"identities": _check_result_dict(result)}
-    _emit(args, "boolean-check", {"lattice": _digest(args.lattice)}, report)
-    return EXIT_OK if result.ok else EXIT_NEGATIVE
+    return report, EXIT_OK if result.ok else EXIT_NEGATIVE
 
 
-def _cmd_oracle(args) -> int:
-    lattice = load_lattice(args.lattice, args.max_elements)
+def _cmd_oracle(args, lattice) -> tuple[dict, int]:
     domain = parse_domain(args.domain)
     if args.range:
         lo, _, hi = args.range.partition(":")
@@ -330,15 +314,16 @@ def _cmd_oracle(args) -> int:
         "count": len(measures),
         "measures": [m.to_json_dict() for m in measures],
     }
-    _emit(args, "oracle", {"lattice": _digest(args.lattice)}, report)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 class _Command(NamedTuple):
-    """A command: its help line, its handler and the arguments it takes."""
+    """A command: its help line, its handler (from the arguments and the
+    loaded lattice to the report and the exit code) and the arguments it
+    takes."""
 
     help: str
-    handler: Callable[[argparse.Namespace], int]
+    handler: Callable[[argparse.Namespace, OrthoLattice], tuple[dict, int]]
     group: bool = False  # --group, --full-aut and --max-group
     domain: bool = False  # --domain
     extra: tuple = ()  # (flag, add_argument keywords) after the common ones
@@ -413,18 +398,21 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def run(argv=None) -> int:
+    """Parse ``argv``, load its lattice, run its command and print the
+    report, or one JSON error line; returns the exit code."""
     args = parse_args(argv)
     try:
-        return _COMMANDS[args.command].handler(args)
-    except ResourceCapError as exc:
+        lattice = load_lattice(args.lattice, args.max_elements)
+        report, code = _COMMANDS[args.command].handler(args, lattice)
+        _emit(args, report)
+        return code
+    except (OrthomeasureError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
-        return EXIT_CAP
-    except (SchemaError, LatticeInputError, DomainMismatchError,
-            NotAnAutomorphismError, OSError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
-        return EXIT_INPUT
-    except OrthomeasureError as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
+        if isinstance(exc, ResourceCapError):
+            return EXIT_CAP
+        if isinstance(exc, (SchemaError, LatticeInputError, DomainMismatchError,
+                            NotAnAutomorphismError, OSError)):
+            return EXIT_INPUT
         return EXIT_NEGATIVE
 
 

@@ -208,11 +208,12 @@ def double_description(normals, dim: int) -> tuple[list[Vector], list[Vector]]:
     return rays, lineality
 
 
-def dual_cone(generators, max_dim: int = DEFAULT_MAX_DIMENSION) -> PolyCone:
+def dual_cone(generators) -> PolyCone:
     """The cone of linear functionals nonnegative on every generator.
 
     The halfspace representation is one halfspace per (nonzero) generator;
-    the ray representation follows by double description.
+    the ray representation follows by double description.  Raises
+    DimensionCapError when the dimension exceeds DEFAULT_MAX_DIMENSION.
     """
     generators = [tuple(g) for g in generators]
     if not generators:
@@ -220,22 +221,22 @@ def dual_cone(generators, max_dim: int = DEFAULT_MAX_DIMENSION) -> PolyCone:
     dim = len(generators[0])
     if any(len(g) != dim for g in generators):
         raise ValueError("generators must share one ambient dimension")
-    if dim > max_dim:
-        raise DimensionCapError(f"dimension {dim} exceeds the cap of {max_dim}")
+    if dim > DEFAULT_MAX_DIMENSION:
+        raise DimensionCapError(f"dimension {dim} exceeds the cap of {DEFAULT_MAX_DIMENSION}")
     normals = tuple(dict.fromkeys(_primitive(g) for g in generators if any(g)))
     rays, lineality = double_description(normals, dim)
     return PolyCone(dim, normals, tuple(rays), tuple(lineality))
 
 
-def cone_from_rays(rays, dim: int, lineality=(),
-                   max_dim: int = DEFAULT_MAX_DIMENSION) -> PolyCone:
+def cone_from_rays(rays, dim: int, lineality=()) -> PolyCone:
     """Cone generated by rays (and lines); halfspaces found by dualizing.
 
     Rays of the dual cone are the facet normals; lineality of the dual marks
-    directions the cone does not span, contributing equality pairs.
+    directions the cone does not span, contributing equality pairs.  Raises
+    DimensionCapError when ``dim`` exceeds DEFAULT_MAX_DIMENSION.
     """
-    if dim > max_dim:
-        raise DimensionCapError(f"dimension {dim} exceeds the cap of {max_dim}")
+    if dim > DEFAULT_MAX_DIMENSION:
+        raise DimensionCapError(f"dimension {dim} exceeds the cap of {DEFAULT_MAX_DIMENSION}")
     dual_normals = [_primitive(r) for r in rays if any(r)]
     for l in lineality:
         dual_normals.append(_primitive(l))

@@ -41,7 +41,6 @@ element order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -58,7 +57,7 @@ from .errors import (
     NotInvariantOnGeneratorsError,
     SchemaError,
 )
-from .lattice import CheckResult, OrthoLattice, is_distributive
+from .lattice import CheckResult, OrthoLattice, is_distributive, read_json
 from .measures import Domain, Measure, RATIONALS, is_measure
 from .symmetry import GroupAction, normalizer, orbits, quotient_map_injective
 
@@ -337,11 +336,7 @@ def weak_groemer_check(lattice: OrthoLattice, action: GroupAction,
 
 def load_generating_set(path, lattice: OrthoLattice) -> GeneratingSet:
     """Read {"members": [elem, ...]} and validate meet closure."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+    data = read_json(path)
     if not isinstance(data, dict) or set(data) != {"members"}:
         raise SchemaError('generating set file must be {"members": [...]}')
     members = data["members"]
@@ -355,11 +350,7 @@ def load_generating_set(path, lattice: OrthoLattice) -> GeneratingSet:
 
 def load_partial_measure(path, domain: Domain = RATIONALS) -> PartialMeasure:
     """Read {"values": {elem: "p/q" or int}} into the given domain."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+    data = read_json(path)
     if not isinstance(data, dict) or set(data) != {"values"}:
         raise SchemaError('partial measure file must be {"values": {...}}')
     raw = data["values"]

@@ -37,6 +37,8 @@ from .errors import (
     SizeCapError,
 )
 
+# Only build_lattice and load_lattice take the element cap as a parameter
+# (--max-elements); the constructors check this constant.
 DEFAULT_MAX_ELEMENTS = 4096
 
 
@@ -469,13 +471,21 @@ def _cycle_witness(above):
 # --- file format --------------------------------------------------------------
 
 
-def load_lattice(path, max_elements: int = DEFAULT_MAX_ELEMENTS) -> OrthoLattice:
+def read_json(path):
+    """The JSON value in the file at ``path``: the one reader of every input
+    file (lattices, groups, generating sets, partial measures).  A file that
+    is not UTF-8 JSON raises SchemaError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        # ValueError: malformed JSON, bytes that are not UTF-8, or an int past
+        # the int-to-str digit limit; RecursionError: nesting too deep
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
-    return build_lattice(LatticeDescription.from_json_dict(data), max_elements)
+
+
+def load_lattice(path, max_elements: int = DEFAULT_MAX_ELEMENTS) -> OrthoLattice:
+    return build_lattice(LatticeDescription.from_json_dict(read_json(path)), max_elements)
 
 
 def save_lattice(lattice: OrthoLattice, path) -> None:
@@ -487,16 +497,17 @@ def save_lattice(lattice: OrthoLattice, path) -> None:
 # --- constructors ---------------------------------------------------------------
 
 
-def boolean(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> OrthoLattice:
+def boolean(n: int) -> OrthoLattice:
     """Power-set lattice of an n-point set; complement is set complement.
 
     Elements are named by membership bitstrings ("010" is the atom of point 1),
     ordered by (popcount, numeric value), so bottom comes first and top last.
+    Raises SizeCapError when 2^n exceeds DEFAULT_MAX_ELEMENTS.
     """
     if n < 1:
         raise ValueError("boolean lattice needs n >= 1")
-    if n > 20 or 2 ** n > max_elements:
-        raise SizeCapError(f"2^{n} elements exceeds the cap of {max_elements}")
+    if n > 20 or 2 ** n > DEFAULT_MAX_ELEMENTS:
+        raise SizeCapError(f"2^{n} elements exceeds the cap of {DEFAULT_MAX_ELEMENTS}")
     masks = sorted(range(2 ** n), key=lambda m: (m.bit_count(), m))
     full = 2 ** n - 1
 
@@ -510,21 +521,19 @@ def boolean(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> OrthoLattice:
         if not m >> i & 1
     ]
     orth = {name[m]: name[m ^ full] for m in masks}
-    return build_lattice(
-        LatticeDescription(f"boolean({n})", elements, tuple(pairs), orth),
-        max_elements,
-    )
+    return build_lattice(LatticeDescription(f"boolean({n})", elements, tuple(pairs), orth))
 
 
-def mo(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> OrthoLattice:
+def mo(n: int) -> OrthoLattice:
     """The lattice with n orthocomplementary atom pairs glued at 0 and 1.
 
-    Orthomodular for every n; distributive only for n = 1.
+    Orthomodular for every n; distributive only for n = 1.  Raises
+    SizeCapError when its 2n + 2 elements exceed DEFAULT_MAX_ELEMENTS.
     """
     if n < 1:
         raise ValueError("mo(n) needs n >= 1")
-    if 2 * n + 2 > max_elements:
-        raise SizeCapError(f"{2 * n + 2} elements exceeds the cap of {max_elements}")
+    if 2 * n + 2 > DEFAULT_MAX_ELEMENTS:
+        raise SizeCapError(f"{2 * n + 2} elements exceeds the cap of {DEFAULT_MAX_ELEMENTS}")
     atoms = []
     for i in range(1, n + 1):
         atoms.extend([f"a{i}", f"a{i}'"])
@@ -534,9 +543,7 @@ def mo(n: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> OrthoLattice:
     for i in range(1, n + 1):
         orth[f"a{i}"] = f"a{i}'"
         orth[f"a{i}'"] = f"a{i}"
-    return build_lattice(
-        LatticeDescription(f"mo({n})", elements, tuple(pairs), orth), max_elements
-    )
+    return build_lattice(LatticeDescription(f"mo({n})", elements, tuple(pairs), orth))
 
 
 def benzene() -> OrthoLattice:
@@ -554,8 +561,7 @@ def benzene() -> OrthoLattice:
     return build_lattice(LatticeDescription("benzene", elements, pairs, orth))
 
 
-def subspace_lattice(q: int, n: int, form: tuple[int, ...],
-                     max_elements: int = DEFAULT_MAX_ELEMENTS) -> OrthoLattice:
+def subspace_lattice(q: int, n: int, form: tuple[int, ...]) -> OrthoLattice:
     """Lattice of subspaces of F_q^n with the form-orthogonal complement.
 
     ``form`` lists the diagonal coefficients of the bilinear form.  The form
@@ -573,7 +579,8 @@ def subspace_lattice(q: int, n: int, form: tuple[int, ...],
     n = 2 gives 0, the q + 1 lines <0,1>, <1,0>, ..., <1,q-1> and 1, which
     is MO((q + 1) / 2).  The complement of the line spanned by p is the line
     spanned by (b p_1, -a p_0) for the form (a, b), scaled so that its first
-    nonzero entry is 1.
+    nonzero entry is 1.  Raises SizeCapError when the q + 3 subspaces exceed
+    DEFAULT_MAX_ELEMENTS.
     """
     if n < 1 or len(form) != n:
         raise ValueError("form must list one diagonal coefficient per dimension")
@@ -587,7 +594,7 @@ def subspace_lattice(q: int, n: int, form: tuple[int, ...],
                 raise IsotropicFormError(f"isotropic vector {v} over F_{q}")
 
     size = q + 3 if n == 2 else 2
-    if size > max_elements:
+    if size > DEFAULT_MAX_ELEMENTS:
         raise SizeCapError(f"{size} subspaces exceeds the cap")
     lines = [(0, 1), *((1, x) for x in range(q))] if n == 2 else []
     names = [f"<{p0},{p1}>" for p0, p1 in lines]
@@ -598,7 +605,7 @@ def subspace_lattice(q: int, n: int, form: tuple[int, ...],
     orth["1"] = "0"
     pairs = (*(("0", e) for e in names), ("0", "1"), *((e, "1") for e in names))
     desc = LatticeDescription(f"subspaces(F_{q}^{n})", ("0", *names, "1"), pairs, orth)
-    return build_lattice(desc, max_elements)
+    return build_lattice(desc)
 
 
 def _is_prime(q):
@@ -612,14 +619,14 @@ def _is_prime(q):
     return True
 
 
-def product(a: OrthoLattice, b: OrthoLattice,
-            max_elements: int = DEFAULT_MAX_ELEMENTS) -> OrthoLattice:
+def product(a: OrthoLattice, b: OrthoLattice) -> OrthoLattice:
     """Componentwise product lattice; elements are named "(x,y)", x-major.
 
     The order is generated by the covers (x, y) < (x', y) and
     (x, y) < (x, y') with x' covering x in a and y' covering y in b.
+    Raises SizeCapError when |a| |b| exceeds DEFAULT_MAX_ELEMENTS.
     """
-    if len(a) * len(b) > max_elements:
+    if len(a) * len(b) > DEFAULT_MAX_ELEMENTS:
         raise SizeCapError("product exceeds the element cap")
     nb = len(b)
     names = [f"({x},{y})" for x in a.elements for y in b.elements]
@@ -634,20 +641,20 @@ def product(a: OrthoLattice, b: OrthoLattice,
     orth = {names[x * nb + y]: names[ox * nb + oy]
             for x, ox in enumerate(a.orth_map) for y, oy in enumerate(b.orth_map)}
     desc = LatticeDescription(f"product({a.name},{b.name})", tuple(names), tuple(pairs), orth)
-    return build_lattice(desc, max_elements)
+    return build_lattice(desc)
 
 
-def horizontal_sum(a: OrthoLattice, b: OrthoLattice,
-                   max_elements: int = DEFAULT_MAX_ELEMENTS) -> OrthoLattice:
+def horizontal_sum(a: OrthoLattice, b: OrthoLattice) -> OrthoLattice:
     """Glue two orthocomplemented lattices at a shared bottom and top.
 
     Proper elements keep their own order and orthocomplement and are
     incomparable across the two summands.  The order is generated by each
-    summand's covers, with its bottom and top renamed "0" and "1".
+    summand's covers, with its bottom and top renamed "0" and "1".  Raises
+    SizeCapError when the sum's elements exceed DEFAULT_MAX_ELEMENTS.
     """
     proper_a = [e for e in a.elements if e not in (a.bottom, a.top)]
     proper_b = [e for e in b.elements if e not in (b.bottom, b.top)]
-    if len(proper_a) + len(proper_b) + 2 > max_elements:
+    if len(proper_a) + len(proper_b) + 2 > DEFAULT_MAX_ELEMENTS:
         raise SizeCapError("horizontal sum exceeds the element cap")
     elements = ("0", *(f"a:{e}" for e in proper_a), *(f"b:{e}" for e in proper_b), "1")
     pairs = {("0", "1"): None}  # 0 < 1 even when both summands have one element
@@ -661,7 +668,7 @@ def horizontal_sum(a: OrthoLattice, b: OrthoLattice,
             if i not in (lat.bottom_index, lat.top_index):
                 orth[glued[i]] = glued[lat.orth_map[i]]
     desc = LatticeDescription(f"hsum({a.name},{b.name})", elements, tuple(pairs), orth)
-    return build_lattice(desc, max_elements)
+    return build_lattice(desc)
 
 
 # --- verification and classification -------------------------------------------

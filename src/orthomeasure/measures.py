@@ -617,22 +617,23 @@ def measure_basis(lattice: OrthoLattice, domain: Domain,
 
 
 def brute_force_measures(lattice: OrthoLattice, value_range: Iterable,
-                         domain: Domain,
-                         max_candidates: int = DEFAULT_MAX_ORACLE) -> list[Measure]:
+                         domain: Domain) -> list[Measure]:
     """All functions from the elements into the value range passing is_measure.
 
     Independent enumeration used to cross-check the algebraic machinery.  The
     search assigns values in canonical element order and rejects a partial
     assignment as soon as an orthogonal-pair constraint among assigned
-    elements fails, which never changes the result set.
+    elements fails, which never changes the result set.  Raises
+    OracleTooLargeError when there are more than DEFAULT_MAX_ORACLE
+    candidate functions.
     """
     values = [domain.validate(v) for v in value_range]
     if len(set(values)) != len(values):
         raise ValueError("value range contains duplicates")
     n = len(lattice)
-    if len(values) ** n > max_candidates:
+    if len(values) ** n > DEFAULT_MAX_ORACLE:
         raise OracleTooLargeError(
-            f"{len(values)}^{n} candidates exceeds the budget of {max_candidates}"
+            f"{len(values)}^{n} candidates exceeds the budget of {DEFAULT_MAX_ORACLE}"
         )
     # constraint triples (i, j, join), grouped by the last element assigned
     by_last: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]

@@ -16,9 +16,10 @@ membership in each S_i.  So a normalizer or stabilizer in the full group
 or a searched group is one search of the whole lattice with one more set,
 and membership is an automorphism check plus a check of the sets; neither
 lists elements.  A group given by generators (``close_group``,
-``load_group``) is listed when it is built, and its normalizers filter
-that list.  Elements are listed only on demand (``perms`` and iteration),
-and never past the group's ``max_group`` cap.
+``load_group``) is listed when it is built, under the ``max_group`` cap
+those two take, and its normalizers filter that list.  The elements of the
+full group and of a searched group are listed only on demand (``perms``
+and iteration), and never past DEFAULT_MAX_GROUP.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .lattice import (
     horizontal_summands,
     is_boolean,
     iter_isomorphisms,
+    read_json,
 )
 
 DEFAULT_MAX_GROUP = 100_000
@@ -145,22 +147,19 @@ class GroupAction:
     full automorphism group it is empty, and for a searched group it holds
     the element index sets whose common setwise stabilizer in the full
     automorphism group the group is; membership is then decided without
-    listing.  ``perms`` (and iteration, and membership in a group given by
-    generators) list the elements on first use, raising
-    GroupTooLargeError when the order exceeds ``max_group``.
+    listing.  ``perms`` (and iteration) list the elements on first use,
+    raising GroupTooLargeError when the order exceeds DEFAULT_MAX_GROUP; a
+    group given by generators is listed when it is built.
     """
 
-    __slots__ = ("lattice", "generators", "order", "max_group", "stabilized",
-                 "_perms", "_labels")
+    __slots__ = ("lattice", "generators", "order", "stabilized", "_perms", "_labels")
 
     def __init__(self, lattice: OrthoLattice, generators: Sequence[LatticeAutomorphism],
                  order: int, perms: Sequence[Perm] | None = None,
-                 max_group: int = DEFAULT_MAX_GROUP,
                  stabilized: Sequence[frozenset[int]] | None = None):
         self.lattice = lattice
         self.generators = tuple(generators)
         self.order = order
-        self.max_group = max_group
         self.stabilized = None if stabilized is None else tuple(stabilized)
         self._perms = None if perms is None else tuple(sorted(perms))
         self._labels = None
@@ -168,13 +167,13 @@ class GroupAction:
     @property
     def perms(self) -> tuple[Perm, ...]:
         if self._perms is None:
-            if self.order > self.max_group:
+            if self.order > DEFAULT_MAX_GROUP:
                 # Decimal prints ints of any length
                 raise GroupTooLargeError(
-                    f"listing {Decimal(self.order)} elements exceeds the cap of {self.max_group}"
+                    f"listing {Decimal(self.order)} elements exceeds the cap of {DEFAULT_MAX_GROUP}"
                 )
             gens = [g.perm for g in self.generators]
-            self._perms = tuple(sorted(_closure(len(self.lattice), gens, self.max_group)))
+            self._perms = tuple(sorted(_closure(len(self.lattice), gens, DEFAULT_MAX_GROUP)))
         return self._perms
 
     def orbit_labels(self) -> list[int]:
@@ -261,7 +260,7 @@ def close_group(lattice: OrthoLattice, generators: Iterable[LatticeAutomorphism]
         if g.lattice is not lattice:
             raise NotAnAutomorphismError("generator defined on a different lattice")
     perms = _closure(len(lattice), [g.perm for g in gens], max_group)
-    return GroupAction(lattice, gens, len(perms), perms, max_group)
+    return GroupAction(lattice, gens, len(perms), perms)
 
 
 def automorphism_group(lattice: OrthoLattice) -> GroupAction:
@@ -548,9 +547,9 @@ def normalizer(action: GroupAction, members: Iterable[str]) -> GroupAction:
     In a searched group (the stabilizer in Aut(L) of the sets it
     remembers) this is the stabilizer of those sets and the new one, so it
     is searched for with one more initial colour and nothing is listed;
-    nested normalizers stay exact.  A group given by generators is listed
-    (under its ``max_group`` cap) and filtered; the result's generators are
-    all of its elements.
+    nested normalizers stay exact.  A group given by generators was listed
+    when it was built, and the list is filtered; the result's generators
+    are all of its elements.
     """
     lattice = action.lattice
     target = frozenset(lattice.index(e) for e in members)
@@ -558,7 +557,7 @@ def normalizer(action: GroupAction, members: Iterable[str]) -> GroupAction:
         return _search_group(lattice, action.stabilized + (target,))
     perms = [p for p in action.perms if {p[i] for i in target} == target]
     gens = [LatticeAutomorphism(lattice, p, _checked=True) for p in perms]
-    return GroupAction(lattice, gens, len(perms), perms, action.max_group)
+    return GroupAction(lattice, gens, len(perms), perms)
 
 
 def quotient_map_injective(action: GroupAction, members: Iterable[str],
@@ -601,17 +600,21 @@ def generating_subset(action: GroupAction) -> list[LatticeAutomorphism]:
 
 def load_group(path, lattice: OrthoLattice,
                max_group: int = DEFAULT_MAX_GROUP) -> GroupAction:
-    """Read {"generators": [{elem: elem, ...}, ...]} and close it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+    """Read {"generators": [{elem: elem, ...}, ...]} and close it.
+
+    Every image must name an element; the map of each generator is then
+    checked to be an automorphism.
+    """
+    data = read_json(path)
     if not isinstance(data, dict) or set(data) != {"generators"}:
         raise SchemaError('group file must be {"generators": [...]}')
     raw = data["generators"]
     if not isinstance(raw, list) or not all(isinstance(g, dict) for g in raw):
         raise SchemaError("'generators' must be a list of element maps")
+    for g in raw:
+        for e, image in g.items():
+            if not isinstance(image, str) or image not in lattice:
+                raise SchemaError(f"generator maps {e!r} to {image!r}, which is not an element")
     gens = [LatticeAutomorphism.from_mapping(lattice, g) for g in raw]
     return close_group(lattice, gens, max_group)
 

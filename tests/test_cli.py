@@ -12,9 +12,14 @@ Claims:
     - check reports, for every accepted file, the axiom results that
       verify_ortho gives on the loaded lattice, without calling it, and
       exits 0 exactly when the lattice is orthomodular
+    - every command loads its lattice the same way, so a missing, non-JSON,
+      cyclic or oversized lattice file gives every command the same error
+      line and exit code; every file loader names a file that is not JSON
+    - a group file whose maps name no element exits 2
 """
 
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -25,8 +30,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import orthomeasure
 from orthomeasure import (
-    atoms, benzene, boolean, is_orthomodular, load_lattice, mo, save_group, save_lattice,
-    verify_ortho,
+    atoms, benzene, boolean, is_orthomodular, load_generating_set, load_group, load_lattice,
+    load_partial_measure, mo, save_group, save_lattice, verify_ortho,
 )
 from orthomeasure.cli import (
     _COMMANDS, _ORTHO_AXIOMS, _check_result_dict, _json_text, _ratios, build_parser,
@@ -225,24 +230,6 @@ def test_schema_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_cycle_is_input_error(tmp_path, capsys):
-    desc = {
-        "name": "cyc",
-        "elements": ["0", "x", "y", "1"],
-        "leq": [["0", "x"], ["x", "y"], ["y", "x"], ["y", "1"]],
-        "orthocomplement": {"0": "1", "1": "0", "x": "y", "y": "x"},
-    }
-    bad = tmp_path / "cyc.json"
-    bad.write_text(json.dumps(desc))
-    code, _ = run_json(capsys, ["check", str(bad)])
-    assert code == 2
-
-
-def test_resource_cap_exit_3(files, capsys):
-    code, data = run_json(capsys, ["check", files["b3"], "--max-elements", "4"])
-    assert code == 3
-
-
 def test_byte_determinism(files, capsys):
     run(["states", files["mo2"]])
     first = capsys.readouterr().out
@@ -268,6 +255,18 @@ def test_group_file_source(files, capsys, tmp_path):
     )
     assert code == 0
     assert data["report"]["rank"] == 1
+
+
+@pytest.mark.parametrize("image", ["zzz", ["a1"]], ids=["unknown name", "list"])
+def test_group_file_with_an_image_that_is_no_element_exits_2(files, capsys, tmp_path, image):
+    mapping = {e: e for e in mo(2).elements}
+    mapping["a1"] = image
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"generators": [mapping]}))
+    code, data = run_json(capsys, ["module", files["mo2"], "--group", str(path)])
+    assert code == 2
+    assert data == {"error": "SchemaError",
+                    "detail": f"generator maps 'a1' to {image!r}, which is not an element"}
 
 
 def test_round_trip_constructor_export(tmp_path, capsys):
@@ -522,3 +521,57 @@ def test_parse_args_reads_sys_argv(monkeypatch, capsys):
     expected = _parsed(build_parser().parse_args, None, capsys)
     assert expected[0] == 2
     assert _parsed(parse_args, None, capsys) == expected
+
+
+# --- the shared load path -------------------------------------------------------------
+
+
+def _bad_lattice_files(tmp_path):
+    """(label, lattice file, extra argv, exit code, error name) of each way a
+    lattice file can fail to load."""
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{not json")
+    cycle = tmp_path / "cycle.json"
+    cycle.write_text(json.dumps({
+        "name": "cyc",
+        "elements": ["0", "x", "y", "1"],
+        "leq": [["0", "x"], ["x", "y"], ["y", "x"], ["y", "1"]],
+        "orthocomplement": {"0": "1", "1": "0", "x": "y", "y": "x"},
+    }))
+    mo2 = tmp_path / "mo2.json"
+    save_lattice(mo(2), mo2)
+    return [
+        ("missing", tmp_path / "missing.json", [], 2, "FileNotFoundError"),
+        ("not JSON", not_json, [], 2, "SchemaError"),
+        ("cycle", cycle, [], 2, "NotAPartialOrderError"),
+        ("cap", mo2, ["--max-elements", "4"], 3, "SizeCapError"),
+    ]
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_every_command_rejects_a_bad_lattice_file_alike(command, capsys, tmp_path):
+    gs = tmp_path / "gs.json"
+    gs.write_text(json.dumps({"members": ["a1"]}))
+    pm = tmp_path / "pm.json"
+    pm.write_text(json.dumps({"values": {"a1": "1/2"}}))
+    needs = ["--generating-set", str(gs), "--partial", str(pm)] if command == "extend" else []
+    for label, path, extra, code, error in _bad_lattice_files(tmp_path):
+        expected = run_json(capsys, ["check", str(path), *extra])
+        got = run_json(capsys, [command, str(path), *needs, *extra])
+        assert got == expected, label
+        assert got[0] == code and set(got[1]) == {"error", "detail"}, label
+        assert got[1]["error"] == error, label
+        if label == "not JSON":
+            assert got[1]["detail"].startswith(f"invalid JSON in {path}: "), label
+
+
+@pytest.mark.parametrize("content", [b"[1, 2", b"\xff\xfe{}", b"[" * 100_000],
+                         ids=["malformed", "not UTF-8", "nested too deep"])
+def test_every_loader_names_a_file_that_is_not_json(tmp_path, content):
+    path = tmp_path / "not.json"
+    path.write_bytes(content)
+    lattice = mo(2)
+    for load in (load_lattice, lambda p: load_group(p, lattice),
+                 lambda p: load_generating_set(p, lattice), load_partial_measure):
+        with pytest.raises(orthomeasure.SchemaError, match=f"^invalid JSON in {re.escape(str(path))}: "):
+            load(path)

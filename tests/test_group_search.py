@@ -15,7 +15,7 @@ Claims:
     - union-find orbits equal the orbits read off the listed closure
     - each strong generator joins two orbits of the generators found before
       it, so none is redundant
-    - element listing stays under the group's max_group cap
+    - element listing stays under DEFAULT_MAX_GROUP
     - the search keeps no Python frame per level: Aut(MO(120)), base
       length 120, comes out with the recursion limit 60 frames above the
       caller's depth

@@ -187,7 +187,7 @@ def test_boolean_size_cap():
     with pytest.raises(SizeCapError):
         boolean(21)
     with pytest.raises(SizeCapError):
-        boolean(8, max_elements=100)
+        boolean(13)  # 8 192 elements, past DEFAULT_MAX_ELEMENTS
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

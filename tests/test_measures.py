@@ -339,7 +339,8 @@ def test_brute_force_matches_filter_enumeration():
 
 def test_brute_force_cap():
     with pytest.raises(OracleTooLargeError):
-        brute_force_measures(boolean(3), range(-5, 6), INTEGERS, max_candidates=1000)
+        # 11^8 candidates, past DEFAULT_MAX_ORACLE
+        brute_force_measures(boolean(3), range(-5, 6), INTEGERS)
 
 
 def test_representability_round_trip(family):
