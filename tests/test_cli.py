@@ -230,6 +230,26 @@ def test_schema_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_cycle_is_input_error(tmp_path, capsys):
+    desc = {
+        "name": "cyc",
+        "elements": ["0", "x", "y", "1"],
+        "leq": [["0", "x"], ["x", "y"], ["y", "x"], ["y", "1"]],
+        "orthocomplement": {"0": "1", "1": "0", "x": "y", "y": "x"},
+    }
+    bad = tmp_path / "cyc.json"
+    bad.write_text(json.dumps(desc))
+    code, data = run_json(capsys, ["check", str(bad)])
+    assert code == 2
+    assert data["error"] == "NotAPartialOrderError"
+
+
+def test_resource_cap_exit_3(files, capsys):
+    code, data = run_json(capsys, ["check", files["b3"], "--max-elements", "4"])
+    assert code == 3
+    assert data["error"] == "SizeCapError"
+
+
 def test_byte_determinism(files, capsys):
     run(["states", files["mo2"]])
     first = capsys.readouterr().out
