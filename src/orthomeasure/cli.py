@@ -5,10 +5,12 @@ measures) from the documented JSON schemas and print a deterministic report:
 the JSON form is the contract, the text form is a human summary of the same
 data.  The JSON form is byte for byte ``json.dumps(envelope, indent=2)``; a
 small recursive writer produces it, because the standard encoder falls back
-to pure Python whenever it indents.  State values go straight from integer
-numerator and scale to text.  Exit codes: 0 success, 1 mathematical
-negative (the report is still printed), 2 input or schema error, 3 resource
-cap.
+to pure Python whenever it indents.  The state vertices and the measures
+are written through one table (``_Table``): each element name is quoted
+once per table, each distinct value formatted once, state values straight
+from integer numerator and scale, and each row joined without a dict.
+Exit codes: 0 success, 1 mathematical negative (the report is still
+printed), 2 input or schema error, 3 resource cap.
 """
 
 from __future__ import annotations
@@ -18,9 +20,12 @@ import hashlib
 import json
 import sys
 from collections.abc import Callable
+from dataclasses import dataclass
 from decimal import Decimal
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
+from operator import add
 from typing import NamedTuple
 
 from . import __version__
@@ -100,12 +105,78 @@ def _scalar_text(value) -> str:
         return str(Decimal(value))
 
 
+@dataclass(frozen=True)
+class _Table:
+    """The rows of a report that give a value at every element: the
+    vertices of ``states``, each {"coords": [...], "values": {...}}, or the
+    measures of ``measures``, ``invariant-measures`` and ``oracle``, each
+    {"domain": ..., "values": {...}}.
+
+    A row holds its coordinates' texts (or the domain label) and its
+    values' texts in element order, each distinct value formatted once; a
+    vertex has at least one coordinate.
+    :func:`_json_text`, :func:`_render_text` and :meth:`csv` write the
+    rows with each element name quoted once per table and each row joined
+    with ``map``, byte for byte what the dicts of those rows would give.
+    """
+
+    elements: tuple[str, ...]
+    lead: str  # "coords" or "domain": the first key of a row
+    rows: list[tuple[list[str] | str, list[str]]]
+    quoted: bool  # values are JSON strings, else JSON integers
+
+    def json(self, pad: str) -> str:
+        """``_json_text`` of the list of rows, closed at ``pad``."""
+        if not self.rows:
+            return "[]"
+        item, field = pad + "  ", pad + "    "
+        entry = field + "  "
+        q = '"' if self.quoted else ""
+        # a value's closing quote goes with the next element's name
+        keys = [entry + _quote(e) + ": " + q for e in self.elements]
+        keys[1:] = [q + "," + k for k in keys[1:]]
+        close = q + field + "}" + item + "}"
+        if self.lead == "coords":
+            head = "{" + field + '"coords": [' + entry + '"'
+            sep, tail = '",' + entry + '"', '"' + field + "]," + field + '"values": {'
+            rows = [head + sep.join(lead) + tail + "".join(map(add, keys, values)) + close
+                    for lead, values in self.rows]
+        else:
+            head = "{" + field + '"domain": '
+            tail = "," + field + '"values": {'
+            rows = [head + _quote(lead) + tail + "".join(map(add, keys, values)) + close
+                    for lead, values in self.rows]
+        return "[" + item + ("," + item).join(rows) + pad + "]"
+
+    def lines(self, indent: int) -> list[str]:
+        """``_render_text`` of the list of rows at ``indent``."""
+        pad = "  " * indent
+        field, entry = pad + "  ", pad + "    "
+        keys = [f"{entry}{e}: " for e in self.elements]
+        out = []
+        for lead, values in self.rows:
+            out.append(pad + "-")
+            if self.lead == "coords":
+                out.append(field + "coords:")
+                out.extend(map(add, repeat(entry + "- "), lead))
+            else:
+                out.append(f"{field}domain: {lead}")
+            out.append(field + "values:")
+            out.extend(map(add, keys, values))
+        return out
+
+    def csv(self) -> str:
+        """A header of the element names, then the values of each row."""
+        return "".join([",".join(self.elements) + "\n",
+                        *(",".join(values) + "\n" for _, values in self.rows)])
+
+
 def _render_text(value, indent=0) -> list[str]:
     pad = "  " * indent
     lines = []
     if isinstance(value, dict):
         for k, v in value.items():
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list, _Table)):
                 lines.append(f"{pad}{k}:")
                 lines.extend(_render_text(v, indent + 1))
             else:
@@ -117,6 +188,8 @@ def _render_text(value, indent=0) -> list[str]:
                 lines.extend(_render_text(v, indent + 1))
             else:
                 lines.append(f"{pad}- {_scalar_text(v)}")
+    elif isinstance(value, _Table):
+        lines = value.lines(indent)
     else:
         lines.append(f"{pad}{_scalar_text(value)}")
     return lines
@@ -158,6 +231,8 @@ def _json_text(value, pad="\n") -> str:
             return int.__repr__(value)
         except ValueError:  # past the digit limit, see _scalar_text
             return str(Decimal(value))
+    if kind is _Table:
+        return value.json(pad)
     raise TypeError(f"{kind.__name__} is not a report value")
 
 
@@ -175,16 +250,47 @@ def _emit(args, report) -> None:
         print("\n".join(_render_text(envelope)))
 
 
-def _ratios(nums, den: int) -> list[str]:
+def _texts(values, known: dict, write) -> list[str]:
+    """``known[v]`` for each value, after adding ``write(v)`` for the
+    values not in ``known`` yet: each distinct value is written once over
+    every call that shares ``known``."""
+    try:
+        return list(map(known.__getitem__, values))
+    except KeyError:
+        for v in set(values).difference(known):
+            known[v] = write(v)
+        return list(map(known.__getitem__, values))
+
+
+def _ratios(nums, den: int, known: dict | None = None) -> list[str]:
     """``str(Fraction(n, den))`` for each n, given den > 0, without Fractions.
 
-    A vertex repeats few distinct values, so each is formatted once.
+    Vertices repeat few distinct values, so each is formatted once, and
+    once only over the calls that share ``known`` for this ``den``.
     """
-    text = {}
-    for n in set(nums):
+    def write(n):
         g = gcd(n, den)
-        text[n] = str(n // den) if g == den else f"{n // g}/{den // g}"
-    return [text[n] for n in nums]
+        return str(n // den) if g == den else f"{n // g}/{den // g}"
+
+    return _texts(nums, {} if known is None else known, write)
+
+
+def _states_table(lattice, polytope) -> _Table:
+    """The vertices as rows of their coordinates' and values' texts."""
+    known: dict[int, dict[int, str]] = {}  # per scale, each numerator's text
+    rows = []
+    for v in polytope.vertices:
+        text = known.setdefault(v.scale, {})
+        rows.append((_ratios(v.ray, v.scale, text), _ratios(v.numerators, v.scale, text)))
+    return _Table(lattice.elements, "coords", rows, True)
+
+
+def _measures_table(lattice, domain, measures) -> _Table:
+    """The measures as rows of their values' texts (Fractions over Q,
+    integers over Z and Z/m)."""
+    known: dict = {}
+    rows = [(domain.label, _texts(m.values.values(), known, _scalar_text)) for m in measures]
+    return _Table(lattice.elements, "domain", rows, domain.kind == "Q")
 
 
 # The checks of lattice.verify_ortho, in its order.  check reports each as
@@ -240,7 +346,7 @@ def _cmd_measures(args, lattice) -> tuple[dict, int]:
         "domain": domain.label,
         "kind": "generators" if domain.kind == "Zmod" else "basis",
         "count": len(basis),
-        "measures": [m.to_json_dict() for m in basis],
+        "measures": _measures_table(lattice, domain, basis),
     }
     return report, EXIT_OK
 
@@ -259,19 +365,11 @@ def _cmd_cone(args, lattice) -> tuple[dict, int]:
 def _cmd_states(args, lattice) -> tuple[dict, int]:
     action = _load_action(args, lattice)
     polytope = state_polytope(lattice, action)
-    vertices = [
-        {
-            "coords": _ratios(v.ray, v.scale),
-            "values": dict(zip(lattice.elements, _ratios(v.numerators, v.scale))),
-        }
-        for v in polytope.vertices
-    ]
-    report = {"count": len(vertices), "vertices": vertices}
+    table = _states_table(lattice, polytope)
+    report = {"count": len(table.rows), "vertices": table}
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(",".join(lattice.elements) + "\n")
-            for vertex in vertices:
-                fh.write(",".join(vertex["values"].values()) + "\n")
+            fh.write(table.csv())
     return report, EXIT_OK
 
 
@@ -312,7 +410,7 @@ def _cmd_oracle(args, lattice) -> tuple[dict, int]:
     report = {
         "domain": domain.label,
         "count": len(measures),
-        "measures": [m.to_json_dict() for m in measures],
+        "measures": _measures_table(lattice, domain, measures),
     }
     return report, EXIT_OK
 

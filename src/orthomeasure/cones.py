@@ -21,6 +21,22 @@ element's coordinates with r, over the same scale.  Vertices are sorted by
 their coordinates, compared as the integer vectors r * (L // scale) with L
 the lcm of all scales, which orders them exactly as the Fractions r / scale
 would.  Fractions are built only when a caller reads them.
+
+Without a group action the state polytope is composed from the splits that
+``automorphism_group`` uses.  A Boolean lattice's vertices are the Dirac
+states of its atoms; a horizontal sum's are the tuples of one vertex per
+summand; a product's over its center are the vertices of each factor, read
+on the elements below that factor's central atom.  Only an irreducible
+non-Boolean block runs double description, once per shape.  A composed
+vertex's coordinates are its values at the elements whose images are the
+basis vectors.  The vertex count of a sum (the product of the summands'
+counts) or of a product (the sum of the factors') is known before any
+vertex is listed, and past MAX_RAYS it raises DimensionCapError at once.
+The rank cap DEFAULT_MAX_DIMENSION and MAX_RAYS then bound the double
+description of each irreducible block, so a decomposable lattice gets an
+exact answer wherever its vertex count fits, whatever its rank.  The
+``cone`` command's ``positive_cone`` keeps double description on the whole
+lattice.
 """
 
 from __future__ import annotations
@@ -30,7 +46,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from .errors import (
     DimensionCapError,
@@ -38,7 +54,13 @@ from .errors import (
     EmptyPolytopeError,
     UnboundedSliceError,
 )
-from .lattice import CheckResult, OrthoLattice
+from .lattice import (
+    CheckResult,
+    OrthoLattice,
+    direct_factors,
+    horizontal_summands,
+    is_boolean,
+)
 from .measures import (
     MeasureModule,
     RATIONALS,
@@ -269,14 +291,6 @@ def measure_coordinates(lattice: OrthoLattice,
     return module, coords
 
 
-def _measure_cone(lattice: OrthoLattice,
-                  action: GroupAction | None) -> tuple[PolyCone, list[Vector]]:
-    """The positive cone, dual to the element coordinates, and those
-    coordinates."""
-    _, coords = measure_coordinates(lattice, action)
-    return dual_cone(coords), coords
-
-
 def positive_cone(lattice: OrthoLattice,
                   action: GroupAction | None = None) -> PolyCone:
     """Cone of measures nonnegative on every lattice element.
@@ -287,7 +301,7 @@ def positive_cone(lattice: OrthoLattice,
     the invariant slice.  Raises DimensionCapError when the measure space
     has rank above DEFAULT_MAX_DIMENSION or the cone past MAX_RAYS rays.
     """
-    return _measure_cone(lattice, action)[0]
+    return dual_cone(measure_coordinates(lattice, action)[1])
 
 
 @dataclass(frozen=True)
@@ -346,41 +360,210 @@ def _pairings(coords, rays) -> list[tuple[int, ...]]:
     return list(zip(*per_row))
 
 
-def state_polytope(lattice: OrthoLattice,
-                   action: GroupAction | None = None) -> StatePolytope:
-    """Exact vertices of the polytope of (invariant) probability measures.
-
-    Each vertex is a ray r of the positive cone over its scale top . r, so
-    every value is one integer pairing over that scale, and nothing else is
-    computed until a caller asks for Fractions.  The vertices are sorted by
-    their coordinates, compared exactly in integers: with L the lcm of the
-    scales, r / s orders as r * (L // s) does.  Raises DimensionCapError
-    above DEFAULT_MAX_DIMENSION or past MAX_RAYS rays, UnboundedSliceError
-    when the top element projects to zero (the degenerate case where no
-    normalization is possible) and EmptyPolytopeError when no probability
-    measure exists.
-    """
-    cone, coords = _measure_cone(lattice, action)
-    top = coords[lattice.top_index]
-    if not any(top):
-        raise UnboundedSliceError(
-            "the top element is zero in the rational measure space"
-        )
+def _sliced_rays(coords: list[Vector], top: Vector) -> tuple[tuple[Vector, ...], list[int]]:
+    """The rays of the positive cone on the coordinates, by double
+    description, and their scales top . ray."""
+    cone = dual_cone(coords)
     scales = [_dot(top, r) for r in cone.rays]
     if cone.lineality or any(s <= 0 for s in scales):
         # positivity at every element together with additivity at the top
         # rules this out; reaching it means the input is degenerate
         raise UnboundedSliceError("the normalized slice is not a polytope")
+    return cone.rays, scales
+
+
+# A block's vertices: (scale, numerators), numerators[i] being the value at
+# element i of the block times scale, so numerators[top] == scale.
+Vertices = list[tuple[int, tuple[int, ...]]]
+
+
+def _capped(count: int) -> None:
+    """Raise DimensionCapError when a composed vertex set would be larger
+    than one double description step may be."""
+    if count > MAX_RAYS:
+        raise DimensionCapError(f"{count} vertices exceed the cap of {MAX_RAYS} rays")
+
+
+def _dirac_vertices(lattice: OrthoLattice) -> Vertices:
+    """The states of a Boolean lattice: one per atom a, 1 on the elements
+    above a and 0 elsewhere."""
+    n, up = len(lattice), lattice.up_masks
+    return [(1, tuple(up[a] >> x & 1 for x in range(n))) for a in lattice.atom_indices()]
+
+
+def _cone_vertices(lattice: OrthoLattice) -> Vertices:
+    """The vertices of an irreducible block, by double description in its
+    own measure coordinates; none when its top is zero there (then every
+    positive measure vanishes)."""
+    _, coords = measure_coordinates(lattice)
+    top = coords[lattice.top_index]
+    if not any(top):
+        return []
+    rays, scales = _sliced_rays(coords, top)
+    if not rays:
+        return []
+    return list(zip(scales, _pairings(coords, rays)))
+
+
+def _rescaled(s: int, x: tuple[int, ...], t: int, y: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The values x over s followed by y over t, over the lcm of s and t."""
+    m = lcm(s, t)
+    return m, tuple([v * (m // s) for v in x] + [v * (m // t) for v in y])
+
+
+class _Blocks:
+    """The vertices of a lattice composed from its decomposition, with the
+    vertices of every block and factor met so far kept by its order and
+    orthocomplement over its own indices, as ``symmetry._Parts`` keeps
+    groups: the summands of MO(n) are solved once."""
+
+    def __init__(self):
+        self.seen: dict[tuple, Vertices] = {}
+
+    def vertices(self, lattice: OrthoLattice) -> Vertices:
+        shape = (lattice.up_masks, lattice.orth_map)
+        found = self.seen.get(shape)
+        if found is None:
+            found = self.split(lattice)
+            if found is None:
+                found = _cone_vertices(lattice)
+            self.seen[shape] = found
+        return found
+
+    def split(self, lattice: OrthoLattice) -> Vertices | None:
+        """The vertices from the lattice's decomposition, or None when it
+        is irreducible and not Boolean."""
+        if is_boolean(lattice):
+            return _dirac_vertices(lattice)
+        summands = horizontal_summands(lattice)
+        if summands:
+            return self._sum_vertices(lattice, summands)
+        factors, coordinates = direct_factors(lattice)
+        if factors:
+            return self._product_vertices(factors, coordinates)
+        return None
+
+    def _sum_vertices(self, lattice: OrthoLattice, summands) -> Vertices:
+        """Every choice of one vertex per summand, over the lcm of their
+        scales: a horizontal sum's orthogonal pairs and their joins lie
+        within one summand, so its states are the free tuples of the
+        summands' states, and its vertices the tuples of their vertices.
+
+        The tuples grow one summand at a time, as (scale, the values at
+        the proper elements of the summands so far)."""
+        proper, choices = [], []
+        count = 1
+        for block, members in summands:
+            inner = [k for k in range(len(block))
+                     if k != block.bottom_index and k != block.top_index]
+            vertices = self.vertices(block)
+            proper.extend(members[k] for k in inner)
+            choices.append([(s, tuple([nums[k] for k in inner])) for s, nums in vertices])
+            count *= len(vertices)
+        _capped(count)
+        partial = [(1, ())]
+        for vertices in choices:
+            partial = [(s, x + y) if s == t else _rescaled(s, x, t, y)
+                       for s, x in partial for t, y in vertices]
+        # the element at position p of (bottom, top, the proper elements)
+        where = [0] * len(lattice)
+        where[lattice.top_index] = 1
+        for p, i in enumerate(proper, 2):
+            where[i] = p
+        place = itemgetter(*where)
+        return [(s, place((0, s, *x))) for s, x in partial]
+
+    def _product_vertices(self, factors, coordinates) -> Vertices:
+        """The vertices of each factor [0, z], read at t ^ z for every
+        element t: a state of the product is a convex combination of states
+        that each live on one factor."""
+        found = [self.vertices(factor) for factor, _ in factors]
+        _capped(sum(map(len, found)))
+        out = []
+        for j, vertices in enumerate(found):
+            at = itemgetter(*[c[j] for c in coordinates])
+            out.extend((s, at(nums)) for s, nums in vertices)
+        return out
+
+
+def _unit_elements(coords: list[Vector]) -> list[int] | None:
+    """An element whose coordinates are e_j, for each basis vector e_j, or
+    None if some e_j is no element's image.  A measure's coordinate j is
+    then its value there."""
+    rank = len(coords[0])
+    units: list[int | None] = [None] * rank
+    for i, c in enumerate(coords):
+        if c.count(0) == rank - 1 and c.count(1) == 1:
+            j = c.index(1)
+            if units[j] is None:
+                units[j] = i
+    return None if None in units else units
+
+
+def state_polytope(lattice: OrthoLattice,
+                   action: GroupAction | None = None) -> StatePolytope:
+    """Exact vertices of the polytope of (invariant) probability measures.
+
+    With no action the vertices are composed from the lattice's
+    decomposition, block by block, as ``automorphism_group`` splits it: a
+    Boolean lattice has the Dirac states of its atoms; a horizontal sum
+    has every tuple of one vertex per summand; a product over the center
+    has the vertices of each factor.  Only an irreducible non-Boolean
+    block runs double description, in its own measure coordinates, and a
+    block of the same shape is solved once.  A composed vertex is a
+    measure's integer values over a scale; its coordinates are its values
+    at the elements whose images are the basis vectors.  The vertex count
+    of a sum or product is known before any vertex is listed, and past
+    MAX_RAYS it raises DimensionCapError naming the count, so
+    DEFAULT_MAX_DIMENSION and MAX_RAYS bound the double description of each
+    irreducible block, not the whole lattice, and a refused count is
+    raised before the whole lattice's measure module is built.  With an
+    action, or when some basis vector is no element's image, the double
+    description runs on the whole lattice, under both caps.
+
+    Either way each vertex is a primitive ray r of the positive cone over
+    its scale top . r, with every value one integer pairing over that
+    scale, and nothing else is computed until a caller asks for
+    Fractions.  The vertices are sorted by their coordinates, compared
+    exactly in integers: with L the lcm of the scales, r / s orders as
+    r * (L // s) does.  Raises UnboundedSliceError when the top element
+    projects to zero (the degenerate case where no normalization is
+    possible) and EmptyPolytopeError when no probability measure exists.
+    """
+    # the blocks come first, so a vertex count past the cap stops the call
+    # before the whole lattice's measure module is built
+    composed = None if action is not None else _Blocks().split(lattice)
+    _, coords = measure_coordinates(lattice, action)
+    top = coords[lattice.top_index]
+    if not any(top):
+        raise UnboundedSliceError(
+            "the top element is zero in the rational measure space"
+        )
+    units = None if composed is None else _unit_elements(coords)
+    if units is None:
+        rays, scales = _sliced_rays(coords, top)
+        numerators = _pairings(coords, rays) if rays else []
+    else:
+        # A block's values have no common factor: a Dirac state is 1 at the
+        # top, and the coordinates of a block's elements span its basis, so
+        # they pair a primitive ray to coprime values.  Nor do the values
+        # of a sum, whose summands are scaled by lcm(s) / s_k, coprime over
+        # k.  So each ray read off the unit elements is primitive.
+        scales = [s for s, _ in composed]
+        numerators = [nums for _, nums in composed]
+        rays = [tuple(map(nums.__getitem__, units)) for nums in numerators]
     if not scales:
         raise EmptyPolytopeError("no probability measure exists")
-    common = lcm(*scales)
-    order = sorted(
-        range(len(scales)),
-        key=lambda k: [x * (common // scales[k]) for x in cone.rays[k]],
-    )
-    numerators = _pairings(coords, cone.rays)
+    if len(set(scales)) == 1:
+        order = sorted(range(len(scales)), key=rays.__getitem__)
+    else:
+        common = lcm(*scales)
+        order = sorted(
+            range(len(scales)),
+            key=lambda k: [x * (common // scales[k]) for x in rays[k]],
+        )
     vertices = tuple(
-        StateVertex(cone.rays[k], scales[k], numerators[k], lattice.elements)
+        StateVertex(rays[k], scales[k], numerators[k], lattice.elements)
         for k in order
     )
     return StatePolytope(vertices)

@@ -16,8 +16,12 @@ Claims:
       cyclic or oversized lattice file gives every command the same error
       line and exit code; every file loader names a file that is not JSON
     - a group file whose maps name no element exits 2
+    - the value tables of states, measures, invariant-measures and oracle
+      are written, as JSON, as text and as CSV, byte for byte as the
+      reports built from Fractions and Measure.to_json_dict would be
 """
 
+import hashlib
 import json
 import re
 import sys
@@ -30,12 +34,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import orthomeasure
 from orthomeasure import (
-    atoms, benzene, boolean, is_orthomodular, load_generating_set, load_group, load_lattice,
-    load_partial_measure, mo, save_group, save_lattice, verify_ortho,
+    atoms, benzene, boolean, brute_force_measures, horizontal_sum, is_orthomodular,
+    load_generating_set, load_group, load_lattice, load_partial_measure, measure_basis, mo,
+    parse_domain, product, save_group, save_lattice, state_polytope, verify_ortho,
 )
 from orthomeasure.cli import (
-    _COMMANDS, _ORTHO_AXIOMS, _check_result_dict, _json_text, _ratios, build_parser,
-    parse_args, run,
+    _COMMANDS, _ORTHO_AXIOMS, _check_result_dict, _json_text, _ratios, _render_text,
+    build_parser, parse_args, run,
 )
 from orthomeasure.symmetry import automorphism_group
 
@@ -483,6 +488,64 @@ def test_json_reports_are_json_dumps_output(family, capsys, tmp_path):
             assert out == json.dumps(data, indent=2) + "\n", (label, argv)
             reported.add(argv[0])
     assert reported == {cmd[0] for cmd in FAMILY_COMMANDS} | {"extend"}
+
+
+# --- the value tables -----------------------------------------------------------------
+
+TABLE_COMMANDS = (
+    ["states"], ["measures", "--domain", "q"], ["measures", "--domain", "z"],
+    ["measures", "--domain", "z/6"], ["invariant-measures", "--full-aut"],
+    ["oracle", "--domain", "z/2"],
+)
+
+
+def _fraction_route_report(argv, lattice):
+    """The report of a table command, its values built as Fractions
+    (StateVertex.coords and .values) or by Measure.to_json_dict."""
+    command = argv[0]
+    if command == "states":
+        vertices = [{"coords": [str(c) for c in v.coords],
+                     "values": {e: str(x) for e, x in v.values.items()}}
+                    for v in state_polytope(lattice).vertices]
+        return {"count": len(vertices), "vertices": vertices}
+    domain = parse_domain(argv[argv.index("--domain") + 1] if "--domain" in argv else "q")
+    if command == "oracle":
+        measures = brute_force_measures(lattice, range(domain.modulus), domain)
+        return {"domain": domain.label, "count": len(measures),
+                "measures": [m.to_json_dict() for m in measures]}
+    action = automorphism_group(lattice) if "--full-aut" in argv else None
+    basis = measure_basis(lattice, domain, action)
+    return {"domain": domain.label, "kind": "generators" if domain.kind == "Zmod" else "basis",
+            "count": len(basis), "measures": [m.to_json_dict() for m in basis]}
+
+
+def test_value_tables_are_written_as_the_fraction_route_reports(family, capsys, tmp_path):
+    lattices = [*family.values(), horizontal_sum(mo(3), benzene()),
+                product(mo(2), boolean(2)), product(benzene(), boolean(1)),
+                horizontal_sum(boolean(3), mo(2))]
+    path = tmp_path / "l.json"
+    csv = tmp_path / "v.csv"
+    for lattice in lattices:
+        save_lattice(lattice, path)
+        loaded = load_lattice(path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        for command in TABLE_COMMANDS:
+            if command[0] == "oracle" and len(loaded) > 16:
+                continue  # 2^n candidate functions
+            argv = [command[0], str(path), *command[1:]]
+            report = _fraction_route_report(command, loaded)
+            envelope = {"tool": "orthomeasure", "version": orthomeasure.__version__,
+                        "command": command[0], "inputs": {"lattice": digest},
+                        "report": report}
+            assert run(argv) == 0
+            assert capsys.readouterr().out == json.dumps(envelope, indent=2) + "\n", argv
+            extra = ["--csv", str(csv)] if command[0] == "states" else []
+            assert run([*argv, "--format", "text", *extra]) == 0
+            assert capsys.readouterr().out == "\n".join(_render_text(envelope)) + "\n", argv
+            if extra:
+                rows = [",".join(loaded.elements)]
+                rows += [",".join(v["values"].values()) for v in report["vertices"]]
+                assert csv.read_text(encoding="utf-8") == "".join(r + "\n" for r in rows)
 
 
 # --- argument parsing ---------------------------------------------------------------

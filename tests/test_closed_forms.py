@@ -14,6 +14,12 @@ Claims:
     - past the 32-element family, under wall-clock bounds: rank M(B_12) =
       12, rank M(MO(2000)) = 2001, and verify_ortho(boolean(11)) passes
       every check
+    - state polytopes composed from the blocks, under wall-clock bounds:
+      the horizontal sum of four boolean(6), of rank 21 (past the cap of
+      whole-lattice double description), has the 6^4 tuples of Dirac
+      states as its vertices within 5 s, and MO(15), whose 2^15 vertices
+      pass the ray cap, raises DimensionCapError naming that count within
+      1 s, before any measure module of the whole lattice is built
     - subspace_lattice rejects n >= 3 at the first isotropic vector in
       lexicographic order without listing F_q^n, in under 1 s for
       F_101^4, and for n = 2 and an anisotropic form it is MO((q + 1) / 2)
@@ -30,14 +36,17 @@ import time
 
 import pytest
 
+import orthomeasure.cones as cones_mod
 import orthomeasure.lattice as lattice_mod
 import orthomeasure.measures as measures_mod
 from orthomeasure import (
+    DimensionCapError,
     FPAbelianGroup,
     IsotropicFormError,
     LatticeAutomorphism,
     SizeCapError,
     are_isomorphic,
+    atoms,
     boolean,
     close_group,
     coinvariants,
@@ -46,9 +55,11 @@ from orthomeasure import (
     mo,
     product,
     relation_matrix,
+    state_polytope,
     subspace_lattice,
     verify_ortho,
 )
+from orthomeasure.cones import DEFAULT_MAX_DIMENSION, MAX_RAYS
 from orthomeasure.symmetry import automorphism_group
 
 from oracles import subspace_description_by_listing
@@ -159,6 +170,43 @@ def test_rank_of_mo_2000():
     assert (module.rank, module.torsion) == (2001, ())
     assert built - start < 10.0
     assert done - built < 5.0
+
+
+def test_states_of_four_boolean_6_summands():
+    b6 = boolean(6)
+    lattice = horizontal_sum(horizontal_sum(b6, b6), horizontal_sum(b6, b6))
+    assert len(lattice) == 250
+    rank = measure_module(lattice).rank
+    assert rank == 21 > DEFAULT_MAX_DIMENSION
+    start = time.perf_counter()
+    vertices = state_polytope(lattice).vertices
+    assert time.perf_counter() - start < 5.0
+    assert len(vertices) == 6 ** 4
+    # each vertex is 1 on the elements above one atom of each summand
+    points = set()
+    for v in vertices:
+        assert v.scale == 1 and set(v.numerators) == {0, 1}
+        point = frozenset(a for a in atoms(lattice) if v.values[a] == 1)
+        assert len(point) == 4 and len({a.rsplit(":", 1)[0] for a in point}) == 4
+        points.add(point)
+    assert len(points) == 6 ** 4
+
+
+def test_state_polytope_of_mo_15_is_refused_by_its_vertex_count(monkeypatch):
+    assert 2 ** 15 > MAX_RAYS
+    start = time.perf_counter()
+    with pytest.raises(DimensionCapError, match="32768 vertices .* rays"):
+        state_polytope(mo(15))
+    assert time.perf_counter() - start < 1.0
+
+    # the count is refused before the measure module of the whole lattice
+    # is built: on mo(2000) that module takes about a second
+    def unreachable(*args):
+        raise AssertionError("measure coordinates computed before the count")
+
+    monkeypatch.setattr(cones_mod, "measure_coordinates", unreachable)
+    with pytest.raises(DimensionCapError, match="32768 vertices"):
+        state_polytope(mo(15))
 
 
 def test_verify_ortho_on_boolean_11():

@@ -22,27 +22,41 @@ Claims:
     - cones and state polytopes above the dimension cap raise
       DimensionCapError, and so do those past the ray budget (mo(19),
       within 20 s)
+    - the state polytope composed from the decomposition gives the
+      vertices, coordinates and values of whole-lattice double description,
+      on random composites (shuffled element orders among them) and on the
+      products and horizontal sums of every pair of family members, and on
+      sums with a Greechie loop of five blocks, whose vertices have scales
+      1 and 2; each vertex's ray is primitive; double
+      description runs only on the irreducible non-Boolean blocks, once per
+      shape, and no automorphism or orbit search runs
 """
 
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
 
+import orthomeasure
 from orthomeasure import (
     DimensionCapError,
     EmptyPolytopeError,
+    LatticeDescription,
     RATIONALS,
     UnboundedSliceError,
     automorphism_group,
     benzene,
     boolean,
     brute_force_measures,
+    build_lattice,
     cone_from_rays,
     cones_equivalent,
     dual_cone,
     horizontal_sum,
+    is_orthomodular,
     is_probability_measure,
     measure_coordinates,
     mo,
@@ -53,6 +67,7 @@ from orthomeasure import (
 from orthomeasure.cones import DEFAULT_MAX_DIMENSION, MAX_RAYS, PolyCone, double_description
 
 from oracles import in_convex_hull, state_vertices_by_fractions
+from strategies import composite_lattices, pairwise_composites
 
 
 def test_dual_cone_positive_orthant():
@@ -265,10 +280,13 @@ def test_state_polytope_matches_fraction_slicing(family, aut_groups):
 
 
 def test_state_polytope_error_paths(monkeypatch):
-    # degenerate top projection: zero normalization functional
+    # degenerate top projection: zero normalization functional.  benzene is
+    # irreducible and not Boolean, so it reaches the double description's
+    # slice checks; boolean(2) takes the closed form when its coordinates
+    # have unit images, and the whole-lattice path when they do not
     import orthomeasure.cones as cones_mod
 
-    lat = boolean(2)
+    lattices = (benzene(), boolean(2))
 
     real = cones_mod.measure_coordinates
 
@@ -279,8 +297,9 @@ def test_state_polytope_error_paths(monkeypatch):
         return module, coords
 
     monkeypatch.setattr(cones_mod, "measure_coordinates", zero_top)
-    with pytest.raises(UnboundedSliceError):
-        state_polytope(lat)
+    for lat in lattices:
+        with pytest.raises(UnboundedSliceError):
+            state_polytope(lat)
 
     def no_positive(lattice, action=None):
         module, coords = real(lattice, action)
@@ -295,8 +314,99 @@ def test_state_polytope_error_paths(monkeypatch):
         return module, flipped
 
     monkeypatch.setattr(cones_mod, "measure_coordinates", no_positive)
-    with pytest.raises((EmptyPolytopeError, UnboundedSliceError)):
-        state_polytope(lat)
+    for lat in lattices:
+        with pytest.raises((EmptyPolytopeError, UnboundedSliceError)):
+            state_polytope(lat)
+
+
+def _assert_composed_path_matches_whole_lattice(lattice):
+    _, coords = measure_coordinates(lattice)
+    vertices = state_polytope(lattice).vertices
+    rays = positive_cone(lattice).rays
+    expected = state_vertices_by_fractions(lattice, rays, coords)
+    assert [(v.coords, v.values) for v in vertices] == expected, lattice.name
+    # the cone's rays are primitive, and so each vertex's ray must be
+    assert sorted(v.ray for v in vertices) == sorted(rays), lattice.name
+    top = coords[lattice.top_index]
+    for v in vertices:
+        assert v.scale == sum(a * b for a, b in zip(top, v.ray)), lattice.name
+        assert is_probability_measure(lattice, v.values).ok, lattice.name
+
+
+def _greechie_loop(k):
+    """The pasting of k Boolean blocks of three atoms in a loop, each
+    sharing one atom with the next: 0, 1, the atoms and their
+    complements, with a below b' when a and b share a block."""
+    corners = [f"c{i}" for i in range(k)]
+    blocks = [(corners[i], f"m{i}", corners[(i + 1) % k]) for i in range(k)]
+    atoms_ = [a for block in blocks for a in block[:2]]
+    pairs = [("0", a) for a in atoms_] + [(a + "'", "1") for a in atoms_]
+    pairs += [(a, b + "'") for block in blocks for a in block for b in block if a != b]
+    orth = {"0": "1", "1": "0"}
+    for a in atoms_:
+        orth[a], orth[a + "'"] = a + "'", a
+    elements = ("0", *atoms_, *(a + "'" for a in atoms_), "1")
+    return build_lattice(LatticeDescription(f"loop({k})", elements, tuple(pairs), orth))
+
+
+def test_composed_state_polytope_rescales_fractional_blocks():
+    # a loop of five blocks is an irreducible orthomodular lattice with a
+    # vertex of scale 2, so sums with it mix scales 1 and 2
+    loop5 = _greechie_loop(5)
+    assert is_orthomodular(loop5).ok
+    assert {v.scale for v in state_polytope(loop5).vertices} == {1, 2}
+    for lattice in (horizontal_sum(loop5, mo(1)), horizontal_sum(mo(2), loop5),
+                    horizontal_sum(loop5, loop5), product(loop5, boolean(1))):
+        _assert_composed_path_matches_whole_lattice(lattice)
+
+
+@settings(max_examples=150, deadline=None)
+@given(composite_lattices())
+def test_composed_state_polytope_matches_whole_lattice_dd(lattice):
+    _assert_composed_path_matches_whole_lattice(lattice)
+
+
+def test_composed_state_polytope_matches_on_pairwise_composites(family):
+    for lattice in pairwise_composites(family.values()):
+        _assert_composed_path_matches_whole_lattice(lattice)
+
+
+def test_double_description_runs_once_per_irreducible_block_shape(monkeypatch):
+    import orthomeasure.cones as cones_mod
+
+    calls = []
+    real = cones_mod.double_description
+
+    def counted(normals, dim):
+        calls.append(dim)
+        return real(normals, dim)
+
+    monkeypatch.setattr(cones_mod, "double_description", counted)
+    # mo(9) is nine Boolean blocks, boolean(5) one; the two benzene
+    # summands share one shape
+    for lattice, runs in ((mo(9), 0), (boolean(5), 0),
+                          (horizontal_sum(benzene(), benzene()), 1)):
+        calls.clear()
+        state_polytope(lattice)
+        assert len(calls) == runs, lattice.name
+
+
+def test_state_polytope_searches_no_group(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("state_polytope searched a group")
+
+    names = ("automorphism_group", "orbits", "normalizer", "close_group",
+             "generating_subset", "quotient_map_injective")
+    bound = [module for name, module in sys.modules.items()
+             if name.split(".")[0] == "orthomeasure"]
+    assert orthomeasure in bound
+    for module in bound:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, unreachable)
+    for lattice in (mo(5), boolean(4), benzene(), product(mo(2), boolean(2)),
+                    horizontal_sum(benzene(), mo(3)), horizontal_sum(mo(2), mo(2))):
+        assert state_polytope(lattice).vertices
 
 
 def _checked_vertex_count(lattice):
