@@ -262,17 +262,17 @@ def _texts(values, known: dict, write) -> list[str]:
         return list(map(known.__getitem__, values))
 
 
-def _ratios(nums, den: int, known: dict | None = None) -> list[str]:
+def _ratios(nums, den: int, known: dict) -> list[str]:
     """``str(Fraction(n, den))`` for each n, given den > 0, without Fractions.
 
-    Vertices repeat few distinct values, so each is formatted once, and
-    once only over the calls that share ``known`` for this ``den``.
+    Vertices repeat few distinct values, so each is formatted once over
+    the calls that share ``known`` for this ``den``.
     """
     def write(n):
         g = gcd(n, den)
         return str(n // den) if g == den else f"{n // g}/{den // g}"
 
-    return _texts(nums, {} if known is None else known, write)
+    return _texts(nums, known, write)
 
 
 def _states_table(lattice, polytope) -> _Table:

@@ -56,10 +56,8 @@ from .errors import (
 )
 from .lattice import (
     CheckResult,
+    Decomposer,
     OrthoLattice,
-    direct_factors,
-    horizontal_summands,
-    is_boolean,
 )
 from .measures import (
     MeasureModule,
@@ -411,39 +409,15 @@ def _rescaled(s: int, x: tuple[int, ...], t: int, y: tuple[int, ...]) -> tuple[i
     return m, tuple([v * (m // s) for v in x] + [v * (m // t) for v in y])
 
 
-class _Blocks:
-    """The vertices of a lattice composed from its decomposition, with the
-    vertices of every block and factor met so far kept by its order and
-    orthocomplement over its own indices, as ``symmetry._Parts`` keeps
-    groups: the summands of MO(n) are solved once."""
+class _Blocks(Decomposer):
+    """The vertices of a lattice composed from its decomposition, the
+    vertices of every block and factor met kept by its shape (see
+    ``Decomposer``)."""
 
-    def __init__(self):
-        self.seen: dict[tuple, Vertices] = {}
+    boolean = staticmethod(_dirac_vertices)
+    irreducible = staticmethod(_cone_vertices)
 
-    def vertices(self, lattice: OrthoLattice) -> Vertices:
-        shape = (lattice.up_masks, lattice.orth_map)
-        found = self.seen.get(shape)
-        if found is None:
-            found = self.split(lattice)
-            if found is None:
-                found = _cone_vertices(lattice)
-            self.seen[shape] = found
-        return found
-
-    def split(self, lattice: OrthoLattice) -> Vertices | None:
-        """The vertices from the lattice's decomposition, or None when it
-        is irreducible and not Boolean."""
-        if is_boolean(lattice):
-            return _dirac_vertices(lattice)
-        summands = horizontal_summands(lattice)
-        if summands:
-            return self._sum_vertices(lattice, summands)
-        factors, coordinates = direct_factors(lattice)
-        if factors:
-            return self._product_vertices(factors, coordinates)
-        return None
-
-    def _sum_vertices(self, lattice: OrthoLattice, summands) -> Vertices:
+    def summed(self, lattice: OrthoLattice, summands) -> Vertices:
         """Every choice of one vertex per summand, over the lcm of their
         scales: a horizontal sum's orthogonal pairs and their joins lie
         within one summand, so its states are the free tuples of the
@@ -456,7 +430,7 @@ class _Blocks:
         for block, members in summands:
             inner = [k for k in range(len(block))
                      if k != block.bottom_index and k != block.top_index]
-            vertices = self.vertices(block)
+            vertices = self.solve(block)
             proper.extend(members[k] for k in inner)
             choices.append([(s, tuple([nums[k] for k in inner])) for s, nums in vertices])
             count *= len(vertices)
@@ -473,11 +447,11 @@ class _Blocks:
         place = itemgetter(*where)
         return [(s, place((0, s, *x))) for s, x in partial]
 
-    def _product_vertices(self, factors, coordinates) -> Vertices:
+    def product(self, lattice: OrthoLattice, factors, coordinates) -> Vertices:
         """The vertices of each factor [0, z], read at t ^ z for every
         element t: a state of the product is a convex combination of states
         that each live on one factor."""
-        found = [self.vertices(factor) for factor, _ in factors]
+        found = [self.solve(factor) for factor, _ in factors]
         _capped(sum(map(len, found)))
         out = []
         for j, vertices in enumerate(found):
@@ -554,14 +528,11 @@ def state_polytope(lattice: OrthoLattice,
         rays = [tuple(map(nums.__getitem__, units)) for nums in numerators]
     if not scales:
         raise EmptyPolytopeError("no probability measure exists")
-    if len(set(scales)) == 1:
-        order = sorted(range(len(scales)), key=rays.__getitem__)
-    else:
-        common = lcm(*scales)
-        order = sorted(
-            range(len(scales)),
-            key=lambda k: [x * (common // scales[k]) for x in rays[k]],
-        )
+    common = lcm(*scales)
+    order = sorted(
+        range(len(scales)),
+        key=lambda k: [x * (common // scales[k]) for x in rays[k]],
+    )
     vertices = tuple(
         StateVertex(rays[k], scales[k], numerators[k], lattice.elements)
         for k in order

@@ -1059,6 +1059,47 @@ def direct_factors(lattice: OrthoLattice
     return factors, coordinates
 
 
+class Decomposer:
+    """Solves a lattice from the first of its decompositions that applies:
+    a Boolean lattice, then a horizontal sum (:func:`horizontal_summands`),
+    then a product over the center (:func:`direct_factors`), and last an
+    irreducible block.  ``automorphism_group`` and ``state_polytope`` both
+    break a lattice down this way.
+
+    One result is kept per shape, a block's order and orthocomplement over
+    its own indices, so blocks listed alike (the summands of MO(n)) are
+    solved once.  Subclasses define ``boolean(lattice)``,
+    ``summed(lattice, summands)``, ``product(lattice, factors,
+    coordinates)`` and ``irreducible(lattice)``, and call :meth:`solve` on
+    the parts."""
+
+    def __init__(self):
+        self.seen: dict[tuple, object] = {}
+
+    def solve(self, lattice: OrthoLattice):
+        shape = (lattice.up_masks, lattice.orth_map)
+        found = self.seen.get(shape)
+        if found is None:
+            found = self.split(lattice)
+            if found is None:
+                found = self.irreducible(lattice)
+            self.seen[shape] = found
+        return found
+
+    def split(self, lattice: OrthoLattice):
+        """The result composed from the lattice's decomposition, or None
+        when it is irreducible and not Boolean."""
+        if is_boolean(lattice):
+            return self.boolean(lattice)
+        summands = horizontal_summands(lattice)
+        if summands:
+            return self.summed(lattice, summands)
+        factors, coordinates = direct_factors(lattice)
+        if factors:
+            return self.product(lattice, factors, coordinates)
+        return None
+
+
 def _is_central(lattice: OrthoLattice, z: int) -> bool:
     """t = (t ^ z) v (t ^ z') for every t."""
     order, up_pos, down_pos = lattice.order, lattice.up_pos, lattice.down_pos

@@ -34,11 +34,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GroupTooLargeError, NotAnAutomorphismError, SchemaError
 from .lattice import (
+    Decomposer,
     IsomorphismSearch,
     OrthoLattice,
-    direct_factors,
-    horizontal_summands,
-    is_boolean,
     iter_isomorphisms,
     read_json,
 )
@@ -290,7 +288,7 @@ def automorphism_group(lattice: OrthoLattice) -> GroupAction:
     ``_Part``).  The order is prod |Aut(B)|^m m!, and no element is
     listed; ``perms`` lists them under the default cap.
     """
-    part = _Parts().part(lattice)
+    part = _Parts().solve(lattice)
     gens = [LatticeAutomorphism(lattice, p, _checked=True) for p in part.generators]
     return GroupAction(lattice, gens, part.order, stabilized=())
 
@@ -306,36 +304,20 @@ class _Part(NamedTuple):
     listing: list[int]
 
 
-class _Parts:
+class _Parts(Decomposer):
     """The decomposition of one lattice into the parts of
     ``automorphism_group``, with the irreducible non-Boolean blocks
-    searched so far and the part of every block and factor met so far,
-    by its order and orthocomplement over its own indices: the summands
-    of MO(n) all look alike."""
+    searched so far; the part of every block and factor met is kept by
+    its shape (see ``Decomposer``)."""
 
     def __init__(self):
+        super().__init__()
         self.searched: list[tuple[OrthoLattice, _Part]] = []
-        self.seen: dict[tuple, _Part] = {}
 
-    def part(self, lattice: OrthoLattice) -> _Part:
-        shape = (lattice.up_masks, lattice.orth_map)
-        part = self.seen.get(shape)
-        if part is None:
-            part = self.seen[shape] = self._part(lattice)
-        return part
+    def boolean(self, lattice: OrthoLattice) -> _Part:
+        return _boolean_part(lattice)
 
-    def _part(self, lattice: OrthoLattice) -> _Part:
-        if is_boolean(lattice):
-            return _boolean_part(lattice)
-        summands = horizontal_summands(lattice)
-        if summands:
-            return self._sum_part(lattice, summands)
-        factors, coordinates = direct_factors(lattice)
-        if factors:
-            return self._product_part(lattice, factors, coordinates)
-        return self._searched_part(lattice)
-
-    def _searched_part(self, lattice: OrthoLattice) -> _Part:
+    def irreducible(self, lattice: OrthoLattice) -> _Part:
         """The searched group, or the group of an isomorphic block searched
         before carried over by the isomorphism p: g -> p g p^-1."""
         for known, part in self.searched:
@@ -355,14 +337,14 @@ class _Parts:
         self.searched.append((lattice, part))
         return part
 
-    def _sum_part(self, lattice: OrthoLattice, summands) -> _Part:
+    def summed(self, lattice: OrthoLattice, summands) -> _Part:
         """Summands as blocks: each moves its proper elements, and the
         transpositions and cycles of a class carry the proper elements of
         one block onto another's in listing order."""
         n = len(lattice)
         blocks = []
         for block, members in summands:
-            part = self.part(block)
+            part = self.solve(block)
             ends = (block.bottom_index, block.top_index)
             proper = [members[k] for k in part.listing if k not in ends]
             blocks.append((part, members, proper))
@@ -385,12 +367,12 @@ class _Parts:
         listing = [lattice.bottom_index, *(i for b in blocks for i in b[2]), lattice.top_index]
         return _Part(order, gens, ("sum", tuple(b[0].key for b in blocks)), listing)
 
-    def _product_part(self, lattice: OrthoLattice, factors, coordinates) -> _Part:
+    def product(self, lattice: OrthoLattice, factors, coordinates) -> _Part:
         """Factors as coordinates: an element is the tuple of the listing
         positions of its coordinates, factors sorted by key, and the
         transpositions and cycles of a class move those positions from
         one factor to another."""
-        parts = [self.part(factor) for factor, _ in factors]
+        parts = [self.solve(factor) for factor, _ in factors]
         by_key = sorted(range(len(factors)), key=lambda j: parts[j].key)
         parts = [parts[j] for j in by_key]
         positions = []

@@ -385,7 +385,7 @@ def test_cone_past_ray_budget_exit_3(tmp_path, capsys):
 @example([0, 1, -1, 2, 3, 4, -6], 6)
 @example([0, 5, -5], 1)
 def test_ratios_print_as_fractions(nums, den):
-    assert _ratios(nums, den) == [str(Fraction(n, den)) for n in nums]
+    assert _ratios(nums, den, {}) == [str(Fraction(n, den)) for n in nums]
 
 
 # --- check against verify_ortho ----------------------------------------------------

@@ -21,7 +21,9 @@ Claims:
       probability measure
     - cones and state polytopes above the dimension cap raise
       DimensionCapError, and so do those past the ray budget (mo(19),
-      within 20 s)
+      within 20 s); state_polytope keeps both caps where it runs double
+      description: on the whole lattice under an action, and on an
+      irreducible block of a horizontal sum
     - the state polytope composed from the decomposition gives the
       vertices, coordinates and values of whole-lattice double description,
       on random composites (shuffled element orders among them) and on the
@@ -63,8 +65,10 @@ from orthomeasure import (
     positive_cone,
     product,
     state_polytope,
+    trivial_action,
 )
 from orthomeasure.cones import DEFAULT_MAX_DIMENSION, MAX_RAYS, PolyCone, double_description
+from orthomeasure.lattice import direct_factors, horizontal_summands
 
 from oracles import in_convex_hull, state_vertices_by_fractions
 from strategies import composite_lattices, pairwise_composites
@@ -460,3 +464,19 @@ def test_cone_layer_dimension_cap():
         positive_cone(mo(n))
     with pytest.raises(DimensionCapError):
         state_polytope(mo(n))
+
+
+def test_state_polytope_double_description_keeps_both_caps():
+    # a trivial action sends mo(19) (rank 20) to whole-lattice double
+    # description, which stops at the ray budget
+    lattice = mo(19)
+    start = time.perf_counter()
+    with pytest.raises(DimensionCapError, match="rays in the double description"):
+        state_polytope(lattice, trivial_action(lattice))
+    assert time.perf_counter() - start < 20.0
+    # a loop of k blocks has measure rank k + 1, so loop(20) is an
+    # irreducible block over the rank cap inside a horizontal sum
+    loop = _greechie_loop(DEFAULT_MAX_DIMENSION)
+    assert not horizontal_summands(loop) and not direct_factors(loop)[0]
+    with pytest.raises(DimensionCapError, match=f"dimension {DEFAULT_MAX_DIMENSION + 1} exceeds"):
+        state_polytope(horizontal_sum(loop, mo(1)))
