@@ -73,11 +73,6 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 
 
-def _digest(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _check_result_dict(result) -> dict:
     out = {"ok": result.ok}
     if result.witness is not None:
@@ -236,12 +231,14 @@ def _json_text(value, pad="\n") -> str:
     raise TypeError(f"{kind.__name__} is not a report value")
 
 
-def _emit(args, report) -> None:
+def _emit(args, report, digest: str) -> None:
+    """Print the report in its envelope; ``digest`` is the SHA-256 of the
+    lattice file's bytes."""
     envelope = {
         "tool": "orthomeasure",
         "version": __version__,
         "command": args.command,
-        "inputs": {"lattice": _digest(args.lattice)},
+        "inputs": {"lattice": digest},
         "report": report,
     }
     if args.format == "json":
@@ -500,9 +497,10 @@ def run(argv=None) -> int:
     report, or one JSON error line; returns the exit code."""
     args = parse_args(argv)
     try:
-        lattice = load_lattice(args.lattice, args.max_elements)
+        digest = hashlib.sha256()
+        lattice = load_lattice(args.lattice, args.max_elements, digest)
         report, code = _COMMANDS[args.command].handler(args, lattice)
-        _emit(args, report)
+        _emit(args, report, digest.hexdigest())
         return code
     except (OrthomeasureError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))

@@ -228,6 +228,13 @@ def double_description(normals, dim: int) -> tuple[list[Vector], list[Vector]]:
     return rays, lineality
 
 
+def _check_dimension(dim: int) -> None:
+    """Raise DimensionCapError when a cone would be wider than
+    DEFAULT_MAX_DIMENSION."""
+    if dim > DEFAULT_MAX_DIMENSION:
+        raise DimensionCapError(f"dimension {dim} exceeds the cap of {DEFAULT_MAX_DIMENSION}")
+
+
 def dual_cone(generators) -> PolyCone:
     """The cone of linear functionals nonnegative on every generator.
 
@@ -241,8 +248,7 @@ def dual_cone(generators) -> PolyCone:
     dim = len(generators[0])
     if any(len(g) != dim for g in generators):
         raise ValueError("generators must share one ambient dimension")
-    if dim > DEFAULT_MAX_DIMENSION:
-        raise DimensionCapError(f"dimension {dim} exceeds the cap of {DEFAULT_MAX_DIMENSION}")
+    _check_dimension(dim)
     normals = tuple(dict.fromkeys(_primitive(g) for g in generators if any(g)))
     rays, lineality = double_description(normals, dim)
     return PolyCone(dim, normals, tuple(rays), tuple(lineality))
@@ -255,8 +261,7 @@ def cone_from_rays(rays, dim: int, lineality=()) -> PolyCone:
     directions the cone does not span, contributing equality pairs.  Raises
     DimensionCapError when ``dim`` exceeds DEFAULT_MAX_DIMENSION.
     """
-    if dim > DEFAULT_MAX_DIMENSION:
-        raise DimensionCapError(f"dimension {dim} exceeds the cap of {DEFAULT_MAX_DIMENSION}")
+    _check_dimension(dim)
     dual_normals = [_primitive(r) for r in rays if any(r)]
     for l in lineality:
         dual_normals.append(_primitive(l))
@@ -282,11 +287,17 @@ def cones_equivalent(a: PolyCone, b: PolyCone) -> bool:
 
 def measure_coordinates(lattice: OrthoLattice,
                         action: GroupAction | None = None) -> tuple[MeasureModule, list[Vector]]:
-    """Free measure-basis coordinates of every element, canonical order."""
+    """Free measure-basis coordinates of every element, canonical order, as
+    dense vectors: the input of double description, and of the unit
+    elements that composed state vertices are read at."""
     module = measure_module(lattice, action)
+    return module, _free_coordinates(module)
+
+
+def _free_coordinates(module: MeasureModule) -> list[Vector]:
+    """Each element's free coordinates, as a dense vector."""
     k = len(module.torsion)
-    coords = [module.projection_index(i)[k:] for i in range(len(lattice))]
-    return module, coords
+    return [module.projection_index(i)[k:] for i in range(len(module.lattice))]
 
 
 def positive_cone(lattice: OrthoLattice,
@@ -297,9 +308,12 @@ def positive_cone(lattice: OrthoLattice,
     non-atomistic lattices the two constraint sets differ.  With an action
     the same construction runs in coinvariant coordinates, which realizes
     the invariant slice.  Raises DimensionCapError when the measure space
-    has rank above DEFAULT_MAX_DIMENSION or the cone past MAX_RAYS rays.
+    has rank above DEFAULT_MAX_DIMENSION, before any dense coordinate is
+    written, or the cone past MAX_RAYS rays.
     """
-    return dual_cone(measure_coordinates(lattice, action)[1])
+    module = measure_module(lattice, action)
+    _check_dimension(module.rank)
+    return dual_cone(_free_coordinates(module))
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,12 @@ pass over the columns in order of down-set size takes a unit pivot for
 every element but the bottom and the atoms, writing each as the sum of the
 images of its parts.  The pass repeats on the rows left over, rewritten
 over the columns still untaken, until it takes nothing; the Smith normal
-form of what is left yields any torsion.  Back-substitution gives explicit
-coordinates for the projection of every lattice element, from which
-measure bases over Z, Q, and Z/m are read off.
+form of what is left yields any torsion.  Back-substitution writes each
+generator's image as its nonzero coordinates alone, so MO(n) keeps O(n)
+numbers rather than n ranks' worth; a rank-wide vector is built only when
+a caller asks for one (``projection_index``, ``FPAbelianGroup.images``,
+the cone coordinates).  Measure bases over Z, Q, and Z/m are read off the
+sparse images one coordinate column at a time.
 
 Coefficient domains are fixed to Z, Q, and Z/m: the finitely computable
 cases.  On a finite lattice every orthogonal family is finite, so additive
@@ -209,14 +212,16 @@ def relation_matrix(lattice: OrthoLattice) -> list[list[int]]:
 class FPAbelianGroup:
     """Z^n modulo the subgroup generated by some relation rows.
 
-    The group is Z/d for each torsion invariant d, then Z^rank; ``images``
-    holds, per generator, its coordinates there: torsion coordinates reduced
-    mod their invariant, then free ones.
+    The group is Z/d for each torsion invariant d, then Z^rank, coordinate
+    t being the t-th of these factors.  ``sparse_images`` holds, per
+    generator, the (coordinate, value) pairs of its image with a nonzero
+    value, ascending; a torsion value is reduced mod its invariant.
+    ``images`` derives the dense vectors from them.
     """
 
     generator_count: int
-    invariants: tuple[int, ...]             # nonzero Smith invariants, 1s first
-    images: tuple[tuple[int, ...], ...]     # per generator, torsion then free
+    invariants: tuple[int, ...]                         # nonzero Smith invariants, 1s first
+    sparse_images: tuple[tuple[tuple[int, int], ...], ...]  # per generator
 
     @classmethod
     def from_relations(cls, generator_count: int, rows: Sequence[Sequence[int]]) -> "FPAbelianGroup":
@@ -245,10 +250,13 @@ class FPAbelianGroup:
         tops, so one pass takes many pivots whatever the element order.
 
         The dense Smith normal form runs only on the rows left, which is
-        where any torsion lives.  Each live generator's coordinates are its
-        row of their V (or a unit vector when no row left holds it).  Each
-        taken column's come from its row, pass by pass in reverse, and
-        within a pass in its column order.
+        where any torsion lives.  Each live generator's image is its row of
+        their V (or a unit vector when no row left holds it).  Each taken
+        column's is the combination its row gives of the images of the
+        row's other columns, pass by pass in reverse, and within a pass in
+        its column order.  Every image is kept as its nonzero coordinates
+        only, so back-substitution costs the number of nonzeros it writes,
+        not the rank per generator.
         """
         passes: list[list[tuple[int, dict[int, int]]]] = []
         residual = [dict(row) for row in rows]
@@ -288,26 +296,36 @@ class FPAbelianGroup:
         bound = {c for pivots in passes for c, _ in pivots} | set(core_columns)
         free_columns = [j for j in range(generator_count) if j not in bound]
         moduli = [x for x in diagonal if x > 1]
-        s = len(diagonal)
-        width = len(moduli) + len(core_columns) - s + len(free_columns)
+        k, s = len(moduli), len(diagonal)
         images: list = [None] * generator_count
-        for i, j in enumerate(core_columns):
-            torsion = [v[i][t] % x for t, x in enumerate(diagonal) if x > 1]
-            images[j] = (*torsion, *v[i][s:], *[0] * len(free_columns))
-        offset = width - len(free_columns)
+        torsion = [q for q, x in enumerate(diagonal) if x > 1]
+        for j, row in zip(core_columns, v):
+            # the torsion coordinates, then the free ones from column s of V on
+            acc = {t: row[q] for t, q in enumerate(torsion)}
+            acc.update((k + q - s, row[q]) for q in range(s, len(row)))
+            images[j] = _reduced_terms(acc, moduli)
+        offset = k + len(core_columns) - s
         for q, j in enumerate(free_columns):
-            images[j] = (0,) * (offset + q) + (1,) + (0,) * (width - offset - q - 1)
-        k = len(moduli)
+            images[j] = ((offset + q, 1),)
         for pivots in reversed(passes):
             for c, row in pivots:
-                acc = [0] * width
+                p = -row[c]
+                acc = {}
                 for j, a in row.items():
                     if j != c:
-                        f = -row[c] * a
-                        acc = [x + f * y for x, y in zip(acc, images[j])]
-                images[c] = (*(x % m for x, m in zip(acc[:k], moduli)), *acc[k:])
+                        f = p * a
+                        for t, y in images[j]:
+                            acc[t] = acc.get(t, 0) + f * y
+                images[c] = _reduced_terms(acc, moduli)
         invariants = (1,) * sum(map(len, passes)) + tuple(diagonal)
         return cls(generator_count, invariants, tuple(images))
+
+    @property
+    def images(self) -> tuple[tuple[int, ...], ...]:
+        """Per generator, its image as a dense vector: torsion coordinates,
+        then free ones."""
+        width = len(self.torsion) + self.rank
+        return tuple(_dense(terms, width) for terms in self.sparse_images)
 
     @property
     def rank(self) -> int:
@@ -321,11 +339,29 @@ class FPAbelianGroup:
         """Torsion coordinates (mod their invariant) followed by free ones."""
         moduli = self.torsion
         acc = [0] * (len(moduli) + self.rank)
-        for x, image in zip(vector, self.images):
+        for x, terms in zip(vector, self.sparse_images):
             if x:
-                acc = [a + x * b for a, b in zip(acc, image)]
+                for t, y in terms:
+                    acc[t] += x * y
         k = len(moduli)
         return (*(a % m for a, m in zip(acc[:k], moduli)), *acc[k:])
+
+
+def _reduced_terms(acc: Mapping[int, int], moduli: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The nonzero (coordinate, value) pairs of ``acc``, ascending, with the
+    value at torsion coordinate t reduced mod moduli[t]."""
+    k = len(moduli)
+    if k:
+        acc = {t: x % moduli[t] if t < k else x for t, x in acc.items()}
+    return tuple(sorted([(t, x) for t, x in acc.items() if x]))
+
+
+def _dense(terms: Iterable[tuple[int, int]], width: int) -> tuple[int, ...]:
+    """The vector of the given width with the given nonzero entries."""
+    vec = [0] * width
+    for t, x in terms:
+        vec[t] = x
+    return tuple(vec)
 
 
 class MeasureModule:
@@ -334,10 +370,13 @@ class MeasureModule:
 
     The generators are the elements, or under an action the orbits, in
     order of their least element index; ``columns[i]`` is the generator
-    that element i maps to.
+    that element i maps to.  Each element's projection is kept sparse, as
+    its generator's ``sparse_images`` entry (:meth:`projection_terms`);
+    :meth:`projection` and :meth:`projection_index` build the dense vector
+    on each call.
     """
 
-    __slots__ = ("lattice", "group", "action", "columns", "torsion", "rank", "_proj")
+    __slots__ = ("lattice", "group", "action", "columns", "torsion", "rank", "_terms")
 
     def __init__(self, lattice: OrthoLattice, group: FPAbelianGroup,
                  action: GroupAction | None, columns: Sequence[int]):
@@ -347,14 +386,20 @@ class MeasureModule:
         self.columns = columns
         self.torsion = group.torsion
         self.rank = group.rank
-        self._proj = tuple(group.images[c] for c in columns)
+        images = group.sparse_images
+        self._terms = tuple([images[c] for c in columns])
 
     @property
     def variant(self) -> str:
         return "plain" if self.action is None else "coinvariant"
 
+    def projection_terms(self, i: int) -> tuple[tuple[int, int], ...]:
+        """The nonzero (coordinate, value) pairs of element i's projection,
+        ascending: torsion coordinates first, then free ones."""
+        return self._terms[i]
+
     def projection(self, name: str) -> tuple[int, ...]:
-        return self._proj[self.lattice.index(name)]
+        return self.projection_index(self.lattice.index(name))
 
     def evaluate(self, formal_sum: "FormalSum") -> tuple[int, ...]:
         """Image of a formal sum under the quotient map (linear in it)."""
@@ -364,7 +409,7 @@ class MeasureModule:
         return self.group.reduced(vector)
 
     def projection_index(self, i: int) -> tuple[int, ...]:
-        return self._proj[i]
+        return _dense(self._terms[i], len(self.torsion) + self.rank)
 
     def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         k = len(self.torsion)
@@ -536,14 +581,15 @@ def _boolean_module(lattice: OrthoLattice, action: GroupAction | None) -> Measur
     columns = _orbit_columns(lattice, action)
     atom_mask = sum(1 << a for a in lattice.atom_indices())
     coordinate = {c: t for t, c in enumerate(sorted({columns[a] for a in _bits(atom_mask)}))}
-    images: dict[int, tuple[int, ...]] = {}
+    images: dict[int, tuple[tuple[int, int], ...]] = {}
     for x, down in enumerate(lattice.down_masks):
         c = columns[x]
         if c not in images:
-            counts = [0] * len(coordinate)
+            counts: dict[int, int] = {}
             for a in _bits(down & atom_mask):
-                counts[coordinate[columns[a]]] += 1
-            images[c] = tuple(counts)
+                t = coordinate[columns[a]]
+                counts[t] = counts.get(t, 0) + 1
+            images[c] = tuple(sorted(counts.items()))
     width = len(images)
     group = FPAbelianGroup(width, (1,) * (width - len(coordinate)),
                            tuple(images[c] for c in range(width)))
@@ -572,37 +618,35 @@ def basis_from_module(module: MeasureModule, domain: Domain) -> list[Measure]:
     its first nonzero value in canonical element order is positive.  Over
     Z/m the generators split into one of order gcd(d, m) per torsion
     invariant d plus one of order m per free coordinate.
+
+    Coordinate t's values at every element, its column, are filled from
+    the sparse projections in one pass over the elements.
     """
-    lattice = module.lattice
+    elements = module.lattice.elements
     k = len(module.torsion)
+    columns = [[0] * len(elements) for _ in range(k + module.rank)]
+    for i in range(len(elements)):
+        for t, x in module.projection_terms(i):
+            columns[t][i] = x
     out = []
     if domain.kind in ("Z", "Q"):
-        for j in range(module.rank):
-            values = [module.projection_index(i)[k + j] for i in range(len(lattice))]
+        for values in columns[k:]:
             first = next((v for v in values if v), 0)
             if first < 0:
                 values = [-v for v in values]
             if domain.kind == "Q":
                 values = [Fraction(v) for v in values]
-            out.append(Measure(domain, dict(zip(lattice.elements, values))))
+            out.append(Measure(domain, dict(zip(elements, values))))
         return out
     m = domain.modulus
-    for t, d in enumerate(module.torsion):
+    for d, values in zip(module.torsion, columns):
         g = gcd(d, m)
         if g == 1:
             continue
         scale = m // g
-        values = {
-            e: (scale * module.projection_index(i)[t]) % m
-            for i, e in enumerate(lattice.elements)
-        }
-        out.append(Measure(domain, values))
-    for j in range(module.rank):
-        values = {
-            e: module.projection_index(i)[k + j] % m
-            for i, e in enumerate(lattice.elements)
-        }
-        out.append(Measure(domain, values))
+        out.append(Measure(domain, {e: scale * v % m for e, v in zip(elements, values)}))
+    for values in columns[k:]:
+        out.append(Measure(domain, {e: v % m for e, v in zip(elements, values)}))
     return out
 
 

@@ -3,10 +3,13 @@
 Everything here is deliberately written from scratch (plain Gaussian
 elimination, Bareiss determinants, exhaustive counting) and must not import
 the package's linear algebra, so that every cross-check runs down two
-independent computational paths.  The one exception is
-``measure_group_by_pairs``, whose independence lies in its presentation:
-it feeds every orthogonal-pair row to ``FPAbelianGroup.from_relations``,
-which is itself checked against the dense Smith normal form and sympy.
+independent computational paths.  Two exceptions use the package's Smith
+normal form, which is itself checked against the dense route and sympy.
+``measure_group_by_pairs`` differs in its presentation: it feeds every
+orthogonal-pair row to ``FPAbelianGroup.from_relations``.
+``module_by_dense_images`` differs in how it writes the images: it keeps
+every one as a dense vector as wide as the group, as the package did
+before it kept them sparse.
 """
 
 from fractions import Fraction
@@ -262,6 +265,121 @@ def measure_group_by_pairs(lattice, action=None):
             out[c] += x
         merged[tuple(out)] = None
     return FPAbelianGroup.from_relations(len(position), list(merged))
+
+
+def dense_presented(generator_count, rows, heights):
+    """(invariants, images) of Z^generator_count modulo the sparse rows,
+    each image a dense vector, torsion coordinates first (reduced mod their
+    invariant), then free ones.
+
+    The triangular passes and the Smith normal form of what they leave,
+    as ``FPAbelianGroup._presented`` runs them, then a back-substitution
+    that writes each taken column's image as a full-width vector: the
+    combination its row gives of the images of its other columns.
+    """
+    from orthomeasure.intlinalg import smith_normal_form, snf_diagonal
+
+    def combine(terms, vectors):
+        acc = {}
+        for j, a in terms:
+            for k, b in vectors[j].items():
+                acc[k] = acc.get(k, 0) + a * b
+        return {k: x for k, x in acc.items() if x}
+
+    passes = []
+    residual = [dict(row) for row in rows]
+    while residual:
+        holders = {}
+        for row in residual:
+            for j in row:
+                holders[j] = holders.get(j, 0) + 1
+        order = sorted(holders, key=lambda c: (heights[c], -holders[c], c))
+        position = {c: t for t, c in enumerate(order)}
+        taken, rest = {}, []
+        for row in residual:
+            c = max(row, key=position.__getitem__)
+            if row[c] in (1, -1) and c not in taken:
+                taken[c] = row
+            else:
+                rest.append(row)
+        if not taken:
+            break
+        over_left = {}
+        for c in order:
+            row = taken.get(c)
+            if row is None:
+                over_left[c] = {c: 1}
+            else:
+                over_left[c] = combine(((j, -row[c] * a) for j, a in row.items() if j != c),
+                                       over_left)
+        passes.append([(c, taken[c]) for c in order if c in taken])
+        residual = [r for r in (combine(row.items(), over_left) for row in rest) if r]
+    core_columns = sorted({j for row in residual for j in row})
+    if residual:
+        _, d, v = smith_normal_form([[row.get(j, 0) for j in core_columns] for row in residual])
+        diagonal = snf_diagonal(d)
+    else:
+        diagonal, v = [], []
+    bound = {c for pivots in passes for c, _ in pivots} | set(core_columns)
+    free_columns = [j for j in range(generator_count) if j not in bound]
+    moduli = [x for x in diagonal if x > 1]
+    s = len(diagonal)
+    width = len(moduli) + len(core_columns) - s + len(free_columns)
+    images = [None] * generator_count
+    for i, j in enumerate(core_columns):
+        torsion = [v[i][t] % x for t, x in enumerate(diagonal) if x > 1]
+        images[j] = (*torsion, *v[i][s:], *[0] * len(free_columns))
+    offset = width - len(free_columns)
+    for q, j in enumerate(free_columns):
+        images[j] = (0,) * (offset + q) + (1,) + (0,) * (width - offset - q - 1)
+    k = len(moduli)
+    for pivots in reversed(passes):
+        for c, row in pivots:
+            acc = [0] * width
+            for j, a in row.items():
+                if j != c:
+                    f = -row[c] * a
+                    acc = [x + f * y for x, y in zip(acc, images[j])]
+            images[c] = (*(x % m for x, m in zip(acc[:k], moduli)), *acc[k:])
+    invariants = (1,) * sum(map(len, passes)) + tuple(diagonal)
+    return invariants, tuple(images)
+
+
+def module_by_dense_images(lattice, action=None):
+    """(invariants, images per generator, generator per element) of the
+    presentation ``measure_module`` reduces, by :func:`dense_presented`.
+
+    The rows are the cover rows on an orthomodular lattice and the
+    orthogonal-pair rows on any other, also on a Boolean lattice, whose
+    module the package writes in closed form.
+    """
+    import orthomeasure.measures as measures_mod
+    from orthomeasure import is_orthomodular
+
+    rows = measures_mod._presentation_rows(lattice, is_orthomodular(lattice).ok)
+    columns = measures_mod._orbit_columns(lattice, action)
+    width = max(columns) + 1
+    heights = [0] * width
+    for c, down in zip(columns, lattice.down_masks):
+        heights[c] = down.bit_count()
+    if action is not None:
+        rows = measures_mod._merged_rows(rows, columns)
+    invariants, images = dense_presented(width, rows, heights)
+    return invariants, images, columns
+
+
+def every_pair_meets(down_pos, order):
+    """Whether the lower bounds of every pair have a greatest element: the
+    one at their highest position, whose down-set must be all of them.  An
+    empty bound set fails too, as position -1 holds a nonempty down-set.
+    Every pair of positions is tested."""
+    down_at = [down_pos[i] for i in order]
+    for p, d in enumerate(down_at):
+        for e in down_at[p + 1:]:
+            lb = d & e
+            if down_at[lb.bit_length() - 1] != lb:
+                return False
+    return True
 
 
 def orbits_by_listing(perms, n):

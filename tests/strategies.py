@@ -69,3 +69,18 @@ def pairwise_composites(lattices):
             if len(a) + len(b) - 2 <= MAX_ELEMENTS:
                 out.append(horizontal_sum(a, b))
     return out
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(width, dense rows): up to 8 rows over 1..7 columns, each with up to
+    four nonzero entries in -3..3."""
+    width = draw(st.integers(1, 7))
+    entries = st.integers(-3, 3).filter(bool)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = [0] * width
+        for j in draw(st.lists(st.integers(0, width - 1), max_size=4, unique=True)):
+            row[j] = draw(entries)
+        rows.append(row)
+    return width, rows

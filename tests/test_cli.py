@@ -16,6 +16,10 @@ Claims:
       cyclic or oversized lattice file gives every command the same error
       line and exit code; every file loader names a file that is not JSON
     - a group file whose maps name no element exits 2
+    - the lattice file is opened once, as bytes, and the report's digest is
+      the SHA-256 of those bytes; UTF-16 and UTF-32 files exit 2
+    - at the size cap, module and check on mo(2000) and boolean(12) each
+      take under 1 s
     - the value tables of states, measures, invariant-measures and oracle
       are written, as JSON, as text and as CSV, byte for byte as the
       reports built from Fractions and Measure.to_json_dict would be
@@ -658,3 +662,72 @@ def test_every_loader_names_a_file_that_is_not_json(tmp_path, content):
                  lambda p: load_generating_set(p, lattice), load_partial_measure):
         with pytest.raises(orthomeasure.SchemaError, match=f"^invalid JSON in {re.escape(str(path))}: "):
             load(path)
+
+
+def test_the_lattice_file_is_read_once_and_hashed_as_parsed(monkeypatch, capsys, tmp_path):
+    import builtins
+
+    path = tmp_path / "mo2.json"
+    save_lattice(mo(2), path)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(args[0] if args else kwargs.get("mode", "r"))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    for command in ("check", "module", "states"):
+        opened.clear()
+        code, data = run_json(capsys, [command, str(path)])
+        assert code == 0 and opened == ["rb"], command
+        assert data["inputs"]["lattice"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("codec", ["utf-16", "utf-32", "utf-16-le"])
+def test_a_lattice_file_in_another_unicode_encoding_exits_2(codec, capsys, tmp_path):
+    # json.loads would decode these bytes; the reader takes UTF-8 only
+    path = tmp_path / "wide.json"
+    path.write_bytes(json.dumps(mo(2).to_description().to_json_dict()).encode(codec))
+    code, data = run_json(capsys, ["check", str(path)])
+    assert code == 2 and data["error"] == "SchemaError"
+    assert data["detail"].startswith(f"invalid JSON in {path}: ")
+
+
+@pytest.fixture(scope="module")
+def cap_files(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("cap")
+    paths = {}
+    for name, lattice in (("mo(2000)", mo(2000)), ("boolean(12)", boolean(12))):
+        paths[name] = str(directory / f"{name}.json")
+        save_lattice(lattice, paths[name])
+    return paths
+
+
+@pytest.mark.parametrize("name,command,expected", [
+    ("mo(2000)", "module", {"rank": 2001, "torsion": [], "variant": "plain"}),
+    ("boolean(12)", "module", {"rank": 12, "torsion": [], "variant": "plain"}),
+    ("mo(2000)", "check", {"elements": 4002, "boolean": False}),
+    ("boolean(12)", "check", {"elements": 4096, "boolean": True}),
+])
+def test_module_and_check_at_the_size_cap(cap_files, capsys, name, command, expected):
+    # the load's meet scan checks only pairs of non-atom covers of one
+    # element (none on MO(n)), and the module keeps sparse images: each
+    # call took 1.2-2.0 s when both were quadratic, now 0.07-0.16 s
+    start = time.perf_counter()
+    code, data = run_json(capsys, [command, cap_files[name]])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert {k: data["report"][k] for k in expected} == expected
+
+
+def test_a_crlf_file_names_the_position_a_text_mode_read_names(capsys, tmp_path):
+    # the bytes are read once and their line ends translated as text mode does
+    path = tmp_path / "crlf.json"
+    path.write_bytes(b'{\r\n  "name": "x",\r\n  leq: []\r\n}\r\n')
+    with open(path, encoding="utf-8") as fh:
+        with pytest.raises(ValueError) as text_mode:
+            json.load(fh)
+    code, data = run_json(capsys, ["check", str(path)])
+    assert (code, data["detail"]) == (2, f"invalid JSON in {path}: {text_mode.value}")

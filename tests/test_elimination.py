@@ -18,7 +18,7 @@ Claims:
 import time
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 import orthomeasure.measures as measures_mod
 from orthomeasure import (
@@ -34,19 +34,7 @@ from orthomeasure import (
 from orthomeasure.intlinalg import snf_diagonal
 
 from oracles import solve_exact
-
-
-@st.composite
-def sparse_matrices(draw):
-    width = draw(st.integers(1, 7))
-    entries = st.integers(-3, 3).filter(bool)
-    rows = []
-    for _ in range(draw(st.integers(0, 8))):
-        row = [0] * width
-        for j in draw(st.lists(st.integers(0, width - 1), max_size=4, unique=True)):
-            row[j] = draw(entries)
-        rows.append(row)
-    return width, rows
+from strategies import sparse_matrices
 
 
 def _dense_route(width, rows):

@@ -23,6 +23,14 @@ Claims:
       failing the involution or the complement laws is named, the
       involution first on a tie; an accepted description never reaches the
       witness scans
+    - the cover scan of build_lattice (one minimal and one maximal element,
+      then the meets of the non-atom lower covers of each element) decides
+      what the all-pairs meet scan in ``oracles`` and a single maximal
+      element decide, on random given orders with repeated and transitive
+      pairs; on a top without a bottom, a bottom without a top, the full
+      order relation, and a poset whose only missing meet is between two
+      non-atom covers of 1, build_lattice raises or returns what the scan
+      builder does
     - boolean(n), described by its covers, has the masks, meets and joins
       of the all-pairs description for n = 1..10
     - on boolean(10) meets, joins and complements are bitwise AND, OR and
@@ -69,7 +77,7 @@ from orthomeasure import (
 )
 
 import orthomeasure.lattice as lattice_mod
-from oracles import build_lattice_by_scan, distributivity_witness
+from oracles import build_lattice_by_scan, distributivity_witness, every_pair_meets
 from strategies import composite_lattices
 
 
@@ -669,6 +677,105 @@ def test_the_lowest_orthocomplement_failure_is_named(images, message):
     got = _outcome(build_lattice, desc)
     assert got == _outcome(build_lattice_by_scan, desc)
     assert got == (BadOrthocomplementError, message)
+
+
+@st.composite
+def given_orders(draw):
+    """(above, below) lists over 1..11 elements, i < j for every given pair
+    (i, j), so index order is topological: up to three random lower
+    neighbours per element, then, each at random, a new bottom below every
+    minimal element, a new top above every maximal one, and repeated or
+    transitive pairs."""
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for j in range(1, n)
+             for i in draw(st.sets(st.integers(0, j - 1), max_size=3))]
+    if draw(st.booleans()):
+        pairs = [(0, j + 1) for j in range(n) if all(b != j for _, b in pairs)] + [
+            (i + 1, j + 1) for i, j in pairs]
+        n += 1
+    if draw(st.booleans()):
+        pairs += [(i, n) for i in range(n) if all(a != i for a, _ in pairs)]
+        n += 1
+    up = [1 << i for i in range(n)]
+    for i in range(n - 1, -1, -1):
+        for a, b in pairs:
+            if a == i:
+                up[i] |= up[b]
+    comparable = [(i, j) for i in range(n) for j in range(i + 1, n) if up[i] >> j & 1]
+    if comparable:
+        pairs += draw(st.lists(st.sampled_from(comparable), max_size=n))
+    above, below = [[] for _ in range(n)], [[] for _ in range(n)]
+    for a, b in pairs:
+        above[a].append(b)
+        below[b].append(a)
+    return above, below
+
+
+@settings(max_examples=1000, deadline=None)
+@given(given_orders())
+def test_cover_pairs_decide_what_every_pair_decides(case):
+    # the lemma at build_lattice: with one minimal and one maximal element,
+    # the pairs of non-atom lower covers of a common element have meets
+    # exactly when every pair has one
+    above, below = case
+    n = len(above)
+    up = [0] * n
+    for i in range(n - 1, -1, -1):
+        up[i] = 1 << i
+        for j in above[i]:
+            up[i] |= up[j]
+    down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+    order = list(range(n))
+    one_top = sum(not upper for upper in above) == 1
+    assert lattice_mod._is_lattice(above, below, order, up, down) == (
+        one_top and every_pair_meets(down, order))
+
+
+def _lattice_edge_case(kind):
+    """A description for one edge of the cover scan in build_lattice."""
+    atoms = ("a1", "a1'", "a2", "a2'")
+    orth = {"0": "1", "1": "0", "a1": "a1'", "a1'": "a1", "a2": "a2'", "a2'": "a2"}
+    if kind == "top, no bottom":
+        del orth["0"]
+        orth["1"] = "1"
+        return LatticeDescription(kind, (*atoms, "1"), tuple((a, "1") for a in atoms), orth)
+    if kind == "bottom, no top":
+        del orth["1"]
+        orth["0"] = "0"
+        return LatticeDescription(kind, ("0", *atoms), tuple(("0", a) for a in atoms), orth)
+    if kind in ("x, y first", "a, b first"):
+        # x and y, the non-atom covers of 1, have the lower bounds 0, a and
+        # b but no meet; a and b have no join; every other pair is fine
+        pairs = (("0", "a"), ("0", "b"), ("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"),
+                 ("x", "1"), ("y", "1"))
+        named = ("0", "x", "y", "a", "b", "1") if kind == "x, y first" else (
+            "0", "a", "b", "x", "y", "1")
+        return LatticeDescription(kind, named, pairs, {"0": "1", "1": "0", "a": "y",
+                                                       "y": "a", "b": "x", "x": "b"})
+    # the full order relation, every reflexive and transitive pair given
+    lattice = boolean(3) if kind == "full order of boolean(3)" else product(mo(2), boolean(1))
+    pairs = tuple((a, b) for a in lattice.elements for b in lattice.elements
+                  if lattice.leq(a, b))
+    return LatticeDescription(kind, lattice.elements, pairs,
+                              {e: lattice.orthocomplement(e) for e in lattice.elements})
+
+
+@pytest.mark.parametrize("kind,expected", [
+    ("top, no bottom", (NotALatticeError, "'a1' and \"a1'\" have no meet")),
+    ("bottom, no top", (NotALatticeError, "'a1' and \"a1'\" have no join")),
+    ("x, y first", (NotALatticeError, "'x' and 'y' have no meet")),
+    ("a, b first", (NotALatticeError, "'a' and 'b' have no join")),
+    ("full order of boolean(3)", None),
+    ("full order of mo(2) x boolean(1)", None),
+])
+def test_cover_scan_edge_cases_match_the_scan_builder(kind, expected):
+    desc = _lattice_edge_case(kind)
+    got = _outcome(build_lattice, desc)
+    assert got == _outcome(build_lattice_by_scan, desc)
+    if expected is None:
+        assert isinstance(got, dict)
+    else:
+        assert got == expected
 
 
 def test_accepted_input_skips_the_witness_scans(monkeypatch, family):
