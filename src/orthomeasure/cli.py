@@ -60,12 +60,7 @@ from .measures import (
     measure_module,
     parse_domain,
 )
-from .symmetry import (
-    DEFAULT_MAX_GROUP,
-    automorphism_group,
-    generating_subset,
-    load_group,
-)
+from .symmetry import automorphism_group, generating_subset, load_group
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -85,7 +80,7 @@ def _load_action(args, lattice):
     if args.full_aut:
         return automorphism_group(lattice)
     if args.group:
-        return load_group(args.group, lattice, args.max_group)
+        return load_group(args.group, lattice)
     return None
 
 
@@ -419,7 +414,7 @@ class _Command(NamedTuple):
 
     help: str
     handler: Callable[[argparse.Namespace, OrthoLattice], tuple[dict, int]]
-    group: bool = False  # --group, --full-aut and --max-group
+    group: bool = False  # --group and --full-aut
     domain: bool = False  # --domain
     extra: tuple = ()  # (flag, add_argument keywords) after the common ones
 
@@ -475,7 +470,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             src.add_argument("--group", help="group JSON file")
             src.add_argument("--full-aut", action="store_true",
                              help="use the full automorphism group")
-            p.add_argument("--max-group", type=int, default=DEFAULT_MAX_GROUP)
         if cmd.domain:
             p.add_argument("--domain", default="q", help="z, q, or z/<m>")
         for flag, keywords in cmd.extra:

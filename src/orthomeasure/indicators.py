@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import NotAMeasureError, NotBooleanAtomisticError
-from .lattice import CheckResult, OrthoLattice, atoms, is_atomistic, is_boolean
+from .lattice import CheckResult, OrthoLattice, atoms, is_boolean
 from .measures import Measure, RATIONALS, is_measure
 from .symmetry import GroupAction
 
@@ -60,20 +60,21 @@ class LinearFunctional:
         )
 
 
-def _require_boolean_atomistic(lattice: OrthoLattice) -> tuple[str, ...]:
+def _require_boolean(lattice: OrthoLattice) -> tuple[str, ...]:
+    """The atoms of a Boolean lattice; NotBooleanAtomisticError otherwise.
+
+    A Boolean lattice is atomistic, so nothing more is checked: its
+    join-irreducibles are its atoms, and every element is the join of the
+    join-irreducibles below it (see :func:`is_boolean`).
+    """
     if not is_boolean(lattice):
         raise NotBooleanAtomisticError(f"{lattice!r} is not Boolean")
-    atomistic = is_atomistic(lattice)
-    if not atomistic.ok:
-        raise NotBooleanAtomisticError(
-            f"{lattice!r} is not atomistic (witness {atomistic.witness})"
-        )
     return atoms(lattice)
 
 
 def indicator(lattice: OrthoLattice, x: str) -> SimpleFunction:
     """1 on the atoms below x, 0 elsewhere."""
-    return _indicator(lattice, _require_boolean_atomistic(lattice), x)
+    return _indicator(lattice, _require_boolean(lattice), x)
 
 
 def _indicator(lattice: OrthoLattice, atom_list: tuple[str, ...], x: str) -> SimpleFunction:
@@ -83,51 +84,41 @@ def _indicator(lattice: OrthoLattice, atom_list: tuple[str, ...], x: str) -> Sim
 
 
 def constant_one(lattice: OrthoLattice) -> SimpleFunction:
-    atom_list = _require_boolean_atomistic(lattice)
+    atom_list = _require_boolean(lattice)
     return SimpleFunction({z: Fraction(1) for z in atom_list})
 
 
 def check_indicator_identities(lattice: OrthoLattice) -> CheckResult:
-    """The three indicator identities, exhaustively.
+    """The three indicator identities, which hold on every Boolean lattice.
 
     Pointwise product realizes the meet, the modular identity relates joins
     and meets, and for every subset the join indicator equals one minus the
-    product of the complements.  A failure would indicate a lattice
-    construction bug; the witness names the identity and the offending
-    tuple.
+    product of the complements.  Non-Boolean input raises
+    NotBooleanAtomisticError; on Boolean input the result is ok, and no
+    pair is scanned, because :func:`is_boolean` has already proved every
+    identity.
 
-    Indicators take only the values 0 and 1, so each is held as the bitmask
-    of the atoms below its element: the product is AND, and one minus the
-    product of the complements is the OR over the subset.  Once the product
-    identity holds at (x, y), ind(x v y) + ind(x ^ y) == ind(x) + ind(y)
-    says exactly that ind(x v y) is the OR of ind(x) and ind(y).
+    Indicators take only the values 0 and 1, so each is the set J(x) of
+    the atoms below its element, which are its join-irreducibles: the
+    product is intersection, and one minus the product of the complements
+    is the union over the subset.
 
-    So once every pair passes, the third identity holds for every subset:
-    folding the subset's join one element at a time, each step ORs one more
-    indicator into the indicator of the join so far.  It is therefore not
-    scanned.
-
-    Meets and joins are symmetric, so the pairs y >= x (by index) meet the
-    first failing pair of a scan over all ordered pairs.
+    - Product: J(x ^ y) = J(x) & J(y) in any lattice, since an atom is
+      below x ^ y exactly when it is below both.
+    - Modular: given the product identity, ind(x v y) + ind(x ^ y) ==
+      ind(x) + ind(y) says exactly that J(x v y) = J(x) | J(y).  That J
+      preserves joins is what :func:`is_boolean` decides, and it holds
+      exactly when the lattice is distributive, so Boolean.
+    - Join product: folding a subset's join one element at a time, each
+      step unites one more J into the J of the join so far.
     """
-    _require_boolean_atomistic(lattice)
-    elements = lattice.elements
-    meet, join = lattice.meet_index, lattice.join_index
-    atom_mask = sum(1 << a for a in lattice.atom_indices())
-    ind = [d & atom_mask for d in lattice.down_masks]
-    for x, ix in enumerate(ind):
-        for y in range(x, len(ind)):
-            iy = ind[y]
-            if ix & iy != ind[meet(x, y)]:
-                return CheckResult(False, ("product", elements[x], elements[y]))
-            if ix | iy != ind[join(x, y)]:
-                return CheckResult(False, ("modular", elements[x], elements[y]))
+    _require_boolean(lattice)
     return CheckResult(True)
 
 
 def functional_from_measure(lattice: OrthoLattice, measure: Measure) -> LinearFunctional:
     """The functional whose value on each indicator is the measure's value."""
-    atom_list = _require_boolean_atomistic(lattice)
+    atom_list = _require_boolean(lattice)
     check = is_measure(lattice, measure.values, measure.domain)
     if not check.ok:
         raise NotAMeasureError(f"additivity fails on pair {check.witness}")
@@ -139,7 +130,7 @@ def functional_from_measure(lattice: OrthoLattice, measure: Measure) -> LinearFu
 def measure_from_functional(lattice: OrthoLattice,
                             functional: LinearFunctional) -> Measure:
     """Restrict a functional to the lattice via its indicators."""
-    atom_list = _require_boolean_atomistic(lattice)
+    atom_list = _require_boolean(lattice)
     values = {
         x: functional(_indicator(lattice, atom_list, x)) for x in lattice.elements
     }

@@ -33,7 +33,6 @@ from .errors import (
     IsotropicFormError,
     NotALatticeError,
     NotAPartialOrderError,
-    NotDistributiveError,
     SchemaError,
     SizeCapError,
 )
@@ -980,31 +979,6 @@ def is_atomistic(lattice: OrthoLattice) -> CheckResult:
             common &= up_pos[a]
         if order[(common & -common).bit_length() - 1] != i:
             return CheckResult(False, (lattice.elements[i],))
-    return CheckResult(True)
-
-
-def atom_split_check(lattice: OrthoLattice) -> CheckResult:
-    """On a distributive lattice an atom below a join is below one part.
-
-    Verifies z <= a v b iff (z <= a or z <= b) for every atom z and every
-    pair; raises NotDistributiveError on non-distributive input.
-    """
-    dist = is_distributive(lattice)
-    if not dist.ok:
-        raise NotDistributiveError(f"witness {dist.witness}")
-    n = len(lattice)
-    join = lattice.join_index
-    for z in lattice.atom_indices():
-        zu = lattice.up_masks[z]
-        for a in range(n):
-            for b in range(n):
-                lhs = bool(zu >> join(a, b) & 1)
-                rhs = bool(zu >> a & 1 or zu >> b & 1)
-                if lhs != rhs:
-                    return CheckResult(
-                        False,
-                        (lattice.elements[z], lattice.elements[a], lattice.elements[b]),
-                    )
     return CheckResult(True)
 
 

@@ -16,10 +16,11 @@ membership in each S_i.  So a normalizer or stabilizer in the full group
 or a searched group is one search of the whole lattice with one more set,
 and membership is an automorphism check plus a check of the sets; neither
 lists elements.  A group given by generators (``close_group``,
-``load_group``) is listed when it is built, under the ``max_group`` cap
-those two take, and its normalizers filter that list.  The elements of the
-full group and of a searched group are listed only on demand (``perms``
-and iteration), and never past DEFAULT_MAX_GROUP.
+``load_group``) is held by them alone: orbits need only the generators,
+so orbits, coinvariants, measures, cones and states under it list
+nothing.  Its order, ``perms``, iteration, membership and normalizers
+list its elements, on first read.  Every group lists its elements only on
+demand, and never past DEFAULT_MAX_GROUP.
 """
 
 from __future__ import annotations
@@ -139,39 +140,47 @@ class Orbit:
 
 
 class GroupAction:
-    """A finite group of lattice automorphisms, held by generators and order.
+    """A finite group of lattice automorphisms, held by its generators.
 
     ``stabilized`` is None for a group given by its generators.  For the
     full automorphism group it is empty, and for a searched group it holds
     the element index sets whose common setwise stabilizer in the full
     automorphism group the group is; membership is then decided without
-    listing.  ``perms`` (and iteration) list the elements on first use,
-    raising GroupTooLargeError when the order exceeds DEFAULT_MAX_GROUP; a
-    group given by generators is listed when it is built.
+    listing.  The full and searched groups know their order when built; a
+    group given by generators learns it by listing its elements on the
+    first read of ``order``.  ``perms`` (and iteration) list the elements
+    on first use.  Either listing raises GroupTooLargeError past
+    DEFAULT_MAX_GROUP elements.
     """
 
-    __slots__ = ("lattice", "generators", "order", "stabilized", "_perms", "_labels")
+    __slots__ = ("lattice", "generators", "stabilized", "_order", "_perms", "_labels")
 
     def __init__(self, lattice: OrthoLattice, generators: Sequence[LatticeAutomorphism],
-                 order: int, perms: Sequence[Perm] | None = None,
+                 order: int | None = None, perms: Sequence[Perm] | None = None,
                  stabilized: Sequence[frozenset[int]] | None = None):
         self.lattice = lattice
         self.generators = tuple(generators)
-        self.order = order
         self.stabilized = None if stabilized is None else tuple(stabilized)
+        self._order = order
         self._perms = None if perms is None else tuple(sorted(perms))
         self._labels = None
 
     @property
+    def order(self) -> int:
+        if self._order is None:
+            self._order = len(self.perms)
+        return self._order
+
+    @property
     def perms(self) -> tuple[Perm, ...]:
         if self._perms is None:
-            if self.order > DEFAULT_MAX_GROUP:
+            if self._order is not None and self._order > DEFAULT_MAX_GROUP:
                 # Decimal prints ints of any length
                 raise GroupTooLargeError(
-                    f"listing {Decimal(self.order)} elements exceeds the cap of {DEFAULT_MAX_GROUP}"
+                    f"listing {Decimal(self._order)} elements exceeds the cap of {DEFAULT_MAX_GROUP}"
                 )
             gens = [g.perm for g in self.generators]
-            self._perms = tuple(sorted(_closure(len(self.lattice), gens, DEFAULT_MAX_GROUP)))
+            self._perms = tuple(sorted(_closure(len(self.lattice), gens)))
         return self._perms
 
     def orbit_labels(self) -> list[int]:
@@ -195,11 +204,13 @@ class GroupAction:
         return all({perm[i] for i in s} == s for s in self.stabilized)
 
     def __repr__(self):
-        return f"<GroupAction of order {Decimal(self.order)} on {self.lattice!r}>"
+        order = "not yet listed" if self._order is None else Decimal(self._order)
+        return f"<GroupAction of order {order} on {self.lattice!r}>"
 
 
-def _closure(n: int, gen_perms: Sequence[Perm], max_group: int) -> set[Perm]:
-    """Breadth-first closure of the permutations under composition.
+def _closure(n: int, gen_perms: Sequence[Perm]) -> set[Perm]:
+    """Breadth-first closure of the permutations under composition, raising
+    GroupTooLargeError past DEFAULT_MAX_GROUP elements.
 
     Inverses come for free: the closure of a finite set of permutations
     under composition is already a group.
@@ -215,9 +226,9 @@ def _closure(n: int, gen_perms: Sequence[Perm], max_group: int) -> set[Perm]:
                 if q not in seen:
                     seen.add(q)
                     new.append(q)
-                    if len(seen) > max_group:
+                    if len(seen) > DEFAULT_MAX_GROUP:
                         raise GroupTooLargeError(
-                            f"closure exceeds the cap of {max_group}"
+                            f"closure exceeds the cap of {DEFAULT_MAX_GROUP}"
                         )
         frontier = new
     return seen
@@ -250,15 +261,14 @@ def _orbit_labels(n: int, perms: Iterable[Perm]) -> list[int]:
     return [_find(parent, i) for i in range(n)]
 
 
-def close_group(lattice: OrthoLattice, generators: Iterable[LatticeAutomorphism],
-                max_group: int = DEFAULT_MAX_GROUP) -> GroupAction:
-    """The group the generators generate, listed by breadth-first closure."""
+def close_group(lattice: OrthoLattice, generators: Iterable[LatticeAutomorphism]) -> GroupAction:
+    """The group the generators generate, held by them; its elements are
+    listed by breadth-first closure only when read (see GroupAction)."""
     gens = list(generators)
     for g in gens:
         if g.lattice is not lattice:
             raise NotAnAutomorphismError("generator defined on a different lattice")
-    perms = _closure(len(lattice), [g.perm for g in gens], max_group)
-    return GroupAction(lattice, gens, len(perms), perms)
+    return GroupAction(lattice, gens)
 
 
 def automorphism_group(lattice: OrthoLattice) -> GroupAction:
@@ -529,9 +539,9 @@ def normalizer(action: GroupAction, members: Iterable[str]) -> GroupAction:
     In a searched group (the stabilizer in Aut(L) of the sets it
     remembers) this is the stabilizer of those sets and the new one, so it
     is searched for with one more initial colour and nothing is listed;
-    nested normalizers stay exact.  A group given by generators was listed
-    when it was built, and the list is filtered; the result's generators
-    are all of its elements.
+    nested normalizers stay exact.  A group given by generators is listed,
+    under DEFAULT_MAX_GROUP, and the list is filtered; the result's
+    generators are all of its elements.
     """
     lattice = action.lattice
     target = frozenset(lattice.index(e) for e in members)
@@ -580,9 +590,9 @@ def generating_subset(action: GroupAction) -> list[LatticeAutomorphism]:
 # --- file format -----------------------------------------------------------------
 
 
-def load_group(path, lattice: OrthoLattice,
-               max_group: int = DEFAULT_MAX_GROUP) -> GroupAction:
-    """Read {"generators": [{elem: elem, ...}, ...]} and close it.
+def load_group(path, lattice: OrthoLattice) -> GroupAction:
+    """Read {"generators": [{elem: elem, ...}, ...]}: the group they
+    generate, held by them (``close_group``).
 
     Every image must name an element; the map of each generator is then
     checked to be an automorphism.
@@ -598,7 +608,7 @@ def load_group(path, lattice: OrthoLattice,
             if not isinstance(image, str) or image not in lattice:
                 raise SchemaError(f"generator maps {e!r} to {image!r}, which is not an element")
     gens = [LatticeAutomorphism.from_mapping(lattice, g) for g in raw]
-    return close_group(lattice, gens, max_group)
+    return close_group(lattice, gens)
 
 
 def save_group(action: GroupAction, path) -> None:

@@ -583,8 +583,9 @@ def indicator_identities_by_functions(lattice, max_product_size=3):
     """The indicator identity suite on Fraction-valued simple functions.
 
     Builds every indicator as a function on the atoms and checks the
-    product, modular and join-product identities pointwise, in the same
-    order as ``check_indicator_identities``; returns its (ok, witness).
+    product, modular and join-product identities pointwise, scanning every
+    pair and every subset of up to ``max_product_size`` elements, which
+    ``check_indicator_identities`` proves instead; returns (ok, witness).
     """
     from orthomeasure.indicators import constant_one, indicator
 

@@ -16,6 +16,9 @@ Claims:
       cyclic or oversized lattice file gives every command the same error
       line and exit code; every file loader names a file that is not JSON
     - a group file whose maps name no element exits 2
+    - a group file is never listed for module: S_9 on boolean(9), past the
+      listing cap, gives rank 1 in under 1 s; the normalizer extend needs
+      lists it, and past the cap exits 3; no command takes --max-group
     - the lattice file is opened once, as bytes, and the report's digest is
       the SHA-256 of those bytes; UTF-16 and UTF-32 files exit 2
     - at the size cap, module and check on mo(2000) and boolean(12) each
@@ -177,8 +180,8 @@ def test_extend_classical_and_invariant(files, capsys, tmp_path):
 
 
 def test_extend_full_aut_on_mo9_lists_no_group(capsys, tmp_path):
-    # Aut(MO(9)) has 185 794 560 elements, past the default listing cap of
-    # --max-group; the normalizer of {a1} comes from a search instead
+    # Aut(MO(9)) has 185 794 560 elements, past the listing cap; the
+    # normalizer of {a1} comes from a search instead
     path = tmp_path / "mo9.json"
     save_lattice(mo(9), path)
     gs = tmp_path / "gs.json"
@@ -284,6 +287,50 @@ def test_group_file_source(files, capsys, tmp_path):
     )
     assert code == 0
     assert data["report"]["rank"] == 1
+
+
+def _s9_files(tmp_path):
+    """boolean(9) and a group file of the two generators of its S_9."""
+    lattice, group = tmp_path / "b9.json", tmp_path / "s9.json"
+    save_lattice(boolean(9), lattice)
+    save_group(automorphism_group(boolean(9)), group)
+    return str(lattice), str(group)
+
+
+def test_module_under_a_file_group_past_the_cap_lists_nothing(monkeypatch, capsys, tmp_path):
+    # S_9 has 362 880 elements, past the listing cap, but the module needs
+    # only the orbits of the two generators
+    import orthomeasure.symmetry as symmetry_mod
+
+    lattice, group = _s9_files(tmp_path)
+
+    def refuse(*args):
+        raise AssertionError("the file group was listed")
+
+    monkeypatch.setattr(symmetry_mod, "_closure", refuse)
+    start = time.perf_counter()
+    code, data = run_json(capsys, ["module", lattice, "--group", group])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert (data["report"]["rank"], data["report"]["torsion"]) == (1, [])
+    assert elapsed < 1.0
+
+
+def test_normalizer_of_a_file_group_past_the_cap_exits_3(monkeypatch, capsys, tmp_path):
+    # the invariant extension needs the normalizer of its members, which
+    # lists a file group; under a cap of 1 000 S_9 is past it
+    import orthomeasure.symmetry as symmetry_mod
+
+    lattice, group = _s9_files(tmp_path)
+    gs = tmp_path / "gs.json"
+    gs.write_text(json.dumps({"members": ["100000000"]}))
+    pm = tmp_path / "pm.json"
+    pm.write_text(json.dumps({"values": {"100000000": "1/9"}}))
+    monkeypatch.setattr(symmetry_mod, "DEFAULT_MAX_GROUP", 1000)
+    code, data = run_json(capsys, ["extend", lattice, "--group", group,
+                                   "--generating-set", str(gs), "--partial", str(pm)])
+    assert code == 3
+    assert data == {"error": "GroupTooLargeError", "detail": "closure exceeds the cap of 1000"}
 
 
 @pytest.mark.parametrize("image", ["zzz", ["a1"]], ids=["unknown name", "list"])
@@ -559,7 +606,7 @@ def _every_option(name):
     cmd = _COMMANDS[name]
     argv = [name, "l.json", "--format", "text", "--max-elements", "9"]
     if cmd.group:
-        argv += ["--group", "g.json", "--max-group", "7"]
+        argv += ["--group", "g.json"]
     if cmd.domain:
         argv += ["--domain", "z/3"]
     for flag, _ in cmd.extra:
@@ -601,6 +648,15 @@ def _parsed(parse, argv, capsys):
 def test_one_command_parser_parses_like_the_full_parser(argv, capsys):
     expected = _parsed(build_parser().parse_args, argv, capsys)
     assert _parsed(parse_args, argv, capsys) == expected
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_every_command_rejects_max_group(command, capsys):
+    # a group is listed only when read, under the one cap every group
+    # shares, so no command takes a cap of its own
+    result, _, err = _parsed(parse_args, [*_every_option(command), "--max-group", "7"], capsys)
+    assert result == 2
+    assert "unrecognized arguments: --max-group 7" in err
 
 
 def test_parse_args_reads_sys_argv(monkeypatch, capsys):

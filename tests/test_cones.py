@@ -4,7 +4,8 @@ Claims:
     - dual cones of orthants and degenerate generator sets are correct
     - the double description output is self-consistent: every ray satisfies
       every halfspace, and regenerating each representation from the other
-      yields an equivalent cone
+      (the dual of the dual, by double description twice) yields an
+      equivalent cone
     - positive cones of the small family have the known ray counts and the
       rays map to nonneg measures (power-set rays are the atom point masses)
     - state polytopes: power sets give simplices with affinely independent
@@ -29,7 +30,9 @@ Claims:
       on random composites (shuffled element orders among them) and on the
       products and horizontal sums of every pair of family members, and on
       sums with a Greechie loop of five blocks, whose vertices have scales
-      1 and 2; each vertex's ray is primitive; double
+      1 and 2; each vertex's ray is primitive, and its integer values over
+      its scale are additive on orthogonal pairs, 1 at the top and within
+      [0, 1]; double
       description runs only on the irreducible non-Boolean blocks, once per
       shape, and no automorphism or orbit search runs
 """
@@ -38,6 +41,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -54,8 +58,6 @@ from orthomeasure import (
     boolean,
     brute_force_measures,
     build_lattice,
-    cone_from_rays,
-    cones_equivalent,
     dual_cone,
     horizontal_sum,
     is_orthomodular,
@@ -72,6 +74,37 @@ from orthomeasure.lattice import direct_factors, horizontal_summands
 
 from oracles import in_convex_hull, state_vertices_by_fractions
 from strategies import composite_lattices, pairwise_composites
+
+
+def _negated(vec):
+    return tuple(-x for x in vec)
+
+
+def _contains(cone, vec):
+    """Every normal of the cone pairs nonnegatively with the vector."""
+    return all(sum(map(mul, n, vec)) >= 0 for n in cone.normals)
+
+
+def _generators(cone):
+    """The rays plus both signs of the lineality basis."""
+    return [*cone.rays, *cone.lineality, *map(_negated, cone.lineality)]
+
+
+def cone_from_rays(rays, dim, lineality=()):
+    """The cone the rays and lines generate, by double description twice:
+    the rays of its dual cone are its facet normals, each line of the dual
+    gives two opposite normals, and its rays follow from those normals."""
+    dual_normals = [r for r in rays if any(r)] + [*lineality, *map(_negated, lineality)]
+    facets, dual_lineality = double_description(dual_normals, dim)
+    normals = (*facets, *dual_lineality, *map(_negated, dual_lineality))
+    rays, lineality = double_description(normals, dim)
+    return PolyCone(dim, normals, tuple(rays), tuple(lineality))
+
+
+def cones_equivalent(a, b):
+    """Mutual containment of the generator sets, checked exactly."""
+    return (all(_contains(b, g) for g in _generators(a))
+            and all(_contains(a, g) for g in _generators(b)))
 
 
 def test_dual_cone_positive_orthant():
@@ -131,7 +164,7 @@ def test_positive_cone_rays_satisfy_halfspaces(family):
     for name in ("boolean(3)", "mo(2)", "benzene"):
         cone = positive_cone(family[name])
         for ray in cone.rays:
-            assert cone.contains(ray)
+            assert _contains(cone, ray)
         assert cone.lineality == ()
 
 
@@ -332,9 +365,15 @@ def _assert_composed_path_matches_whole_lattice(lattice):
     # the cone's rays are primitive, and so each vertex's ray must be
     assert sorted(v.ray for v in vertices) == sorted(rays), lattice.name
     top = coords[lattice.top_index]
+    # each vertex is a probability measure, checked on its integer values
+    # over its scale
+    pairs = [(x, y, lattice.join_index(x, y)) for x, y in lattice.orthogonal_index_pairs()]
     for v in vertices:
-        assert v.scale == sum(a * b for a, b in zip(top, v.ray)), lattice.name
-        assert is_probability_measure(lattice, v.values).ok, lattice.name
+        nums, scale = v.numerators, v.scale
+        assert scale == sum(a * b for a, b in zip(top, v.ray)), lattice.name
+        assert nums[lattice.top_index] == scale, lattice.name
+        assert all(0 <= x <= scale for x in nums), lattice.name
+        assert all(nums[z] == nums[x] + nums[y] for x, y, z in pairs), lattice.name
 
 
 def _greechie_loop(k):

@@ -51,12 +51,10 @@ from orthomeasure import (
     LatticeDescription,
     NotALatticeError,
     NotAPartialOrderError,
-    NotDistributiveError,
     OrthomeasureError,
     SchemaError,
     SizeCapError,
     are_isomorphic,
-    atom_split_check,
     atoms,
     benzene,
     boolean,
@@ -340,16 +338,6 @@ def test_boolean_mo_benzene_flags(name, family):
         assert is_orthomodular(lat).ok and not is_distributive(lat).ok
     else:
         assert not is_orthomodular(lat).ok
-
-
-def test_atom_split_check_on_booleans():
-    for n in (1, 2, 3, 4):
-        assert atom_split_check(boolean(n)).ok
-
-
-def test_atom_split_check_requires_distributive():
-    with pytest.raises(NotDistributiveError):
-        atom_split_check(mo(2))
 
 
 def test_orthogonal_pairs_boolean_2():

@@ -2,7 +2,9 @@
 
 Claims:
     - automorphism validation rejects order- or complement-breaking maps
-    - closure from generators matches known group orders
+    - closure from generators matches known group orders; a group given by
+      generators lists its elements only when its order or elements are
+      read, and that listing raises GroupTooLargeError past the cap
     - the full automorphism groups of the test family have the expected
       orders (n! for power sets, 2^n n! for atom-pair lattices, 2 for the
       non-orthomodular hexagon)
@@ -14,6 +16,7 @@ Claims:
 """
 
 from math import factorial
+from operator import attrgetter
 
 import pytest
 
@@ -93,11 +96,18 @@ def test_close_group_full_mo2():
     assert action.order == 8
 
 
-def test_close_group_cap():
+def test_close_group_cap(monkeypatch):
+    # Aut(MO(3)) has 48 elements: past a cap of 10, reading the order or the
+    # elements lists them and raises, while building the group lists nothing
+    import orthomeasure.symmetry as symmetry_mod
+
     lat = mo(3)
     gens = list(automorphism_group(lat))
-    with pytest.raises(GroupTooLargeError):
-        close_group(lat, gens, max_group=10)
+    monkeypatch.setattr(symmetry_mod, "DEFAULT_MAX_GROUP", 10)
+    for read in (attrgetter("order"), attrgetter("perms"), list):
+        action = close_group(lat, gens)
+        with pytest.raises(GroupTooLargeError):
+            read(action)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
