@@ -8,7 +8,8 @@ small recursive writer produces it, because the standard encoder falls back
 to pure Python whenever it indents.  The state vertices and the measures
 are written through one table (``_Table``): each element name is quoted
 once per table, each distinct value formatted once, state values straight
-from integer numerator and scale, and each row joined without a dict.
+from the polytope's table of value ids, and each row joined without a
+dict.
 Exit codes: 0 success, 1 mathematical negative (the report is still
 printed), 2 input or schema error, 3 resource cap.
 """
@@ -16,6 +17,7 @@ printed), 2 input or schema error, 3 resource cap.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
-from math import gcd
 from operator import add
 from typing import NamedTuple
 
@@ -105,9 +106,10 @@ class _Table:
     A row holds its coordinates' texts (or the domain label) and its
     values' texts in element order, each distinct value formatted once; a
     vertex has at least one coordinate.
-    :func:`_json_text`, :func:`_render_text` and :meth:`csv` write the
-    rows with each element name quoted once per table and each row joined
-    with ``map``, byte for byte what the dicts of those rows would give.
+    :func:`_json_text` and :func:`_render_text` write the rows with each
+    element name quoted once per table and each row joined with ``map``,
+    byte for byte what the dicts of those rows would give, and
+    :meth:`write_csv` writes them as CSV.
     """
 
     elements: tuple[str, ...]
@@ -155,10 +157,13 @@ class _Table:
             out.extend(map(add, keys, values))
         return out
 
-    def csv(self) -> str:
-        """A header of the element names, then the values of each row."""
-        return "".join([",".join(self.elements) + "\n",
-                        *(",".join(values) + "\n" for _, values in self.rows)])
+    def write_csv(self, fh) -> None:
+        """A header of the element names, then the values of each row, one
+        line each, a field quoted only where it holds a comma, a quote or a
+        line break."""
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(self.elements)
+        writer.writerows(values for _, values in self.rows)
 
 
 def _render_text(value, indent=0) -> list[str]:
@@ -254,26 +259,11 @@ def _texts(values, known: dict, write) -> list[str]:
         return list(map(known.__getitem__, values))
 
 
-def _ratios(nums, den: int, known: dict) -> list[str]:
-    """``str(Fraction(n, den))`` for each n, given den > 0, without Fractions.
-
-    Vertices repeat few distinct values, so each is formatted once over
-    the calls that share ``known`` for this ``den``.
-    """
-    def write(n):
-        g = gcd(n, den)
-        return str(n // den) if g == den else f"{n // g}/{den // g}"
-
-    return _texts(nums, known, write)
-
-
 def _states_table(lattice, polytope) -> _Table:
-    """The vertices as rows of their coordinates' and values' texts."""
-    known: dict[int, dict[int, str]] = {}  # per scale, each numerator's text
-    rows = []
-    for v in polytope.vertices:
-        text = known.setdefault(v.scale, {})
-        rows.append((_ratios(v.ray, v.scale, text), _ratios(v.numerators, v.scale, text)))
+    """The vertices as rows of their coordinates' and values' texts, read
+    by id from the polytope's values, each formatted once."""
+    text = list(map(str, polytope.values)).__getitem__
+    rows = [(list(map(text, coords)), list(map(text, ids))) for coords, ids in polytope.rows]
     return _Table(lattice.elements, "coords", rows, True)
 
 
@@ -360,8 +350,8 @@ def _cmd_states(args, lattice) -> tuple[dict, int]:
     table = _states_table(lattice, polytope)
     report = {"count": len(table.rows), "vertices": table}
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(table.csv())
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+            table.write_csv(fh)
     return report, EXIT_OK
 
 

@@ -15,17 +15,21 @@ at both rays cut out the smallest face holding them, and that face is
 two-dimensional exactly when it has no third extreme ray.  No rank is
 computed, so vertex counts are exact and deterministic.
 
-The state polytope stays in integers too.  A vertex is an extreme ray r over
-its scale top . r; its value at an element is the integer pairing of that
-element's coordinates with r, over the same scale.  Vertices are sorted by
-their coordinates, compared as the integer vectors r * (L // scale) with L
-the lcm of all scales, which orders them exactly as the Fractions r / scale
-would.  Fractions are built only when a caller reads them.
+A state polytope is held as one table: the ascending tuple of the distinct
+values its vertices take, coordinates included, and per vertex a tuple of
+small-int ids into it, for its coordinates and for its value at each
+element.  Each value is reduced to a Fraction once, however many vertices
+take it.  Ids ascend with value, so sorting the vertices by their
+coordinate ids orders them exactly by their coordinates.  The vertices as
+``StateVertex`` objects (a primitive ray over its scale top . ray) are
+derived from the table on first read of ``StatePolytope.vertices``.
 
 Without a group action the state polytope is composed from the splits that
 ``automorphism_group`` uses.  A Boolean lattice's vertices are the Dirac
-states of its atoms; a horizontal sum's are the tuples of one vertex per
-summand; a product's over its center are the vertices of each factor, read
+states of its atoms, with values 0 and 1; a horizontal sum's are the
+tuples of one vertex per summand, their ids concatenated over the union
+of the summands' values, with no rescaling, since an id names an exact
+value; a product's over its center are the vertices of each factor, read
 on the elements below that factor's central atom.  Only an irreducible
 non-Boolean block runs double description, once per shape.  A composed
 vertex's coordinates are its values at the elements whose images are the
@@ -312,9 +316,33 @@ class StateVertex:
 @dataclass(frozen=True)
 class StatePolytope:
     """Probability measures as the normalized slice of the positive cone,
-    held by its vertices."""
+    held as one table: ``values`` lists the distinct values its vertices
+    take, coordinates included, in ascending order, and each row of
+    ``rows`` gives one vertex as the ids into ``values`` of its
+    coordinates and of its values at ``elements``.  The rows are sorted by
+    their coordinate ids, which orders them as their coordinates."""
 
-    vertices: tuple[StateVertex, ...]
+    elements: tuple[str, ...]
+    values: tuple[Fraction, ...]
+    rows: tuple[tuple[Vector, Vector], ...]
+
+    @cached_property
+    def vertices(self) -> tuple[StateVertex, ...]:
+        """The rows as StateVertex, each over its scale: a vertex's
+        coordinates pair with the top's to 1, so its primitive ray over
+        top . ray is its coordinates over the lcm of their denominators."""
+        values, out = self.values, []
+        for coord_ids, value_ids in self.rows:
+            coords = [values[i] for i in coord_ids]
+            scale = lcm(*[c.denominator for c in coords])
+            out.append(StateVertex(
+                tuple([c.numerator * (scale // c.denominator) for c in coords]),
+                scale,
+                tuple([values[i].numerator * (scale // values[i].denominator)
+                       for i in value_ids]),
+                self.elements,
+            ))
+        return tuple(out)
 
 
 def _pairings(coords, rays) -> list[tuple[int, ...]]:
@@ -349,9 +377,42 @@ def _sliced_rays(coords: list[Vector], top: Vector) -> tuple[tuple[Vector, ...],
     return cone.rays, scales
 
 
-# A block's vertices: (scale, numerators), numerators[i] being the value at
-# element i of the block times scale, so numerators[top] == scale.
-Vertices = list[tuple[int, tuple[int, ...]]]
+# Vertices as one table: the ascending distinct values they take, and per
+# vertex a tuple of ids into those values.  A nonempty table of states
+# starts with 0, the value at the bottom, and ends with 1, the value at the
+# top.
+Table = tuple[tuple[Fraction, ...], list[Vector]]
+
+_ZERO_ONE = (Fraction(0), Fraction(1))
+
+
+def _value_table(scales: list[int], numerators) -> Table:
+    """The rows numerators[k] / scales[k] as a table, each distinct
+    numerator over its scale reduced to a Fraction once."""
+    reduced: dict[int, dict[int, Fraction]] = {}
+    for s, nums in zip(scales, numerators):
+        known = reduced.setdefault(s, {})
+        for n in set(nums).difference(known):
+            known[n] = Fraction(n, s)
+    values = sorted({f for known in reduced.values() for f in known.values()})
+    index = {f: i for i, f in enumerate(values)}
+    ids = {s: {n: index[f] for n, f in known.items()} for s, known in reduced.items()}
+    return tuple(values), [tuple(map(ids[s].__getitem__, nums))
+                           for s, nums in zip(scales, numerators)]
+
+
+def _merged(tables: list[Table]) -> tuple[tuple[Fraction, ...], list[list[Vector]]]:
+    """One ascending value tuple for several tables, and each table's rows
+    with their ids into it."""
+    values = tuple(sorted(set().union(*[own for own, _ in tables])))
+    index = {f: i for i, f in enumerate(values)}
+    out = []
+    for own, rows in tables:
+        if own != values:
+            renumber = [index[f] for f in own]
+            rows = [tuple(map(renumber.__getitem__, r)) for r in rows]
+        out.append(rows)
+    return values, out
 
 
 def _capped(count: int) -> None:
@@ -361,82 +422,88 @@ def _capped(count: int) -> None:
         raise DimensionCapError(f"{count} vertices exceed the cap of {MAX_RAYS} rays")
 
 
-def _dirac_vertices(lattice: OrthoLattice) -> Vertices:
+def _dirac_vertices(lattice: OrthoLattice) -> Table:
     """The states of a Boolean lattice: one per atom a, 1 on the elements
     above a and 0 elsewhere."""
     n, up = len(lattice), lattice.up_masks
-    return [(1, tuple(up[a] >> x & 1 for x in range(n))) for a in lattice.atom_indices()]
+    return _ZERO_ONE, [tuple(up[a] >> x & 1 for x in range(n)) for a in lattice.atom_indices()]
 
 
-def _cone_vertices(lattice: OrthoLattice) -> Vertices:
+def _cone_vertices(lattice: OrthoLattice) -> Table:
     """The vertices of an irreducible block, by double description in its
     own measure coordinates; none when its top is zero there (then every
     positive measure vanishes)."""
     _, coords = measure_coordinates(lattice)
     top = coords[lattice.top_index]
     if not any(top):
-        return []
+        return (), []
     rays, scales = _sliced_rays(coords, top)
     if not rays:
-        return []
-    return list(zip(scales, _pairings(coords, rays)))
+        return (), []
+    return _value_table(scales, _pairings(coords, rays))
 
 
-def _rescaled(s: int, x: tuple[int, ...], t: int, y: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """The values x over s followed by y over t, over the lcm of s and t."""
-    m = lcm(s, t)
-    return m, tuple([v * (m // s) for v in x] + [v * (m // t) for v in y])
+def _getter(indices: list[int]):
+    """The function from a tuple to the tuple of its entries at
+    ``indices``."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda row: (row[i],)
+    return itemgetter(*indices)
 
 
 class _Blocks(Decomposer):
-    """The vertices of a lattice composed from its decomposition, the
-    vertices of every block and factor met kept by its shape (see
-    ``Decomposer``)."""
+    """The vertices of a lattice composed from its decomposition, as a
+    table (see ``Table``), the table of every block and factor met kept by
+    its shape (see ``Decomposer``)."""
 
     boolean = staticmethod(_dirac_vertices)
     irreducible = staticmethod(_cone_vertices)
 
-    def summed(self, lattice: OrthoLattice, summands) -> Vertices:
-        """Every choice of one vertex per summand, over the lcm of their
-        scales: a horizontal sum's orthogonal pairs and their joins lie
-        within one summand, so its states are the free tuples of the
-        summands' states, and its vertices the tuples of their vertices.
+    def summed(self, lattice: OrthoLattice, summands) -> Table:
+        """Every choice of one vertex per summand: a horizontal sum's
+        orthogonal pairs and their joins lie within one summand, so its
+        states are the free tuples of the summands' states, and its
+        vertices the tuples of their vertices.
 
-        The tuples grow one summand at a time, as (scale, the values at
-        the proper elements of the summands so far)."""
-        proper, choices = [], []
+        An id names one exact value, so a tuple is the concatenation of
+        the summands' ids at their proper elements, after the bottom's
+        and the top's, placed at the sum's elements with one getter."""
+        proper, tables = [], []
         count = 1
         for block, members in summands:
             inner = [k for k in range(len(block))
                      if k != block.bottom_index and k != block.top_index]
-            vertices = self.solve(block)
+            values, rows = self.solve(block)
             proper.extend(members[k] for k in inner)
-            choices.append([(s, tuple([nums[k] for k in inner])) for s, nums in vertices])
-            count *= len(vertices)
+            tables.append((values, [tuple([r[k] for k in inner]) for r in rows]))
+            count *= len(rows)
         _capped(count)
-        partial = [(1, ())]
-        for vertices in choices:
-            partial = [(s, x + y) if s == t else _rescaled(s, x, t, y)
-                       for s, x in partial for t, y in vertices]
+        if not count:
+            return (), []
+        values, choices = _merged(tables)
+        # ids of 0 and 1, the bottom's and the top's values: first and last
+        partial = [(0, len(values) - 1)]
+        for rows in choices:
+            partial = [x + y for x in partial for y in rows]
         # the element at position p of (bottom, top, the proper elements)
         where = [0] * len(lattice)
         where[lattice.top_index] = 1
         for p, i in enumerate(proper, 2):
             where[i] = p
-        place = itemgetter(*where)
-        return [(s, place((0, s, *x))) for s, x in partial]
+        return values, list(map(itemgetter(*where), partial))
 
-    def product(self, lattice: OrthoLattice, factors, coordinates) -> Vertices:
+    def product(self, lattice: OrthoLattice, factors, coordinates) -> Table:
         """The vertices of each factor [0, z], read at t ^ z for every
         element t: a state of the product is a convex combination of states
         that each live on one factor."""
         found = [self.solve(factor) for factor, _ in factors]
-        _capped(sum(map(len, found)))
+        _capped(sum(len(rows) for _, rows in found))
+        values, merged = _merged(found)
         out = []
-        for j, vertices in enumerate(found):
-            at = itemgetter(*[c[j] for c in coordinates])
-            out.extend((s, at(nums)) for s, nums in vertices)
-        return out
+        for j, rows in enumerate(merged):
+            out.extend(map(itemgetter(*[c[j] for c in coordinates]), rows))
+        return values, out
 
 
 def _unit_elements(coords: list[Vector]) -> list[int] | None:
@@ -463,25 +530,24 @@ def state_polytope(lattice: OrthoLattice,
     has every tuple of one vertex per summand; a product over the center
     has the vertices of each factor.  Only an irreducible non-Boolean
     block runs double description, in its own measure coordinates, and a
-    block of the same shape is solved once.  A composed vertex is a
-    measure's integer values over a scale; its coordinates are its values
-    at the elements whose images are the basis vectors.  The vertex count
-    of a sum or product is known before any vertex is listed, and past
-    MAX_RAYS it raises DimensionCapError naming the count, so
-    DEFAULT_MAX_DIMENSION and MAX_RAYS bound the double description of each
-    irreducible block, not the whole lattice, and a refused count is
-    raised before the whole lattice's measure module is built.  With an
-    action, or when some basis vector is no element's image, the double
-    description runs on the whole lattice, under both caps.
+    block of the same shape is solved once.  A composed vertex's
+    coordinates are its values at the elements whose images are the basis
+    vectors.  The vertex count of a sum or product is known before any
+    vertex is listed, and past MAX_RAYS it raises DimensionCapError naming
+    the count, so DEFAULT_MAX_DIMENSION and MAX_RAYS bound the double
+    description of each irreducible block, not the whole lattice, and a
+    refused count is raised before the whole lattice's measure module is
+    built.  With an action, or when some basis vector is no element's
+    image, the double description runs on the whole lattice, under both
+    caps, and each ray r over its scale top . r gives a vertex, with
+    coordinates r / scale.
 
-    Either way each vertex is a primitive ray r of the positive cone over
-    its scale top . r, with every value one integer pairing over that
-    scale, and nothing else is computed until a caller asks for
-    Fractions.  The vertices are sorted by their coordinates, compared
-    exactly in integers: with L the lcm of the scales, r / s orders as
-    r * (L // s) does.  Raises UnboundedSliceError when the top element
-    projects to zero (the degenerate case where no normalization is
-    possible) and EmptyPolytopeError when no probability measure exists.
+    Either way the vertices form one table (see ``StatePolytope``), each
+    value reduced once, and its rows are sorted by their coordinate ids:
+    ids ascend with value, so this orders the vertices by their
+    coordinates.  Raises UnboundedSliceError when the top element projects
+    to zero (the degenerate case where no normalization is possible) and
+    EmptyPolytopeError when no probability measure exists.
     """
     # the blocks come first, so a vertex count past the cap stops the call
     # before the whole lattice's measure module is built
@@ -495,28 +561,17 @@ def state_polytope(lattice: OrthoLattice,
     units = None if composed is None else _unit_elements(coords)
     if units is None:
         rays, scales = _sliced_rays(coords, top)
-        numerators = _pairings(coords, rays) if rays else []
+        rank = len(top)
+        values, rows = _value_table(
+            scales, [r + nums for r, nums in zip(rays, _pairings(coords, rays))] if rays else []
+        )
+        rows = sorted((row[:rank], row[rank:]) for row in rows)
     else:
-        # A block's values have no common factor: a Dirac state is 1 at the
-        # top, and the coordinates of a block's elements span its basis, so
-        # they pair a primitive ray to coprime values.  Nor do the values
-        # of a sum, whose summands are scaled by lcm(s) / s_k, coprime over
-        # k.  So each ray read off the unit elements is primitive.
-        scales = [s for s, _ in composed]
-        numerators = [nums for _, nums in composed]
-        rays = [tuple(map(nums.__getitem__, units)) for nums in numerators]
-    if not scales:
+        values, rows = composed
+        rows = sorted(zip(map(_getter(units), rows), rows))
+    if not rows:
         raise EmptyPolytopeError("no probability measure exists")
-    common = lcm(*scales)
-    order = sorted(
-        range(len(scales)),
-        key=lambda k: [x * (common // scales[k]) for x in rays[k]],
-    )
-    vertices = tuple(
-        StateVertex(rays[k], scales[k], numerators[k], lattice.elements)
-        for k in order
-    )
-    return StatePolytope(vertices)
+    return StatePolytope(lattice.elements, values, tuple(rows))
 
 
 def is_probability_measure(lattice: OrthoLattice, values) -> CheckResult:

@@ -15,6 +15,7 @@ before it kept them sparse.
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
+from operator import mul
 
 
 def row_reduce(rows):
@@ -406,7 +407,7 @@ def _sign_canonical(vec):
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def double_description_by_rank(normals, dim):
@@ -483,25 +484,33 @@ def double_description_by_rank(normals, dim):
     return rays, lineality
 
 
-def state_vertices_by_fractions(lattice, rays, coords):
-    """State-polytope vertices sliced in Fractions from the cone's rays.
+def state_vertices_by_pairings(lattice, rays, coords):
+    """State-polytope vertices sliced from the cone's rays, their values
+    kept as integers.
 
-    Each ray r is scaled by 1 / (top . r); every coordinate and every
-    element's value (its coordinate row paired with r) becomes a Fraction,
-    and the vertices are sorted on their Fraction coordinates.  Returns
-    (coords, values) pairs in that order.
+    Each ray r is scaled by 1 / (top . r): its coordinates become
+    Fractions, and each element's value is its coordinate row paired with
+    r, over that scale.  The vertices are sorted on their Fraction
+    coordinates.  Returns (coords, ray, pairings, scale) in that order,
+    pairings[i] / scale being the value at element i.
     """
     top = coords[lattice.top_index]
     vertices = []
     for r in rays:
         scale = _dot(top, r)
-        values = {
-            e: Fraction(_dot(coords[i], r), scale)
-            for i, e in enumerate(lattice.elements)
-        }
-        vertices.append((tuple(Fraction(x, scale) for x in r), values))
+        pairings = [_dot(c, r) for c in coords]
+        vertices.append((tuple(Fraction(x, scale) for x in r), r, pairings, scale))
     vertices.sort(key=lambda v: v[0])
     return vertices
+
+
+def state_vertices_by_fractions(lattice, rays, coords):
+    """:func:`state_vertices_by_pairings` with every value a Fraction:
+    (coords, values) pairs, values mapping each element to its value."""
+    return [
+        (vertex, {e: Fraction(p, scale) for e, p in zip(lattice.elements, pairings)})
+        for vertex, _, pairings, scale in state_vertices_by_pairings(lattice, rays, coords)
+    ]
 
 
 def distributivity_witness(lattice):

@@ -71,6 +71,22 @@ def pairwise_composites(lattices):
     return out
 
 
+def greechie_loop(k):
+    """The pasting of k Boolean blocks of three atoms in a loop, each
+    sharing one atom with the next: 0, 1, the atoms and their
+    complements, with a below b' when a and b share a block."""
+    corners = [f"c{i}" for i in range(k)]
+    blocks = [(corners[i], f"m{i}", corners[(i + 1) % k]) for i in range(k)]
+    atoms_ = [a for block in blocks for a in block[:2]]
+    pairs = [("0", a) for a in atoms_] + [(a + "'", "1") for a in atoms_]
+    pairs += [(a, b + "'") for block in blocks for a in block for b in block if a != b]
+    orth = {"0": "1", "1": "0"}
+    for a in atoms_:
+        orth[a], orth[a + "'"] = a + "'", a
+    elements = ("0", *atoms_, *(a + "'" for a in atoms_), "1")
+    return build_lattice(LatticeDescription(f"loop({k})", elements, tuple(pairs), orth))
+
+
 @st.composite
 def sparse_matrices(draw):
     """(width, dense rows): up to 8 rows over 1..7 columns, each with up to

@@ -24,10 +24,16 @@ Claims:
     - at the size cap, module and check on mo(2000) and boolean(12) each
       take under 1 s
     - the value tables of states, measures, invariant-measures and oracle
-      are written, as JSON, as text and as CSV, byte for byte as the
-      reports built from Fractions and Measure.to_json_dict would be
+      are written, as JSON and as text, byte for byte as the reports built
+      from Fractions (the states sliced from the positive cone's rays) and
+      Measure.to_json_dict would be, on the family and on composites, a
+      sum with a Greechie loop among them, whose values include 1/2
+    - the states CSV parses back under csv.reader to the element names and
+      the reported values; a name holding a comma or a double quote is
+      quoted, and with plain names the file is the comma-joined rows
 """
 
+import csv
 import hashlib
 import json
 import re
@@ -41,17 +47,19 @@ from hypothesis import example, given, settings, strategies as st
 
 import orthomeasure
 from orthomeasure import (
-    atoms, benzene, boolean, brute_force_measures, horizontal_sum, is_orthomodular,
-    load_generating_set, load_group, load_lattice, load_partial_measure, measure_basis, mo,
-    parse_domain, product, save_group, save_lattice, state_polytope, verify_ortho,
+    LatticeDescription, atoms, benzene, boolean, brute_force_measures, build_lattice,
+    horizontal_sum, is_orthomodular, load_generating_set, load_group, load_lattice,
+    load_partial_measure, measure_basis, measure_coordinates, mo, parse_domain,
+    positive_cone, product, save_group, save_lattice, verify_ortho,
 )
 from orthomeasure.cli import (
-    _COMMANDS, _ORTHO_AXIOMS, _check_result_dict, _json_text, _ratios, _render_text,
+    _COMMANDS, _ORTHO_AXIOMS, _check_result_dict, _json_text, _render_text,
     build_parser, parse_args, run,
 )
 from orthomeasure.symmetry import automorphism_group
 
-from strategies import pairwise_composites
+from oracles import state_vertices_by_fractions
+from strategies import greechie_loop, pairwise_composites
 
 
 @pytest.fixture()
@@ -131,19 +139,42 @@ def test_states_full_aut(files, capsys):
     assert vertices[0]["values"]["a1"] == "1/2"
 
 
+def _read_csv(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def test_states_csv(files, capsys, tmp_path):
     out = tmp_path / "vertices.csv"
     for name in ("mo2", "b3", "benzene"):
         for group in ([], ["--full-aut"]):
             code, data = run_json(capsys, ["states", files[name], *group, "--csv", str(out)])
             assert code == 0
-            lines = out.read_text().strip().splitlines()
-            assert len(lines) == 1 + data["report"]["count"]
-            header = lines[0].split(",")
-            for line, vertex in zip(lines[1:], data["report"]["vertices"]):
-                cells = line.split(",")
+            header, *lines = _read_csv(out)
+            assert len(lines) == data["report"]["count"]
+            for cells, vertex in zip(lines, data["report"]["vertices"]):
                 assert len(cells) == len(header)
                 assert dict(zip(header, cells)) == vertex["values"]
+
+
+def test_states_csv_quotes_names_that_need_it(capsys, tmp_path):
+    # mo(2) with an atom named with a comma and one with a double quote:
+    # unquoted, the header would have 8 fields under csv.reader
+    a, b = "a,1", 'b"2'
+    elements = ("0", a, a + "'", b, b + "'", "1")
+    pairs = [("0", x) for x in elements[1:5]] + [(x, "1") for x in elements[1:5]]
+    orth = {"0": "1", "1": "0", a: a + "'", a + "'": a, b: b + "'", b + "'": b}
+    path = tmp_path / "odd.json"
+    save_lattice(build_lattice(LatticeDescription("odd", elements, tuple(pairs), orth)), path)
+    out = tmp_path / "vertices.csv"
+    code, data = run_json(capsys, ["states", str(path), "--csv", str(out)])
+    assert code == 0 and data["report"]["count"] == 4
+    header, *lines = _read_csv(out)
+    assert header == list(elements)
+    assert [dict(zip(header, cells)) for cells in lines] == [
+        v["values"] for v in data["report"]["vertices"]]
+    assert out.read_text(encoding="utf-8").splitlines()[0] == (
+        '0,"a,1","a,1\'","b""2","b""2\'",1')
 
 
 def test_cone(files, capsys):
@@ -431,14 +462,6 @@ def test_cone_past_ray_budget_exit_3(tmp_path, capsys):
     assert data["error"] == "DimensionCapError"
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=8), st.integers(1, 2 ** 70))
-@example([0, 1, -1, 2, 3, 4, -6], 6)
-@example([0, 5, -5], 1)
-def test_ratios_print_as_fractions(nums, den):
-    assert _ratios(nums, den, {}) == [str(Fraction(n, den)) for n in nums]
-
-
 # --- check against verify_ortho ----------------------------------------------------
 
 
@@ -551,13 +574,16 @@ TABLE_COMMANDS = (
 
 
 def _fraction_route_report(argv, lattice):
-    """The report of a table command, its values built as Fractions
-    (StateVertex.coords and .values) or by Measure.to_json_dict."""
+    """The report of a table command, its values built as Fractions (the
+    vertices sliced from the positive cone's rays by
+    oracles.state_vertices_by_fractions) or by Measure.to_json_dict."""
     command = argv[0]
     if command == "states":
-        vertices = [{"coords": [str(c) for c in v.coords],
-                     "values": {e: str(x) for e, x in v.values.items()}}
-                    for v in state_polytope(lattice).vertices]
+        _, coords = measure_coordinates(lattice)
+        sliced = state_vertices_by_fractions(lattice, positive_cone(lattice).rays, coords)
+        vertices = [{"coords": [str(c) for c in vertex],
+                     "values": {e: str(x) for e, x in values.items()}}
+                    for vertex, values in sliced]
         return {"count": len(vertices), "vertices": vertices}
     domain = parse_domain(argv[argv.index("--domain") + 1] if "--domain" in argv else "q")
     if command == "oracle":
@@ -573,9 +599,9 @@ def _fraction_route_report(argv, lattice):
 def test_value_tables_are_written_as_the_fraction_route_reports(family, capsys, tmp_path):
     lattices = [*family.values(), horizontal_sum(mo(3), benzene()),
                 product(mo(2), boolean(2)), product(benzene(), boolean(1)),
-                horizontal_sum(boolean(3), mo(2))]
+                horizontal_sum(boolean(3), mo(2)), horizontal_sum(greechie_loop(5), mo(1))]
     path = tmp_path / "l.json"
-    csv = tmp_path / "v.csv"
+    csv_path = tmp_path / "v.csv"
     for lattice in lattices:
         save_lattice(lattice, path)
         loaded = load_lattice(path)
@@ -590,13 +616,16 @@ def test_value_tables_are_written_as_the_fraction_route_reports(family, capsys, 
                         "report": report}
             assert run(argv) == 0
             assert capsys.readouterr().out == json.dumps(envelope, indent=2) + "\n", argv
-            extra = ["--csv", str(csv)] if command[0] == "states" else []
+            extra = ["--csv", str(csv_path)] if command[0] == "states" else []
             assert run([*argv, "--format", "text", *extra]) == 0
             assert capsys.readouterr().out == "\n".join(_render_text(envelope)) + "\n", argv
             if extra:
-                rows = [",".join(loaded.elements)]
-                rows += [",".join(v["values"].values()) for v in report["vertices"]]
-                assert csv.read_text(encoding="utf-8") == "".join(r + "\n" for r in rows)
+                rows = [list(loaded.elements)]
+                rows += [list(v["values"].values()) for v in report["vertices"]]
+                assert _read_csv(csv_path) == rows, argv
+                if not any(c in e for e in loaded.elements for c in ',"'):
+                    assert csv_path.read_text(encoding="utf-8") == "".join(
+                        ",".join(r) + "\n" for r in rows)
 
 
 # --- argument parsing ---------------------------------------------------------------

@@ -16,7 +16,8 @@ Claims:
     - degenerate slices raise the documented errors
     - the integer slicing gives the vertices, coordinates and values of a
       Fraction slicing of the same rays, in the same order, on the family
-      and on products and horizontal sums, with and without the full group
+      and on products and horizontal sums, with and without the full group;
+      the polytope's value table lists each value they take once, ascending
     - closed forms: |V(MO(n))| = 2^n for n = 1..11 (mo(11) within 10 s),
       V(A x B) = V(A) + V(B) and V(hsum(A, B)) = V(A) V(B), every vertex a
       probability measure
@@ -26,7 +27,9 @@ Claims:
       description: on the whole lattice under an action, and on an
       irreducible block of a horizontal sum
     - the state polytope composed from the decomposition gives the
-      vertices, coordinates and values of whole-lattice double description,
+      vertices, coordinates and values of whole-lattice double description
+      (compared in integers, each ray and value cross-multiplied with the
+      oracle's, in the order of the oracle's Fraction coordinates),
       on random composites (shuffled element orders among them) and on the
       products and horizontal sums of every pair of family members, and on
       sums with a Greechie loop of five blocks, whose vertices have scales
@@ -50,14 +53,12 @@ import orthomeasure
 from orthomeasure import (
     DimensionCapError,
     EmptyPolytopeError,
-    LatticeDescription,
     RATIONALS,
     UnboundedSliceError,
     automorphism_group,
     benzene,
     boolean,
     brute_force_measures,
-    build_lattice,
     dual_cone,
     horizontal_sum,
     is_orthomodular,
@@ -72,8 +73,8 @@ from orthomeasure import (
 from orthomeasure.cones import DEFAULT_MAX_DIMENSION, MAX_RAYS, PolyCone, double_description
 from orthomeasure.lattice import direct_factors, horizontal_summands
 
-from oracles import in_convex_hull, state_vertices_by_fractions
-from strategies import composite_lattices, pairwise_composites
+from oracles import in_convex_hull, state_vertices_by_fractions, state_vertices_by_pairings
+from strategies import composite_lattices, greechie_loop, pairwise_composites
 
 
 def _negated(vec):
@@ -314,6 +315,9 @@ def test_state_polytope_matches_fraction_slicing(family, aut_groups):
         )
         got = [(v.coords, v.values) for v in polytope.vertices]
         assert got == expected, (lattice.name, action is not None)
+        # the table holds each value the vertices take once, ascending
+        taken = {x for vertex, values in expected for x in (*vertex, *values.values())}
+        assert polytope.values == tuple(sorted(taken)), lattice.name
 
 
 def test_state_polytope_error_paths(monkeypatch):
@@ -360,8 +364,15 @@ def _assert_composed_path_matches_whole_lattice(lattice):
     _, coords = measure_coordinates(lattice)
     vertices = state_polytope(lattice).vertices
     rays = positive_cone(lattice).rays
-    expected = state_vertices_by_fractions(lattice, rays, coords)
-    assert [(v.coords, v.values) for v in vertices] == expected, lattice.name
+    # the vertices in the order of the oracle's Fraction coordinates, each
+    # the oracle's ray r over s = top . r, and each value n / scale equal
+    # to the pairing p over s: compared as n * s == p * scale
+    expected = state_vertices_by_pairings(lattice, rays, coords)
+    assert len(vertices) == len(expected), lattice.name
+    for v, (_, r, pairings, s) in zip(vertices, expected):
+        assert len(v.ray) == len(r) and len(v.numerators) == len(pairings), lattice.name
+        assert all(x * s == y * v.scale for x, y in zip(v.ray, r)), lattice.name
+        assert all(n * s == p * v.scale for n, p in zip(v.numerators, pairings)), lattice.name
     # the cone's rays are primitive, and so each vertex's ray must be
     assert sorted(v.ray for v in vertices) == sorted(rays), lattice.name
     top = coords[lattice.top_index]
@@ -376,26 +387,10 @@ def _assert_composed_path_matches_whole_lattice(lattice):
         assert all(nums[z] == nums[x] + nums[y] for x, y, z in pairs), lattice.name
 
 
-def _greechie_loop(k):
-    """The pasting of k Boolean blocks of three atoms in a loop, each
-    sharing one atom with the next: 0, 1, the atoms and their
-    complements, with a below b' when a and b share a block."""
-    corners = [f"c{i}" for i in range(k)]
-    blocks = [(corners[i], f"m{i}", corners[(i + 1) % k]) for i in range(k)]
-    atoms_ = [a for block in blocks for a in block[:2]]
-    pairs = [("0", a) for a in atoms_] + [(a + "'", "1") for a in atoms_]
-    pairs += [(a, b + "'") for block in blocks for a in block for b in block if a != b]
-    orth = {"0": "1", "1": "0"}
-    for a in atoms_:
-        orth[a], orth[a + "'"] = a + "'", a
-    elements = ("0", *atoms_, *(a + "'" for a in atoms_), "1")
-    return build_lattice(LatticeDescription(f"loop({k})", elements, tuple(pairs), orth))
-
-
 def test_composed_state_polytope_rescales_fractional_blocks():
     # a loop of five blocks is an irreducible orthomodular lattice with a
     # vertex of scale 2, so sums with it mix scales 1 and 2
-    loop5 = _greechie_loop(5)
+    loop5 = greechie_loop(5)
     assert is_orthomodular(loop5).ok
     assert {v.scale for v in state_polytope(loop5).vertices} == {1, 2}
     for lattice in (horizontal_sum(loop5, mo(1)), horizontal_sum(mo(2), loop5),
@@ -515,7 +510,7 @@ def test_state_polytope_double_description_keeps_both_caps():
     assert time.perf_counter() - start < 20.0
     # a loop of k blocks has measure rank k + 1, so loop(20) is an
     # irreducible block over the rank cap inside a horizontal sum
-    loop = _greechie_loop(DEFAULT_MAX_DIMENSION)
+    loop = greechie_loop(DEFAULT_MAX_DIMENSION)
     assert not horizontal_summands(loop) and not direct_factors(loop)[0]
     with pytest.raises(DimensionCapError, match=f"dimension {DEFAULT_MAX_DIMENSION + 1} exceeds"):
         state_polytope(horizontal_sum(loop, mo(1)))
