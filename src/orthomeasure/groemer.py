@@ -2,11 +2,13 @@
 
 Both extensions run on one closure over pairwise orthogonal joins
 (``_orthogonal_closure``).  Starting from bottom, it joins every element x
-reached so far with every member b <= x', in O(n |B|) mask operations.  By
-De Morgan, b <= (v S)' holds exactly when b is orthogonal to every s in S,
-so the elements reached are exactly the joins of pairwise orthogonal sets
-of members, in any ortholattice and with no bound on the size of those
-sets.  Orthogonal generation is therefore decided exactly.
+reached so far with every member b <= x', found as the set bits of one
+mask, so it costs one step per such pair plus one mask operation per
+element reached.  By De Morgan, b <= (v S)' holds exactly when b is
+orthogonal to every s in S, so the elements reached are exactly the joins
+of pairwise orthogonal sets of members, in any ortholattice and with no
+bound on the size of those sets.  Orthogonal generation is therefore
+decided exactly.
 
 The closure also records, for every element it reaches, the sum of the
 member values along the path that first reached it.  Each step adds a
@@ -101,27 +103,32 @@ def _orthogonal_closure(lattice: OrthoLattice, members: Iterable[str],
                         values: Mapping[str, object]) -> tuple[str | None, dict[int, object]]:
     """The joins of pairwise orthogonal members, reached from bottom.
 
-    From each element x reached, x v b is reached for every member b <= x';
+    From each element x reached, x v b is reached for every member b <= x',
+    the set bits of the down-set of x' among the members, in index order;
     see the module docstring for why this reaches exactly the joins of
-    pairwise orthogonal sets of members.  Returns the first element not
-    reached, in canonical order (None when all are), and, by element index,
-    the sum of ``values`` along the path that first reached each element
-    (bottom: 0), unreduced.
+    pairwise orthogonal sets of members.  Members come in canonical order
+    (ascending index), so that order is theirs.  Returns the first element
+    not reached, in canonical order (None when all are), and, by element
+    index, the sum of ``values`` along the path that first reached each
+    element (bottom: 0), unreduced.
     """
-    gens = [(lattice.index(b), values[b]) for b in members]
+    value = {lattice.index(b): values[b] for b in members}
+    member_mask = sum(1 << b for b in value)
     orth, down = lattice.orth_map, lattice.down_masks
     order, up_pos = lattice.order, lattice.up_pos
     sums = {lattice.bottom_index: 0}
     queue = [lattice.bottom_index]
     for x in queue:  # grows while it is read
-        below, up_x, total = down[orth[x]], up_pos[x], sums[x]
-        for b, v in gens:
-            if below >> b & 1:
-                ub = up_x & up_pos[b]  # x v b is at its lowest position
-                z = order[(ub & -ub).bit_length() - 1]
-                if z not in sums:
-                    sums[z] = total + v
-                    queue.append(z)
+        rest, up_x, total = down[orth[x]] & member_mask, up_pos[x], sums[x]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            b = low.bit_length() - 1
+            ub = up_x & up_pos[b]  # x v b is at its lowest position
+            z = order[(ub & -ub).bit_length() - 1]
+            if z not in sums:
+                sums[z] = total + value[b]
+                queue.append(z)
     missing = next((e for i, e in enumerate(lattice.elements) if i not in sums), None)
     return missing, sums
 

@@ -132,8 +132,9 @@ class OrthoLattice:
     highest set bit of ``down_pos[i] & down_pos[j]``, and dually the join is
     at the lowest set bit of ``up_pos[i] & up_pos[j]``.  These index-level
     fields and ``orth_map`` are part of the API for sibling modules that
-    run exhaustive scans.  Nothing changes after construction but the one
-    answer :func:`is_boolean` keeps.
+    run exhaustive scans.  Nothing changes after construction but the two
+    answers kept on first request: whether it is Boolean
+    (:func:`is_boolean`) and how it splits (:func:`decomposition`).
     """
 
     __slots__ = (
@@ -149,6 +150,7 @@ class OrthoLattice:
         "bottom_index",
         "top_index",
         "_boolean",
+        "_split",
     )
 
     def __init__(self, name, elements, up_masks, down_masks, orth_map, order,
@@ -166,6 +168,7 @@ class OrthoLattice:
         self.bottom_index = self.order[0]
         self.top_index = self.order[-1]
         self._boolean = None  # decided by is_boolean on its first call
+        self._split = None  # decided by decomposition on its first call
 
     # --- basic queries -------------------------------------------------------
 
@@ -1127,44 +1130,64 @@ def direct_factors(lattice: OrthoLattice
     return factors, coordinates
 
 
+def decomposition(lattice: OrthoLattice
+                  ) -> tuple[list[tuple[OrthoLattice, list[int]]],
+                             list[tuple[OrthoLattice, list[int]]], list[tuple[int, ...]]]:
+    """(summands, factors, coordinates): the lattice's horizontal summands
+    (:func:`horizontal_summands`), or else its direct factors and their
+    coordinates (:func:`direct_factors`), or neither.
+
+    Decided once per lattice and kept on it, as :func:`is_boolean` keeps
+    its answer, so every decomposition of one lattice (its automorphism
+    group, then normalizers in it) splits it once.  Each summand and
+    factor is a lattice of its own and keeps its own split.
+    """
+    if lattice._split is None:
+        summands = horizontal_summands(lattice)
+        factors, coordinates = ([], []) if summands else direct_factors(lattice)
+        lattice._split = (summands, factors, coordinates)
+    return lattice._split
+
+
 class Decomposer:
     """Solves a lattice from the first of its decompositions that applies:
-    a Boolean lattice, then a horizontal sum (:func:`horizontal_summands`),
-    then a product over the center (:func:`direct_factors`), and last an
-    irreducible block.  ``automorphism_group`` and ``state_polytope`` both
-    break a lattice down this way.
+    a Boolean lattice, then a horizontal sum, then a product over the
+    center (both kept on the lattice by :func:`decomposition`), and last an
+    irreducible block.  ``automorphism_group``, ``normalizer`` and
+    ``state_polytope`` all break a lattice down this way.
 
+    Subclasses define ``boolean(lattice, *more)``, ``summed(lattice,
+    summands, *more)``, ``product(lattice, factors, coordinates, *more)``
+    and ``irreducible(lattice, *more)``, and call :meth:`solve` on the
+    parts; ``more`` is whatever further arguments :meth:`solve` was given
+    (``symmetry`` passes a colouring of the elements, ``cones`` nothing).
     One result is kept per shape, a block's order and orthocomplement over
-    its own indices, so blocks listed alike (the summands of MO(n)) are
-    solved once.  Subclasses define ``boolean(lattice)``,
-    ``summed(lattice, summands)``, ``product(lattice, factors,
-    coordinates)`` and ``irreducible(lattice)``, and call :meth:`solve` on
-    the parts."""
+    its own indices together with those arguments, so blocks listed alike
+    (the summands of MO(n)) are solved once."""
 
     def __init__(self):
         self.seen: dict[tuple, object] = {}
 
-    def solve(self, lattice: OrthoLattice):
-        shape = (lattice.up_masks, lattice.orth_map)
+    def solve(self, lattice: OrthoLattice, *more):
+        shape = (lattice.up_masks, lattice.orth_map, *more)
         found = self.seen.get(shape)
         if found is None:
-            found = self.split(lattice)
+            found = self.split(lattice, *more)
             if found is None:
-                found = self.irreducible(lattice)
+                found = self.irreducible(lattice, *more)
             self.seen[shape] = found
         return found
 
-    def split(self, lattice: OrthoLattice):
+    def split(self, lattice: OrthoLattice, *more):
         """The result composed from the lattice's decomposition, or None
         when it is irreducible and not Boolean."""
         if is_boolean(lattice):
-            return self.boolean(lattice)
-        summands = horizontal_summands(lattice)
+            return self.boolean(lattice, *more)
+        summands, factors, coordinates = decomposition(lattice)
         if summands:
-            return self.summed(lattice, summands)
-        factors, coordinates = direct_factors(lattice)
+            return self.summed(lattice, summands, *more)
         if factors:
-            return self.product(lattice, factors, coordinates)
+            return self.product(lattice, factors, coordinates, *more)
         return None
 
 
@@ -1383,12 +1406,13 @@ class IsomorphismSearch:
     trie node and a target partition.  A colouring is an ordered partition
     into numbered cells, a colour the number of a cell.  The root colours
     each element by its rank data and the rank of its orthocomplement, and
-    by its mark when ``marks`` gives one per element index, read alike on
-    both sides; the initial cells are numbered in the sorted order of these
-    tuples.  Fixing x -> y moves x and y into a new
-    singleton cell, numbered after every cell in use.  An isomorphism that
-    maps every fixed x to its y (and every mark to an equal mark) preserves
-    every colour, so a node whose two sides disagree is pruned.
+    by its mark when ``marks`` is given: a pair of lists, one mark per
+    element index of src and one per element index of dst; the initial
+    cells are numbered in the sorted order of these tuples.  Fixing x -> y
+    moves x and y into a new singleton cell, numbered after every cell in
+    use.  An isomorphism that maps every fixed x to its y (and every src
+    mark to an equal dst mark) preserves every colour, so a node whose two
+    sides disagree is pruned.
 
     Refinement splits cells from a queue of splitter cells (McKay &
     Piperno, *Practical graph isomorphism, II*, 2014; bliss, Junttila &
@@ -1439,7 +1463,7 @@ class IsomorphismSearch:
     """
 
     def __init__(self, src: OrthoLattice, dst: OrthoLattice,
-                 marks: Sequence[int] | None = None):
+                 marks: tuple[Sequence[int], Sequence[int]] | None = None):
         self._src = _cover_lists(src) + (src.orth_map,)
         self._dst = self._src if dst is src else _cover_lists(dst) + (dst.orth_map,)
         covers = [(i, j) for i, above in enumerate(self._src[0]) for j in above]
@@ -1456,12 +1480,13 @@ class IsomorphismSearch:
                           else _neighbour_keys(*self._dst, unit, self._jbits))
         self.refinements = self.splitters = self.visits = 0
         initial = []
-        for lat, (ups, downs, orth) in ((src, self._src), (dst, self._dst)):
+        for lat, (ups, downs, orth), side in zip((src, dst), (self._src, self._dst),
+                                                 marks or (None, None)):
             below = [mask.bit_count() for mask in lat.down_masks]
             columns = [below, [mask.bit_count() for mask in lat.up_masks],
                        map(len, downs), map(len, ups), [below[o] for o in orth]]
-            if marks is not None:
-                columns.append(marks)
+            if side is not None:
+                columns.append(side)
             initial.append(list(zip(*columns)))
         palette = {c: k for k, c in enumerate(sorted(set(initial[0])))}
         part = _Partition.from_colours([palette[c] for c in initial[0]], len(palette))
@@ -1473,7 +1498,7 @@ class IsomorphismSearch:
         del queue[sizes.index(max(sizes))]
         source = self._refine(part, queue)
         self.root = None
-        if dst is src:
+        if dst is src and initial[1] == initial[0]:
             self.root = (source, source.partition)
         elif len(dst) == len(src) and set(initial[1]) <= palette.keys():
             part = _Partition.from_colours([palette[c] for c in initial[1]], len(palette))

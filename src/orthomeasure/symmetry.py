@@ -9,18 +9,22 @@ S_k and as wreath products over classes of isomorphic blocks, and only
 the blocks that are irreducible and not Boolean are searched for a base
 and strong generating set; either way its order is known without listing
 a single element.  Orbits are the connected components of the
-generators, found by union-find.  A searched group also remembers the
-element sets it stabilizes (none for the full group): the stabilizer in
-Aut(L) of sets S_1, ..., S_k is the automorphism group of L coloured by
-membership in each S_i.  So a normalizer or stabilizer in the full group
-or a searched group is one search of the whole lattice with one more set,
-and membership is an automorphism check plus a check of the sets; neither
-lists elements.  A group given by generators (``close_group``,
-``load_group``) is held by them alone: orbits need only the generators,
-so orbits, coinvariants, measures, cones and states under it list
-nothing.  Its order, ``perms``, iteration, membership and normalizers
-list its elements, on first read.  Every group lists its elements only on
-demand, and never past DEFAULT_MAX_GROUP.
+generators, found by union-find.  The full group and its normalizers
+also remember the element sets they stabilize (none for the full group):
+the stabilizer in Aut(L) of sets S_1, ..., S_k is the automorphism group
+of L coloured by membership in each S_i.  It is composed from the same
+decomposition, each block coloured by its elements' colours: a Boolean
+block coloured on its atoms has a Young subgroup, sums and products
+wreathe their classes of isomorphic coloured blocks, and only the blocks
+with no closed form are searched.  So a normalizer or stabilizer in the
+full group or in a normalizer lists nothing, and membership is an
+automorphism check plus a check of the sets.  A group given by
+generators (``close_group``, ``load_group``) is held by them alone:
+orbits need only the generators, so orbits, coinvariants, measures,
+cones and states under it list nothing.  Its order, ``perms``,
+iteration, membership and normalizers list its elements, on first read.
+Every group lists its elements only on demand, and never past
+DEFAULT_MAX_GROUP.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from itertools import groupby
 from math import factorial
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GroupTooLargeError, NotAnAutomorphismError, SchemaError
@@ -38,7 +42,6 @@ from .lattice import (
     Decomposer,
     IsomorphismSearch,
     OrthoLattice,
-    iter_isomorphisms,
     read_json,
 )
 
@@ -63,7 +66,12 @@ class LatticeAutomorphism:
     def from_mapping(cls, lattice: OrthoLattice, mapping: dict[str, str]) -> "LatticeAutomorphism":
         if set(mapping) != set(lattice.elements):
             raise NotAnAutomorphismError("mapping must cover every element exactly once")
-        perm = tuple(lattice.index(mapping[e]) for e in lattice.elements)
+        perm = []
+        for e in lattice.elements:
+            image = mapping[e]
+            if image not in lattice:
+                raise NotAnAutomorphismError(f"{e!r} maps to {image!r}, which is not an element")
+            perm.append(lattice.index(image))
         return cls(lattice, perm)
 
     @classmethod
@@ -143,10 +151,11 @@ class GroupAction:
     """A finite group of lattice automorphisms, held by its generators.
 
     ``stabilized`` is None for a group given by its generators.  For the
-    full automorphism group it is empty, and for a searched group it holds
-    the element index sets whose common setwise stabilizer in the full
-    automorphism group the group is; membership is then decided without
-    listing.  The full and searched groups know their order when built; a
+    full automorphism group it is empty, and for a normalizer in it it
+    holds the element index sets whose common setwise stabilizer in the
+    full automorphism group the group is; membership is then decided
+    without listing.  The full group and its normalizers know their order
+    when built; a
     group given by generators learns it by listing its elements on the
     first read of ``order``.  ``perms`` (and iteration) list the elements
     on first use.  Either listing raises GroupTooLargeError past
@@ -296,17 +305,36 @@ def automorphism_group(lattice: OrthoLattice) -> GroupAction:
     m >= 2 a transposition and, for m >= 3, a cycle of its members, which
     carry one member onto another by matching their listings (see
     ``_Part``).  The order is prod |Aut(B)|^m m!, and no element is
-    listed; ``perms`` lists them under the default cap.
+    listed; ``perms`` lists them under the default cap.  This is the
+    uncoloured case of :func:`_composed`.
     """
-    part = _Parts().solve(lattice)
+    return _composed(lattice, ())
+
+
+def _composed(lattice: OrthoLattice, sets: tuple[frozenset[int], ...]) -> GroupAction:
+    """The stabilizer in Aut(L) of the index sets, as the automorphism
+    group of L coloured by membership in them, composed from the
+    lattice's decomposition as in :func:`automorphism_group`.
+
+    Element i gets the bitmask of the sets that hold it; 0 and 1 get no
+    colour, since every automorphism fixes them.  Each block is solved
+    with the colours of its elements (see ``_Parts``), and the group keeps
+    the sets as ``stabilized``.
+    """
+    colours = [0] * len(lattice)
+    for k, members in enumerate(sets):
+        for i in members:
+            colours[i] |= 1 << k
+    colours[lattice.bottom_index] = colours[lattice.top_index] = 0
+    part = _Parts().solve(lattice, tuple(colours))
     gens = [LatticeAutomorphism(lattice, p, _checked=True) for p in part.generators]
-    return GroupAction(lattice, gens, part.order, stabilized=())
+    return GroupAction(lattice, gens, part.order, stabilized=sets)
 
 
 class _Part(NamedTuple):
-    """A lattice's automorphism group, a key and a listing of its element
-    indices such that two lattices with equal keys are isomorphic by
-    matching their listings in order."""
+    """A coloured lattice's automorphism group, a key and a listing of its
+    element indices such that two lattices with equal keys are isomorphic,
+    colours included, by matching their listings in order."""
 
     order: int
     generators: list[Perm]
@@ -315,24 +343,37 @@ class _Part(NamedTuple):
 
 
 class _Parts(Decomposer):
-    """The decomposition of one lattice into the parts of
-    ``automorphism_group``, with the irreducible non-Boolean blocks
-    searched so far; the part of every block and factor met is kept by
-    its shape (see ``Decomposer``)."""
+    """The decomposition of one coloured lattice into the parts of
+    ``_composed``, with the blocks searched so far; each block and factor
+    is solved with the colours of its elements, and the part of every
+    one met is kept by its shape and colours (see ``Decomposer``).
+
+    A colouring is a tuple of ints, one per element, whose 0 and 1 are
+    uncoloured; the automorphisms of a part preserve it.
+    """
 
     def __init__(self):
         super().__init__()
-        self.searched: list[tuple[OrthoLattice, _Part]] = []
+        self.searched: list[tuple[OrthoLattice, tuple[int, ...], _Part]] = []
 
-    def boolean(self, lattice: OrthoLattice) -> _Part:
-        return _boolean_part(lattice)
+    def boolean(self, lattice: OrthoLattice, colours: tuple[int, ...]) -> _Part:
+        """The Young subgroup when only atoms are coloured; otherwise the
+        block is searched."""
+        if any(colours):
+            atoms = set(lattice.atom_indices())
+            if any(c and i not in atoms for i, c in enumerate(colours)):
+                return self.irreducible(lattice, colours)
+        return _boolean_part(lattice, colours)
 
-    def irreducible(self, lattice: OrthoLattice) -> _Part:
-        """The searched group, or the group of an isomorphic block searched
-        before carried over by the isomorphism p: g -> p g p^-1."""
-        for known, part in self.searched:
-            if len(known) == len(lattice):
-                p = next(iter_isomorphisms(known, lattice), None)
+    def irreducible(self, lattice: OrthoLattice, colours: tuple[int, ...]) -> _Part:
+        """The searched group, or the group of a block searched before
+        carried over by an isomorphism p that maps each colour to an equal
+        colour: g -> p g p^-1."""
+        for known, known_colours, part in self.searched:
+            if len(known) == len(lattice) and sorted(known_colours) == sorted(colours):
+                search = IsomorphismSearch(known, lattice,
+                                           (known_colours, colours) if any(colours) else None)
+                p = next(search.leaves(search.root), None)
                 if p is not None:
                     gens = []
                     for g in part.generators:
@@ -341,20 +382,21 @@ class _Parts(Decomposer):
                             image[i] = p[j]
                         gens.append(tuple(image))
                     return _Part(part.order, gens, part.key, [p[k] for k in part.listing])
-        group = _search_group(lattice, ())
+        group = _search_group(lattice, colours)
         part = _Part(group.order, [g.perm for g in group.generators],
                      ("searched", len(self.searched)), list(range(len(lattice))))
-        self.searched.append((lattice, part))
+        self.searched.append((lattice, colours, part))
         return part
 
-    def summed(self, lattice: OrthoLattice, summands) -> _Part:
+    def summed(self, lattice: OrthoLattice, summands, colours: tuple[int, ...]) -> _Part:
         """Summands as blocks: each moves its proper elements, and the
-        transpositions and cycles of a class carry the proper elements of
-        one block onto another's in listing order."""
+        transpositions and cycles of a class of isomorphic coloured blocks
+        carry the proper elements of one block onto another's in listing
+        order."""
         n = len(lattice)
         blocks = []
         for block, members in summands:
-            part = self.solve(block)
+            part = self.solve(block, tuple([colours[i] for i in members]))
             ends = (block.bottom_index, block.top_index)
             proper = [members[k] for k in part.listing if k not in ends]
             blocks.append((part, members, proper))
@@ -377,13 +419,31 @@ class _Parts(Decomposer):
         listing = [lattice.bottom_index, *(i for b in blocks for i in b[2]), lattice.top_index]
         return _Part(order, gens, ("sum", tuple(b[0].key for b in blocks)), listing)
 
-    def product(self, lattice: OrthoLattice, factors, coordinates) -> _Part:
+    def product(self, lattice: OrthoLattice, factors, coordinates,
+                colours: tuple[int, ...]) -> _Part:
         """Factors as coordinates: an element is the tuple of the listing
         positions of its coordinates, factors sorted by key, and the
         transpositions and cycles of a class move those positions from
-        one factor to another."""
-        parts = [self.solve(factor) for factor, _ in factors]
-        by_key = sorted(range(len(factors)), key=lambda j: parts[j].key)
+        one factor to another.
+
+        A coloured element below one central atom z colours the factor
+        [0, z]: a factor's key is the colour of its top z and the key of
+        its part, solved with z uncoloured.  When a coloured element lies
+        below no single z, the colouring is no product of the factors'
+        colourings, and the lattice is searched."""
+        if any(colours):
+            below_one = set().union(*(members for _, members in factors))
+            if any(c and i not in below_one for i, c in enumerate(colours)):
+                return self.irreducible(lattice, colours)
+        keys, parts = [], []
+        for factor, members in factors:
+            inner = [colours[i] for i in members]
+            top, inner[factor.top_index] = inner[factor.top_index], 0
+            part = self.solve(factor, tuple(inner))
+            keys.append((top, part.key))
+            parts.append(part)
+        by_key = sorted(range(len(factors)), key=keys.__getitem__)
+        keys = [keys[j] for j in by_key]
         parts = [parts[j] for j in by_key]
         positions = []
         for part in parts:
@@ -394,8 +454,8 @@ class _Parts(Decomposer):
         points = [tuple(at[c[j]] for j, at in zip(by_key, positions)) for c in coordinates]
         element = {point: t for t, point in enumerate(points)}
         order, gens, start = 1, [], 0
-        for cls in _runs(parts, attrgetter("key")):
-            part, m = cls[0], len(cls)
+        for cls in _runs(list(zip(keys, parts)), itemgetter(0)):
+            part, m = cls[0][1], len(cls)
             order *= part.order ** m * factorial(m)
             for g in part.generators:
                 moved = [positions[start][g[k]] for k in part.listing]
@@ -411,27 +471,35 @@ class _Parts(Decomposer):
                 gens.append(tuple(perm))
             start += m
         listing = sorted(range(len(lattice)), key=points.__getitem__)
-        return _Part(order, gens, ("product", tuple(p.key for p in parts)), listing)
+        return _Part(order, gens, ("product", tuple(keys)), listing)
 
 
-def _boolean_part(lattice: OrthoLattice) -> _Part:
-    """S_k on the k atoms, listed by the set of atoms below each element:
-    element x sits at the bits of the atoms below it, atoms in index
-    order."""
-    atoms = lattice.atom_indices()
-    k = len(atoms)
+def _boolean_part(lattice: OrthoLattice, colours: tuple[int, ...]) -> _Part:
+    """The automorphisms of a Boolean lattice whose coloured elements are
+    atoms: one symmetric group on each colour class of atoms, a Young
+    subgroup of S_k.  The atoms are listed by (colour, index), so each
+    class is a run of positions, and element x sits at the bits of the
+    positions of the atoms below it; each class of c atoms moves its run
+    by a transposition of its first two and, for c >= 3, a cycle."""
+    atoms = sorted(lattice.atom_indices(), key=colours.__getitem__)
     sets = [sum(1 << r for r, a in enumerate(atoms) if d >> a & 1) for d in lattice.down_masks]
     listing = [0] * len(lattice)
     for x, s in enumerate(sets):
         listing[s] = x
-    full = (1 << k) - 1
-    moves = []
-    if k >= 2:
-        moves.append(lambda s: s ^ 3 * ((s ^ s >> 1) & 1))  # atoms 0 and 1 swapped
-    if k >= 3:
-        moves.append(lambda s: (s << 1 | s >> (k - 1)) & full)  # atom r -> r + 1 mod k
+    order, moves, low = 1, [], 0
+    for run in _runs(atoms, colours.__getitem__):
+        c = len(run)
+        order *= factorial(c)
+        if c >= 2:  # the run's first two atoms swapped
+            moves.append(lambda s, low=low: s ^ (3 << low) * ((s >> low ^ s >> low + 1) & 1))
+        if c >= 3:  # atom low + r -> low + (r + 1) mod c
+            mask = (1 << c) - 1 << low
+            moves.append(lambda s, low=low, c=c, mask=mask:
+                         s & ~mask | ((s & mask) << 1 | (s & mask) >> c - 1) & mask)
+        low += c
     gens = [tuple(listing[move(s)] for s in sets) for move in moves]
-    return _Part(factorial(k), gens, ("boolean", k), listing)
+    key = ("boolean", len(atoms), tuple([colours[a] for a in atoms]))
+    return _Part(order, gens, key, listing)
 
 
 def _runs(items: list, key) -> list[list]:
@@ -450,11 +518,13 @@ def _moves(m: int) -> list[list[tuple[int, int]]]:
     return moves
 
 
-def _search_group(lattice: OrthoLattice, sets: tuple[frozenset[int], ...]) -> GroupAction:
-    """The automorphisms that map each index set onto itself, as a strong
-    generating set relative to a base, found by a search on the whole
-    lattice in which each element's initial colour records which of the
-    sets hold it.
+def _search_group(lattice: OrthoLattice, colours: Sequence[int]) -> GroupAction:
+    """The automorphisms that preserve the colouring (one int per element,
+    or none), as a strong generating set relative to a base, found by a
+    search of the lattice in which each element's initial colour includes
+    its colour.  ``_Parts`` runs it on the blocks it cannot compose: the
+    irreducible ones, Boolean ones coloured off their atoms and products
+    whose colours straddle their factors.
 
     The base b_1, ..., b_k individualizes elements of the search's colour
     refinement until the colouring is discrete, so only the identity fixes
@@ -464,15 +534,11 @@ def _search_group(lattice: OrthoLattice, sets: tuple[frozenset[int], ...]) -> Gr
     automorphism fixing b_1, ..., b_{i-1} with b_i -> c either fails or
     yields a new generator.  Then the generators generate G_i, b_i's orbit
     is all of G_i b_i, and |G| is the product of the orbit lengths, so no
-    element is ever listed.
+    element is ever listed.  An uncoloured search gives the full group,
+    with no set stabilized; a coloured one is held by its generators.
     """
-    marks = None
-    if sets:
-        marks = [0] * len(lattice)
-        for k, s in enumerate(sets):
-            for i in s:
-                marks[i] |= 1 << k
-    search = IsomorphismSearch(lattice, lattice, marks)
+    coloured = any(colours)
+    search = IsomorphismSearch(lattice, lattice, (colours, colours) if coloured else None)
     base: list[int] = []
     cells: list[list[int]] = []  # cells[i] holds base[i] at nodes[i]
     nodes = [search.root]  # nodes[i] fixes base[:i] pointwise
@@ -497,7 +563,7 @@ def _search_group(lattice: OrthoLattice, sets: tuple[frozenset[int], ...]) -> Gr
                 _join_cycles(parent, perm)
         root = _find(parent, b)
         order *= sum(_find(parent, c) == root for c in cells[level])
-    return GroupAction(lattice, found[::-1], order, stabilized=sets)
+    return GroupAction(lattice, found[::-1], order, stabilized=None if coloured else ())
 
 
 def trivial_action(lattice: OrthoLattice) -> GroupAction:
@@ -536,17 +602,18 @@ def stabilizer(action: GroupAction, name: str) -> GroupAction:
 def normalizer(action: GroupAction, members: Iterable[str]) -> GroupAction:
     """Subgroup of elements mapping the set onto itself.
 
-    In a searched group (the stabilizer in Aut(L) of the sets it
-    remembers) this is the stabilizer of those sets and the new one, so it
-    is searched for with one more initial colour and nothing is listed;
-    nested normalizers stay exact.  A group given by generators is listed,
-    under DEFAULT_MAX_GROUP, and the list is filtered; the result's
-    generators are all of its elements.
+    In the full group or a normalizer in it (the stabilizer in Aut(L) of
+    the sets it remembers) this is the stabilizer of those sets and the
+    new one, composed from the lattice's blocks coloured by membership
+    (:func:`_composed`): only the blocks with no closed form are searched,
+    nothing is listed, and nested normalizers stay exact.  A group given
+    by generators is listed, under DEFAULT_MAX_GROUP, and the list is
+    filtered; the result's generators are all of its elements.
     """
     lattice = action.lattice
     target = frozenset(lattice.index(e) for e in members)
     if action.stabilized is not None:
-        return _search_group(lattice, action.stabilized + (target,))
+        return _composed(lattice, action.stabilized + (target,))
     perms = [p for p in action.perms if {p[i] for i in target} == target]
     gens = [LatticeAutomorphism(lattice, p, _checked=True) for p in perms]
     return GroupAction(lattice, gens, len(perms), perms)
@@ -575,7 +642,7 @@ def quotient_map_injective(action: GroupAction, members: Iterable[str],
 def generating_subset(action: GroupAction) -> list[LatticeAutomorphism]:
     """The action's generators without the identity and repeats: for the
     full group those of its decomposition (``automorphism_group``), for a
-    normalizer the strong generators of its search, for a closed group the
+    normalizer those of its coloured decomposition, for a closed group the
     given ones."""
     identity = tuple(range(len(action.lattice)))
     have = {identity}

@@ -9,7 +9,12 @@ normal form, which is itself checked against the dense route and sympy.
 orthogonal-pair row to ``FPAbelianGroup.from_relations``.
 ``module_by_dense_images`` differs in how it writes the images: it keeps
 every one as a dense vector as wide as the group, as the package did
-before it kept them sparse.
+before it kept them sparse.  ``normalizer_by_search`` runs the package's
+automorphism search on the whole lattice, coloured by the sets, as the
+package found normalizers before it composed them from the lattice's
+blocks.  ``orthogonal_closure_by_members`` tests every member at every
+element reached, as the package's closure did before it read the members
+below x' off one mask.
 """
 
 from fractions import Fraction
@@ -815,13 +820,15 @@ class TwoSidedRefinement:
     Each round refines the source and target colourings together over one
     palette, the sorted union of both sides' signatures, and prunes on
     unequal colour multisets.  Covers come from a scan of the order
-    relation.  ``root`` and ``fix`` give the nodes the search should give.
+    relation.  ``marks``, when given, is a pair of lists: a mark per
+    element index of src and one per element index of dst.  ``root`` and
+    ``fix`` give the nodes the search should give.
     """
 
     def __init__(self, src, dst, marks=None):
         self.sides = []
         initial = []
-        for lat in (src, dst):
+        for lat, side in zip((src, dst), marks or (None, None)):
             n = len(lat)
             less = [[lat.leq_index(i, j) and i != j for j in range(n)] for i in range(n)]
             ups = [
@@ -839,8 +846,8 @@ class TwoSidedRefinement:
                  sum(lat.leq_index(j, orth[i]) for j in range(n)))
                 for i in range(n)
             ]
-            if marks is not None:
-                colours = [c + (m,) for c, m in zip(colours, marks)]
+            if side is not None:
+                colours = [c + (m,) for c, m in zip(colours, side)]
             initial.append(colours)
         self.root = self.refine(initial) if len(src) == len(dst) else None
 
@@ -871,6 +878,39 @@ class TwoSidedRefinement:
         ca, cb = list(node[0]), list(node[1])
         ca[x] = cb[y] = len(ca)
         return self.refine([ca, cb])
+
+
+def normalizer_by_search(lattice, sets):
+    """The stabilizer in Aut(L) of the index sets: one search of the whole
+    lattice, each element coloured by the bitmask of the sets that hold
+    it."""
+    from orthomeasure.symmetry import _search_group
+
+    colours = [0] * len(lattice)
+    for k, s in enumerate(sets):
+        for i in s:
+            colours[i] |= 1 << k
+    return _search_group(lattice, colours)
+
+
+def orthogonal_closure_by_members(lattice, members, values):
+    """(first element not reached or None, path sums by index) of the
+    joins of pairwise orthogonal members: from each element x reached,
+    every member is tested for b <= x', in the given order."""
+    gens = [(lattice.index(b), values[b]) for b in members]
+    orth, down = lattice.orth_map, lattice.down_masks
+    sums = {lattice.bottom_index: 0}
+    queue = [lattice.bottom_index]
+    for x in queue:
+        below, total = down[orth[x]], sums[x]
+        for b, v in gens:
+            if below >> b & 1:
+                z = lattice.join_index(x, b)
+                if z not in sums:
+                    sums[z] = total + v
+                    queue.append(z)
+    missing = next((e for i, e in enumerate(lattice.elements) if i not in sums), None)
+    return missing, sums
 
 
 def normalizer_by_listing(perms, members):

@@ -7,6 +7,12 @@ Claims:
       member sets (a scan over all subsets), its path sums of a measure's
       member values are the measure's values, and orthogonal generation
       agrees with the scan, witness included
+    - on random composites and random member sets in canonical order, the
+      closure, which reads the members below x' off one mask, reaches the
+      same elements first by the same paths as the loop that tests every
+      member at every element: the same first missing element and the same
+      path sums
+    - the closure from the 4 000 atoms of mo(2000) takes under 0.5 s
     - the classical extension succeeds exactly when the members contain
       every atom, satisfy the inclusion-exclusion identities (subset-scan
       oracle) and give bottom zero; it then returns the atom sums, and
@@ -53,7 +59,12 @@ from orthomeasure import (
 )
 from orthomeasure.groemer import _orthogonal_closure
 
-from oracles import inclusion_exclusion_check, orthogonal_joins_by_subsets
+from oracles import (
+    inclusion_exclusion_check,
+    orthogonal_closure_by_members,
+    orthogonal_joins_by_subsets,
+)
+from strategies import composite_lattices
 
 
 def _meet_closed(lattice, names):
@@ -110,6 +121,27 @@ def _atom_sum(lattice, weights, name):
     """Value at a bitstring-named element of boolean(n): the weights of its
     points."""
     return sum(w for w, bit in zip(weights, name) if bit == "1")
+
+
+@settings(max_examples=150, deadline=None)
+@given(composite_lattices(), st.data())
+def test_closure_matches_the_loop_over_every_member(lattice, data):
+    chosen = data.draw(st.sets(st.integers(0, len(lattice) - 1)))
+    members = [lattice.elements[i] for i in sorted(chosen)]
+    values = {b: data.draw(st.integers(-5, 5)) for b in members}
+    assert _orthogonal_closure(lattice, members, values) == \
+        orthogonal_closure_by_members(lattice, members, values)
+
+
+def test_closure_from_the_atoms_of_mo_2000():
+    lattice = mo(2000)
+    members = atoms(lattice)
+    start = time.perf_counter()
+    missing, sums = _orthogonal_closure(lattice, members, dict.fromkeys(members, 1))
+    elapsed = time.perf_counter() - start
+    assert missing is None
+    assert sums[lattice.top_index] == 2 and sums[lattice.index("a7")] == 1
+    assert elapsed < 0.5
 
 
 @st.composite

@@ -1,21 +1,40 @@
-"""Set stabilizers by search, and the one-sided refinement behind them.
+"""Set stabilizers composed from the lattice's blocks, and the one-sided
+refinement behind the searched blocks.
 
 Claims:
-    - |Stab_{Aut(MO(n))}({a1})| = 2^(n-1) (n-1)! for n = 1..20, with no
-      group element listed, within a stated bound
-    - the searched normalizer of a member set (0 to 3 members) has exactly
+    - with no group element listed, within 10 s on a 2-vCPU host:
+      |Stab_{Aut(MO(n))}({a1})| = 2^(n-1) (n-1)!,
+      |Stab({a1, a1'})| = 2^n (n-1)! and |Stab({a1, a2})| = 2^(n-1) (n-2)!
+      for n = 1..20 and n = 50, 100, 200, 500, 1000, 2000, and
+      |Stab_{Aut(B_k)}(j atoms)| = j! (k-j)! for 1 <= k <= 10
+    - the composed normalizer of a member set (0 to 3 members) has exactly
       the elements the listing filter keeps in the closed group of the same
       generators, on the test family, products and horizontal sums, and so
       do nested normalizers
-    - membership in a searched group, decided without listing, agrees with
+    - on random composites and on greechie_loop(5) with its sums and
+      products with mo(2) and boolean(2), nested normalizers of 0 to 3
+      members (atoms, non-atoms, 0 and 1) have the order and the orbits of
+      one search of the whole lattice coloured by the sets, every
+      generator is an automorphism mapping each set onto itself, and under
+      1 000 elements the group is the listing filter's
+    - isomorphic searched blocks are matched by a map that keeps their
+      colours, so the summands of hsum(loop(5), loop(5)) fall in one class
+      exactly when their coloured atoms lie in one orbit
+    - a product whose member lies below no single central atom is searched
+      at that node alone, with its colours; every other node is composed
+    - membership in a composed group, decided without listing, agrees with
       the listed group on small lattices and holds up on Aut(MO(20))
     - at the root and after each fix of random fix sequences, the search
       prunes exactly when a joint refinement of both sides
       (``oracles.TwoSidedRefinement``) does, and otherwise splits
       src + dst into the same cells up to a renaming of colours: for
       isomorphic and non-isomorphic pairs, for a lattice against copies of
-      itself listed in random orders, unmarked and with random marks on
-      the element indices, and on random composites
+      itself listed in random orders, unmarked, with random marks on the
+      element indices and with marks read per side, and on random
+      composites
+    - with marks read per side, a lattice and a relabelled copy whose marks
+      follow the element names are isomorphic by a map that keeps every
+      mark, and are not when one mark moves to another element
     - nested normalizers of pairs in Aut(boolean(4)) keep both pairs and
       have the order that filtering the listed full group gives
 """
@@ -32,6 +51,7 @@ from hypothesis import strategies as st
 from orthomeasure import (
     LatticeAutomorphism,
     LatticeDescription,
+    atoms,
     automorphism_group,
     benzene,
     boolean,
@@ -48,8 +68,8 @@ from orthomeasure import (
 from orthomeasure import symmetry
 from orthomeasure.lattice import IsomorphismSearch
 
-from oracles import TwoSidedRefinement, normalizer_by_listing
-from strategies import composite_lattices
+from oracles import TwoSidedRefinement, normalizer_by_listing, normalizer_by_search
+from strategies import composite_lattices, greechie_loop
 
 
 def _no_listing(monkeypatch):
@@ -62,10 +82,18 @@ def _no_listing(monkeypatch):
 def test_atom_stabilizer_of_mo_closed_form(monkeypatch):
     _no_listing(monkeypatch)
     start = time.perf_counter()
-    for n in range(1, 21):
+    for n in [*range(1, 21), 50, 100, 200, 500, 1000, 2000]:
         action = automorphism_group(mo(n))
         assert stabilizer(action, "a1").order == 2 ** (n - 1) * factorial(n - 1), n
         assert normalizer(action, ["a1", "a1'"]).order == 2 ** n * factorial(n - 1), n
+        if n >= 2:
+            assert normalizer(action, ["a1", "a2"]).order == 2 ** (n - 1) * factorial(n - 2), n
+    for k in range(1, 11):
+        lattice = boolean(k)
+        action = automorphism_group(lattice)
+        names = atoms(lattice)
+        for j in range(k + 1):
+            assert normalizer(action, names[:j]).order == factorial(j) * factorial(k - j), (k, j)
     assert time.perf_counter() - start < 10.0
 
 
@@ -113,6 +141,91 @@ def test_normalizer_search_matches_listing(name):
             both = normalizer_by_listing(expected, [index(e) for e in more])
             assert nested.order == len(both), (members, more)
             assert set(nested.perms) == both, (members, more)
+
+
+LOOPS = {
+    "loop(5)": lambda: greechie_loop(5),
+    "hsum(loop(5),mo(2))": lambda: horizontal_sum(greechie_loop(5), mo(2)),
+    "hsum(boolean(2),loop(5))": lambda: horizontal_sum(boolean(2), greechie_loop(5)),
+    "product(loop(5),mo(2))": lambda: product(greechie_loop(5), mo(2)),
+    "product(boolean(2),loop(5))": lambda: product(boolean(2), greechie_loop(5)),
+    "hsum(loop(5),loop(5))": lambda: horizontal_sum(greechie_loop(5), greechie_loop(5)),
+}
+
+
+def _check_composed_normalizers(lattice, member_sets):
+    """Nested normalizers of the member sets against one search of the
+    whole lattice coloured by the sets so far, and under 1 000 elements
+    against the listing filter."""
+    full = automorphism_group(lattice)
+    listed = close_group(lattice, full.generators).perms if full.order <= 5000 else None
+    group, sets = full, []
+    for members in member_sets:
+        group = normalizer(group, [lattice.elements[i] for i in members])
+        sets.append(frozenset(members))
+        assert group.stabilized == tuple(sets)
+        expected = normalizer_by_search(lattice, sets)
+        assert group.order == expected.order, sets
+        assert group.orbit_labels() == expected.orbit_labels(), sets
+        for g in group.generators:
+            symmetry._validate_automorphism(lattice, g.perm)
+            assert all({g.perm[i] for i in s} == s for s in sets), sets
+        if listed is not None and group.order < 1000:
+            kept = listed
+            for s in sets:
+                kept = normalizer_by_listing(kept, s)
+            assert set(close_group(lattice, group.generators).perms) == kept, sets
+        assert group._perms is None
+
+
+@st.composite
+def _member_index_sets(draw, lattice):
+    """One to three sets of 0 to 3 element indices, each drawn from the
+    atoms, from the other elements (0 and 1 included) or from all."""
+    atom_indices = lattice.atom_indices()
+    others = [i for i in range(len(lattice)) if i not in atom_indices]
+    pools = [atom_indices, others, list(range(len(lattice)))]
+    sets = []
+    for _ in range(draw(st.integers(1, 3))):
+        pool = draw(st.sampled_from([p for p in pools if p]))
+        sets.append(draw(st.lists(st.sampled_from(pool), max_size=3, unique=True)))
+    return sets
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(composite_lattices(), st.sampled_from(sorted(LOOPS)).map(
+    lambda name: LOOPS[name]())), st.data())
+def test_composed_normalizer_matches_whole_lattice_search(lattice, data):
+    _check_composed_normalizers(lattice, data.draw(_member_index_sets(lattice)))
+
+
+def test_searched_blocks_are_matched_with_their_colours():
+    # the two summands are searched blocks of one shape; a corner and a
+    # middle atom of the loop lie in different orbits, two corners in one
+    lattice = LOOPS["hsum(loop(5),loop(5))"]()
+    for names in (["a:c0", "b:m0"], ["a:c0", "b:c2"], ["a:m1", "b:m3"], ["a:c1", "b:c1'"]):
+        _check_composed_normalizers(lattice, [[lattice.index(e) for e in names]])
+
+
+def test_a_member_below_no_single_central_atom_searches_that_node_alone(monkeypatch):
+    seen = []
+    search = symmetry._search_group
+
+    def recorded(lat, colours):
+        seen.append(len(lat))
+        return search(lat, colours)
+
+    inner = product(mo(2), mo(3))  # 48 elements, central atoms (1,0) and (0,1)
+    for lattice, prefix in ((inner, ""), (horizontal_sum(inner, mo(3)), "a:")):
+        # (a1,0) lies below the central atom (1,0); (a1,a1) below neither
+        for name, searched in (("(a1,0)", []), ("(a1,a1)", [48])):
+            full = automorphism_group(lattice)
+            monkeypatch.setattr(symmetry, "_search_group", recorded)
+            seen.clear()
+            normalizer(full, [prefix + name])
+            monkeypatch.undo()
+            assert seen == searched, (lattice, name)
+            _check_composed_normalizers(lattice, [[lattice.index(prefix + name)]])
 
 
 @pytest.mark.parametrize("name", ["mo(2)", "mo(3)", "boolean(3)", "benzene",
@@ -219,22 +332,30 @@ def _check_against_oracle(src, dst, marks, rng, walks):
                 assert _same_partition(node, theirs), (x, y)
 
 
+def _by_name(marks, src, dst):
+    """The src marks moved to the dst elements of the same names."""
+    return [marks[src.index(e)] for e in dst.elements]
+
+
 @pytest.mark.parametrize("name", sorted(PAIRS))
 @pytest.mark.parametrize("marked", [False, True])
 def test_one_sided_refinement_matches_joint_refinement(name, marked):
     src, dst = PAIRS[name]()
     rng = random.Random(f"{name}:{marked}")
     marks = [rng.randrange(2) for _ in range(len(src))] if marked else None
-    _check_against_oracle(src, dst, marks, rng, walks=30)
+    _check_against_oracle(src, dst, marks and (marks, marks), rng, walks=30)
     # the source against copies of itself listed in random orders, so that
     # the target's initial colouring is the source's moved by a random
     # bijection; with one element index marked on both sides, the marks
-    # mostly fall on different elements and the two sides disagree
+    # mostly fall on different elements and the two sides disagree, and
+    # with the mark read per side and moved with the names they agree
     for k in range(12):
         copy = _relabelled(src, f"{name}:{marked}:{k}")
         marked_index = rng.randrange(len(src))
         marks = [int(i == marked_index) for i in range(len(src))] if k % 2 else None
-        _check_against_oracle(src, copy, marks, rng, walks=3)
+        _check_against_oracle(src, copy, marks and (marks, marks), rng, walks=3)
+        if marks:
+            _check_against_oracle(src, copy, (marks, _by_name(marks, src, copy)), rng, walks=3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -243,7 +364,29 @@ def test_refinement_matches_joint_refinement_on_composites(lattice, seed, relabe
     rng = random.Random(seed)
     dst = _relabelled(lattice, rng.random()) if relabel else lattice
     marks = [rng.randrange(2) for _ in range(len(lattice))] if marked else None
-    _check_against_oracle(lattice, dst, marks, rng, walks=4)
+    _check_against_oracle(lattice, dst, marks and (marks, marks), rng, walks=4)
+    if marks and relabel:
+        _check_against_oracle(lattice, dst, (marks, _by_name(marks, lattice, dst)), rng, walks=4)
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(PAIRS) if "~" in name])
+def test_marks_are_read_per_side(name):
+    src, _ = PAIRS[name]()
+    rng = random.Random(name)
+    for k in range(6):
+        copy = _relabelled(src, f"{name}:{k}")
+        marks = [rng.randrange(3) for _ in range(len(src))]
+        moved = _by_name(marks, src, copy)
+        search = IsomorphismSearch(src, copy, (marks, moved))
+        found = next(search.leaves(search.root), None)
+        assert found is not None
+        assert [moved[j] for j in found] == marks
+        # one more mark, on an element that had none, and no map keeps them
+        unmarked = [i for i, m in enumerate(moved) if m == 0]
+        if unmarked:
+            moved[rng.choice(unmarked)] = 3
+            search = IsomorphismSearch(src, copy, (marks, moved))
+            assert next(search.leaves(search.root), None) is None
 
 
 def test_isomorphic_pairs_are_found_and_others_are_not():

@@ -1,7 +1,8 @@
 """Group actions by lattice automorphisms.
 
 Claims:
-    - automorphism validation rejects order- or complement-breaking maps
+    - automorphism validation rejects order- or complement-breaking maps,
+      and a map to a name that is no element, naming the image
     - closure from generators matches known group orders; a group given by
       generators lists its elements only when its order or elements are
       read, and that listing raises GroupTooLargeError past the cap
@@ -65,6 +66,14 @@ def test_automorphism_validation_rejects_bad_maps():
         })
     with pytest.raises(NotAnAutomorphismError):
         LatticeAutomorphism.from_mapping(lat, {e: "0" for e in lat.elements})
+
+
+def test_a_mapping_to_a_non_element_names_the_image():
+    lat = mo(2)
+    mapping = {e: e for e in lat.elements}
+    mapping["a1"] = "zz"
+    with pytest.raises(NotAnAutomorphismError, match="'a1' maps to 'zz', which is not an element"):
+        LatticeAutomorphism.from_mapping(lat, mapping)
 
 
 def test_close_group_identity_only():
