@@ -33,14 +33,16 @@ value; a product's over its center are the vertices of each factor, read
 on the elements below that factor's central atom.  Only an irreducible
 non-Boolean block runs double description, once per shape.  A composed
 vertex's coordinates are its values at the elements whose images are the
-basis vectors.  The vertex count of a sum (the product of the summands'
-counts) or of a product (the sum of the factors') is known before any
-vertex is listed, and past MAX_RAYS it raises DimensionCapError at once.
-The rank cap DEFAULT_MAX_DIMENSION and MAX_RAYS then bound the double
-description of each irreducible block, so a decomposable lattice gets an
-exact answer wherever its vertex count fits, whatever its rank.  The
-``cone`` command's ``positive_cone`` keeps double description on the whole
-lattice.
+basis vectors, found on the whole lattice's sparse module.  The vertex
+count of a sum (the product of the summands' counts) or of a product (the
+sum of the factors') is known before any vertex is listed, and past
+MAX_RAYS it raises DimensionCapError at once.  The rank cap
+DEFAULT_MAX_DIMENSION and MAX_RAYS then bound the double description of
+each irreducible block, so a decomposable lattice gets an exact answer
+wherever its vertex count fits, whatever its rank.  Double description
+runs in ``_vertex_table`` or ``positive_cone``, on dense coordinates
+written in one place, after the rank cap: a refused rank costs no more
+than the measure module.
 """
 
 from __future__ import annotations
@@ -254,19 +256,20 @@ def dual_cone(generators) -> PolyCone:
 # --- measure cones -----------------------------------------------------------------
 
 
-def measure_coordinates(lattice: OrthoLattice,
-                        action: GroupAction | None = None) -> tuple[MeasureModule, list[Vector]]:
-    """Free measure-basis coordinates of every element, canonical order, as
-    dense vectors: the input of double description, and of the unit
-    elements that composed state vertices are read at."""
-    module = measure_module(lattice, action)
-    return module, _free_coordinates(module)
-
-
-def _free_coordinates(module: MeasureModule) -> list[Vector]:
-    """Each element's free coordinates, as a dense vector."""
+def _dense_coordinates(module: MeasureModule) -> list[Vector]:
+    """Each element's free coordinates, as a dense vector, once the rank
+    passes the cap: the one place double description's input is written."""
+    _check_dimension(module.rank)
     k = len(module.torsion)
     return [module.projection_index(i)[k:] for i in range(len(module.lattice))]
+
+
+def measure_coordinates(lattice: OrthoLattice,
+                        action: GroupAction | None = None) -> list[Vector]:
+    """Free measure-basis coordinates of every element, canonical order, as
+    dense vectors: the input of double description.  A rank above
+    DEFAULT_MAX_DIMENSION raises DimensionCapError before any is written."""
+    return _dense_coordinates(measure_module(lattice, action))
 
 
 def positive_cone(lattice: OrthoLattice,
@@ -280,9 +283,7 @@ def positive_cone(lattice: OrthoLattice,
     has rank above DEFAULT_MAX_DIMENSION, before any dense coordinate is
     written, or the cone past MAX_RAYS rays.
     """
-    module = measure_module(lattice, action)
-    _check_dimension(module.rank)
-    return dual_cone(_free_coordinates(module))
+    return dual_cone(measure_coordinates(lattice, action))
 
 
 @dataclass(frozen=True)
@@ -365,18 +366,6 @@ def _pairings(coords, rays) -> list[tuple[int, ...]]:
     return list(zip(*per_row))
 
 
-def _sliced_rays(coords: list[Vector], top: Vector) -> tuple[tuple[Vector, ...], list[int]]:
-    """The rays of the positive cone on the coordinates, by double
-    description, and their scales top . ray."""
-    cone = dual_cone(coords)
-    scales = [_dot(top, r) for r in cone.rays]
-    if cone.lineality or any(s <= 0 for s in scales):
-        # positivity at every element together with additivity at the top
-        # rules this out; reaching it means the input is degenerate
-        raise UnboundedSliceError("the normalized slice is not a polytope")
-    return cone.rays, scales
-
-
 # Vertices as one table: the ascending distinct values they take, and per
 # vertex a tuple of ids into those values.  A nonempty table of states
 # starts with 0, the value at the bottom, and ends with 1, the value at the
@@ -415,6 +404,21 @@ def _merged(tables: list[Table]) -> tuple[tuple[Fraction, ...], list[list[Vector
     return values, out
 
 
+def _vertex_table(coords: list[Vector], top_index: int) -> Table:
+    """The vertices of the normalized slice of the positive cone on the
+    coordinates, by double description: each ray r over its scale top . r,
+    as a row of the ids of its coordinates, then of its values."""
+    top = coords[top_index]
+    cone = dual_cone(coords)
+    scales = [_dot(top, r) for r in cone.rays]
+    if cone.lineality or any(s <= 0 for s in scales):
+        # positivity at every element together with additivity at the top
+        # rules this out; reaching it means the input is degenerate
+        raise UnboundedSliceError("the normalized slice is not a polytope")
+    pairings = _pairings(coords, cone.rays) if cone.rays else []
+    return _value_table(scales, [r + nums for r, nums in zip(cone.rays, pairings)])
+
+
 def _capped(count: int) -> None:
     """Raise DimensionCapError when a composed vertex set would be larger
     than one double description step may be."""
@@ -431,16 +435,13 @@ def _dirac_vertices(lattice: OrthoLattice) -> Table:
 
 def _cone_vertices(lattice: OrthoLattice) -> Table:
     """The vertices of an irreducible block, by double description in its
-    own measure coordinates; none when its top is zero there (then every
-    positive measure vanishes)."""
-    _, coords = measure_coordinates(lattice)
-    top = coords[lattice.top_index]
-    if not any(top):
+    own measure coordinates, as their value ids; none when its top is zero
+    there (then every positive measure vanishes)."""
+    module = measure_module(lattice)
+    if _zero_top(module):
         return (), []
-    rays, scales = _sliced_rays(coords, top)
-    if not rays:
-        return (), []
-    return _value_table(scales, _pairings(coords, rays))
+    values, rows = _vertex_table(_dense_coordinates(module), lattice.top_index)
+    return values, [row[module.rank:] for row in rows]
 
 
 def _getter(indices: list[int]):
@@ -506,17 +507,23 @@ class _Blocks(Decomposer):
         return values, out
 
 
-def _unit_elements(coords: list[Vector]) -> list[int] | None:
-    """An element whose coordinates are e_j, for each basis vector e_j, or
-    None if some e_j is no element's image.  A measure's coordinate j is
-    then its value there."""
-    rank = len(coords[0])
-    units: list[int | None] = [None] * rank
-    for i, c in enumerate(coords):
-        if c.count(0) == rank - 1 and c.count(1) == 1:
-            j = c.index(1)
-            if units[j] is None:
-                units[j] = i
+def _zero_top(module: MeasureModule) -> bool:
+    """Whether the top's projection has no free coordinate (its terms list
+    the torsion ones first): then every measure into Q vanishes there."""
+    terms = module.projection_terms(module.lattice.top_index)
+    return not terms or terms[-1][0] < len(module.torsion)
+
+
+def _unit_elements(module: MeasureModule) -> list[int] | None:
+    """An element whose free coordinates are e_j, for each basis vector
+    e_j, or None if some e_j is no element's image.  A measure's coordinate
+    j is then its value there."""
+    k = len(module.torsion)
+    units: list[int | None] = [None] * module.rank
+    for i in range(len(module.lattice)):
+        free = [term for term in module.projection_terms(i) if term[0] >= k]
+        if len(free) == 1 and free[0][1] == 1 and units[free[0][0] - k] is None:
+            units[free[0][0] - k] = i
     return None if None in units else units
 
 
@@ -532,40 +539,32 @@ def state_polytope(lattice: OrthoLattice,
     block runs double description, in its own measure coordinates, and a
     block of the same shape is solved once.  A composed vertex's
     coordinates are its values at the elements whose images are the basis
-    vectors.  The vertex count of a sum or product is known before any
-    vertex is listed, and past MAX_RAYS it raises DimensionCapError naming
-    the count, so DEFAULT_MAX_DIMENSION and MAX_RAYS bound the double
-    description of each irreducible block, not the whole lattice, and a
-    refused count is raised before the whole lattice's measure module is
-    built.  With an action, or when some basis vector is no element's
-    image, the double description runs on the whole lattice, under both
-    caps, and each ray r over its scale top . r gives a vertex, with
-    coordinates r / scale.
+    vectors, read off the whole lattice's sparse module; no dense
+    coordinate of the whole lattice is written.  A sum's or product's
+    vertex count past MAX_RAYS raises DimensionCapError before the whole
+    lattice's measure module is built.  With an action, or when some basis
+    vector is no element's image, the double description runs on the whole
+    lattice, under both caps, and each ray r over its scale top . r gives a
+    vertex, with coordinates r / scale.
 
     Either way the vertices form one table (see ``StatePolytope``), each
     value reduced once, and its rows are sorted by their coordinate ids:
     ids ascend with value, so this orders the vertices by their
     coordinates.  Raises UnboundedSliceError when the top element projects
-    to zero (the degenerate case where no normalization is possible) and
-    EmptyPolytopeError when no probability measure exists.
+    to zero (the degenerate case where no normalization is possible),
+    found on the sparse module before the rank cap, and EmptyPolytopeError
+    when no probability measure exists.
     """
     # the blocks come first, so a vertex count past the cap stops the call
     # before the whole lattice's measure module is built
     composed = None if action is not None else _Blocks().split(lattice)
-    _, coords = measure_coordinates(lattice, action)
-    top = coords[lattice.top_index]
-    if not any(top):
-        raise UnboundedSliceError(
-            "the top element is zero in the rational measure space"
-        )
-    units = None if composed is None else _unit_elements(coords)
+    module = measure_module(lattice, action)
+    if _zero_top(module):
+        raise UnboundedSliceError("the top element is zero in the rational measure space")
+    units = None if composed is None else _unit_elements(module)
     if units is None:
-        rays, scales = _sliced_rays(coords, top)
-        rank = len(top)
-        values, rows = _value_table(
-            scales, [r + nums for r, nums in zip(rays, _pairings(coords, rays))] if rays else []
-        )
-        rows = sorted((row[:rank], row[rank:]) for row in rows)
+        values, rows = _vertex_table(_dense_coordinates(module), lattice.top_index)
+        rows = sorted((row[:module.rank], row[module.rank:]) for row in rows)
     else:
         values, rows = composed
         rows = sorted(zip(map(_getter(units), rows), rows))

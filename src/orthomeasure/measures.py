@@ -60,22 +60,23 @@ class Domain:
         return f"Z/{self.modulus}" if self.kind == "Zmod" else self.kind
 
     def validate(self, value):
-        """Return the canonical representative, or raise DomainMismatchError."""
-        if self.kind == "Z":
-            if isinstance(value, int) and not isinstance(value, bool):
-                return value
-            if isinstance(value, Fraction) and value.denominator == 1:
-                return int(value)
-            raise DomainMismatchError(f"{value!r} is not an integer")
+        """Return the canonical representative, or raise DomainMismatchError.
+
+        Over Z and Z/m an integral Fraction, as a file's "3" reads, is its
+        integer; the message names a rejected value as it reads, "1/2"."""
         if self.kind == "Q":
             if isinstance(value, int) and not isinstance(value, bool):
                 return Fraction(value)
             if isinstance(value, Fraction):
                 return value
-            raise DomainMismatchError(f"{value!r} is not a rational")
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value % self.modulus
-        raise DomainMismatchError(f"{value!r} is not a residue mod {self.modulus}")
+            raise DomainMismatchError(f"{value} is not a rational")
+        if isinstance(value, Fraction) and value.denominator == 1:
+            value = int(value)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DomainMismatchError(
+                f"{value} is not an integer" if self.kind == "Z"
+                else f"{value} is not a residue mod {self.modulus}")
+        return value if self.kind == "Z" else value % self.modulus
 
     def add(self, a, b):
         s = a + b

@@ -927,3 +927,36 @@ def first_nonadditive_pair(lattice, values, domain):
         if domain.add(vals[i], vals[j]) != vals[lattice.join_index(i, j)]:
             return False, (lattice.elements[i], lattice.elements[j])
     return True, None
+
+
+def functional_invariance_by_indicators(lattice, action, measure):
+    """Whether the measure's linear functional takes one value on ind(x)
+    and ind(g(x)) for every generator g and element x, each indicator built
+    as a Fraction-valued function on the atoms: the functional side of
+    ``invariant_functional_check``, which that function answers from the
+    measure alone."""
+    from orthomeasure.indicators import functional_from_measure, indicator
+
+    functional = functional_from_measure(lattice, measure)
+    ind = {x: indicator(lattice, x) for x in lattice.elements}
+    return all(
+        functional(ind[g(x)]) == functional(ind[x])
+        for g in action.generators
+        for x in lattice.elements
+    )
+
+
+def unit_elements_by_dense_scan(module):
+    """For each free basis vector e_j, the first element (in index order)
+    whose dense free coordinates are e_j, or None if some e_j is no
+    element's image: a scan of every element's dense vector."""
+    k = len(module.torsion)
+    rank = module.rank
+    units = [None] * rank
+    for i in range(len(module.lattice)):
+        c = module.projection_index(i)[k:]
+        if c.count(0) == rank - 1 and c.count(1) == 1:
+            j = c.index(1)
+            if units[j] is None:
+                units[j] = i
+    return None if None in units else units

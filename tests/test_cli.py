@@ -16,6 +16,9 @@ Claims:
       cyclic or oversized lattice file gives every command the same error
       line and exit code; every file loader names a file that is not JSON
     - a group file whose maps name no element exits 2
+    - a partial measure's integral string ("3") extends over Z, Q and Z/m,
+      reduced mod m over Z/m; a non-integral one exits 2 over Z and Z/m,
+      its message naming the value as it reads ("1/2")
     - a group file is never listed for module: S_9 on boolean(9), past the
       listing cap, gives rank 1 in under 1 s; the normalizer extend needs
       lists it, and past the cap exits 3; no command takes --max-group
@@ -208,6 +211,45 @@ def test_extend_classical_and_invariant(files, capsys, tmp_path):
     assert code == 0
     assert data["report"]["mode"] == "invariant"
     assert data["report"]["measure"]["values"]["1"] == "2/3"
+
+
+@pytest.mark.parametrize("domain,values,sums", [
+    ("z/5", {"10": "3", "01": 4}, {"10": 3, "01": 4, "11": 2}),
+    ("z/5", {"10": "8", "01": "-1"}, {"10": 3, "01": 4, "11": 2}),
+    ("z", {"10": "3", "01": 4}, {"10": 3, "01": 4, "11": 7}),
+    ("q", {"10": "3", "01": "1/2"}, {"10": "3", "01": "1/2", "11": "7/2"}),
+])
+def test_extend_reads_integral_strings_in_every_domain(domain, values, sums, capsys, tmp_path):
+    # a file's "3" reads as Fraction(3): an integer over Z, and reduced mod m
+    path = tmp_path / "b2.json"
+    save_lattice(boolean(2), path)
+    gs = tmp_path / "gs.json"
+    gs.write_text(json.dumps({"members": ["10", "01"]}))
+    pm = tmp_path / "pm.json"
+    pm.write_text(json.dumps({"values": values}))
+    code, data = run_json(capsys, ["extend", str(path), "--generating-set", str(gs),
+                                   "--partial", str(pm), "--domain", domain])
+    assert code == 0
+    measure = data["report"]["measure"]["values"]
+    assert {e: measure[e] for e in sums} == sums
+
+
+@pytest.mark.parametrize("domain,message", [
+    ("z/5", "1/2 is not a residue mod 5"),
+    ("z", "1/2 is not an integer"),
+])
+def test_extend_rejects_a_non_integral_value_as_it_reads(domain, message, capsys, tmp_path):
+    path = tmp_path / "b2.json"
+    save_lattice(boolean(2), path)
+    gs = tmp_path / "gs.json"
+    gs.write_text(json.dumps({"members": ["10", "01"]}))
+    pm = tmp_path / "pm.json"
+    pm.write_text(json.dumps({"values": {"10": "1/2", "01": 1}}))
+    code, data = run_json(capsys, ["extend", str(path), "--generating-set", str(gs),
+                                   "--partial", str(pm), "--domain", domain])
+    assert code == 2
+    assert data["error"] == "DomainMismatchError"
+    assert data["detail"] == message
 
 
 def test_extend_full_aut_on_mo9_lists_no_group(capsys, tmp_path):
@@ -579,7 +621,7 @@ def _fraction_route_report(argv, lattice):
     oracles.state_vertices_by_fractions) or by Measure.to_json_dict."""
     command = argv[0]
     if command == "states":
-        _, coords = measure_coordinates(lattice)
+        coords = measure_coordinates(lattice)
         sliced = state_vertices_by_fractions(lattice, positive_cone(lattice).rays, coords)
         vertices = [{"coords": [str(c) for c in vertex],
                      "values": {e: str(x) for e, x in values.items()}}

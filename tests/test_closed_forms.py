@@ -202,9 +202,9 @@ def test_state_polytope_of_mo_15_is_refused_by_its_vertex_count(monkeypatch):
     # the count is refused before the measure module of the whole lattice
     # is built: on mo(2000) that module takes about a second
     def unreachable(*args):
-        raise AssertionError("measure coordinates computed before the count")
+        raise AssertionError("measure module built before the count")
 
-    monkeypatch.setattr(cones_mod, "measure_coordinates", unreachable)
+    monkeypatch.setattr(cones_mod, "measure_module", unreachable)
     with pytest.raises(DimensionCapError, match="32768 vertices"):
         state_polytope(mo(15))
 

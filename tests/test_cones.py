@@ -13,7 +13,9 @@ Claims:
       and full symmetry collapses the atom-pair lattices to a single state
     - every vertex is a probability measure; every dyadic-grid probability
       measure lies in the exact convex hull of the vertices
-    - degenerate slices raise the documented errors
+    - degenerate slices raise the documented errors, on the composed route
+      and on the whole lattice, with the measure module's sparse
+      projections rewritten: a zero top, or every other element negated
     - the integer slicing gives the vertices, coordinates and values of a
       Fraction slicing of the same rays, in the same order, on the family
       and on products and horizontal sums, with and without the full group;
@@ -37,11 +39,19 @@ Claims:
       its scale are additive on orthogonal pairs, 1 at the top and within
       [0, 1]; double
       description runs only on the irreducible non-Boolean blocks, once per
-      shape, and no automorphism or orbit search runs
+      shape, dense coordinates are written for those blocks only, and no
+      automorphism or orbit search runs
+    - the unit elements read off the sparse module are those of a scan of
+      every element's dense coordinates, on plain and coinvariant modules
+      (torsion Z/2 among them) and on shuffled element orders
+    - a rank refused by the cap costs no more than the measure module: on
+      loop(1000) and on mo(2000) under the trivial group the refused state
+      polytope's traced peak is at most 1.5 times the module's
 """
 
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import mul
@@ -59,21 +69,34 @@ from orthomeasure import (
     benzene,
     boolean,
     brute_force_measures,
+    close_group,
     dual_cone,
     horizontal_sum,
     is_orthomodular,
     is_probability_measure,
     measure_coordinates,
+    measure_module,
     mo,
     positive_cone,
     product,
     state_polytope,
     trivial_action,
 )
-from orthomeasure.cones import DEFAULT_MAX_DIMENSION, MAX_RAYS, PolyCone, double_description
+from orthomeasure.cones import (
+    DEFAULT_MAX_DIMENSION,
+    MAX_RAYS,
+    PolyCone,
+    _unit_elements,
+    double_description,
+)
 from orthomeasure.lattice import direct_factors, horizontal_summands
 
-from oracles import in_convex_hull, state_vertices_by_fractions, state_vertices_by_pairings
+from oracles import (
+    in_convex_hull,
+    state_vertices_by_fractions,
+    state_vertices_by_pairings,
+    unit_elements_by_dense_scan,
+)
 from strategies import composite_lattices, greechie_loop, pairwise_composites
 
 
@@ -128,7 +151,7 @@ def test_dual_cone_halfline():
 
 
 def test_dual_cone_of_element_coordinates_mo2():
-    _, coords = measure_coordinates(mo(2))
+    coords = measure_coordinates(mo(2))
     cone = dual_cone(coords)
     assert len(cone.rays) == 4
 
@@ -178,7 +201,7 @@ def test_positive_cone_double_description_consistency(family):
 
 def test_boolean_rays_are_atom_point_masses(family):
     lat = family["boolean(2)"]
-    _, coords = measure_coordinates(lat)
+    coords = measure_coordinates(lat)
     cone = positive_cone(lat)
     seen = set()
     for ray in cone.rays:
@@ -283,7 +306,7 @@ def test_dyadic_probability_measures_in_hull(family):
     for name in ("boolean(2)", "boolean(3)", "mo(2)", "mo(3)", "benzene"):
         lat = family[name]
         polytope = state_polytope(lat)
-        _, coords = measure_coordinates(lat)
+        coords = measure_coordinates(lat)
         vertex_coords = [v.coords for v in polytope.vertices]
         for m in brute_force_measures(lat, grid, RATIONALS):
             check = is_probability_measure(lat, m.values)
@@ -309,7 +332,7 @@ def test_state_polytope_matches_fraction_slicing(family, aut_groups):
     cases += [(lat, automorphism_group(lat)) for lat in composites]
     for lattice, action in cases:
         polytope = state_polytope(lattice, action)
-        _, coords = measure_coordinates(lattice, action)
+        coords = measure_coordinates(lattice, action)
         expected = state_vertices_by_fractions(
             lattice, positive_cone(lattice, action).rays, coords
         )
@@ -321,47 +344,48 @@ def test_state_polytope_matches_fraction_slicing(family, aut_groups):
 
 
 def test_state_polytope_error_paths(monkeypatch):
-    # degenerate top projection: zero normalization functional.  benzene is
-    # irreducible and not Boolean, so it reaches the double description's
-    # slice checks; boolean(2) takes the closed form when its coordinates
-    # have unit images, and the whole-lattice path when they do not
+    # the seam is the measure module state_polytope reads, with some
+    # element's sparse projection rewritten.  Without an action benzene is
+    # one irreducible block and boolean(2) composes its Dirac states, so
+    # the zero top is found on the sparse module, and with the trivial
+    # action both run double description on the whole lattice
     import orthomeasure.cones as cones_mod
 
     lattices = (benzene(), boolean(2))
+    real = cones_mod.measure_module
 
-    real = cones_mod.measure_coordinates
+    def rewritten(top, other):
+        """measure_module, the top's projection terms sent through top and
+        every other element's through other."""
+        def build(lattice, action=None):
+            module = real(lattice, action)
+            module._terms = tuple((top if i == lattice.top_index else other)(terms)
+                                  for i, terms in enumerate(module._terms))
+            return module
+        return build
 
-    def zero_top(lattice, action=None):
-        module, coords = real(lattice, action)
-        coords = list(coords)
-        coords[lattice.top_index] = tuple(0 for _ in coords[lattice.top_index])
-        return module, coords
+    def kept(terms):
+        return terms
 
-    monkeypatch.setattr(cones_mod, "measure_coordinates", zero_top)
+    # degenerate top projection: zero normalization functional
+    monkeypatch.setattr(cones_mod, "measure_module", rewritten(lambda terms: (), kept))
     for lat in lattices:
-        with pytest.raises(UnboundedSliceError):
-            state_polytope(lat)
+        for action in (None, trivial_action(lat)):
+            with pytest.raises(UnboundedSliceError):
+                state_polytope(lat, action)
 
-    def no_positive(lattice, action=None):
-        module, coords = real(lattice, action)
-        # flip the sign of every nonzero row except the top, leaving the
-        # cone empty of directions that pair positively with the top
-        flipped = []
-        for i, c in enumerate(coords):
-            if i == lattice.top_index:
-                flipped.append(c)
-            else:
-                flipped.append(tuple(-x for x in c))
-        return module, flipped
-
-    monkeypatch.setattr(cones_mod, "measure_coordinates", no_positive)
+    # flip the sign of every projection except the top's, leaving the cone
+    # empty of directions that pair positively with the top
+    monkeypatch.setattr(cones_mod, "measure_module",
+                        rewritten(kept, lambda terms: tuple((t, -x) for t, x in terms)))
     for lat in lattices:
-        with pytest.raises((EmptyPolytopeError, UnboundedSliceError)):
-            state_polytope(lat)
+        for action in (None, trivial_action(lat)):
+            with pytest.raises((EmptyPolytopeError, UnboundedSliceError)):
+                state_polytope(lat, action)
 
 
 def _assert_composed_path_matches_whole_lattice(lattice):
-    _, coords = measure_coordinates(lattice)
+    coords = measure_coordinates(lattice)
     vertices = state_polytope(lattice).vertices
     rays = positive_cone(lattice).rays
     # the vertices in the order of the oracle's Fraction coordinates, each
@@ -412,21 +436,87 @@ def test_composed_state_polytope_matches_on_pairwise_composites(family):
 def test_double_description_runs_once_per_irreducible_block_shape(monkeypatch):
     import orthomeasure.cones as cones_mod
 
-    calls = []
+    calls, written = [], []
     real = cones_mod.double_description
+    real_dense = cones_mod._dense_coordinates
 
     def counted(normals, dim):
         calls.append(dim)
         return real(normals, dim)
 
+    def dense(module):
+        written.append(module.lattice)
+        return real_dense(module)
+
     monkeypatch.setattr(cones_mod, "double_description", counted)
+    monkeypatch.setattr(cones_mod, "_dense_coordinates", dense)
     # mo(9) is nine Boolean blocks, boolean(5) one; the two benzene
-    # summands share one shape
+    # summands share one shape.  Dense coordinates are written for the
+    # irreducible block only, never for the composed lattice
     for lattice, runs in ((mo(9), 0), (boolean(5), 0),
                           (horizontal_sum(benzene(), benzene()), 1)):
         calls.clear()
+        written.clear()
         state_polytope(lattice)
         assert len(calls) == runs, lattice.name
+        assert len(written) == runs and lattice not in written, lattice.name
+
+
+def test_sparse_unit_elements_match_the_dense_scan(family, aut_groups):
+    # plain modules of the composites; coinvariant modules of the family
+    # and of a few composites, hsum(benzene, mo(3)) with torsion Z/2 among them
+    modules = [measure_module(lattice) for lattice in pairwise_composites(family.values())]
+    modules += [measure_module(lattice, aut_groups[name]) for name, lattice in family.items()]
+    for lattice in (product(mo(2), boolean(2)), horizontal_sum(mo(2), benzene()),
+                    horizontal_sum(benzene(), mo(3))):
+        modules.append(measure_module(lattice, automorphism_group(lattice)))
+    assert modules[-1].torsion == (2,)
+    # every element's projection negated: no element is the image of a
+    # basis vector
+    flipped = measure_module(mo(2))
+    flipped._terms = tuple(tuple((t, -x) for t, x in terms) for terms in flipped._terms)
+    modules.append(flipped)
+    for module in modules:
+        assert _unit_elements(module) == unit_elements_by_dense_scan(module), module.lattice.name
+    assert _unit_elements(flipped) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(composite_lattices())
+def test_sparse_unit_elements_match_the_dense_scan_on_shuffled_orders(lattice):
+    for action in (None, trivial_action(lattice)):
+        module = measure_module(lattice, action)
+        assert _unit_elements(module) == unit_elements_by_dense_scan(module)
+
+
+def _traced_peak(call):
+    """The peak of the memory traced while call() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (greechie_loop(1000), None),
+    lambda: (mo(2000), ()),
+])
+def test_refused_rank_costs_no_more_than_the_measure_module(build):
+    # loop(1000) is one irreducible block of rank 1001, refused in the
+    # block's double description; mo(2000) under the trivial group, given
+    # by no generators, runs double description on the whole lattice at
+    # rank 2001.  Either way the rank is refused before any dense
+    # coordinate is written
+    lattice, generators = build()
+    action = None if generators is None else close_group(lattice, generators)
+
+    def refused():
+        with pytest.raises(DimensionCapError, match="dimension"):
+            state_polytope(lattice, action)
+
+    assert _traced_peak(refused) <= 1.5 * _traced_peak(lambda: measure_module(lattice, action))
 
 
 def test_state_polytope_searches_no_group(monkeypatch):

@@ -61,8 +61,8 @@ def test_equality_pair_keeps_lineality():
 def test_positive_cones_of_family_match_rank_oracle(family, aut_groups):
     for name, lattice in family.items():
         for action in (None, aut_groups[name]):
-            module, coords = measure_coordinates(lattice, action)
+            coords = measure_coordinates(lattice, action)
             normals = list(dict.fromkeys(c for c in coords if any(c)))
-            rays, lineality = double_description_by_rank(normals, module.rank)
+            rays, lineality = double_description_by_rank(normals, len(coords[0]))
             cone = positive_cone(lattice, action)
             assert (list(cone.rays), list(cone.lineality)) == (rays, lineality), name

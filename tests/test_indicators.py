@@ -11,7 +11,10 @@ Claims:
       both ways, basis and random rational measures)
     - the evaluation functional at an atom corresponds to the Dirac measure
       of that atom
-    - a measure is invariant exactly when its functional is
+    - a measure is invariant exactly when its functional is, as the
+      functional computed on every indicator finds on the Boolean family
+      members under Aut, the trivial action and a cyclic group, for the
+      uniform, Dirac and random measures
     - every measure on a Boolean lattice satisfies the modular identity
 """
 
@@ -25,12 +28,14 @@ from orthomeasure import (
     Measure,
     NotAMeasureError,
     NotBooleanAtomisticError,
+    LatticeAutomorphism,
     RATIONALS,
     atoms,
     automorphism_group,
     benzene,
     boolean,
     check_indicator_identities,
+    close_group,
     functional_from_measure,
     indicator,
     invariant_functional_check,
@@ -43,7 +48,7 @@ from orthomeasure import (
 )
 from orthomeasure.indicators import LinearFunctional
 
-from oracles import indicator_identities_by_functions
+from oracles import functional_invariance_by_indicators, indicator_identities_by_functions
 
 
 def random_rational_measure(lat, rng):
@@ -214,6 +219,34 @@ def test_invariance_equivalence():
     })
     assert not invariant_functional_check(lat, action, dirac)
     assert invariant_functional_check(lat, trivial_action(lat), dirac)
+
+
+def _rotation_group(lat):
+    """The cyclic group of one rotation of a Boolean lattice's atoms: each
+    element's name, a bit string, rotated by one place."""
+    perm = [lat.index(e[-1:] + e[:-1]) for e in lat.elements]
+    return close_group(lat, [LatticeAutomorphism(lat, perm)])
+
+
+def test_invariance_matches_the_functional_oracle(family):
+    rng = random.Random(5)
+    verdicts = set()
+    for name, lat in family.items():
+        if not name.startswith("boolean"):
+            continue
+        measures = [Measure(RATIONALS, {
+            e: Fraction(sum(1 for z in atoms(lat) if lat.leq(z, e))) for e in lat.elements
+        })]
+        measures += [Measure(RATIONALS, {
+            e: Fraction(int(lat.leq(a, e))) for e in lat.elements
+        }) for a in atoms(lat)]
+        measures += [random_rational_measure(lat, rng) for _ in range(3)]
+        for action in (automorphism_group(lat), trivial_action(lat), _rotation_group(lat)):
+            for measure in measures:
+                verdict = invariant_functional_check(lat, action, measure)
+                assert verdict == functional_invariance_by_indicators(lat, action, measure), name
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_modular_identity_for_all_measures():
