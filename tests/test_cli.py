@@ -703,6 +703,35 @@ ARGVS = [
     ["extend", "l.json", "--generating-set", "gs.json"],  # no --partial
     ["aut", "l.json", "--max-group", "5"],
     ["module", "l.json", "--full-aut"],
+    # abbreviated options, one of them ambiguous
+    ["module", "l.json", "--full"],
+    ["measures", "l.json", "--dom=z"],
+    ["extend", "l.json", "--gen", "g.json", "--part", "p.json"],
+    ["check", "l.json", "--f"],
+    ["module", "l.json", "--f"],
+    ["aut", "l.json", "--max", "3"],
+    ["oracle", "l.json", "--ra", "0:1"],
+    ["states", "l.json", "--format=text"],
+    # "--" before the lattice and before an option-like positional
+    ["cone", "--", "l.json"],
+    ["states", "--format", "text", "--", "l.json"],
+    ["states", "l.json", "--", "--x"],
+    # a repeated --group, and --full-aut before the lattice
+    ["module", "l.json", "--group", "a.json", "--group", "b.json"],
+    ["cone", "--full-aut", "l.json"],
+    # a lone "-" and a stray positional
+    ["check", "-"],
+    ["states", "l.json", "extra"],
+    # another command's flag
+    ["check", "l.json", "--domain", "z"],
+    # an option with no value, and a value outside the choices
+    ["states", "l.json", "--csv"],
+    ["measures", "l.json", "--domain"],
+    ["aut", "l.json", "--format", "xml"],
+    # an unknown flag together with both exclusive group flags
+    ["module", "l.json", "--bogus", "--group", "g.json", "--full-aut"],
+    ["states", "l.json", "--full-aut", "--group", "g.json", "--bogus"],
+    ["invariant-measures", "--bogus", "l.json", "--full-aut", "--group", "g.json"],
 ]
 
 

@@ -28,6 +28,12 @@ Claims:
       prime q <= 23 and every form with n = 1, 2, and for sampled forms
       with n = 3; F_4091^2 (4 094 elements) builds in under 10 s, and
       F_4099^2, past the element cap, is refused in under 1 s
+    - the Greechie loop of k three-atom blocks, k = 5..13: its measure
+      group is Z^(k + 1) (free on the k corners and the top), its
+      automorphism group is dihedral of order 2k, and its state polytope
+      has L_k + (k mod 2) vertices, L_k the k-th Lucas number: the L_k
+      two-valued states (the stable sets of the k-cycle of corners) and,
+      for odd k, the state that is 1/2 at every corner
 """
 
 import itertools
@@ -63,6 +69,7 @@ from orthomeasure.cones import DEFAULT_MAX_DIMENSION, MAX_RAYS
 from orthomeasure.symmetry import automorphism_group
 
 from oracles import subspace_description_by_listing
+from strategies import greechie_loop
 
 
 def _row_route(lattice, action):
@@ -280,3 +287,24 @@ def test_subspace_lattice_past_the_cap_is_refused_before_it_is_built():
     with pytest.raises(SizeCapError, match="4102 subspaces exceeds the cap"):
         subspace_lattice(4099, 2, (1, 1))
     assert time.perf_counter() - start < 1.0
+
+
+def _lucas(k):
+    a, b = 2, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("k", range(5, 14))
+def test_closed_forms_of_greechie_loops(k):
+    loop = greechie_loop(k)
+    module = measure_module(loop)
+    assert module.rank == k + 1
+    assert not module.torsion
+    assert automorphism_group(loop).order == 2 * k
+    polytope = state_polytope(loop)
+    assert len(polytope.rows) == _lucas(k) + k % 2
+    two_valued = [ids for _, ids in polytope.rows
+                  if {polytope.values[i] for i in ids} <= {0, 1}]
+    assert len(two_valued) == _lucas(k)

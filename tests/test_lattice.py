@@ -15,6 +15,10 @@ Claims:
       expected isomorphism types, and the lattice of the description that
       lists every comparable pair, over the family up to 64 elements
     - the JSON file format round-trips every constructor
+    - LatticeDescription.from_json_dict accepts what the generator-based
+      validator in ``oracles`` accepts, with an equal description, and
+      rejects the rest with the same SchemaError message: on every
+      rejection branch, on str subclasses and on random JSON-like values
     - build_lattice gives the masks of the scan-based builder in
       ``oracles``, and every pair's meet and join equal its tables, on
       shuffled, redundant descriptions of boolean, mo, product,
@@ -75,7 +79,12 @@ from orthomeasure import (
 )
 
 import orthomeasure.lattice as lattice_mod
-from oracles import build_lattice_by_scan, distributivity_witness, every_pair_meets
+from oracles import (
+    build_lattice_by_scan,
+    distributivity_witness,
+    every_pair_meets,
+    lattice_description_by_generators,
+)
 from strategies import composite_lattices
 
 
@@ -468,6 +477,103 @@ def test_unknown_keys_rejected(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(SchemaError):
         load_lattice(path)
+
+
+def _validated(validate, data):
+    try:
+        return validate(data)
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+
+
+class _Name(str):
+    pass
+
+
+def _file(**changes):
+    data = mo(1).to_description().to_json_dict()
+    data.update(changes)
+    return data
+
+
+SCHEMA_CASES = {
+    "mo(1)": _file(),
+    "boolean(3)": boolean(3).to_description().to_json_dict(),
+    "no name": {k: v for k, v in _file().items() if k != "name"},
+    "empty": _file(elements=[], leq=[], orthocomplement={}),
+    "str subclasses": _file(name=_Name("n"), elements=[_Name("0"), "1"],
+                            leq=[[_Name("0"), _Name("1")]],
+                            orthocomplement={_Name("0"): _Name("1"), "1": "0"}),
+    "not a dict": [1, 2],
+    "two unknown keys": _file(z=1, a=2),
+    "no elements": {k: v for k, v in _file().items() if k != "elements"},
+    "no leq": {k: v for k, v in _file().items() if k != "leq"},
+    "no orthocomplement": {k: v for k, v in _file().items() if k != "orthocomplement"},
+    "nothing": {},
+    "elements not a list": _file(elements=("0", "1")),
+    "element not a str": _file(elements=["0", 1]),
+    "leq not a list": _file(leq="01"),
+    "pair not a list": _file(leq=[("0", "1")]),
+    "pair an int": _file(leq=[["0", "1"], 7]),
+    "short pair": _file(leq=[["0"]]),
+    "long pair": _file(leq=[["0", "1", "1"]]),
+    "empty pair": _file(leq=[[]]),
+    "pair member not a str": _file(leq=[["0", None]]),
+    "bad pair after a good one": _file(leq=[["0", "1"], ["1", 0]]),
+    "orthocomplement not a dict": _file(orthocomplement=[["0", "1"]]),
+    "orthocomplement key not a str": _file(orthocomplement={0: "1"}),
+    "orthocomplement value not a str": _file(orthocomplement={"0": 1}),
+    "name not a str": _file(name=3),
+    "every field bad": {"elements": 1, "leq": 2, "orthocomplement": 3, "name": 4},
+}
+
+
+@pytest.mark.parametrize("data", SCHEMA_CASES.values(), ids=SCHEMA_CASES)
+def test_from_json_dict_validates_like_the_generator_checks(data):
+    expected = _validated(lattice_description_by_generators, data)
+    assert _validated(LatticeDescription.from_json_dict, data) == expected
+
+
+def test_schema_cases_reach_every_message():
+    outcomes = [_validated(LatticeDescription.from_json_dict, data)
+                for data in SCHEMA_CASES.values()]
+    assert {m for m in outcomes if isinstance(m, str)} == {
+        "SchemaError: lattice file must contain a JSON object",
+        "SchemaError: unknown keys in lattice file: ['a', 'z']",
+        "SchemaError: lattice file missing key 'elements'",
+        "SchemaError: lattice file missing key 'leq'",
+        "SchemaError: lattice file missing key 'orthocomplement'",
+        "SchemaError: 'elements' must be a list of strings",
+        "SchemaError: 'leq' must be a list of [str, str] pairs",
+        "SchemaError: 'orthocomplement' must map strings to strings",
+        "SchemaError: 'name' must be a string",
+    }
+
+
+_json_scalars = st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from("01ab")
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from("01ab"), inner,
+                                                                max_size=3),
+    max_leaves=12,
+)
+_names = st.sampled_from(("0", "1", "a", "b"))
+_lattice_files = st.dictionaries(
+    st.sampled_from(("name", "elements", "leq", "orthocomplement", "extra")),
+    st.one_of(
+        _json_values,
+        st.lists(_names | _json_scalars, max_size=4),
+        st.lists(st.lists(_names | _json_scalars, max_size=3), max_size=4),
+        st.dictionaries(_names, _names | _json_scalars, max_size=3),
+    ),
+) | _json_values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattice_files)
+def test_from_json_dict_validates_random_values_like_the_generator_checks(data):
+    expected = _validated(lattice_description_by_generators, data)
+    assert _validated(LatticeDescription.from_json_dict, data) == expected
 
 
 def test_leq_pairs_any_generating_set():
