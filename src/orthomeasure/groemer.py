@@ -205,14 +205,20 @@ def _orbit_set(lattice: OrthoLattice, action: GroupAction,
     return tuple(e for e, k in zip(lattice.elements, labels) if k in hit)
 
 
-def _validated_partial(lattice: OrthoLattice, members: tuple[str, ...],
-                       partial: PartialMeasure) -> dict[str, object]:
-    values = {}
+def _check_keys(lattice: OrthoLattice, members: tuple[str, ...],
+                partial: PartialMeasure) -> None:
+    """Every key of the partial measure names an element and a member."""
     for b in partial.values:
         if b not in lattice:
             raise SchemaError(f"partial measure names unknown element {b!r}")
         if b not in members:
             raise SchemaError(f"partial measure names non-member {b!r}")
+
+
+def _validated_partial(lattice: OrthoLattice, members: tuple[str, ...],
+                       partial: PartialMeasure) -> dict[str, object]:
+    _check_keys(lattice, members, partial)
+    values = {}
     for b in members:
         if b not in partial.values:
             raise DomainMismatchError(f"no value given for member {b!r}")
@@ -260,6 +266,7 @@ def orth_groemer_extend(lattice: OrthoLattice, action: GroupAction,
     measure they form is invariant (module docstring).
     """
     gs = make_generating_set(lattice, members)
+    _check_keys(lattice, gs.members, partial)
     norm = normalizer(action, gs.members)
     report = is_generating_for_action(lattice, action, gs.members, norm)
     if not report.ok:
@@ -292,10 +299,6 @@ def orth_groemer_extend(lattice: OrthoLattice, action: GroupAction,
             values[b] = v
         # the class map is injective: one normalizer orbit per full orbit
         by_orbit[labels[lattice.index(orb.representative)]] = v
-    for b in partial.values:
-        if b not in values:
-            raise SchemaError(f"partial measure names non-member {b!r}")
-
     orbit_values = {
         e: by_orbit[k] for e, k in zip(lattice.elements, labels) if k in by_orbit
     }

@@ -868,49 +868,39 @@ def is_orthomodular(lattice: OrthoLattice) -> CheckResult:
     orthomodular exactly when a <= b and a' ^ b = 0 force a = b, one AND
     per comparable pair: the law gives b = a v 0 = a, and conversely
     c = a v (a' ^ b) <= b has c' ^ b = d ^ d' = 0 for d = a' ^ b, so c = b.
-    Only when that test fails are the pairs scanned for the witness.
+    The witness is the first pair a < b, a by index and then b, with
+    a' ^ b = 0; there a v (a' ^ b) = a, not b.
     """
-    order, up_pos, down_pos = lattice.order, lattice.up_pos, lattice.down_pos
-    # position 0 holds the bottom, so a' ^ b = 0 reads as a common down-set of 1
-    if is_boolean(lattice) or not any(
-            down_pos[o] & down_pos[j] == 1
-            for i, o in enumerate(lattice.orth_map)
-            for j in _bits(lattice.up_masks[i] ^ 1 << i)):
+    if is_boolean(lattice):
         return CheckResult(True)
-    for i, (rest, o) in enumerate(zip(lattice.up_masks, lattice.orth_map)):
-        up_i, down_o = up_pos[i], down_pos[o]
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            ub = up_i & up_pos[order[(down_o & down_pos[j]).bit_length() - 1]]
-            if order[(ub & -ub).bit_length() - 1] != j:
+    down_pos = lattice.down_pos
+    for i, o in enumerate(lattice.orth_map):
+        down_o = down_pos[o]
+        # position 0 holds the bottom, so a' ^ b = 0 reads as a common down-set of 1
+        for j in _bits(lattice.up_masks[i] ^ 1 << i):
+            if down_o & down_pos[j] == 1:
                 return CheckResult(False, (lattice.elements[i], lattice.elements[j]))
     return CheckResult(True)
 
 
 def is_distributive(lattice: OrthoLattice) -> CheckResult:
-    """Both distributive laws over all triples; witness is the first failure.
+    """Both distributive laws; witness is a triple (i, x, j) breaking
+    i ^ (x v j) = (i ^ x) v (i ^ j).
 
-    "ok" is proved in O(n |J|) by :func:`is_boolean`; only a lattice
-    failing that proof gets the triple scan, which finds the witness.  The
-    scan skips x = 0 and x = 1, where both laws hold in any lattice.
+    The verdict is :func:`is_boolean`'s.  On any other lattice the join
+    test of its proof runs with no count shortcut, and its first failure,
+    x in index order and then the join-irreducible j, names the witness:
+    i is the first join-irreducible below x v j but below neither x nor j.
+    Then i ^ (x v j) = i, while i ^ x and i ^ j lie strictly below i and
+    so below its one lower cover, as does their join.  The proof at
+    :func:`is_boolean` shows that every lattice that is not distributive
+    fails the test somewhere.
     """
     if is_boolean(lattice):
         return CheckResult(True)
-    n = len(lattice)
-    meet, join = lattice.meet_index, lattice.join_index
-    for x in range(n):
-        if x in (lattice.bottom_index, lattice.top_index):
-            continue
-        for y in range(n):
-            for z in range(n):
-                if (join(x, meet(y, z)) != meet(join(x, y), join(x, z))
-                        or meet(x, join(y, z)) != join(meet(x, y), meet(x, z))):
-                    return CheckResult(
-                        False,
-                        (lattice.elements[x], lattice.elements[y], lattice.elements[z]),
-                    )
-    return CheckResult(True)
+    names = lattice.elements
+    i, x, j = _join_failure(lattice, _join_irreducibles(lattice))
+    return CheckResult(False, (names[i], names[x], names[j]))
 
 
 def is_boolean(lattice: OrthoLattice) -> bool:
@@ -923,8 +913,8 @@ def is_boolean(lattice: OrthoLattice) -> bool:
     lattice every join-irreducible j is join-prime (j <= x v y gives j <= x
     or j <= y).  So this holds exactly when the lattice is distributive.  It
     suffices to check J(x v j) = J(x) | J(j) for every x and join-irreducible
-    j: joining the elements of J(y) onto x one at a time then gives
-    J(x v y) = J(x) | J(y).
+    j (:func:`_join_failure`): joining the elements of J(y) onto x one at a
+    time then gives J(x v y) = J(x) | J(y).
 
     An element x != 0 is join-irreducible when the elements strictly below
     it have a greatest element, their join; otherwise that join is x.  The
@@ -937,23 +927,32 @@ def is_boolean(lattice: OrthoLattice) -> bool:
     ``measure_module`` and every decomposition step ask again.
     """
     if lattice._boolean is None:
-        lattice._boolean = _decide_boolean(lattice)
+        n = len(lattice)
+        if n & n - 1:
+            lattice._boolean = False
+        else:
+            irreducible = _join_irreducibles(lattice)
+            lattice._boolean = (len(irreducible) == n.bit_length() - 1
+                                and _join_failure(lattice, irreducible) is None)
     return lattice._boolean
 
 
-def _decide_boolean(lattice: OrthoLattice) -> bool:
-    """Whether the lattice is distributive, by the proof at :func:`is_boolean`."""
-    n = len(lattice)
-    if n & n - 1:
-        return False
-    order, down_pos, up_pos = lattice.order, lattice.down_pos, lattice.up_pos
+def _join_irreducibles(lattice: OrthoLattice) -> list[int]:
+    """The join-irreducible elements, ascending, as at :func:`is_boolean`."""
+    order, down_pos = lattice.order, lattice.down_pos
     irreducible = []
     for x, d in enumerate(down_pos):
         strictly_below = d ^ 1 << d.bit_length() >> 1  # x is at the top bit
         if strictly_below and down_pos[order[strictly_below.bit_length() - 1]] == strictly_below:
             irreducible.append(x)
-    if len(irreducible) != n.bit_length() - 1:
-        return False
+    return irreducible
+
+
+def _join_failure(lattice: OrthoLattice,
+                  irreducible: list[int]) -> tuple[int, int, int] | None:
+    """The first x, then j of ``irreducible``, with J(x v j) != J(x) | J(j),
+    as (i, x, j) for the first i in the difference; None if there is none."""
+    order, up_pos = lattice.order, lattice.up_pos
     mask = sum(1 << j for j in irreducible)
     below = [d & mask for d in lattice.down_masks]
     for x, bx in enumerate(below):
@@ -962,9 +961,11 @@ def _decide_boolean(lattice: OrthoLattice) -> bool:
         up_x = up_pos[x]
         for j in irreducible:
             ub = up_x & up_pos[j]
-            if below[order[(ub & -ub).bit_length() - 1]] != bx | below[j]:
-                return False
-    return True
+            # J(x v j) holds J(x) | J(j), so the XOR is what it has over them
+            extra = below[order[(ub & -ub).bit_length() - 1]] ^ (bx | below[j])
+            if extra:
+                return (extra & -extra).bit_length() - 1, x, j
+    return None
 
 
 def atoms(lattice: OrthoLattice) -> tuple[str, ...]:

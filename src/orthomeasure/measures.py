@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -152,28 +153,21 @@ class Measure:
 
 def is_measure(lattice: OrthoLattice, values: Mapping[str, object],
                domain: Domain) -> CheckResult:
-    """Additivity on every orthogonal pair; witness is the first failure.
+    """Additivity on every orthogonal pair; witness is the first failure
+    among the pairs whose rows present the measure group.
 
-    The pair ("0", "0") is orthogonal, so a nonzero value at bottom is
-    itself a violation.  On an orthomodular lattice, mu(0) = 0 and
-    additivity on the covering pairs (x, a), x != 0 and a an atom below
-    x', prove it on every pair, since their rows generate every
-    orthogonal-pair row (see ``_presentation_rows``); the pairs are
-    scanned only when that test fails, to find the witness.
+    Those pairs are :func:`_relation_pairs`: on an orthomodular lattice
+    (0, 0) and the covering pairs (x, a), x != 0 and a an atom below x',
+    whose rows generate every orthogonal-pair row (see
+    ``_presentation_rows``), and on any other lattice every orthogonal
+    pair.  The pair ("0", "0") is orthogonal, so a nonzero value at
+    bottom is itself a violation.
     """
     vals = _validated_values(lattice, values, domain)
     order, up_pos = lattice.order, lattice.up_pos
-
-    def additive(i, j):
+    for i, j in _relation_pairs(lattice):
         ub = up_pos[i] & up_pos[j]  # the join is at its lowest position
-        return domain.add(vals[i], vals[j]) == vals[order[(ub & -ub).bit_length() - 1]]
-
-    bottom = lattice.bottom_index
-    if (is_orthomodular(lattice).ok and additive(bottom, bottom)
-            and all(additive(i, a) for i, a in _covering_pairs(lattice))):
-        return CheckResult(True)
-    for i, j in lattice.orthogonal_index_pairs():
-        if not additive(i, j):
+        if domain.add(vals[i], vals[j]) != vals[order[(ub & -ub).bit_length() - 1]]:
             return CheckResult(False, (lattice.elements[i], lattice.elements[j]))
     return CheckResult(True)
 
@@ -445,7 +439,7 @@ def measure_module(lattice: OrthoLattice,
     lattice and orthogonal-pair rows on any other."""
     if is_boolean(lattice):
         return _boolean_module(lattice, action)
-    return _module(lattice, _presentation_rows(lattice, is_orthomodular(lattice).ok), action)
+    return _module(lattice, _presentation_rows(lattice), action)
 
 
 def coinvariants(module: MeasureModule, action: GroupAction) -> MeasureModule:
@@ -457,15 +451,14 @@ def coinvariants(module: MeasureModule, action: GroupAction) -> MeasureModule:
     return measure_module(module.lattice, action)
 
 
-def _presentation_rows(lattice: OrthoLattice,
-                       orthomodular: bool) -> list[tuple[tuple[int, int], ...]]:
-    """Sparse rows presenting the measure group.
+def _presentation_rows(lattice: OrthoLattice) -> list[tuple[tuple[int, int], ...]]:
+    """Sparse rows presenting the measure group: R(x, y) = e_{x v y} - e_x
+    - e_y for each pair (x, y) of :func:`_relation_pairs`, in its order.
 
-    Write R(x, y) = e_{x v y} - e_x - e_y for x orthogonal to y.  On an
-    orthomodular lattice (OML) the rows are R(0, 0) = -e_0, then R(x, a)
-    for every x != 0 and every atom a <= x', once for each pair of atoms.  On any other ortholattice
-    they are R(x, y) for every orthogonal pair, as in
-    :func:`relation_matrix`.
+    On an orthomodular lattice (OML) the rows are R(0, 0) = -e_0, then
+    R(x, a) for every x != 0 and every atom a <= x', once for each pair of
+    atoms.  On any other ortholattice they are R(x, y) for every orthogonal
+    pair, as in :func:`relation_matrix`.
 
     On an OML the rows R(x, a) are one per covering pair, and together
     with -e_0 they generate every R(x, y).  Let S(x, z) = e_z - e_x -
@@ -490,28 +483,28 @@ def _presentation_rows(lattice: OrthoLattice,
     """
     join = lattice.join_index
     bottom = lattice.bottom_index
-    if orthomodular:
-        pairs = _covering_pairs(lattice)
-        rows = [((bottom, -1),)]
-    else:
-        pairs = lattice.orthogonal_index_pairs()
-        rows = []
-    for i, j in pairs:
-        if bottom in (i, j):
-            rows.append(((bottom, -1),))
-        else:
-            rows.append(tuple(sorted(((join(i, j), 1), (i, -1), (j, -1)))))
-    return rows
+    return [((bottom, -1),) if bottom in (i, j)
+            else tuple(sorted(((join(i, j), 1), (i, -1), (j, -1))))
+            for i, j in _relation_pairs(lattice)]
 
 
-def _covering_pairs(lattice: OrthoLattice) -> Iterator[tuple[int, int]]:
-    """The pairs (x, a), x != 0 and a an atom below x', of the cover rows;
-    two orthogonal atoms give one pair, taken at the lower index."""
+def _relation_pairs(lattice: OrthoLattice) -> Iterator[tuple[int, int]]:
+    """The orthogonal pairs whose rows present the measure group.
+
+    On an orthomodular lattice, (0, 0) and then the pairs (x, a), x != 0
+    and a an atom below x', one per covering pair: two orthogonal atoms
+    give one pair, taken at the lower index.  On any other lattice every
+    orthogonal pair, as :meth:`OrthoLattice.orthogonal_index_pairs` lists
+    them.
+    """
+    if not is_orthomodular(lattice).ok:
+        return lattice.orthogonal_index_pairs()
     bottom = lattice.bottom_index
     atom_mask = sum(1 << a for a in lattice.atom_indices())
-    return ((i, j) for i, o in enumerate(lattice.orth_map) if i != bottom
-            for j in _bits(lattice.down_masks[o] & atom_mask
-                           & (-1 << i if atom_mask >> i & 1 else -1)))
+    covering = ((i, j) for i, o in enumerate(lattice.orth_map) if i != bottom
+                for j in _bits(lattice.down_masks[o] & atom_mask
+                               & (-1 << i if atom_mask >> i & 1 else -1)))
+    return chain([(bottom, bottom)], covering)
 
 
 def _combine(terms: Iterable[tuple[int, int]], vectors: Sequence[Mapping[int, int]]) -> dict[int, int]:

@@ -579,13 +579,14 @@ def orbits(action: GroupAction, subset: Iterable[str] | None = None) -> list[Orb
     pool = list(subset) if subset is not None else list(lattice.elements)
     pool_idx = sorted({lattice.index(e) for e in pool})
     labels = action.orbit_labels()
-    seen: set[int] = set()
+    members: dict[int, list[str]] = {}
+    for e, label in zip(lattice.elements, labels):
+        members.setdefault(label, []).append(e)
     out = []
     for i in pool_idx:
-        if labels[i] in seen:
-            continue
-        seen.add(labels[i])
-        out.append(Orbit(lattice.elements[i], orbit_of(action, lattice.elements[i])))
+        orbit = members.pop(labels[i], None)
+        if orbit is not None:
+            out.append(Orbit(lattice.elements[i], tuple(orbit)))
     return out
 
 

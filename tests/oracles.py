@@ -362,9 +362,8 @@ def module_by_dense_images(lattice, action=None):
     module the package writes in closed form.
     """
     import orthomeasure.measures as measures_mod
-    from orthomeasure import is_orthomodular
 
-    rows = measures_mod._presentation_rows(lattice, is_orthomodular(lattice).ok)
+    rows = measures_mod._presentation_rows(lattice)
     columns = measures_mod._orbit_columns(lattice, action)
     width = max(columns) + 1
     heights = [0] * width
@@ -532,6 +531,74 @@ def distributivity_witness(lattice):
                         or meet(x, join(y, z)) != join(meet(x, y), meet(x, z))):
                     return (x, y, z)
     return None
+
+
+def join_irreducibles_by_definition(lattice):
+    """The names x != 0, in element order, that are no join of two elements
+    both other than x, read through the name-level join."""
+    names, join = lattice.elements, lattice.join
+    out = []
+    for x in names:
+        below = [y for y in names if y != x and lattice.leq(y, x)]
+        if x != lattice.bottom and all(join(y, z) != x for y in below for z in below):
+            out.append(x)
+    return out
+
+
+def distributivity_failure(lattice):
+    """The witness of ``is_distributive``'s rule, from names: the first x in
+    element order, then join-irreducible j in element order, with
+    J(x v j) != J(x) | J(j), where J(y) is the set of join-irreducibles
+    below y; returns (i, x, j) for the first join-irreducible i in the
+    difference, or None if there is no such pair."""
+    irreducible = join_irreducibles_by_definition(lattice)
+    below = {y: {i for i in irreducible if lattice.leq(i, y)} for y in lattice.elements}
+    for x in lattice.elements:
+        for j in irreducible:
+            extra = below[lattice.join(x, j)] - below[x] - below[j]
+            if extra:
+                return next(i for i in irreducible if i in extra), x, j
+    return None
+
+
+def orthomodularity_failure(lattice):
+    """The witness of ``is_orthomodular``'s rule, from names: the first pair
+    a < b, a in element order and then b, with a' ^ b = 0; None if there is
+    none."""
+    names = lattice.elements
+    return next(((a, b) for a in names for b in names
+                 if a != b and lattice.leq(a, b)
+                 and lattice.meet(lattice.orthocomplement(a), b) == lattice.bottom),
+                None)
+
+
+def relation_pairs_by_names(lattice):
+    """The pairs whose rows present the measure group, from names: on an
+    orthomodular lattice (0, 0), then (x, a) for x != 0 in element order and
+    each atom a <= x' in element order, an atom x taking only the atoms
+    after it; on any other lattice every orthogonal pair (x, y), y <= x',
+    x in element order and y from x on."""
+    names, bottom = lattice.elements, lattice.bottom
+    if orthomodularity_failure(lattice) is not None:
+        return [(x, y) for k, x in enumerate(names) for y in names[k:]
+                if lattice.leq(y, lattice.orthocomplement(x))]
+    atoms = [a for a in names if a != bottom
+             and all(y in (bottom, a) for y in names if lattice.leq(y, a))]
+    pairs = [(bottom, bottom)]
+    for k, x in enumerate(names):
+        if x != bottom:
+            pairs += [(x, a) for a in atoms if lattice.leq(a, lattice.orthocomplement(x))
+                      and (x not in atoms or names.index(a) > k)]
+    return pairs
+
+
+def first_nonadditive_relation_pair(lattice, values, domain):
+    """The witness of ``is_measure``'s rule: the first pair of
+    :func:`relation_pairs_by_names` where the values are not additive, or
+    None."""
+    vals = {e: domain.validate(values[e]) for e in lattice.elements}
+    return next(((x, y) for x, y in relation_pairs_by_names(lattice)
+                 if domain.add(vals[x], vals[y]) != vals[lattice.join(x, y)]), None)
 
 
 def inclusion_exclusion_check(lattice, members, partial, k_max=8):

@@ -18,7 +18,8 @@ Claims:
     - a group file whose maps name no element exits 2
     - a partial measure's integral string ("3") extends over Z, Q and Z/m,
       reduced mod m over Z/m; a non-integral one exits 2 over Z and Z/m,
-      its message naming the value as it reads ("1/2")
+      its message naming the value as it reads ("1/2"); a key that is no
+      element exits 2 with one message, with and without a group
     - a group file is never listed for module: S_9 on boolean(9), past the
       listing cap, gives rank 1 in under 1 s; the normalizer extend needs
       lists it, and past the cap exits 3; no command takes --max-group
@@ -250,6 +251,21 @@ def test_extend_rejects_a_non_integral_value_as_it_reads(domain, message, capsys
     assert code == 2
     assert data["error"] == "DomainMismatchError"
     assert data["detail"] == message
+
+
+@pytest.mark.parametrize("group", [[], ["--full-aut"]], ids=["classical", "invariant"])
+def test_extend_names_an_unknown_partial_key_alike(group, capsys, tmp_path):
+    path = tmp_path / "b2.json"
+    save_lattice(boolean(2), path)
+    gs = tmp_path / "gs.json"
+    gs.write_text(json.dumps({"members": ["10", "01"]}))
+    pm = tmp_path / "pm.json"
+    pm.write_text(json.dumps({"values": {"10": 1, "01": 1, "zz": 2}}))
+    code, data = run_json(capsys, ["extend", str(path), *group, "--generating-set", str(gs),
+                                   "--partial", str(pm)])
+    assert code == 2
+    assert data == {"error": "SchemaError",
+                    "detail": "partial measure names unknown element 'zz'"}
 
 
 def test_extend_full_aut_on_mo9_lists_no_group(capsys, tmp_path):

@@ -73,7 +73,7 @@ from strategies import greechie_loop
 
 
 def _row_route(lattice, action):
-    rows = measures_mod._presentation_rows(lattice, True)
+    rows = measures_mod._presentation_rows(lattice)
     return measures_mod._module(lattice, rows, action)
 
 

@@ -16,6 +16,9 @@ Claims:
       additive functions and invariant measures on the acceptance triples
     - the weak inclusion check accepts genuine invariant measures and
       reports precondition violations
+    - both extension routes name a partial-measure key that is no element,
+      and one that is an element but no member, with the same message,
+      also when no member has a value, and before testing generation
 """
 
 from fractions import Fraction
@@ -35,6 +38,7 @@ from orthomeasure import (
     NotInvariantOnGeneratorsError,
     PartialMeasure,
     RATIONALS,
+    SchemaError,
     atoms,
     automorphism_group,
     benzene,
@@ -260,6 +264,32 @@ def test_orth_extend_not_invariant_on_members(family, aut_groups):
             lat, aut_groups["mo(2)"], ["a1", "a1'"],
             PartialMeasure(RATIONALS, {"a1": Fraction(1), "a1'": Fraction(2)}),
         )
+
+
+@pytest.mark.parametrize("key,message", [
+    ("zz", "partial measure names unknown element 'zz'"),
+    ("11", "partial measure names non-member '11'"),
+])
+@pytest.mark.parametrize("given", [{"10": 1, "01": 1}, {}], ids=["members given", "none given"])
+def test_both_routes_name_a_bad_partial_key_alike(key, message, given):
+    # the keys are checked before any member is found without a value
+    lat = boolean(2)
+    partial = PartialMeasure(INTEGERS, {**given, key: 2})
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        classical_groemer_extend(lat, ["10", "01"], partial)
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        orth_groemer_extend(lat, automorphism_group(lat), ["10", "01"], partial)
+
+
+def test_a_bad_partial_key_is_named_before_generation_is_tested():
+    # {"10"} generates neither boolean(2) nor its orbits under the trivial group
+    lat = boolean(2)
+    partial = PartialMeasure(INTEGERS, {"10": 1, "zz": 2})
+    message = "^partial measure names unknown element 'zz'$"
+    with pytest.raises(SchemaError, match=message):
+        classical_groemer_extend(lat, ["10"], partial)
+    with pytest.raises(SchemaError, match=message):
+        orth_groemer_extend(lat, trivial_action(lat), ["10"], partial)
 
 
 def test_orth_extend_kernel_violation_through_members():

@@ -13,10 +13,12 @@ Claims:
       on composites into Z/2 and Z/3 it counts the brute-force measures,
       and under the full automorphism group those constant on orbits
     - the brute-force oracle is consistent with hand counts
-    - is_measure, which on an orthomodular lattice checks the cover rows
-      before any pair scan, gives the verdict and the first failing pair of
-      the full orthogonal-pair scan on composites over Z, Q and Z/m, for
-      true measures and for true measures with one value moved
+    - is_measure, which on an orthomodular lattice checks only the pairs
+      of the cover rows, gives the verdict of the full orthogonal-pair scan
+      on composites over Z, Q and Z/m, for true measures and for true
+      measures with one value moved; its witness is the first failing pair
+      of the presenting pairs listed from names, an orthogonal pair whose
+      values are not additive
 """
 
 import random
@@ -53,6 +55,7 @@ from orthomeasure import atoms as atoms_of
 from oracles import (
     additivity_nullity,
     first_nonadditive_pair,
+    first_nonadditive_relation_pair,
     hom_count_bruteforce,
     rank as oracle_rank,
     solve_exact,
@@ -381,6 +384,11 @@ def test_is_measure_matches_pair_scan(lattice, domain_name, seed, perturb):
         e = rng.choice(lattice.elements)
         values[e] = domain.validate(values[e] + rng.randint(1, 5))
     result = is_measure(lattice, values, domain)
-    assert (result.ok, result.witness) == first_nonadditive_pair(lattice, values, domain)
+    assert result.ok == first_nonadditive_pair(lattice, values, domain)[0]
+    assert result.witness == first_nonadditive_relation_pair(lattice, values, domain)
     if not perturb:
         assert result.ok
+    if not result.ok:
+        x, y = result.witness
+        assert lattice.orthogonal(x, y)
+        assert domain.add(values[x], values[y]) != values[lattice.join(x, y)]

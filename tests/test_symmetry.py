@@ -11,6 +11,11 @@ Claims:
       non-orthomodular hexagon)
     - every closed group element preserves joins, meets, and the complement
     - orbits partition; orbit times stabilizer equals group order
+    - orbits lists, for each orbit met by the subset, the whole orbit found
+      by applying the generators to names, represented by its first subset
+      member and in that member's index order, under the full group and
+      the trivial action on the family and its pairwise composites, for
+      every element and for every other element
     - normalizers are subgroups; the quotient class map injectivity test
       matches hand-computed cases
     - the group file format round-trips
@@ -41,6 +46,8 @@ from orthomeasure import (
     trivial_action,
 )
 from orthomeasure.symmetry import generating_subset
+
+from strategies import pairwise_composites
 
 
 def swap_blocks_mo2():
@@ -157,6 +164,32 @@ def test_orbits_partition_and_orbit_stabilizer(family, aut_groups):
         assert sorted(seen) == sorted(lat.elements)
         for x in lat.elements:
             assert len(orbit_of(action, x)) * stabilizer(action, x).order == action.order
+
+
+def _orbits_by_generators(action, subset):
+    """(representative, members) per orbit met by the subset: the first
+    subset member of each orbit in index order, and its orbit closed under
+    the generators' maps, in index order."""
+    lattice = action.lattice
+    out, covered = [], set()
+    for x in sorted(subset, key=lattice.index):
+        if x in covered:
+            continue
+        orbit, frontier = {x}, [x]
+        while frontier:
+            frontier = [g(y) for y in frontier for g in action.generators if g(y) not in orbit]
+            orbit.update(frontier)
+        covered |= orbit
+        out.append((x, tuple(sorted(orbit, key=lattice.index))))
+    return out
+
+
+def test_orbits_match_the_generator_closure(family):
+    for lattice in [*family.values(), *pairwise_composites(family.values())]:
+        for action in (automorphism_group(lattice), trivial_action(lattice)):
+            for subset in (lattice.elements, lattice.elements[1::2]):
+                got = [(orb.representative, orb.members) for orb in orbits(action, subset)]
+                assert got == _orbits_by_generators(action, subset), lattice
 
 
 def test_trivial_action_orbits():
