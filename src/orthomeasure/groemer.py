@@ -255,10 +255,12 @@ def orth_groemer_extend(lattice: OrthoLattice, action: GroupAction,
                         members: Iterable[str], partial: PartialMeasure) -> Measure:
     """The unique invariant measure restricting to the given values.
 
-    Requires the set to generate for the action (NotGeneratingForActionError)
-    and the values to be constant on normalizer orbits of the members
-    (NotInvariantOnGeneratorsError); a value given for one member of a
-    normalizer orbit stands for the whole orbit.  Each element of the orbit
+    Requires a value for each normalizer orbit of the members
+    (DomainMismatchError), the same on all of it
+    (NotInvariantOnGeneratorsError), and then the set to generate for the
+    action (NotGeneratingForActionError), so a missing value is refused as
+    on the classical route; a value given for one member of a normalizer
+    orbit stands for the whole orbit.  Each element of the orbit
     set takes the value of the member in its full orbit, and the extension
     is the closure's path sums over the orbit set (module docstring); when
     they do not form a measure agreeing with every member value, no
@@ -268,17 +270,10 @@ def orth_groemer_extend(lattice: OrthoLattice, action: GroupAction,
     gs = make_generating_set(lattice, members)
     _check_keys(lattice, gs.members, partial)
     norm = normalizer(action, gs.members)
-    report = is_generating_for_action(lattice, action, gs.members, norm)
-    if not report.ok:
-        raise NotGeneratingForActionError(
-            f"quotient_injective={report.quotient_injective}, "
-            f"orbit_generating={report.orbit_generating}"
-        )
     domain = partial.domain
-    labels = action.orbit_labels()
 
     values: dict[str, object] = {}
-    by_orbit: dict[int, object] = {}
+    class_values = []  # (representative, value), one per normalizer orbit
     for orb in orbits(norm, gs.members):
         given = {
             b: domain.validate(partial.values[b])
@@ -297,8 +292,16 @@ def orth_groemer_extend(lattice: OrthoLattice, action: GroupAction,
         v = distinct.pop()
         for b in orb.members:
             values[b] = v
-        # the class map is injective: one normalizer orbit per full orbit
-        by_orbit[labels[lattice.index(orb.representative)]] = v
+        class_values.append((orb.representative, v))
+    report = is_generating_for_action(lattice, action, gs.members, norm)
+    if not report.ok:
+        raise NotGeneratingForActionError(
+            f"quotient_injective={report.quotient_injective}, "
+            f"orbit_generating={report.orbit_generating}"
+        )
+    labels = action.orbit_labels()
+    # the class map is injective: one normalizer orbit per full orbit
+    by_orbit = {labels[lattice.index(b)]: v for b, v in class_values}
     orbit_values = {
         e: by_orbit[k] for e, k in zip(lattice.elements, labels) if k in by_orbit
     }

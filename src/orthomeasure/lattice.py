@@ -9,10 +9,10 @@ highest position of their common down-set, the join the one at the lowest
 position of their common up-set, each one AND and one bit scan.
 Construction puts the elements in a topological order of the given pairs,
 closes the order in one pass over it, and proves that every pair has a
-meet by checking only pairs of lower covers of a common element, so an
-accepted description costs O(pairs + covered pairs) big-int operations
-and writes nothing quadratic; only a rejected one runs the scans of
-:func:`verify_ortho`, up to the first that fails, to name it.
+meet by checking only pairs of lower covers of a common element, so a
+description costs O(pairs + covered pairs) big-int operations and writes
+nothing quadratic, whether it is accepted or rejected: each check that
+fails names the fault from what it holds.
 
 Instances are immutable after construction and safe to share between readers.
 """
@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heapify, heappop, heappush
@@ -331,15 +332,23 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
 
     Joins need no check of their own once the orthocomplement is an
     order-reversing involution: then z >= x, y exactly when z' <= x', y',
-    so x v y = (x' ^ y')'.  The same reasoning gives the join half of the
-    complement laws: x v x' = (x' ^ x)' = 0', and 0' is the top.  Order
-    reversal is checked on the given pairs only: reversing a generating
-    relation reverses its transitive closure.
+    so x v y = (x' ^ y')'.  So does the join half of the complement laws,
+    x v x' = (x' ^ x)' = 0' = 1, but it is checked too, one AND per
+    element, so that an involution that breaks it is named by it rather
+    than by order reversal.  Order reversal is checked on the given pairs
+    only: reversing a generating relation reverses its transitive closure.
 
-    Any failure hands over to :func:`_raise_first_failure`, which runs the
-    checks of :func:`verify_ortho` on what is built until one fails and
-    names it (each pair's meet, then its join, then the orthocomplement);
-    an accepted input never reaches it.
+    Each check raises as soon as it fails, naming the fault from what it
+    holds, in this order: a duplicate element (the first, in file order,
+    that occurs more than once); a pair naming an unknown element; a cycle
+    (stepping down from the first unsorted element, by index, to its
+    first unsorted given lower neighbour until an element x repeats;
+    x <= y <= x for the y stepped to from x); a missing meet or join
+    (:func:`_is_lattice`); a missing or unknown image, then an image of
+    no element; the lowest element that fails the involution, then the
+    complement laws; the first given pair (a, b), a by index and b in
+    file order, with b' not below a'.  A rejection costs no more than an
+    acceptance, and neither reaches :func:`verify_ortho`.
 
     So a returned lattice satisfies every axiom :func:`verify_ortho`
     checks.  The ``check`` command relies on this: it reports those axioms
@@ -354,7 +363,8 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
         raise SizeCapError(f"{n} elements exceeds the cap of {max_elements}")
     index = {e: i for i, e in enumerate(elements)}
     if len(index) != n:
-        dup = next(e for e in elements if elements.count(e) > 1)
+        count = Counter(elements)
+        dup = next(e for e in elements if count[e] > 1)
         raise SchemaError(f"duplicate element identifier {dup!r}")
 
     above = [[] for _ in range(n)]  # given strict upper neighbours
@@ -376,9 +386,15 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
             if not unplaced[j]:
                 order.append(j)
     if len(order) < n:
-        i, j = _cycle_witness(above)
+        # an unsorted element keeps an unsorted given lower neighbour, so
+        # the steps down end in a loop
+        step = {}
+        i = next(i for i in range(n) if unplaced[i])
+        while i not in step:
+            step[i] = next(j for j in below[i] if unplaced[j])
+            i = step[i]
         raise NotAPartialOrderError(
-            f"cycle: {elements[i]!r} <= {elements[j]!r} <= {elements[i]!r}"
+            f"cycle: {elements[i]!r} <= {elements[step[i]]!r} <= {elements[i]!r}"
         )
 
     # up, down: bits over element indices; up_pos, down_pos: bits over positions
@@ -400,27 +416,52 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
             mask_pos |= down_pos[j]
         down[i], down_pos[i] = mask, mask_pos
 
+    failure = _is_lattice(above, below, order, up_pos, down_pos)
+    if failure is not None:
+        kind, i, j = failure
+        raise NotALatticeError(f"{elements[i]!r} and {elements[j]!r} have no {kind}")
+
     # None marks a missing or unknown image
     orth = [index.get(desc.orthocomplement.get(e)) for e in elements]
-    lattice_ok = _is_lattice(above, below, order, up_pos, down_pos)
-    # in a lattice position 0 holds the bottom, so x ^ x' = 0 reads as a
-    # common down-set of the bottom alone
-    if not (
-        lattice_ok
-        and None not in orth
-        and len(desc.orthocomplement) == n
-        and all(orth[o] == i and down_pos[i] & down_pos[o] == 1 for i, o in enumerate(orth))
-        and all(up[orth[j]] >> orth[i] & 1 for i in range(n) for j in above[i])
-    ):
-        _raise_first_failure(desc, index, up, down, order, up_pos, down_pos, lattice_ok)
+    if None in orth:
+        e = elements[orth.index(None)]
+        img = desc.orthocomplement.get(e)
+        if img is None:
+            raise BadOrthocomplementError(f"no orthocomplement given for {e!r}")
+        raise SchemaError(f"orthocomplement references unknown element {img!r}")
+    if len(desc.orthocomplement) != n:
+        extra = set(desc.orthocomplement) - index.keys()
+        raise SchemaError(f"orthocomplement keys not in elements: {sorted(extra)}")
+    # in a lattice position 0 holds the bottom and position n - 1 the top,
+    # so x ^ x' = 0 reads as a common down-set of the bottom alone, and
+    # x v x' = 1 as a common up-set of the top alone
+    top = 1 << n - 1
+    for i, o in enumerate(orth):
+        if orth[o] != i:
+            raise BadOrthocomplementError(f"involution fails at {elements[i]!r}")
+        if down_pos[i] & down_pos[o] != 1 or up_pos[i] & up_pos[o] != top:
+            raise BadOrthocomplementError(f"complement laws fail at {elements[i]!r}")
+    for i, o in enumerate(orth):
+        for j in above[i]:
+            if not up[orth[j]] >> o & 1:
+                raise BadOrthocomplementError(
+                    f"order reversal fails on ({elements[i]!r}, {elements[j]!r})")
     return OrthoLattice(desc.name, elements, up, down, orth, order, up_pos, down_pos)
 
 
-def _is_lattice(above, below, order, up_pos, down_pos) -> bool:
-    """Whether the order has a single minimal element, a single maximal
-    one, and a meet for every two distinct non-atoms that are lower covers
-    of a common element; by the lemma at :func:`build_lattice`, exactly
-    when it is a lattice.
+def _is_lattice(above, below, order, up_pos, down_pos) -> tuple[str, int, int] | None:
+    """None when the order is a lattice, else the first failure found, as
+    ``(kind, i, j)``: elements i < j whose lower bounds have no greatest
+    element (``kind`` "meet") or whose upper bounds have no least one
+    ("join").
+
+    By the lemma at :func:`build_lattice`, the order is a lattice exactly
+    when it has a single minimal element, a single maximal one, and a meet
+    for every two distinct non-atoms that are lower covers of a common
+    element.  These are checked in turn: two minimal elements, the first
+    two by index, have no meet; two maximal ones no join; and then the
+    first pair of non-atom lower covers without a meet is named, by the
+    lower cover z's index, then the pair's positions.
 
     The minimal elements are those given no lower neighbour, the maximal
     ones those given no upper neighbour.  The lower covers of z are the
@@ -429,8 +470,10 @@ def _is_lattice(above, below, order, up_pos, down_pos) -> bool:
     bounds' element at their highest position must have them all as its
     down-set.
     """
-    if sum(not lower for lower in below) != 1 or sum(not upper for upper in above) != 1:
-        return False
+    for kind, given in (("meet", below), ("join", above)):
+        ends = [i for i, near in enumerate(given) if not near][:2]
+        if len(ends) == 2:
+            return kind, *ends
     position = [0] * len(order)
     for p, i in enumerate(order):
         position[i] = p
@@ -442,77 +485,15 @@ def _is_lattice(above, below, order, up_pos, down_pos) -> bool:
         for x in given:
             mask |= 1 << position[x]
         # the non-atoms among the lower covers; an atom's down-set has 2 bits
-        covers = [down_pos[x] for x in map(order.__getitem__, _bits(mask))
+        covers = [x for x in map(order.__getitem__, _bits(mask))
                   if up_pos[x] & mask == 1 << position[x] and down_pos[x].bit_count() > 2]
-        for p, d in enumerate(covers):
-            for e in covers[p + 1:]:
-                lb = d & e
+        for p, x in enumerate(covers):
+            d = down_pos[x]
+            for y in covers[p + 1:]:
+                lb = d & down_pos[y]
                 if down_at[lb.bit_length() - 1] != lb:
-                    return False
-    return True
-
-
-def _raise_first_failure(desc, index, up, down, order, up_pos, down_pos, lattice_ok):
-    """Raise the error of the first check a rejected description fails.
-
-    The checks of :func:`verify_ortho` run on the lattice as built so far,
-    with a missing or unknown image standing in as the element itself, in
-    this order, and the first that fails is named: a pair without a meet or
-    a join, in its scan order; then the description's images; then the
-    lowest element that fails the involution or the complement laws (the
-    involution first); then order reversal.  :func:`build_lattice` comes
-    here only when one of them fails.
-
-    ``lattice_ok`` says whether the order is a lattice (:func:`_is_lattice`).
-    If so, every pair has a meet and a join, and the pair scan is skipped;
-    if not, the scan finds a pair without one.
-    """
-    elements = desc.elements
-    orth = [index.get(desc.orthocomplement.get(e), i) for i, e in enumerate(elements)]
-    lattice = OrthoLattice(desc.name, elements, up, down, orth, order, up_pos, down_pos)
-    if not lattice_ok:
-        kind, a, b = _check_meets_and_joins(lattice).witness
-        raise NotALatticeError(f"{a!r} and {b!r} have no {kind}")
-
-    for e in elements:
-        img = desc.orthocomplement.get(e)
-        if img is None:
-            raise BadOrthocomplementError(f"no orthocomplement given for {e!r}")
-        if img not in index:
-            raise SchemaError(f"orthocomplement references unknown element {img!r}")
-    extra = set(desc.orthocomplement) - set(elements)
-    if extra:
-        raise SchemaError(f"orthocomplement keys not in elements: {sorted(extra)}")
-    failed = [(index[check.witness[0]], message)
-              for check, message in ((_check_involution(lattice), "involution fails at"),
-                                     (_check_complement(lattice), "complement laws fail at"))
-              if not check]
-    if failed:
-        # the lowest element; min keeps the first of equals, the involution
-        i, message = min(failed, key=lambda f: f[0])
-        raise BadOrthocomplementError(f"{message} {elements[i]!r}")
-    a, b = _check_order_reversal(lattice).witness
-    raise BadOrthocomplementError(f"order reversal fails on ({a!r}, {b!r})")
-
-
-def _cycle_witness(above):
-    """First (i, j), i < j, with i <= j <= i in the closure of ``above``.
-
-    Warshall's closure over bitmask rows and a scan of all pairs; only a
-    description whose pairs close into a cycle gets here.
-    """
-    n = len(above)
-    up = [1 << i | sum({1 << j for j in js}) for i, js in enumerate(above)]
-    for k in range(n):
-        mk = up[k]
-        bit = 1 << k
-        for i in range(n):
-            if up[i] & bit:
-                up[i] |= mk
-    return next(
-        (i, j) for i in range(n) for j in range(i + 1, n)
-        if up[i] >> j & 1 and up[j] >> i & 1
-    )
+                    return "meet", min(x, y), max(x, y)
+    return None
 
 
 # --- file format --------------------------------------------------------------
@@ -737,12 +718,10 @@ def verify_ortho(lattice: OrthoLattice) -> VerificationReport:
     """Exhaustively verify every orthocomplemented-lattice axiom.
 
     :func:`build_lattice` proves all of them on every description it
-    accepts, so the ``check`` command never calls this.  It is the oracle
-    the tests run on what the constructors return, :func:`_induced`'s
-    summands and factors among them, which bypass :func:`build_lattice`.
-    Each check is its own function below, so :func:`_raise_first_failure`
-    can run them one at a time on a rejected description and stop at the
-    first that fails, to name it.
+    accepts, and names the fault of every one it rejects, without calling
+    this, so the ``check`` command never does.  It is the oracle the tests
+    run on what the constructors return, :func:`_induced`'s summands and
+    factors among them, which bypass :func:`build_lattice`.
     """
     checks = {
         "partial_order": _check_partial_order(lattice),

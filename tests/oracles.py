@@ -698,9 +698,14 @@ def build_lattice_by_scan(desc, max_elements=4096):
     Warshall's closure over bitmask rows, an antisymmetry scan of all pairs,
     every meet and join found by scanning the bound set for an element whose
     own down- or up-set is the whole set, and order reversal checked on
-    every pair of the closure.  Raises what ``build_lattice`` raises, with
-    the same message, on every rejected description; otherwise returns the
-    tables as a dict keyed like the ``OrthoLattice`` attributes.
+    every pair of the closure.  On a rejected description it raises the
+    error class ``build_lattice`` raises, with the same message for a
+    schema, duplicate, unknown-element, image, involution or complement
+    fault.  A cycle, a missing meet or join and a failed order reversal it
+    names by its own scans (the first pair of the closure, by index, that
+    breaks the law), which need not be the witness ``build_lattice`` finds
+    in the pass that fails.  An accepted description gives the tables as a
+    dict keyed like the ``OrthoLattice`` attributes.
     """
     from orthomeasure.errors import (
         BadOrthocomplementError,
@@ -721,18 +726,11 @@ def build_lattice_by_scan(desc, max_elements=4096):
         raise SchemaError(f"duplicate element identifier {dup!r}")
     index = {e: i for i, e in enumerate(elements)}
 
-    up = [1 << i for i in range(n)]
     for a, b in desc.leq_pairs:
         if a not in index or b not in index:
             missing = a if a not in index else b
             raise SchemaError(f"leq pair references unknown element {missing!r}")
-        up[index[a]] |= 1 << index[b]
-    for k in range(n):
-        mk = up[k]
-        bit = 1 << k
-        for i in range(n):
-            if up[i] & bit:
-                up[i] |= mk
+    up = order_closure(desc)
     for i in range(n):
         for j in range(i + 1, n):
             if up[i] >> j & 1 and up[j] >> i & 1:
@@ -802,6 +800,53 @@ def build_lattice_by_scan(desc, max_elements=4096):
         "bottom_index": bottom,
         "top_index": top,
     }
+
+
+def order_closure(desc):
+    """Warshall's reflexive-transitive closure of a description's pairs, as
+    up-set bitmask rows over element indices; every name must be an
+    element.  A cycle shows as two rows holding each other's bit."""
+    n = len(desc.elements)
+    index = {e: i for i, e in enumerate(desc.elements)}
+    up = [1 << i for i in range(n)]
+    for a, b in desc.leq_pairs:
+        up[index[a]] |= 1 << index[b]
+    for k in range(n):
+        mk = up[k]
+        bit = 1 << k
+        for i in range(n):
+            if up[i] & bit:
+                up[i] |= mk
+    return up
+
+
+def extreme_pair_failure(desc):
+    """How ``build_lattice`` names a missing bottom or top, from the names
+    and the closure of an acyclic description: ``("meet", x, y)`` for the
+    first two minimal elements by index, else ``("join", x, y)`` for the
+    first two maximal ones, else None."""
+    elements = desc.elements
+    up = order_closure(desc)
+    below = [sum(1 << i for i, row in enumerate(up) if row >> j & 1)
+             for j in range(len(elements))]
+    for kind, rows in (("meet", below), ("join", up)):
+        ends = [e for e, row in zip(elements, rows) if row.bit_count() == 1]
+        if len(ends) > 1:
+            return kind, ends[0], ends[1]
+    return None
+
+
+def order_reversal_failure(desc):
+    """How ``build_lattice`` names an orthocomplement that reverses no
+    order: the first given pair (a, b), a by index and then in the file's
+    order, with b' not below a' in the closure; None when there is none."""
+    index = {e: i for i, e in enumerate(desc.elements)}
+    orth = desc.orthocomplement
+    up = order_closure(desc)
+    for a, b in sorted(desc.leq_pairs, key=lambda pair: index[pair[0]]):
+        if not up[index[orth[b]]] >> index[orth[a]] & 1:
+            return a, b
+    return None
 
 
 def subspace_description_by_listing(q, n, form, max_elements=4096):

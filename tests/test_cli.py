@@ -19,7 +19,9 @@ Claims:
     - a partial measure's integral string ("3") extends over Z, Q and Z/m,
       reduced mod m over Z/m; a non-integral one exits 2 over Z and Z/m,
       its message naming the value as it reads ("1/2"); a key that is no
-      element exits 2 with one message, with and without a group
+      element exits 2 with one message, with and without a group; a member
+      with no value exits 2 on both routes, also when the set does not
+      generate
     - a group file is never listed for module: S_9 on boolean(9), past the
       listing cap, gives rank 1 in under 1 s; the normalizer extend needs
       lists it, and past the cap exits 3; no command takes --max-group
@@ -266,6 +268,28 @@ def test_extend_names_an_unknown_partial_key_alike(group, capsys, tmp_path):
     assert code == 2
     assert data == {"error": "SchemaError",
                     "detail": "partial measure names unknown element 'zz'"}
+
+
+@pytest.mark.parametrize("group,detail", [
+    (False, "no value given for member '10'"),
+    (True, "no value given for the class of '10'"),
+], ids=["classical", "trivial group"])
+def test_extend_names_a_missing_value_before_generation(group, detail, capsys, tmp_path):
+    # {"10"} does not generate boolean(2), on either route
+    path = tmp_path / "b2.json"
+    save_lattice(boolean(2), path)
+    gs = tmp_path / "gs.json"
+    gs.write_text(json.dumps({"members": ["10"]}))
+    pm = tmp_path / "pm.json"
+    pm.write_text(json.dumps({"values": {}}))
+    argv = ["extend", str(path), "--generating-set", str(gs), "--partial", str(pm)]
+    if group:
+        trivial = tmp_path / "trivial.json"
+        trivial.write_text(json.dumps({"generators": []}))
+        argv += ["--group", str(trivial)]
+    code, data = run_json(capsys, argv)
+    assert code == 2
+    assert data == {"error": "DomainMismatchError", "detail": detail}
 
 
 def test_extend_full_aut_on_mo9_lists_no_group(capsys, tmp_path):

@@ -19,6 +19,9 @@ Claims:
     - both extension routes name a partial-measure key that is no element,
       and one that is an element but no member, with the same message,
       also when no member has a value, and before testing generation
+    - both routes name a member with no value before testing generation,
+      and the invariant route names values that differ on a normalizer
+      orbit before it too
 """
 
 from fractions import Fraction
@@ -27,7 +30,9 @@ from itertools import product as iproduct
 import pytest
 
 from orthomeasure import (
+    DomainMismatchError,
     INTEGERS,
+    LatticeAutomorphism,
     KernelViolationError,
     InconsistentExtensionError,
     Measure,
@@ -45,6 +50,7 @@ from orthomeasure import (
     boolean,
     brute_force_measures,
     classical_groemer_extend,
+    close_group,
     integers_mod,
     is_generating_for_action,
     is_measure,
@@ -290,6 +296,28 @@ def test_a_bad_partial_key_is_named_before_generation_is_tested():
         classical_groemer_extend(lat, ["10"], partial)
     with pytest.raises(SchemaError, match=message):
         orth_groemer_extend(lat, trivial_action(lat), ["10"], partial)
+
+
+def test_class_values_are_checked_before_generation_is_tested():
+    # {"10"} generates neither boolean(2) nor its orbits under the trivial
+    # group; a member with no value is named first on both routes
+    lat = boolean(2)
+    partial = PartialMeasure(INTEGERS, {})
+    with pytest.raises(DomainMismatchError, match="^no value given for member '10'$"):
+        classical_groemer_extend(lat, ["10"], partial)
+    with pytest.raises(DomainMismatchError, match="^no value given for the class of '10'$"):
+        orth_groemer_extend(lat, trivial_action(lat), ["10"], partial)
+    # under the swap of points 0 and 1 of boolean(3) the orbit set
+    # {000, 100, 010} misses 001, and 100 and 010 share a normalizer orbit
+    lat = boolean(3)
+    swap = LatticeAutomorphism.from_mapping(lat, {e: e[1] + e[0] + e[2] for e in lat})
+    partial = PartialMeasure(INTEGERS, {"000": 0, "100": 1, "010": 2})
+    with pytest.raises(NotInvariantOnGeneratorsError,
+                       match="^values differ on the normalizer orbit of '100'$"):
+        orth_groemer_extend(lat, close_group(lat, [swap]), ["000", "100", "010"], partial)
+    with pytest.raises(NotGeneratingForActionError):
+        orth_groemer_extend(lat, close_group(lat, [swap]), ["000", "100", "010"],
+                            PartialMeasure(INTEGERS, {"000": 0, "100": 1, "010": 1}))
 
 
 def test_orth_extend_kernel_violation_through_members():

@@ -26,19 +26,26 @@ Claims:
     - build_lattice gives the masks of the scan-based builder in
       ``oracles``, and every pair's meet and join equal its tables, on
       shuffled, redundant descriptions of boolean, mo, product,
-      horizontal-sum and benzene lattices, and the same exception class and
-      message on every kind of defective description; the lowest element
-      failing the involution or the complement laws is named, the
-      involution first on a tie; an accepted description never reaches the
-      witness scans
+      horizontal-sum and benzene lattices, and the same exception class on
+      every kind of defective description, with the same message but for
+      the witnesses build_lattice names by the pass that finds them: a
+      cycle pair x <= y <= x, a pair without a meet or a join and a given
+      pair whose images do not reverse the order each break their law in
+      the scan builder's closure, and a missing bottom or top and a failed
+      order reversal are named as the name-level oracles of their rules in
+      ``oracles`` name them; the lowest element failing the involution or
+      the complement laws is named, the involution first on a tie; no
+      description, accepted or refused, reaches verify_ortho or any of its
+      checks, and four refusals at the 4 096-element cap (a bowtie, two
+      cycles and a duplicate name) each take under 1 s
     - the cover scan of build_lattice (one minimal and one maximal element,
-      then the meets of the non-atom lower covers of each element) decides
-      what the all-pairs meet scan in ``oracles`` and a single maximal
-      element decide, on random given orders with repeated and transitive
-      pairs; on a top without a bottom, a bottom without a top, the full
-      order relation, and a poset whose only missing meet is between two
-      non-atom covers of 1, build_lattice raises or returns what the scan
-      builder does
+      then the meets of the non-atom lower covers of each element) finds a
+      failure exactly when the all-pairs meet scan in ``oracles`` or a
+      single maximal element fails, on random given orders with repeated
+      and transitive pairs, and the pair it names breaks its law; on a top
+      without a bottom, a bottom without a top, the full order relation,
+      and posets whose only missing meet is between two non-atom covers
+      of 1, build_lattice raises or returns what the scan builder does
     - boolean(n), described by its covers, has the masks, meets and joins
       of the all-pairs description for n = 1..10
     - on boolean(10) meets, joins and complements are bitwise AND, OR and
@@ -46,8 +53,10 @@ Claims:
       at 0 and join at 1, each built under a 10 s bound
 """
 
+import ast
 import functools
 import json
+import re
 import time
 
 import pytest
@@ -88,7 +97,10 @@ from oracles import (
     distributivity_failure,
     distributivity_witness,
     every_pair_meets,
+    extreme_pair_failure,
     lattice_description_by_generators,
+    order_closure,
+    order_reversal_failure,
     orthomodularity_failure,
 )
 from strategies import composite_lattices
@@ -183,6 +195,12 @@ def test_duplicate_elements_rejected():
     with pytest.raises(SchemaError):
         build_lattice(LatticeDescription(
             name="dup", elements=("0", "0"), leq_pairs=(), orthocomplement={"0": "0"}
+        ))
+    # the first element, in file order, that occurs more than once
+    with pytest.raises(SchemaError, match="^duplicate element identifier 'b'$"):
+        build_lattice(LatticeDescription(
+            name="dup", elements=("a", "b", "c", "b", "c"), leq_pairs=(),
+            orthocomplement={}
         ))
 
 
@@ -676,6 +694,62 @@ def _outcome(build, desc):
     return _tables(built)
 
 
+# the faults build_lattice names by the pass that finds them, which need
+# not be the first pair of the scan builder's scans
+_WITNESSED = {
+    "cycle": re.compile(r"cycle: (.+) <= (.+) <= (.+)"),
+    "bound": re.compile(r"(.+) and (.+) have no (meet|join)"),
+    "order_reversal": re.compile(r"order reversal fails on \((.+), (.+)\)"),
+}
+
+
+def _outcome_like_scan(desc):
+    """build_lattice's outcome on ``desc``, checked against the scan
+    builder's: the same tables on an accepted description, and the same
+    error class on a rejected one.  The message is the scan builder's
+    exactly, except for a cycle, a missing meet or join and a failed order
+    reversal, whose witness must break its law in the scan builder's
+    closure; a missing bottom or top and a failed order reversal are named
+    exactly as the name-level oracles of their rules name them."""
+    got = _outcome(build_lattice, desc)
+    want = _outcome(build_lattice_by_scan, desc)
+    if isinstance(want, dict) or got[0] is not want[0]:
+        assert got == want
+        return got
+    for kind, pattern in _WITNESSED.items():
+        match = pattern.fullmatch(got[1])
+        if match:
+            break
+    else:
+        assert got == want
+        return got
+    names = match.groups()
+    x, y = map(ast.literal_eval, names[:2])
+    index = {e: i for i, e in enumerate(desc.elements)}
+    up = order_closure(desc)
+    i, j = index[x], index[y]
+    if kind == "cycle":
+        assert ast.literal_eval(names[2]) == x
+        assert i != j and up[i] >> j & 1 and up[j] >> i & 1
+    elif kind == "bound":
+        law = names[2]
+        # a missing bottom or top is named by its rule; otherwise the cover
+        # scan names a pair without a meet
+        extreme = extreme_pair_failure(desc)
+        assert (law, x, y) == extreme if extreme else law == "meet"
+        rows = up if law == "join" else [
+            sum(1 << a for a, row in enumerate(up) if row >> b & 1) for b in range(len(up))]
+        bounds = rows[i] & rows[j]
+        # no bound holds all the others on its own side
+        assert not any(bounds >> m & 1 and rows[m] & bounds == bounds
+                       for m in range(len(rows)))
+    else:
+        assert (x, y) == order_reversal_failure(desc)
+        orth = desc.orthocomplement
+        assert up[i] >> j & 1 and not up[index[orth[y]]] >> index[orth[x]] & 1
+    return got
+
+
 DEFECTS = ("cycle", "no_meet", "no_join", "bowtie", "unknown_element",
            "duplicate_element", "missing_image", "not_involution", "complement_law",
            "order_reversal")
@@ -762,8 +836,7 @@ def test_build_matches_scan_builder(case, defect, k):
         desc = _with_defect(desc, lattice, defect, k)
         if desc is None:
             return
-    got = _outcome(build_lattice, desc)
-    assert got == _outcome(build_lattice_by_scan, desc)
+    got = _outcome_like_scan(desc)
     if defect is None:
         assert isinstance(got, dict)
     else:
@@ -775,7 +848,6 @@ def test_build_matches_scan_builder(case, defect, k):
     ("no_meet", NotALatticeError, "have no meet"),
     ("no_join", NotALatticeError, "have no join"),
     ("bowtie", NotALatticeError, "have no meet"),
-    ("bowtie", NotALatticeError, "have no join"),
     ("unknown_element", SchemaError, "leq pair references unknown element"),
     ("duplicate_element", SchemaError, "duplicate element identifier"),
     ("missing_image", BadOrthocomplementError, "no orthocomplement given"),
@@ -788,11 +860,26 @@ def test_each_defect_is_rejected_alike(defect, error, message, base):
     lattice = _base(base)
     for k in range(256):
         desc = _with_defect(lattice.to_description(), lattice, defect, k)
-        got = _outcome(build_lattice, desc)
-        assert got == _outcome(build_lattice_by_scan, desc)
+        got = _outcome_like_scan(desc)
         if got[0] is error and message in got[1]:
             return
     pytest.fail(f"no {defect} placement on {base} raised {error.__name__}")
+
+
+def test_order_reversal_names_the_first_given_pair():
+    # on product(benzene, boolean(1)) an element can lie below two given
+    # pairs that fail; the one given first in the file is named
+    lattice = _base("product(benzene,boolean(1))")
+    named = set()
+    for k in range(256):
+        desc = _with_defect(lattice.to_description(), lattice, "order_reversal", k)
+        for pairs in (desc.leq_pairs, desc.leq_pairs[::-1]):
+            got = _outcome_like_scan(LatticeDescription(desc.name, desc.elements, pairs,
+                                                        desc.orthocomplement))
+            if got[1].startswith("order reversal"):
+                named.add((k, got[1]))
+    # some placement names another pair when the pairs are given reversed
+    assert len(named) > len({k for k, _ in named})
 
 
 @pytest.mark.parametrize("images,message", [
@@ -864,8 +951,22 @@ def test_cover_pairs_decide_what_every_pair_decides(case):
     down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
     order = list(range(n))
     one_top = sum(not upper for upper in above) == 1
-    assert lattice_mod._is_lattice(above, below, order, up, down) == (
-        one_top and every_pair_meets(down, order))
+    failure = lattice_mod._is_lattice(above, below, order, up, down)
+    assert (failure is None) == (one_top and every_pair_meets(down, order))
+    if failure is not None:
+        # order is the identity, so the masks are over indices: the named
+        # pair's lower bounds have no greatest element, or its upper
+        # bounds no least one
+        kind, i, j = failure
+        rows = down if kind == "meet" else up
+        bounds = rows[i] & rows[j]
+        assert i < j and not any(bounds >> m & 1 and rows[m] & bounds == bounds
+                                 for m in range(n))
+        # a missing bottom or top is named by the rule of its oracle
+        names = tuple(map(str, range(n)))
+        extreme = extreme_pair_failure(LatticeDescription(
+            "given", names, tuple((names[a], names[b]) for a in range(n) for b in above[a])))
+        assert (kind, *(names[i], names[j])) == extreme or (extreme is None and kind == "meet")
 
 
 def _lattice_edge_case(kind):
@@ -876,6 +977,8 @@ def _lattice_edge_case(kind):
         del orth["0"]
         orth["1"] = "1"
         return LatticeDescription(kind, (*atoms, "1"), tuple((a, "1") for a in atoms), orth)
+    if kind == "no bottom, no top":
+        return LatticeDescription(kind, atoms, (), {a: a for a in atoms})
     if kind == "bottom, no top":
         del orth["1"]
         orth["0"] = "0"
@@ -901,14 +1004,14 @@ def _lattice_edge_case(kind):
     ("top, no bottom", (NotALatticeError, "'a1' and \"a1'\" have no meet")),
     ("bottom, no top", (NotALatticeError, "'a1' and \"a1'\" have no join")),
     ("x, y first", (NotALatticeError, "'x' and 'y' have no meet")),
-    ("a, b first", (NotALatticeError, "'a' and 'b' have no join")),
+    ("a, b first", (NotALatticeError, "'x' and 'y' have no meet")),
     ("full order of boolean(3)", None),
     ("full order of mo(2) x boolean(1)", None),
+    ("no bottom, no top", (NotALatticeError, "'a1' and \"a1'\" have no meet")),
 ])
 def test_cover_scan_edge_cases_match_the_scan_builder(kind, expected):
     desc = _lattice_edge_case(kind)
-    got = _outcome(build_lattice, desc)
-    assert got == _outcome(build_lattice_by_scan, desc)
+    got = _outcome_like_scan(desc)
     if expected is None:
         assert isinstance(got, dict)
     else:
@@ -916,14 +1019,58 @@ def test_cover_scan_edge_cases_match_the_scan_builder(kind, expected):
 
 
 def test_accepted_input_skips_the_witness_scans(monkeypatch, family):
+    # no description, accepted or refused, reaches verify_ortho's scans
     def unreachable(*args):
-        raise AssertionError("witness scan on an accepted input")
+        raise AssertionError("verify_ortho scan reached from build_lattice")
 
-    monkeypatch.setattr(lattice_mod, "_cycle_witness", unreachable)
-    monkeypatch.setattr(lattice_mod, "verify_ortho", unreachable)
-    monkeypatch.setattr(lattice_mod, "_raise_first_failure", unreachable)
+    for name in ["verify_ortho", *(n for n in dir(lattice_mod) if n.startswith("_check_"))]:
+        monkeypatch.setattr(lattice_mod, name, unreachable)
     for lattice in [*family.values(), product(benzene(), mo(2))]:
         assert lattice_mod.same_lattice(build_lattice(lattice.to_description()), lattice)
+    for base in ("benzene", "hsum(benzene,mo(2))", "boolean(3)"):
+        lattice = _base(base)
+        for defect in DEFECTS:
+            for k in range(256):
+                desc = _with_defect(lattice.to_description(), lattice, defect, k)
+                if desc is None:
+                    break
+                got = _outcome(build_lattice, desc)
+                assert isinstance(got, tuple)
+                assert got[0] is _outcome(build_lattice_by_scan, desc)[0]
+
+
+def _refusals_at_the_cap():
+    """Four descriptions of 4 094 to 4 096 elements that build_lattice
+    refuses, with the error and the message each raises."""
+    mo_2046 = mo(2046).to_description()
+    a, b = "a2046", "a2046'"
+    bowtie = LatticeDescription(
+        "bowtie", mo_2046.elements + ("p", "q"),
+        mo_2046.leq_pairs + ((a, "p"), (b, "p"), (a, "q"), (b, "q"), ("p", "1"), ("q", "1")),
+        {**mo_2046.orthocomplement, "p": "q", "q": "p"})
+    b12 = boolean(12).to_description()
+    top_below_bottom = LatticeDescription(
+        b12.name, b12.elements, b12.leq_pairs + ((b12.elements[-1], b12.elements[0]),),
+        b12.orthocomplement)
+    bottom, top = b12.elements[0], b12.elements[-1]
+    return [
+        (bowtie, NotALatticeError, "'p' and 'q' have no meet"),
+        (LatticeDescription(mo_2046.name, mo_2046.elements,
+                            mo_2046.leq_pairs + (("1", "0"),), mo_2046.orthocomplement),
+         NotAPartialOrderError, "cycle: '0' <= '1' <= '0'"),
+        (top_below_bottom, NotAPartialOrderError, f"cycle: {bottom!r} <= {top!r} <= {bottom!r}"),
+        (LatticeDescription("dup", b12.elements[:-1] + (b12.elements[-2],), (), {}),
+         SchemaError, f"duplicate element identifier {b12.elements[-2]!r}"),
+    ]
+
+
+def test_refusal_at_the_cap_is_bounded():
+    for desc, error, message in _refusals_at_the_cap():
+        start = time.perf_counter()
+        with pytest.raises(error) as raised:
+            build_lattice(desc)
+        assert time.perf_counter() - start < 1.0, desc.name
+        assert str(raised.value) == message
 
 
 # --- closed forms beyond 32 elements ----------------------------------------------
