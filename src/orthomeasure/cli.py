@@ -384,6 +384,9 @@ def _cmd_oracle(args, lattice) -> tuple[dict, int]:
             values = range(int(lo), int(hi) + 1)
         except ValueError as exc:
             raise SchemaError(f"bad --range {args.range!r} (use LO:HI)") from exc
+        # consecutive integers repeat modulo m exactly when there are more than m
+        if domain.kind == "Zmod" and len(values) > domain.modulus:
+            raise SchemaError(f"--range {args.range!r} repeats values modulo {domain.modulus}")
     elif domain.kind == "Zmod":
         values = range(domain.modulus)
     else:

@@ -429,8 +429,8 @@ def _capped(count: int) -> None:
 def _dirac_vertices(lattice: OrthoLattice) -> Table:
     """The states of a Boolean lattice: one per atom a, 1 on the elements
     above a and 0 elsewhere."""
-    n, up = len(lattice), lattice.up_masks
-    return _ZERO_ONE, [tuple(up[a] >> x & 1 for x in range(n)) for a in lattice.atom_indices()]
+    down = lattice.down_masks
+    return _ZERO_ONE, [tuple(d >> a & 1 for d in down) for a in lattice.atom_indices()]
 
 
 def _cone_vertices(lattice: OrthoLattice) -> Table:

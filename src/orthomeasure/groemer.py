@@ -115,17 +115,17 @@ def _orthogonal_closure(lattice: OrthoLattice, members: Iterable[str],
     value = {lattice.index(b): values[b] for b in members}
     member_mask = sum(1 << b for b in value)
     orth, down = lattice.orth_map, lattice.down_masks
-    order, up_pos = lattice.order, lattice.up_pos
+    order, down_pos = lattice.order, lattice.down_pos
     sums = {lattice.bottom_index: 0}
     queue = [lattice.bottom_index]
     for x in queue:  # grows while it is read
-        rest, up_x, total = down[orth[x]] & member_mask, up_pos[x], sums[x]
+        rest, complement_x, total = down[orth[x]] & member_mask, down_pos[orth[x]], sums[x]
         while rest:
             low = rest & -rest
             rest ^= low
             b = low.bit_length() - 1
-            ub = up_x & up_pos[b]  # x v b is at its lowest position
-            z = order[(ub & -ub).bit_length() - 1]
+            # x v b = (x' ^ b')', the meet at the highest common position
+            z = orth[order[(complement_x & down_pos[orth[b]]).bit_length() - 1]]
             if z not in sums:
                 sums[z] = total + value[b]
                 queue.append(z)

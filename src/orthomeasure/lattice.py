@@ -2,11 +2,12 @@
 
 Elements are identified by strings; the element order given at construction
 time is canonical and every scan, witness, and report iterates in that order.
-Internally the order relation is kept as bitmask rows, one per element, over
-element indices and again over the positions of a topological order.  No
-meet or join is stored: the meet of two elements is the element at the
-highest position of their common down-set, the join the one at the lowest
-position of their common up-set, each one AND and one bit scan.
+Internally the order relation is kept once, as each element's down-set, a
+bitmask over element indices and again over the positions of a topological
+order.  No up-set, meet or join is stored: the meet of two elements is the
+element at the highest position of their common down-set, one AND and one
+bit scan, and since the orthocomplement reverses the order, the up-set of
+x is the down-set of x' read through it and x v y = (x' ^ y')'.
 Construction puts the elements in a topological order of the given pairs,
 closes the order in one pass over it, and proves that every pair has a
 meet by checking only pairs of lower covers of a common element, so a
@@ -125,29 +126,29 @@ class OrthoLattice:
     """A validated finite orthocomplemented lattice.
 
     Use :func:`build_lattice` or one of the constructors below; the raw
-    constructor assumes already-validated data.  ``up_masks`` and
-    ``down_masks`` hold each element's up- and down-set as bits over element
-    indices; ``order`` lists the element indices in a linear extension of
-    the order, and ``up_pos`` and ``down_pos`` hold the same sets as bits
-    over positions in it.  Every element of a down-set sits at a lower
-    position than its maximum, so the meet of i and j is the element at the
-    highest set bit of ``down_pos[i] & down_pos[j]``, and dually the join is
-    at the lowest set bit of ``up_pos[i] & up_pos[j]``.  These index-level
-    fields and ``orth_map`` are part of the API for sibling modules that
-    run exhaustive scans.  Nothing changes after construction but the two
-    answers kept on first request: whether it is Boolean
-    (:func:`is_boolean`) and how it splits (:func:`decomposition`).
+    constructor assumes already-validated data.  ``down_masks`` holds each
+    element's down-set as bits over element indices; ``order`` lists the
+    element indices in a linear extension of the order, and ``down_pos``
+    holds the same sets as bits over positions in it.  Every element of a
+    down-set sits at a lower position than its maximum, so the meet of i
+    and j is the element at the highest set bit of ``down_pos[i] &
+    down_pos[j]``.  Up-sets are not kept: the orthocomplement ``orth_map``
+    reverses the order, so x <= y exactly when y' <= x', the up-set of x
+    is the down-set of x' read through ``orth_map``, and the join of i and
+    j is the orthocomplement of the meet of i' and j'.  These index-level
+    fields are part of the API for sibling modules that run exhaustive
+    scans.  Nothing changes after construction but the two answers kept on
+    first request: whether it is Boolean (:func:`is_boolean`) and how it
+    splits (:func:`decomposition`).
     """
 
     __slots__ = (
         "name",
         "elements",
         "_index",
-        "up_masks",
         "down_masks",
         "orth_map",
         "order",
-        "up_pos",
         "down_pos",
         "bottom_index",
         "top_index",
@@ -155,16 +156,13 @@ class OrthoLattice:
         "_split",
     )
 
-    def __init__(self, name, elements, up_masks, down_masks, orth_map, order,
-                 up_pos, down_pos):
+    def __init__(self, name, elements, down_masks, orth_map, order, down_pos):
         self.name = name
         self.elements = tuple(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
-        self.up_masks = tuple(up_masks)
         self.down_masks = tuple(down_masks)
         self.orth_map = tuple(orth_map)
         self.order = tuple(order)
-        self.up_pos = tuple(up_pos)
         self.down_pos = tuple(down_pos)
         # a lattice's only minimal element is its bottom, its only maximal its top
         self.bottom_index = self.order[0]
@@ -199,17 +197,18 @@ class OrthoLattice:
         return self.elements[self.top_index]
 
     def leq(self, a: str, b: str) -> bool:
-        return bool(self.up_masks[self._index[a]] >> self._index[b] & 1)
+        return bool(self.down_masks[self._index[b]] >> self._index[a] & 1)
 
     def leq_index(self, i: int, j: int) -> bool:
-        return bool(self.up_masks[i] >> j & 1)
+        return bool(self.down_masks[j] >> i & 1)
 
     def meet_index(self, i: int, j: int) -> int:
         return self.order[(self.down_pos[i] & self.down_pos[j]).bit_length() - 1]
 
     def join_index(self, i: int, j: int) -> int:
-        common = self.up_pos[i] & self.up_pos[j]
-        return self.order[(common & -common).bit_length() - 1]
+        """(i' ^ j')': the orthocomplement reverses the order."""
+        orth, down_pos = self.orth_map, self.down_pos
+        return orth[self.order[(down_pos[orth[i]] & down_pos[orth[j]]).bit_length() - 1]]
 
     def meet(self, a: str, b: str) -> str:
         return self.elements[self.meet_index(self._index[a], self._index[b])]
@@ -226,20 +225,19 @@ class OrthoLattice:
         return self.leq_index(j, self.orth_map[i])
 
     def join_all(self, names: Iterable[str]) -> str:
-        """The least element above all of ``names``: the lowest position of
-        their common up-set (bottom for no names)."""
-        common = self.up_pos[self.bottom_index]
+        """The least element above all of ``names``: the orthocomplement of
+        the meet of their orthocomplements (bottom for no names)."""
+        orth, down_pos = self.orth_map, self.down_pos
+        common = down_pos[self.top_index]
         for name in names:
-            common &= self.up_pos[self._index[name]]
-        return self.elements[self.order[(common & -common).bit_length() - 1]]
+            common &= down_pos[orth[self._index[name]]]
+        return self.elements[orth[self.order[common.bit_length() - 1]]]
 
     def atom_indices(self) -> list[int]:
-        out = []
-        bottom_bit = 1 << self.bottom_index
-        for i in range(len(self.elements)):
-            if i != self.bottom_index and self.down_masks[i] == bottom_bit | (1 << i):
-                out.append(i)
-        return out
+        """The covers of the bottom, ascending: the orthocomplements of the
+        lower covers of the top."""
+        return sorted(self.orth_map[c]
+                      for c in _lower_covers(self.order, self.down_pos, self.top_index))
 
     def orthogonal_index_pairs(self) -> Iterator[tuple[int, int]]:
         """Index pairs (i, j) with i <= j and j <= i', i ascending, then j.
@@ -256,20 +254,11 @@ class OrthoLattice:
                 yield i, j
 
     def cover_masks(self) -> list[int]:
-        """covers[i] = bitmask of elements covering i."""
-        n = len(self.elements)
-        out = []
-        for i in range(n):
-            strict_up = self.up_masks[i] & ~(1 << i)
-            mask = 0
-            rest = strict_up
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if self.down_masks[j] & strict_up == 1 << j:
-                    mask |= 1 << j
-            out.append(mask)
-        return out
+        """covers[i] = bitmask of elements covering i: the orthocomplements
+        of the lower covers of i'."""
+        orth = self.orth_map
+        return [sum(1 << orth[c] for c in _lower_covers(self.order, self.down_pos, o))
+                for o in orth]
 
     def to_description(self) -> LatticeDescription:
         """Export with the cover relation as the order generating set."""
@@ -289,7 +278,7 @@ def same_lattice(a: OrthoLattice, b: OrthoLattice) -> bool:
     """Structural equality: same elements, order, and orthocomplement."""
     return a is b or (
         a.elements == b.elements
-        and a.up_masks == b.up_masks
+        and a.down_masks == b.down_masks
         and a.orth_map == b.orth_map
     )
 
@@ -299,14 +288,14 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
 
     The elements are first put in a linear extension of the order: Kahn's
     topological sort of the given pairs, which leaves elements unsorted
-    exactly when the pairs close into a cycle.  One pass over the order in
-    reverse closes the up-sets (x together with the up-sets of the elements
-    given above x), one pass forwards the down-sets, so the reflexive-
-    transitive closure costs one big-int OR per given pair.
+    exactly when the pairs close into a cycle.  One pass forwards over the
+    order closes the down-sets (x with the down-sets of the elements given
+    below x), over element indices and over positions in the order, one
+    big-int OR per given pair and mask; one pass in reverse closes the
+    up-sets over positions, which only the complement laws read.
 
-    The up- and down-sets are also kept as bitmasks over topological
-    positions.  Every element of a set below its maximum sits at a lower
-    position, so if the lower bounds of a pair have a greatest element, it is
+    Every element of a down-set sits at a lower position than its
+    maximum, so if the lower bounds of a pair have a greatest element, it is
     the one at the highest set bit of their down-sets' AND; one equality
     check (its down-set is the whole bound set) decides whether the meet
     exists.  Only a few pairs need that check (:func:`_is_lattice`), by
@@ -332,8 +321,9 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
 
     Joins need no check of their own once the orthocomplement is an
     order-reversing involution: then z >= x, y exactly when z' <= x', y',
-    so x v y = (x' ^ y')'.  So does the join half of the complement laws,
-    x v x' = (x' ^ x)' = 0' = 1, but it is checked too, one AND per
+    so x v y = (x' ^ y')', as :meth:`OrthoLattice.join_index` takes it.
+    So does the join half of the complement laws, x v x' = (x' ^ x)' =
+    0' = 1, but it is checked too, one AND of position up-sets per
     element, so that an involution that breaks it is named by it rather
     than by order reversal.  Order reversal is checked on the given pairs
     only: reversing a generating relation reverses its transitive closure.
@@ -397,16 +387,13 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
             f"cycle: {elements[i]!r} <= {elements[step[i]]!r} <= {elements[i]!r}"
         )
 
-    # up, down: bits over element indices; up_pos, down_pos: bits over positions
-    up = [0] * n
+    # down: bits over indices; down_pos, up_pos (for x v x' = 1 only): over positions
     up_pos = [0] * n
     for p in range(n - 1, -1, -1):
-        i = order[p]
-        mask, mask_pos = 1 << i, 1 << p
-        for j in above[i]:
-            mask |= up[j]
+        mask_pos = 1 << p
+        for j in above[order[p]]:
             mask_pos |= up_pos[j]
-        up[i], up_pos[i] = mask, mask_pos
+        up_pos[order[p]] = mask_pos
     down = [0] * n
     down_pos = [0] * n
     for p, i in enumerate(order):
@@ -416,7 +403,7 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
             mask_pos |= down_pos[j]
         down[i], down_pos[i] = mask, mask_pos
 
-    failure = _is_lattice(above, below, order, up_pos, down_pos)
+    failure = _is_lattice(above, below, order, down_pos)
     if failure is not None:
         kind, i, j = failure
         raise NotALatticeError(f"{elements[i]!r} and {elements[j]!r} have no {kind}")
@@ -443,13 +430,13 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
             raise BadOrthocomplementError(f"complement laws fail at {elements[i]!r}")
     for i, o in enumerate(orth):
         for j in above[i]:
-            if not up[orth[j]] >> o & 1:
+            if not down[o] >> orth[j] & 1:
                 raise BadOrthocomplementError(
                     f"order reversal fails on ({elements[i]!r}, {elements[j]!r})")
-    return OrthoLattice(desc.name, elements, up, down, orth, order, up_pos, down_pos)
+    return OrthoLattice(desc.name, elements, down, orth, order, down_pos)
 
 
-def _is_lattice(above, below, order, up_pos, down_pos) -> tuple[str, int, int] | None:
+def _is_lattice(above, below, order, down_pos) -> tuple[str, int, int] | None:
     """None when the order is a lattice, else the first failure found, as
     ``(kind, i, j)``: elements i < j whose lower bounds have no greatest
     element (``kind`` "meet") or whose upper bounds have no least one
@@ -464,29 +451,23 @@ def _is_lattice(above, below, order, up_pos, down_pos) -> tuple[str, int, int] |
     lower cover z's index, then the pair's positions.
 
     The minimal elements are those given no lower neighbour, the maximal
-    ones those given no upper neighbour.  The lower covers of z are the
-    given lower neighbours of z that lie below no other given lower
-    neighbour of z.  A pair's meet is checked as in a full scan: the lower
-    bounds' element at their highest position must have them all as its
-    down-set.
+    ones those given no upper neighbour.  The lower covers of z are peeled
+    off its down-set (:func:`_lower_covers`).  A pair's meet is checked as
+    in a full scan: the lower bounds' element at their highest position
+    must have them all as its down-set.
     """
     for kind, given in (("meet", below), ("join", above)):
         ends = [i for i, near in enumerate(given) if not near][:2]
         if len(ends) == 2:
             return kind, *ends
-    position = [0] * len(order)
-    for p, i in enumerate(order):
-        position[i] = p
     down_at = [down_pos[i] for i in order]
-    for given in below:
+    for z, given in enumerate(below):
         if len(given) < 2:
             continue
-        mask = 0
-        for x in given:
-            mask |= 1 << position[x]
-        # the non-atoms among the lower covers; an atom's down-set has 2 bits
-        covers = [x for x in map(order.__getitem__, _bits(mask))
-                  if up_pos[x] & mask == 1 << position[x] and down_pos[x].bit_count() > 2]
+        # the non-atoms among the lower covers, by position; an atom's
+        # down-set has 2 bits
+        covers = [x for x in _lower_covers(order, down_pos, z) if down_pos[x].bit_count() > 2]
+        covers.reverse()
         for p, x in enumerate(covers):
             d = down_pos[x]
             for y in covers[p + 1:]:
@@ -721,71 +702,67 @@ def verify_ortho(lattice: OrthoLattice) -> VerificationReport:
     accepts, and names the fault of every one it rejects, without calling
     this, so the ``check`` command never does.  It is the oracle the tests
     run on what the constructors return, :func:`_induced`'s summands and
-    factors among them, which bypass :func:`build_lattice`.
+    factors among them, which bypass :func:`build_lattice`.  It reads the
+    order off ``down_masks`` and transposes it into up-sets itself.
     """
+    up = _transposed(lattice.down_masks)
     checks = {
         "partial_order": _check_partial_order(lattice),
-        "bounds": _check_bounds(lattice),
-        "meet_join_tables": _check_meets_and_joins(lattice),
+        "bounds": _check_bounds(lattice, up),
+        "meet_join_tables": _check_meets_and_joins(lattice, up),
         "involution": _check_involution(lattice),
-        "complement": _check_complement(lattice),
-        "order_reversal": _check_order_reversal(lattice),
+        "complement": _check_complement(lattice, up),
+        "order_reversal": _check_order_reversal(lattice, up),
     }
-    checks["de_morgan"] = _check_de_morgan(lattice, checks)
+    checks["de_morgan"] = _check_de_morgan(lattice, up, checks)
     return VerificationReport(checks)
 
 
+def _transposed(down: Sequence[int]) -> list[int]:
+    """The up-sets of the given down-sets, as bits over element indices."""
+    up = [0] * len(down)
+    for j, d in enumerate(down):
+        for i in _bits(d):
+            up[i] |= 1 << j
+    return up
+
+
 def _check_partial_order(lattice: OrthoLattice) -> CheckResult:
-    n = len(lattice)
-    elements = lattice.elements
-    up, down = lattice.up_masks, lattice.down_masks
-    witness = None
-    for i in range(n):
-        if not up[i] >> i & 1:
-            witness = (elements[i],)
-            break
-        rest = up[i]
-        while rest and witness is None:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if up[i] | up[j] != up[i]:
-                witness = (elements[i], elements[j])
-            if i != j and up[j] >> i & 1:
-                witness = (elements[i], elements[j])
-            if not down[j] >> i & 1:  # the down masks transpose the up masks
-                witness = (elements[i], elements[j])
-        if witness:
-            break
-    if witness is None and sum(m.bit_count() for m in up) != sum(m.bit_count() for m in down):
-        witness = next((elements[i], elements[j]) for j in range(n)
-                       for i in _bits(down[j]) if not up[i] >> j & 1)
-    return CheckResult(witness is None, witness)
+    """Reflexive, transitive and antisymmetric; the witness is the first
+    element j, by index, whose down-set misses j, or the first i below it
+    whose down-set is not inside j's or holds j."""
+    elements, down = lattice.elements, lattice.down_masks
+    for j, d in enumerate(down):
+        if not d >> j & 1:
+            return CheckResult(False, (elements[j],))
+        for i in _bits(d ^ 1 << j):
+            if down[i] | d != d or down[i] >> j & 1:
+                return CheckResult(False, (elements[i], elements[j]))
+    return CheckResult(True)
 
 
-def _check_bounds(lattice: OrthoLattice) -> CheckResult:
+def _check_bounds(lattice: OrthoLattice, up: list[int]) -> CheckResult:
     full = (1 << len(lattice)) - 1
-    if (lattice.up_masks[lattice.bottom_index] != full
-            or lattice.down_masks[lattice.top_index] != full):
+    if up[lattice.bottom_index] != full or lattice.down_masks[lattice.top_index] != full:
         return CheckResult(False, (lattice.bottom, lattice.top))
     return CheckResult(True)
 
 
-def _check_meets_and_joins(lattice: OrthoLattice) -> CheckResult:
-    """Compares the meet and join of every pair i <= j, read off the position
-    masks, with the AND of their down- and up-sets; both are symmetric in i
-    and j, so the first failure is the one a scan of all ordered pairs would
-    meet first."""
+def _check_meets_and_joins(lattice: OrthoLattice, up: list[int]) -> CheckResult:
+    """Compares the meet and join of every pair i <= j, as
+    :meth:`OrthoLattice.meet_index` and :meth:`OrthoLattice.join_index`
+    give them, with the AND of their down-sets and of their up-sets; both
+    are symmetric in i and j, so the first failure is the one a scan of
+    all ordered pairs would meet first."""
     n = len(lattice)
-    elements = lattice.elements
-    up, down = lattice.up_masks, lattice.down_masks
-    order, up_pos, down_pos = lattice.order, lattice.up_pos, lattice.down_pos
+    elements, down = lattice.elements, lattice.down_masks
+    meet, join = lattice.meet_index, lattice.join_index
     for i in range(n):
-        down_i, up_i, dpos_i, upos_i = down[i], up[i], down_pos[i], up_pos[i]
+        down_i, up_i = down[i], up[i]
         for j in range(i, n):
-            if down[order[(dpos_i & down_pos[j]).bit_length() - 1]] != down_i & down[j]:
+            if down[meet(i, j)] != down_i & down[j]:
                 return CheckResult(False, ("meet", elements[i], elements[j]))
-            ub = upos_i & up_pos[j]
-            if up[order[(ub & -ub).bit_length() - 1]] != up_i & up[j]:
+            if up[join(i, j)] != up_i & up[j]:
                 return CheckResult(False, ("join", elements[i], elements[j]))
     return CheckResult(True)
 
@@ -798,34 +775,36 @@ def _check_involution(lattice: OrthoLattice) -> CheckResult:
     return CheckResult(witness is None, witness)
 
 
-def _check_complement(lattice: OrthoLattice) -> CheckResult:
+def _check_complement(lattice: OrthoLattice, up: list[int]) -> CheckResult:
+    """x ^ x' = 0 and x v x' = 1, read off the down- and up-sets."""
+    down = lattice.down_masks
+    bottom, top = 1 << lattice.bottom_index, 1 << lattice.top_index
     witness = next(
         ((lattice.elements[i],) for i, o in enumerate(lattice.orth_map)
-         if lattice.join_index(i, o) != lattice.top_index
-         or lattice.meet_index(i, o) != lattice.bottom_index),
+         if down[i] & down[o] != bottom or up[i] & up[o] != top),
         None,
     )
     return CheckResult(witness is None, witness)
 
 
-def _check_order_reversal(lattice: OrthoLattice) -> CheckResult:
-    up, orth = lattice.up_masks, lattice.orth_map
+def _check_order_reversal(lattice: OrthoLattice, up: list[int]) -> CheckResult:
+    orth = lattice.orth_map
     for i in range(len(lattice)):
-        rest = up[i]
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+        for j in _bits(up[i]):
             if not up[orth[j]] >> orth[i] & 1:
                 return CheckResult(False, (lattice.elements[i], lattice.elements[j]))
     return CheckResult(True)
 
 
-def _check_de_morgan(lattice: OrthoLattice, checks: dict[str, CheckResult]) -> CheckResult:
+def _check_de_morgan(lattice: OrthoLattice, up: list[int],
+                     checks: dict[str, CheckResult]) -> CheckResult:
     """Needs no scan when the partial order, the meets and joins, the
     involution and order reversal all hold (``checks``): x v y is then the
     least upper bound of x and y, and an order-reversing involution carries
     it to the greatest lower bound of x' and y', which is x' ^ y'.  Only
-    when one of those fails is every pair scanned, for the witness."""
+    when one of those fails is every pair scanned, for the witness.  The
+    join there is the least upper bound, read off the up-sets, since
+    :meth:`OrthoLattice.join_index` takes it through the orthocomplement."""
     if all(checks[name].ok for name in
            ("partial_order", "meet_join_tables", "involution", "order_reversal")):
         return CheckResult(True)
@@ -833,7 +812,8 @@ def _check_de_morgan(lattice: OrthoLattice, checks: dict[str, CheckResult]) -> C
     orth = lattice.orth_map
     witness = next(
         ((lattice.elements[i], lattice.elements[j]) for i in range(n) for j in range(n)
-         if orth[lattice.join_index(i, j)] != lattice.meet_index(orth[i], orth[j])),
+         if next((orth[k] for k in _bits(up[i] & up[j]) if up[k] == up[i] & up[j]), None)
+         != lattice.meet_index(orth[i], orth[j])),
         None,
     )
     return CheckResult(witness is None, witness)
@@ -844,21 +824,24 @@ def is_orthomodular(lattice: OrthoLattice) -> CheckResult:
 
     A distributive lattice passes at once (a v (a' ^ b) = (a v a') ^ (a v b)
     = b), by the proof of :func:`is_boolean`.  Any other ortholattice is
-    orthomodular exactly when a <= b and a' ^ b = 0 force a = b, one AND
-    per comparable pair: the law gives b = a v 0 = a, and conversely
-    c = a v (a' ^ b) <= b has c' ^ b = d ^ d' = 0 for d = a' ^ b, so c = b.
-    The witness is the first pair a < b, a by index and then b, with
-    a' ^ b = 0; there a v (a' ^ b) = a, not b.
+    orthomodular exactly when a <= b and a' ^ b = 0 force a = b: the law
+    gives b = a v 0 = a, and conversely c = a v (a' ^ b) <= b has
+    c' ^ b = d ^ d' = 0 for d = a' ^ b, so c = b.  Such an a < b has an
+    upper cover c <= b of a, and a' ^ c = 0 too, so one AND per covering
+    pair decides.  The witness is the first a by index with such a cover,
+    then the first b by index with a < b and a' ^ b = 0, found in one
+    pass; there a v (a' ^ b) = a, not b.
     """
     if is_boolean(lattice):
         return CheckResult(True)
-    down_pos = lattice.down_pos
-    for i, o in enumerate(lattice.orth_map):
-        down_o = down_pos[o]
-        # position 0 holds the bottom, so a' ^ b = 0 reads as a common down-set of 1
-        for j in _bits(lattice.up_masks[i] ^ 1 << i):
-            if down_o & down_pos[j] == 1:
-                return CheckResult(False, (lattice.elements[i], lattice.elements[j]))
+    orth, order, down_pos = lattice.orth_map, lattice.order, lattice.down_pos
+    for a, o in enumerate(orth):
+        below = down_pos[o]
+        # position 0 holds the bottom, so a' ^ c = 0 reads as a common down-set of 1
+        if any(below & down_pos[orth[k]] == 1 for k in _lower_covers(order, down_pos, o)):
+            b = next(b for b, d in enumerate(lattice.down_masks)
+                     if d >> a & 1 and b != a and below & down_pos[b] == 1)
+            return CheckResult(False, (lattice.elements[a], lattice.elements[b]))
     return CheckResult(True)
 
 
@@ -931,17 +914,18 @@ def _join_failure(lattice: OrthoLattice,
                   irreducible: list[int]) -> tuple[int, int, int] | None:
     """The first x, then j of ``irreducible``, with J(x v j) != J(x) | J(j),
     as (i, x, j) for the first i in the difference; None if there is none."""
-    order, up_pos = lattice.order, lattice.up_pos
+    order, orth, down_pos = lattice.order, lattice.orth_map, lattice.down_pos
     mask = sum(1 << j for j in irreducible)
     below = [d & mask for d in lattice.down_masks]
     for x, bx in enumerate(below):
         if x in (lattice.bottom_index, lattice.top_index):
             continue  # 0 v j = j and 1 v j = 1 keep the identity
-        up_x = up_pos[x]
+        complement_x = down_pos[orth[x]]
         for j in irreducible:
-            ub = up_x & up_pos[j]
-            # J(x v j) holds J(x) | J(j), so the XOR is what it has over them
-            extra = below[order[(ub & -ub).bit_length() - 1]] ^ (bx | below[j])
+            # x v j = (x' ^ j')'; J(x v j) holds J(x) | J(j), so the XOR
+            # is what it has over them
+            joined = orth[order[(complement_x & down_pos[orth[j]]).bit_length() - 1]]
+            extra = below[joined] ^ (bx | below[j])
             if extra:
                 return (extra & -extra).bit_length() - 1, x, j
     return None
@@ -953,15 +937,16 @@ def atoms(lattice: OrthoLattice) -> tuple[str, ...]:
 
 
 def is_atomistic(lattice: OrthoLattice) -> CheckResult:
-    """Every element is the join of the atoms below it: the lowest position
-    of the atoms' common up-set is its own."""
+    """Every element is the join of the atoms below it: its
+    orthocomplement is the meet of theirs, the highest position of their
+    common down-set."""
     atom_mask = sum(1 << a for a in lattice.atom_indices())
-    order, up_pos = lattice.order, lattice.up_pos
+    order, orth, down_pos = lattice.order, lattice.orth_map, lattice.down_pos
     for i, down in enumerate(lattice.down_masks):
-        common = up_pos[lattice.bottom_index]
+        common = down_pos[lattice.top_index]
         for a in _bits(down & atom_mask):
-            common &= up_pos[a]
-        if order[(common & -common).bit_length() - 1] != i:
+            common &= down_pos[orth[a]]
+        if order[common.bit_length() - 1] != orth[i]:
             return CheckResult(False, (lattice.elements[i],))
     return CheckResult(True)
 
@@ -971,6 +956,17 @@ def _bits(mask: int) -> Iterator[int]:
     while mask:
         yield (mask & -mask).bit_length() - 1
         mask &= mask - 1
+
+
+def _lower_covers(order: Sequence[int], down_pos: Sequence[int], y: int) -> Iterator[int]:
+    """The lower covers of y, highest position first, peeled off its
+    strict down-set: what is left has a maximal element at its highest
+    position, a cover; its down-set goes next.  One AND per cover."""
+    rest = down_pos[y] ^ 1 << down_pos[y].bit_length() >> 1  # y is at the top bit
+    while rest:
+        c = order[rest.bit_length() - 1]
+        yield c
+        rest &= ~down_pos[c]
 
 
 def orthogonal_pairs(lattice: OrthoLattice) -> list[tuple[str, str]]:
@@ -996,13 +992,14 @@ def horizontal_summands(lattice: OrthoLattice) -> list[tuple[OrthoLattice, list[
     comparable to both.  So each component together with 0 and 1 is a
     sub-ortholattice, and the lattice is their horizontal sum; this holds
     in any ortholattice.  Each summand comes with its members: the index
-    in the lattice of each of its elements, ascending.
+    in the lattice of each of its elements, ascending.  The walk steps
+    from x to its down-set and to x', which reaches each y >= x by y' <= x'.
 
     Summands of one shape (the same masks and orthocomplement over their
     own indices, as the n summands of MO(n)) are built once and share
     those masks and that topological order; each keeps its own names.
     """
-    up, down, orth = lattice.up_masks, lattice.down_masks, lattice.orth_map
+    down, orth = lattice.down_masks, lattice.orth_map
     ends = 1 << lattice.bottom_index | 1 << lattice.top_index
     unseen = ((1 << len(lattice)) - 1) & ~ends
     components = []
@@ -1013,7 +1010,7 @@ def horizontal_summands(lattice: OrthoLattice) -> list[tuple[OrthoLattice, list[
             component |= frontier
             reached = 0
             for i in _bits(frontier):
-                reached |= up[i] | down[i] | 1 << orth[i]
+                reached |= down[i] | 1 << orth[i]
             frontier = reached & unseen & ~component
         unseen &= ~component
         components.append(component)
@@ -1027,27 +1024,27 @@ def horizontal_summands(lattice: OrthoLattice) -> list[tuple[OrthoLattice, list[
         members = list(_bits(inside))
         where = {i: k for k, i in enumerate(members)}
         orth_k = tuple([where[orth[i]] for i in members])
-        proper = [up[i] & component for i in _bits(component)]
-        # The places of 0 and 1, the orthocomplement and the up-set sizes
+        proper = [down[i] & component for i in _bits(component)]
+        # The places of 0 and 1, the orthocomplement and the down-set sizes
         # tell most shapes apart without a loop over bits.  With 0 and 1
-        # in place, the proper elements' up-sets settle a match.
+        # in place, the proper elements' down-sets settle a match.
         bottom, top = where[lattice.bottom_index], where[lattice.top_index]
         same = built.setdefault(
             (bottom, top, orth_k, tuple([m.bit_count() for m in proper])), [])
         block = None
         if same:
-            shape = [sum(1 << where[j] for j in _bits(m)) | 1 << top for m in proper]
+            shape = [sum(1 << where[j] for j in _bits(m)) | 1 << bottom for m in proper]
             at = [where[i] for i in _bits(component)]
-            block = next((b for b in same if list(map(b.up_masks.__getitem__, at)) == shape),
+            block = next((b for b in same if list(map(b.down_masks.__getitem__, at)) == shape),
                          None)
         if block is None:
             block = _induced(lattice, members, orth_k)
             same.append(block)
         else:
             # the same shape with this summand's names
-            block = OrthoLattice(lattice.name, [names[i] for i in members], block.up_masks,
+            block = OrthoLattice(lattice.name, [names[i] for i in members],
                                  block.down_masks, block.orth_map, block.order,
-                                 block.up_pos, block.down_pos)
+                                 block.down_pos)
         summands.append((block, members))
     return summands
 
@@ -1091,7 +1088,7 @@ def direct_factors(lattice: OrthoLattice
 
     members = [list(_bits(down[z])) for z in found]
     where = [{i: k for k, i in enumerate(m)} for m in members]
-    order, up_pos, down_pos = lattice.order, lattice.up_pos, lattice.down_pos
+    order, down_pos = lattice.order, lattice.down_pos
     # t ^ z_j is the element at the highest position of their common down-set
     coordinates = [tuple([w[order[(d & down_pos[z]).bit_length() - 1]]
                           for z, w in zip(found, where)]) for d in down_pos]
@@ -1099,12 +1096,13 @@ def direct_factors(lattice: OrthoLattice
              for j, m in enumerate(members)]
     if prod(map(len, members)) != n or len(set(coordinates)) != n:
         return [], []
-    bottom = up_pos[lattice.bottom_index]
+    everything = down_pos[lattice.top_index]
     for t, c in enumerate(coordinates):
-        common = bottom
+        # t' is the meet of the coordinates' complements
+        common = everything
         for m, k in zip(members, c):
-            common &= up_pos[m[k]]
-        if (order[(common & -common).bit_length() - 1] != t
+            common &= down_pos[orth[m[k]]]
+        if (order[common.bit_length() - 1] != orth[t]
                 or coordinates[orth[t]] != tuple([o[k] for o, k in zip(orths, c)])):
             return [], []
     factors = [(_induced(lattice, m, o), m) for m, o in zip(members, orths)]
@@ -1150,7 +1148,7 @@ class Decomposer:
         self.seen: dict[tuple, object] = {}
 
     def solve(self, lattice: OrthoLattice, *more):
-        shape = (lattice.up_masks, lattice.orth_map, *more)
+        shape = (lattice.down_masks, lattice.orth_map, *more)
         found = self.seen.get(shape)
         if found is None:
             found = self.split(lattice, *more)
@@ -1173,13 +1171,14 @@ class Decomposer:
 
 
 def _is_central(lattice: OrthoLattice, z: int) -> bool:
-    """t = (t ^ z) v (t ^ z') for every t."""
-    order, up_pos, down_pos = lattice.order, lattice.up_pos, lattice.down_pos
-    below_z, below_o = down_pos[z], down_pos[lattice.orth_map[z]]
+    """t = (t ^ z) v (t ^ z') for every t: t' is the meet of the
+    complements of t ^ z and t ^ z'."""
+    order, orth, down_pos = lattice.order, lattice.orth_map, lattice.down_pos
+    below_z, below_o = down_pos[z], down_pos[orth[z]]
     for t, d in enumerate(down_pos):
-        common = (up_pos[order[(d & below_z).bit_length() - 1]]
-                  & up_pos[order[(d & below_o).bit_length() - 1]])
-        if order[(common & -common).bit_length() - 1] != t:
+        common = (down_pos[orth[order[(d & below_z).bit_length() - 1]]]
+                  & down_pos[orth[order[(d & below_o).bit_length() - 1]]])
+        if order[common.bit_length() - 1] != orth[t]:
             return False
     return True
 
@@ -1195,35 +1194,37 @@ def _induced(lattice: OrthoLattice, members: list[int], orth: list[int]) -> Orth
     bit = {i: 1 << k for k, i in enumerate(members)}
     pos_bit = {i: 1 << p for p, i in enumerate(order)}
     inside = sum(1 << i for i in members)
-    up, down, up_pos, down_pos = [], [], [], []
+    down, down_pos = [], []
     for i in members:
-        for masks, pos_masks, rest in ((up, up_pos, lattice.up_masks[i] & inside),
-                                       (down, down_pos, lattice.down_masks[i] & inside)):
-            bits = pos = 0
-            while rest:
-                low = rest & -rest
-                j = low.bit_length() - 1
-                rest ^= low
-                bits |= bit[j]
-                pos |= pos_bit[j]
-            masks.append(bits)
-            pos_masks.append(pos)
+        bits = pos = 0
+        for j in _bits(lattice.down_masks[i] & inside):
+            bits |= bit[j]
+            pos |= pos_bit[j]
+        down.append(bits)
+        down_pos.append(pos)
     index = {i: k for k, i in enumerate(members)}
-    return OrthoLattice(lattice.name, [lattice.elements[i] for i in members], up, down,
-                        orth, [index[i] for i in order], up_pos, down_pos)
+    return OrthoLattice(lattice.name, [lattice.elements[i] for i in members], down,
+                        orth, [index[i] for i in order], down_pos)
 
 
 # --- isomorphism search ---------------------------------------------------------
 
 
 def _cover_lists(lattice: OrthoLattice) -> tuple[list[list[int]], list[list[int]]]:
-    """Upper and lower covers of every element, as sorted index lists."""
-    ups = [list(_bits(mask)) for mask in lattice.cover_masks()]
-    downs: list[list[int]] = [[] for _ in ups]
-    for i, above in enumerate(ups):
-        for j in above:
-            downs[j].append(i)
-    return ups, downs
+    """Upper and lower covers of every element, as sorted index lists; the
+    upper covers of x are the orthocomplements of the lower covers of x'."""
+    order, down_pos, orth = lattice.order, lattice.down_pos, lattice.orth_map
+    downs = [sorted(_lower_covers(order, down_pos, y)) for y in range(len(orth))]
+    return [sorted(orth[c] for c in downs[o]) for o in orth], downs
+
+
+def _rank_colours(lattice: OrthoLattice, ups: list[list[int]],
+                  downs: list[list[int]]) -> list[tuple[int, int, int, int]]:
+    """The root colours of the isomorphism search: the sizes of each
+    element's down-set and up-set (|up(x)| = |down(x')|), then its numbers
+    of lower and of upper covers."""
+    below = [mask.bit_count() for mask in lattice.down_masks]
+    return list(zip(below, [below[o] for o in lattice.orth_map], map(len, downs), map(len, ups)))
 
 
 class _Partition:
@@ -1386,7 +1387,7 @@ class IsomorphismSearch:
     which a colour names the same thing on either side, held as a source
     trie node and a target partition.  A colouring is an ordered partition
     into numbered cells, a colour the number of a cell.  The root colours
-    each element by its rank data and the rank of its orthocomplement, and
+    each element by its rank data (:func:`_rank_colours`), and
     by its mark when ``marks`` is given: a pair of lists, one mark per
     element index of src and one per element index of dst; the initial
     cells are numbered in the sorted order of these tuples.  Fixing x -> y
@@ -1461,14 +1462,11 @@ class IsomorphismSearch:
                           else _neighbour_keys(*self._dst, unit, self._jbits))
         self.refinements = self.splitters = self.visits = 0
         initial = []
-        for lat, (ups, downs, orth), side in zip((src, dst), (self._src, self._dst),
-                                                 marks or (None, None)):
-            below = [mask.bit_count() for mask in lat.down_masks]
-            columns = [below, [mask.bit_count() for mask in lat.up_masks],
-                       map(len, downs), map(len, ups), [below[o] for o in orth]]
-            if side is not None:
-                columns.append(side)
-            initial.append(list(zip(*columns)))
+        for lat, (ups, downs, _), side in zip((src, dst), (self._src, self._dst),
+                                              marks or (None, None)):
+            colours = _rank_colours(lat, ups, downs)
+            initial.append(colours if side is None
+                           else [c + (m,) for c, m in zip(colours, side)])
         palette = {c: k for k, c in enumerate(sorted(set(initial[0])))}
         part = _Partition.from_colours([palette[c] for c in initial[0]], len(palette))
         sizes = part.size.tolist()

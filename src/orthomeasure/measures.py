@@ -164,10 +164,8 @@ def is_measure(lattice: OrthoLattice, values: Mapping[str, object],
     bottom is itself a violation.
     """
     vals = _validated_values(lattice, values, domain)
-    order, up_pos = lattice.order, lattice.up_pos
     for i, j in _relation_pairs(lattice):
-        ub = up_pos[i] & up_pos[j]  # the join is at its lowest position
-        if domain.add(vals[i], vals[j]) != vals[order[(ub & -ub).bit_length() - 1]]:
+        if domain.add(vals[i], vals[j]) != vals[lattice.join_index(i, j)]:
             return CheckResult(False, (lattice.elements[i], lattice.elements[j]))
     return CheckResult(True)
 

@@ -42,6 +42,7 @@ from .lattice import (
     Decomposer,
     IsomorphismSearch,
     OrthoLattice,
+    _bits,
     read_json,
 )
 
@@ -118,22 +119,19 @@ def _validate_automorphism(lattice: OrthoLattice, perm: Perm) -> None:
     n = len(lattice)
     if sorted(perm) != list(range(n)):
         raise NotAnAutomorphismError("element map is not a bijection")
-    up = lattice.up_masks
-    for i in range(n):
-        image = 0
-        rest = up[i]
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            image |= 1 << perm[j]
-        if image == up[perm[i]]:
-            continue
-        for j in range(n):
-            if lattice.leq_index(i, j) != lattice.leq_index(perm[i], perm[j]):
-                raise NotAnAutomorphismError(
-                    "order not preserved on "
-                    f"({lattice.elements[i]!r}, {lattice.elements[j]!r})"
-                )
+    # bit i of moved is set when i <= j and perm[i] <= perm[j] disagree for
+    # some j: the down-set of j against the preimage of that of perm[j]
+    down = lattice.down_masks
+    inverse = sorted(range(n), key=perm.__getitem__)
+    moved = 0
+    for j, d in enumerate(down):
+        moved |= d ^ sum(1 << inverse[k] for k in _bits(down[perm[j]]))
+    if moved:
+        i = (moved & -moved).bit_length() - 1
+        j = next(j for j in range(n)
+                 if lattice.leq_index(i, j) != lattice.leq_index(perm[i], perm[j]))
+        raise NotAnAutomorphismError(
+            f"order not preserved on ({lattice.elements[i]!r}, {lattice.elements[j]!r})")
     for i in range(n):
         if perm[lattice.orth_map[i]] != lattice.orth_map[perm[i]]:
             raise NotAnAutomorphismError(

@@ -16,12 +16,15 @@ blocks.  ``orthogonal_closure_by_members`` tests every member at every
 element reached, as the package's closure did before it read the members
 below x' off one mask.  ``lattice_description_by_generators`` checks a
 lattice file's fields with one generator expression per check, as the
-package did before it ran each check as a map in C.
+package did before it ran each check as a map in C.  The ``*_by_up_sets``
+oracles read the order one comparison at a time into up-sets and take
+joins and covers from them, as the package did while it kept up-sets
+beside its down-sets.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 
@@ -1109,3 +1112,104 @@ def lattice_description_by_generators(data):
     if not isinstance(name, str):
         raise SchemaError("'name' must be a string")
     return LatticeDescription(name, tuple(elements), tuple((a, b) for a, b in pairs), dict(orth))
+
+
+def up_sets_by_leq(lattice):
+    """Each element's up-set, bits over element indices, read one
+    comparison at a time."""
+    n = len(lattice)
+    return [sum(lattice.leq_index(i, j) << j for j in range(n)) for i in range(n)]
+
+
+def _least(masks, common):
+    """The element of ``common`` whose mask is all of ``common``: the least
+    upper bound when the masks are up-sets, the greatest lower bound when
+    they are down-sets; None if there is none."""
+    return next((k for k in range(len(masks)) if common >> k & 1 and masks[k] == common), None)
+
+
+def join_by_up_sets(up, i, j):
+    """The least upper bound of i and j, read off the up-sets ``up``."""
+    return _least(up, up[i] & up[j])
+
+
+def cover_masks_by_up_sets(lattice):
+    """covers[i], the bits of the elements covering i: the j of the strict
+    up-set of i whose down-set meets it in j alone."""
+    up = up_sets_by_leq(lattice)
+    n = len(up)
+    down = [sum((up[i] >> j & 1) << i for i in range(n)) for j in range(n)]
+    out = []
+    for i in range(n):
+        strict = up[i] & ~(1 << i)
+        out.append(sum(1 << j for j in range(n) if strict >> j & 1 and down[j] & strict == 1 << j))
+    return out
+
+
+def atomistic_failure_by_up_sets(lattice):
+    """The first element, by index, that is not the join of the atoms
+    below it; None if there is none."""
+    up = up_sets_by_leq(lattice)
+    n = len(up)
+    atom_mask = cover_masks_by_up_sets(lattice)[lattice.bottom_index]
+    for i in range(n):
+        common = (1 << n) - 1
+        for a in range(n):
+            if atom_mask >> a & 1 and up[a] >> i & 1:
+                common &= up[a]
+        if _least(up, common) != i:
+            return lattice.elements[i]
+    return None
+
+
+def direct_factors_by_definition(lattice):
+    """``direct_factors`` as (members, coordinates, orthocomplements), from
+    the definitions: the atoms of the center, the z != 0, 1 with
+    t = (t ^ z) v (t ^ z') for every t and no such element strictly below,
+    by down-set size and then index; the members of each [0, z]; and
+    coordinates[t][j], the index of t ^ z_j among the members of z_j.
+    ([], [], []) when there are fewer than two, or when t -> coordinates is
+    not a bijection that takes each t to elements it is the join of and
+    carries ' to x -> x' ^ z_j."""
+    up = up_sets_by_leq(lattice)
+    n = len(up)
+    down = [sum((up[i] >> j & 1) << i for i in range(n)) for j in range(n)]
+    orth = lattice.orth_map
+
+    def meet(i, j):
+        return _least(down, down[i] & down[j])
+
+    def join(i, j):
+        return _least(up, up[i] & up[j])
+
+    central = [z for z in range(n) if z not in (lattice.bottom_index, lattice.top_index)
+               and all(join(meet(t, z), meet(t, orth[z])) == t for t in range(n))]
+    found = sorted((z for z in central if not any(y != z and down[z] >> y & 1 for y in central)),
+                   key=lambda z: (down[z].bit_count(), z))
+    if len(found) < 2:
+        return [], [], []
+    members = [[i for i in range(n) if down[z] >> i & 1] for z in found]
+    coordinates = [tuple(m.index(meet(t, z)) for z, m in zip(found, members))
+                   for t in range(n)]
+    orths = [[m.index(meet(orth[x], z)) for x in m] for z, m in zip(found, members)]
+    if len(set(coordinates)) != n or prod(map(len, members)) != n:
+        return [], [], []
+    for t, c in enumerate(coordinates):
+        joined = lattice.bottom_index
+        for m, k in zip(members, c):
+            joined = join(joined, m[k])
+        if joined != t or coordinates[orth[t]] != tuple(o[k] for o, k in zip(orths, c)):
+            return [], [], []
+    return members, coordinates, orths
+
+
+def rank_colours_by_up_sets(lattice, ups, downs):
+    """The isomorphism search's root colours as they were taken while the
+    lattice kept its up-sets: the down-set size, the up-set size, the
+    numbers of lower and of upper covers, and the down-set size of the
+    orthocomplement, the sizes counted one comparison at a time."""
+    n = len(lattice)
+    below = [sum(lattice.leq_index(j, i) for j in range(n)) for i in range(n)]
+    above = [sum(lattice.leq_index(i, j) for j in range(n)) for i in range(n)]
+    return list(zip(below, above, map(len, downs), map(len, ups),
+                    [below[o] for o in lattice.orth_map]))

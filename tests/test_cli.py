@@ -346,6 +346,18 @@ def test_oracle(files, capsys):
     assert data["report"]["count"] == 8
 
 
+def test_oracle_refuses_a_range_that_repeats_modulo_m(files, capsys):
+    # 0..3 is 0, 1, 0, 1 mod 2; 0..1 is every residue once
+    code, data = run_json(capsys, ["oracle", files["b3"], "--domain", "z/2", "--range", "0:3"])
+    assert code == 2
+    assert data == {"error": "SchemaError",
+                    "detail": "--range '0:3' repeats values modulo 2"}
+    code, data = run_json(capsys, ["oracle", files["b3"], "--domain", "z/2", "--range", "0:1"])
+    assert code == 0
+    assert data["report"]["count"] == run_json(
+        capsys, ["oracle", files["b3"], "--domain", "z/2"])[1]["report"]["count"]
+
+
 def test_schema_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"elements": ["0"], "leq": [], "orthocomplement": {"0": "0"}, "x": 1}))

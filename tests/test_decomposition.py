@@ -17,8 +17,9 @@ Claims:
       neither way; every summand and factor of the family's products and
       horizontal sums up to 64 elements passes verify_ortho
     - horizontal_summands builds each shape once: summands listed alike
-      share their masks, and two summands with the same orthocomplement
-      and up-set sizes but different orders each get their own
+      share their down masks (one object), and two summands with the same
+      orthocomplement and down-set sizes but different orders each get
+      their own
     - past the search's reach, under wall-clock bounds on the group alone:
       |Aut(MO(2000))| = 2^2000 2000! in under 2 s (and listing it is
       refused, its 6 338-digit order in the message), |Aut(B_12)| = 12! in
@@ -162,17 +163,17 @@ def test_summands_and_factors_pass_verify_ortho(family):
 
 
 def _restricted(lattice, members):
-    """The up masks and orthocomplement of the lattice on ``members``, over
-    their own indices, read one comparison at a time."""
+    """The down masks and orthocomplement of the lattice on ``members``,
+    over their own indices, read one comparison at a time."""
     where = {i: k for k, i in enumerate(members)}
-    up = tuple(sum(1 << where[j] for j in members if lattice.leq_index(i, j)) for i in members)
-    return up, tuple(where[lattice.orth_map[i]] for i in members)
+    down = tuple(sum(1 << where[j] for j in members if lattice.leq_index(j, i)) for i in members)
+    return down, tuple(where[lattice.orth_map[i]] for i in members)
 
 
 def test_summands_are_built_once_per_shape():
     # (a1,1) and (a2,1) change places in the second copy's listing, and so
     # do their complements (a1',0) and (a2',0): the two summands list the
-    # same orthocomplement and the same up-set sizes, but (a1,0), third in
+    # same orthocomplement and the same down-set sizes, but (a1,0), third in
     # both, lies below the fourth element in one and the eighth in the other
     first = product(mo(2), boolean(1))
     desc = first.to_description()
@@ -184,11 +185,11 @@ def test_summands_are_built_once_per_shape():
                             (horizontal_sum(mo(2), first), 2)):
         summands = horizontal_summands(lattice)
         for block, members in summands:
-            assert (block.up_masks, block.orth_map) == _restricted(lattice, members)
+            assert (block.down_masks, block.orth_map) == _restricted(lattice, members)
             assert list(block.elements) == [lattice.elements[i] for i in members]
             assert verify_ortho(block).ok
         # a summand of a shape met before shares its masks
-        assert len({id(block.up_masks) for block, _ in summands}) == shapes, lattice
+        assert len({id(block.down_masks) for block, _ in summands}) == shapes, lattice
 
 
 def _timed(lattice):

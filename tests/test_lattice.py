@@ -13,7 +13,10 @@ Claims:
       breaks its law; is_distributive answers in under 1 s on
       product(mo(2), boolean(9)), 3 072 elements
     - orthocomplementation axioms, De Morgan, and the table laws hold
-      exhaustively on every family member
+      exhaustively on every family member; verify_ortho fails every
+      single-bit flip of a down_masks or down_pos entry of boolean(2),
+      mo(2) and benzene, and scans De Morgan, with the least upper bound
+      read off the order, when order reversal fails
     - bad descriptions raise the specific construction errors
     - building blocks compose: products and horizontal sums give the
       expected isomorphism types, and the lattice of the description that
@@ -452,8 +455,7 @@ def test_family_de_morgan(family):
 
 def _with_fields(lat, **fields):
     """The raw constructor on ``lat``'s fields, some replaced; unvalidated."""
-    names = ("name", "elements", "up_masks", "down_masks", "orth_map", "order",
-             "up_pos", "down_pos")
+    names = ("name", "elements", "down_masks", "orth_map", "order", "down_pos")
     return lattice_mod.OrthoLattice(*(fields.get(k, getattr(lat, k)) for k in names))
 
 
@@ -469,21 +471,30 @@ def test_verify_ortho_scans_de_morgan_when_order_reversal_fails():
     checks = verify_ortho(lat).checks
     assert checks["involution"].ok and checks["complement"].ok
     assert not checks["order_reversal"].ok
+
+    # the join by definition: lat.join reads it through the broken complement
+    def least_upper_bound(a, b):
+        bounds = [z for z in lat.elements if lat.leq(a, z) and lat.leq(b, z)]
+        return next(z for z in bounds if all(lat.leq(z, w) for w in bounds))
+
     scan = next((a, b) for a in lat.elements for b in lat.elements
-                if lat.orthocomplement(lat.join(a, b))
+                if lat.orthocomplement(least_upper_bound(a, b))
                 != lat.meet(lat.orthocomplement(a), lat.orthocomplement(b)))
     assert checks["de_morgan"] == lattice_mod.CheckResult(False, scan)
 
 
-def test_verify_ortho_checks_the_down_masks_against_the_up_masks():
-    base = boolean(2)
+@pytest.mark.parametrize("make", [lambda: boolean(2), lambda: mo(2), benzene],
+                         ids=["boolean(2)", "mo(2)", "benzene"])
+def test_verify_ortho_fails_every_single_bit_flip_of_the_down_sets(make):
+    base = make()
     n = len(base)
-    for j in range(n):
-        for i in range(n):
-            down = list(base.down_masks)
-            down[j] ^= 1 << i
-            check = verify_ortho(_with_fields(base, down_masks=down)).checks["partial_order"]
-            assert check == lattice_mod.CheckResult(False, (base.elements[i], base.elements[j]))
+    assert verify_ortho(base).ok
+    for field in ("down_masks", "down_pos"):
+        for j in range(n):
+            for i in range(n):
+                masks = list(getattr(base, field))
+                masks[j] ^= 1 << i
+                assert not verify_ortho(_with_fields(base, **{field: masks})).ok, (field, j, i)
 
 
 def test_table_laws(family):
@@ -527,7 +538,7 @@ def test_file_round_trip(tmp_path, family):
         save_lattice(lat, path)
         again = load_lattice(path)
         assert again.elements == lat.elements
-        assert again.up_masks == lat.up_masks
+        assert again.down_masks == lat.down_masks
         assert again.orth_map == lat.orth_map
 
 
@@ -652,14 +663,17 @@ def test_leq_pairs_any_generating_set():
 
 # --- build_lattice against the scan-based builder -------------------------------
 
-TABLES = ("elements", "up_masks", "down_masks", "orth_map", "bottom_index", "top_index")
+TABLES = ("elements", "down_masks", "orth_map", "bottom_index", "top_index")
 
 
 def _tables(lattice):
-    """The fields the scan builder also returns, and the meet and join of
-    every pair as the scan builder's tables."""
+    """The fields the scan builder also returns, the up-sets read one
+    comparison at a time, and the meet and join of every pair as the scan
+    builder's tables."""
     n = len(lattice)
     out = {key: getattr(lattice, key) for key in TABLES}
+    out["up_masks"] = tuple(sum(lattice.leq_index(i, j) << j for j in range(n))
+                            for i in range(n))
     for key, op in (("meet_table", lattice.meet_index), ("join_table", lattice.join_index)):
         out[key] = tuple(tuple(map(op, [i] * n, range(n))) for i in range(n))
     return out
@@ -951,7 +965,7 @@ def test_cover_pairs_decide_what_every_pair_decides(case):
     down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
     order = list(range(n))
     one_top = sum(not upper for upper in above) == 1
-    failure = lattice_mod._is_lattice(above, below, order, up, down)
+    failure = lattice_mod._is_lattice(above, below, order, down)
     assert (failure is None) == (one_top and every_pair_meets(down, order))
     if failure is not None:
         # order is the identity, so the masks are over indices: the named
