@@ -17,12 +17,10 @@ printed), 2 input or schema error, 3 resource cap.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 from decimal import Decimal
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
@@ -96,8 +94,7 @@ def _scalar_text(value) -> str:
         return str(Decimal(value))
 
 
-@dataclass(frozen=True)
-class _Table:
+class _Table(NamedTuple):
     """The rows of a report that give a value at every element: the
     vertices of ``states``, each {"coords": [...], "values": {...}}, or the
     measures of ``measures``, ``invariant-measures`` and ``oracle``, each
@@ -160,7 +157,10 @@ class _Table:
     def write_csv(self, fh) -> None:
         """A header of the element names, then the values of each row, one
         line each, a field quoted only where it holds a comma, a quote or a
-        line break."""
+        line break.  Only ``states --csv`` writes CSV, so only it imports
+        the module."""
+        import csv
+
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(self.elements)
         writer.writerows(values for _, values in self.rows)
@@ -384,6 +384,9 @@ def _cmd_oracle(args, lattice) -> tuple[dict, int]:
             values = range(int(lo), int(hi) + 1)
         except ValueError as exc:
             raise SchemaError(f"bad --range {args.range!r} (use LO:HI)") from exc
+        # an empty range would answer "no measure", but the zero measure exists
+        if not values:
+            raise SchemaError(f"--range {args.range!r} ends below its start")
         # consecutive integers repeat modulo m exactly when there are more than m
         if domain.kind == "Zmod" and len(values) > domain.modulus:
             raise SchemaError(f"--range {args.range!r} repeats values modulo {domain.modulus}")
@@ -430,7 +433,8 @@ _COMMANDS = {
     )),
     "boolean-check": _Command("indicator identity suite", _cmd_boolean_check),
     "oracle": _Command("brute-force measure enumeration", _cmd_oracle, domain=True, extra=(
-        ("--range", {"help": "value range LO:HI (defaults to 0..m-1 mod m)"}),
+        ("--range", {"help": "value range LO:HI (defaults to 0..m-1 mod m); "
+                             "a negative LO needs the form --range=LO:HI"}),
     )),
 }
 

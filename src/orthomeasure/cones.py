@@ -47,12 +47,12 @@ than the measure module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mul
+from typing import NamedTuple
 
 from .errors import (
     DimensionCapError,
@@ -107,8 +107,7 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-@dataclass(frozen=True)
-class PolyCone:
+class PolyCone(NamedTuple):
     """A polyhedral cone {x : n . x >= 0 for every normal n}, with its
     extreme rays and a lineality basis."""
 
@@ -286,21 +285,23 @@ def positive_cone(lattice: OrthoLattice,
     return dual_cone(measure_coordinates(lattice, action))
 
 
-@dataclass(frozen=True)
-class StateVertex:
+class _VertexFields(NamedTuple):
+    ray: Vector
+    scale: int
+    numerators: tuple[int, ...]
+    elements: tuple[str, ...]
+
+
+class StateVertex(_VertexFields):
     """One vertex of the state polytope, kept as exact integers.
 
     The vertex is ``ray / scale``: ``ray`` is a primitive extreme ray of the
     positive cone and ``scale`` its pairing with the top element (always
     positive).  ``numerators[i]`` is the vertex's value at ``elements[i]``
     times ``scale``.  ``coords`` and ``values`` give the same numbers as
-    Fractions.
+    Fractions.  The fields are read-only; the subclass of the NamedTuple
+    holds the cached properties in its instance ``__dict__``.
     """
-
-    ray: Vector
-    scale: int
-    numerators: tuple[int, ...]
-    elements: tuple[str, ...]
 
     @cached_property
     def coords(self) -> tuple[Fraction, ...]:
@@ -314,18 +315,21 @@ class StateVertex:
         }
 
 
-@dataclass(frozen=True)
-class StatePolytope:
+class _PolytopeFields(NamedTuple):
+    elements: tuple[str, ...]
+    values: tuple[Fraction, ...]
+    rows: tuple[tuple[Vector, Vector], ...]
+
+
+class StatePolytope(_PolytopeFields):
     """Probability measures as the normalized slice of the positive cone,
     held as one table: ``values`` lists the distinct values its vertices
     take, coordinates included, in ascending order, and each row of
     ``rows`` gives one vertex as the ids into ``values`` of its
     coordinates and of its values at ``elements``.  The rows are sorted by
-    their coordinate ids, which orders them as their coordinates."""
-
-    elements: tuple[str, ...]
-    values: tuple[Fraction, ...]
-    rows: tuple[tuple[Vector, Vector], ...]
+    their coordinate ids, which orders them as their coordinates.  As
+    with StateVertex, the fields are read-only and ``vertices`` is cached
+    in the instance ``__dict__``."""
 
     @cached_property
     def vertices(self) -> tuple[StateVertex, ...]:

@@ -43,10 +43,9 @@ element order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     DomainMismatchError,
@@ -64,15 +63,13 @@ from .measures import Domain, Measure, RATIONALS, is_measure
 from .symmetry import GroupAction, normalizer, orbits, quotient_map_injective
 
 
-@dataclass(frozen=True)
-class GeneratingSet:
+class GeneratingSet(NamedTuple):
     """A subset closed under pairwise meets, in canonical element order."""
 
     members: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PartialMeasure:
+class PartialMeasure(NamedTuple):
     """Values on (part of) a generating set; consistency is checked by the
     extension operations, not here."""
 
@@ -167,8 +164,7 @@ def is_orthogonal_generating_set(lattice: OrthoLattice,
     return _orthogonal_generating(lattice, gs.members)
 
 
-@dataclass(frozen=True)
-class ActionGeneratingReport:
+class ActionGeneratingReport(NamedTuple):
     """Which half of the generating-for-the-action condition failed."""
 
     quotient_injective: bool

@@ -9,9 +9,8 @@ finite linear algebra and are not modelled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import NotAMeasureError, NotBooleanAtomisticError
 from .lattice import CheckResult, OrthoLattice, atoms, is_boolean
@@ -19,9 +18,11 @@ from .measures import Measure, RATIONALS, is_measure
 from .symmetry import GroupAction
 
 
-@dataclass(frozen=True, eq=False)
-class SimpleFunction:
-    """A rational-valued function on the atom set."""
+class SimpleFunction(NamedTuple):
+    """A rational-valued function on the atom set.
+
+    Its arithmetic and equality are on the values, not the tuple's
+    concatenation, repetition or equality, and it is unhashable."""
 
     values: Mapping[str, Fraction]
 
@@ -47,9 +48,13 @@ class SimpleFunction:
     def __eq__(self, other):
         return isinstance(other, SimpleFunction) and dict(self.values) == dict(other.values)
 
+    def __ne__(self, other):
+        return not self == other
 
-@dataclass(frozen=True)
-class LinearFunctional:
+    __hash__ = None
+
+
+class LinearFunctional(NamedTuple):
     """Evaluation against atom weights; linearity is structural."""
 
     weights: Mapping[str, Fraction]

@@ -24,11 +24,11 @@ import itertools
 import json
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import partial
 from heapq import heapify, heappop, heappush
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadOrthocomplementError,
@@ -44,8 +44,7 @@ from .errors import (
 DEFAULT_MAX_ELEMENTS = 4096
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of an exhaustive check; ``witness`` names the first failure."""
 
     ok: bool
@@ -55,8 +54,7 @@ class CheckResult:
         return self.ok
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Named sub-checks of the orthocomplemented-lattice axioms."""
 
     checks: dict[str, CheckResult]
@@ -69,18 +67,19 @@ class VerificationReport:
         return self.ok
 
 
-@dataclass(frozen=True)
-class LatticeDescription:
+class LatticeDescription(NamedTuple):
     """Ingestion form of a lattice: order pairs plus the complement map.
 
     ``leq_pairs`` may be any generating set of the order relation; the
     reflexive-transitive closure is computed by :func:`build_lattice`.
+    ``orthocomplement`` defaults to an empty read-only mapping, so no two
+    descriptions share a mutable default.
     """
 
     name: str
     elements: tuple[str, ...]
     leq_pairs: tuple[tuple[str, str], ...]
-    orthocomplement: dict[str, str] = field(default_factory=dict)
+    orthocomplement: Mapping[str, str] = MappingProxyType({})
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LatticeDescription":

@@ -32,11 +32,10 @@ and sigma-additive collapse to the single Measure notion used here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DomainMismatchError, OracleTooLargeError
 from .intlinalg import smith_normal_form, snf_diagonal
@@ -49,8 +48,7 @@ DEFAULT_MAX_ORACLE = 10_000_000
 # --- coefficient domains -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(NamedTuple):
     """Coefficient domain: the integers, the rationals, or integers mod m."""
 
     kind: str  # "Z" | "Q" | "Zmod"
@@ -118,8 +116,7 @@ def parse_domain(text: str) -> Domain:
 # --- measures --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormalSum:
+class FormalSum(NamedTuple):
     """An integer combination of lattice elements (the free abelian group)."""
 
     coefficients: Mapping[str, int]
@@ -131,8 +128,7 @@ class FormalSum:
         return vec
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(NamedTuple):
     """A coefficient-valued function on the lattice elements."""
 
     domain: Domain
@@ -201,8 +197,7 @@ def relation_matrix(lattice: OrthoLattice) -> list[list[int]]:
     return rows
 
 
-@dataclass(frozen=True)
-class FPAbelianGroup:
+class FPAbelianGroup(NamedTuple):
     """Z^n modulo the subgroup generated by some relation rows.
 
     The group is Z/d for each torsion invariant d, then Z^rank, coordinate

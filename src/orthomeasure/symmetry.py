@@ -30,7 +30,6 @@ DEFAULT_MAX_GROUP.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from decimal import Decimal
 from itertools import groupby
 from math import factorial
@@ -139,8 +138,7 @@ def _validate_automorphism(lattice: OrthoLattice, perm: Perm) -> None:
             )
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     representative: str
     members: tuple[str, ...]
 

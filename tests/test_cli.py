@@ -71,7 +71,8 @@ from strategies import greechie_loop, pairwise_composites
 @pytest.fixture()
 def files(tmp_path):
     paths = {}
-    for name, lat in (("mo2", mo(2)), ("b3", boolean(3)), ("benzene", benzene())):
+    for name, lat in (("mo2", mo(2)), ("b2", boolean(2)), ("b3", boolean(3)),
+                      ("benzene", benzene())):
         path = tmp_path / f"{name}.json"
         save_lattice(lat, path)
         paths[name] = str(path)
@@ -356,6 +357,28 @@ def test_oracle_refuses_a_range_that_repeats_modulo_m(files, capsys):
     assert code == 0
     assert data["report"]["count"] == run_json(
         capsys, ["oracle", files["b3"], "--domain", "z/2"])[1]["report"]["count"]
+
+
+def test_oracle_refuses_a_reversed_range(files, capsys):
+    # the zero measure always exists, so an empty range is an input error
+    for domain, reversed_range in (("z/2", "3:1"), ("z", "1:0")):
+        code, data = run_json(capsys, ["oracle", files["b2"], "--domain", domain,
+                                       "--range", reversed_range])
+        assert code == 2
+        assert data == {"error": "SchemaError",
+                        "detail": f"--range {reversed_range!r} ends below its start"}
+    code, data = run_json(capsys, ["oracle", files["b2"], "--domain", "z", "--range", "0:0"])
+    assert code == 0
+    assert data["report"]["count"] == 1
+
+
+def test_oracle_takes_a_negative_low_end_in_the_attached_form(files, capsys):
+    # argparse reads a separate "-1:1" as an option; "--range=-1:1" is one
+    # argument. Over {-1, 0, 1} the two atoms of boolean(2) take any values
+    # but 1, 1 and -1, -1, whose sum at the top is out of range
+    code, data = run_json(capsys, ["oracle", files["b2"], "--domain", "z", "--range=-1:1"])
+    assert code == 0
+    assert data["report"]["count"] == 7
 
 
 def test_schema_error_exit_2(tmp_path, capsys):
