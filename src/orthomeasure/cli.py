@@ -5,11 +5,13 @@ measures) from the documented JSON schemas and print a deterministic report:
 the JSON form is the contract, the text form is a human summary of the same
 data.  The JSON form is byte for byte ``json.dumps(envelope, indent=2)``; a
 small recursive writer produces it, because the standard encoder falls back
-to pure Python whenever it indents.  The state vertices and the measures
-are written through one table (``_Table``): each element name is quoted
-once per table, each distinct value formatted once, state values straight
-from the polytope's table of value ids, and each row joined without a
-dict.
+to pure Python whenever it indents.  The writer appends the pieces of the
+envelope, the report and its table to one list and joins it once per
+report.  The state vertices and the measures are written through one table
+(``_Table``) of value ids: each distinct value is formatted once, a
+``states`` table takes the polytope's rows of ids as they stand, and where
+a table has no more distinct values than rows, each element's key and value
+text are joined once per value, so that a row only picks its cells by id.
 Exit codes: 0 success, 1 mathematical negative (the report is still
 printed), 2 input or schema error, 3 resource cap.
 """
@@ -20,11 +22,11 @@ import argparse
 import hashlib
 import json
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from decimal import Decimal
-from itertools import repeat
+from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
-from operator import add
+from operator import add, getitem
 from typing import NamedTuple
 
 from . import __version__
@@ -100,70 +102,96 @@ class _Table(NamedTuple):
     measures of ``measures``, ``invariant-measures`` and ``oracle``, each
     {"domain": ..., "values": {...}}.
 
-    A row holds its coordinates' texts (or the domain label) and its
-    values' texts in element order, each distinct value formatted once; a
-    vertex has at least one coordinate.
-    :func:`_json_text` and :func:`_render_text` write the rows with each
-    element name quoted once per table and each row joined with ``map``,
-    byte for byte what the dicts of those rows would give, and
-    :meth:`write_csv` writes them as CSV.
+    ``texts`` holds each distinct value's text once, and a row gives its
+    values at ``elements`` (at least one) as ids into ``texts``.  A vertex
+    row is a row of ``StatePolytope.rows`` as it stands, the pair of its
+    coordinate ids (at least one) and its value ids; a measure row is its
+    value ids, led by ``domain``.  The JSON, text and CSV writers read the
+    texts by id, and the JSON and text forms are byte for byte what the
+    dicts of the rows give (:func:`_json_text`, :func:`_render_text`).
     """
 
     elements: tuple[str, ...]
-    lead: str  # "coords" or "domain": the first key of a row
-    rows: list[tuple[list[str] | str, list[str]]]
+    texts: list[str]
+    rows: Sequence
+    domain: str | None  # the label each measure row leads with; None for vertices
     quoted: bool  # values are JSON strings, else JSON integers
 
-    def json(self, pad: str) -> str:
-        """``_json_text`` of the list of rows, closed at ``pad``."""
+    def _cells(self, keys: list[str]) -> Callable[[Sequence[int]], Iterable[str]]:
+        """A row's value ids to their cells, each the element's key and
+        the value's text.  With no more texts than rows, every column's
+        key + text strings are made once and a row picks its cells by id,
+        which costs fewer joins than one per cell."""
+        texts = self.texts
+        if len(texts) <= len(self.rows):
+            return partial(map, getitem, [[k + t for t in texts] for k in keys])
+        text = texts.__getitem__
+        return lambda ids: map(add, keys, map(text, ids))
+
+    def write_json(self, pad: str, parts: list[str]) -> None:
+        """Append the JSON of the list of rows, closed at ``pad``, to
+        ``parts``: each row's head, its cells, and the close of the row."""
         if not self.rows:
-            return "[]"
+            parts.append("[]")
+            return
         item, field = pad + "  ", pad + "    "
         entry = field + "  "
         q = '"' if self.quoted else ""
         # a value's closing quote goes with the next element's name
         keys = [entry + _quote(e) + ": " + q for e in self.elements]
         keys[1:] = [q + "," + k for k in keys[1:]]
+        cells = self._cells(keys)
         close = q + field + "}" + item + "}"
-        if self.lead == "coords":
-            head = "{" + field + '"coords": [' + entry + '"'
-            sep, tail = '",' + entry + '"', '"' + field + "]," + field + '"values": {'
-            rows = [head + sep.join(lead) + tail + "".join(map(add, keys, values)) + close
-                    for lead, values in self.rows]
+        append, extend = parts.append, parts.extend
+        if self.domain is None:
+            coord = [entry + '"' + t + '"' for t in self.texts].__getitem__
+            head, tail = "{" + field + '"coords": [', field + "]," + field + '"values": {'
+            start, after = "[" + item + head, close + "," + item + head
+            for coord_ids, ids in self.rows:
+                append(start + ",".join(map(coord, coord_ids)) + tail)
+                extend(cells(ids))
+                start = after
         else:
-            head = "{" + field + '"domain": '
-            tail = "," + field + '"values": {'
-            rows = [head + _quote(lead) + tail + "".join(map(add, keys, values)) + close
-                    for lead, values in self.rows]
-        return "[" + item + ("," + item).join(rows) + pad + "]"
+            head = "{" + field + '"domain": ' + _quote(self.domain) + "," + field + '"values": {'
+            start, after = "[" + item + head, close + "," + item + head
+            for ids in self.rows:
+                append(start)
+                extend(cells(ids))
+                start = after
+        append(close + pad + "]")
 
     def lines(self, indent: int) -> list[str]:
         """``_render_text`` of the list of rows at ``indent``."""
         pad = "  " * indent
         field, entry = pad + "  ", pad + "    "
-        keys = [f"{entry}{e}: " for e in self.elements]
-        out = []
-        for lead, values in self.rows:
-            out.append(pad + "-")
-            if self.lead == "coords":
-                out.append(field + "coords:")
-                out.extend(map(add, repeat(entry + "- "), lead))
-            else:
-                out.append(f"{field}domain: {lead}")
-            out.append(field + "values:")
-            out.extend(map(add, keys, values))
+        cells = self._cells([f"{entry}{e}: " for e in self.elements])
+        out: list[str] = []
+        if self.domain is None:
+            coord = [entry + "- " + t for t in self.texts].__getitem__
+            dash, coords, values = pad + "-", field + "coords:", field + "values:"
+            for coord_ids, ids in self.rows:
+                out += dash, coords
+                out.extend(map(coord, coord_ids))
+                out.append(values)
+                out.extend(cells(ids))
+        else:
+            head = (pad + "-", f"{field}domain: {self.domain}", field + "values:")
+            for ids in self.rows:
+                out += head
+                out.extend(cells(ids))
         return out
 
     def write_csv(self, fh) -> None:
-        """A header of the element names, then the values of each row, one
-        line each, a field quoted only where it holds a comma, a quote or a
-        line break.  Only ``states --csv`` writes CSV, so only it imports
-        the module."""
+        """A header of the element names, then the values of each vertex,
+        one line each, a field quoted only where it holds a comma, a quote
+        or a line break.  Only ``states --csv`` writes CSV, so only it
+        imports the module."""
         import csv
 
+        text = self.texts.__getitem__
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(self.elements)
-        writer.writerows(values for _, values in self.rows)
+        writer.writerows(map(text, ids) for _, ids in self.rows)
 
 
 def _render_text(value, indent=0) -> list[str]:
@@ -190,45 +218,69 @@ def _render_text(value, indent=0) -> list[str]:
     return lines
 
 
-def _json_text(value, pad="\n") -> str:
+def _json_text(value) -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for report values.
 
-    Reports hold dicts with str keys, lists, tuples, str, int, bool and
-    None.  json.dumps runs its pure-Python encoder whenever it indents;
-    this writer does the same work with one join per container.
+    Reports hold dicts with str keys, lists, tuples, str, int, bool, None
+    and tables.  json.dumps runs its pure-Python encoder whenever it
+    indents; this writer appends every piece of the report, a table's
+    cells included, to one list of parts and joins that list once, so no
+    text is copied once per nesting level.
     """
+    parts: list[str] = []
+    _write_json(value, "\n", parts)
+    return "".join(parts)
+
+
+def _write_json(value, pad: str, parts: list[str]) -> None:
+    """Append the JSON of ``value``, its lines indented past ``pad``, to
+    ``parts``."""
     kind = type(value)
     if kind is str:
-        return _quote(value)
-    if kind is dict:
+        parts.append(_quote(value))
+    elif kind is dict:
         if not value:
-            return "{}"
+            parts.append("{}")
+            return
         inner = pad + "  "
-        return "{" + inner + ("," + inner).join([
-            _quote(k) + ": " + (_quote(v) if type(v) is str else _json_text(v, inner))
-            for k, v in value.items()
-        ]) + pad + "}"
-    if kind is list or kind is tuple:
+        sep, comma = "{" + inner, "," + inner
+        for k, v in value.items():
+            if type(v) is str:
+                parts.append(sep + _quote(k) + ": " + _quote(v))
+            else:
+                parts.append(sep + _quote(k) + ": ")
+                _write_json(v, inner, parts)
+            sep = comma
+        parts.append(pad + "}")
+    elif kind is list or kind is tuple:
         if not value:
-            return "[]"
+            parts.append("[]")
+            return
         inner = pad + "  "
-        return "[" + inner + ("," + inner).join([
-            _quote(v) if type(v) is str else _json_text(v, inner) for v in value
-        ]) + pad + "]"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if kind is int:
+        sep, comma = "[" + inner, "," + inner
+        for v in value:
+            if type(v) is str:
+                parts.append(sep + _quote(v))
+            else:
+                parts.append(sep)
+                _write_json(v, inner, parts)
+            sep = comma
+        parts.append(pad + "]")
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif kind is int:
         try:
-            return int.__repr__(value)
+            parts.append(int.__repr__(value))
         except ValueError:  # past the digit limit, see _scalar_text
-            return str(Decimal(value))
-    if kind is _Table:
-        return value.json(pad)
-    raise TypeError(f"{kind.__name__} is not a report value")
+            parts.append(str(Decimal(value)))
+    elif kind is _Table:
+        value.write_json(pad, parts)
+    else:
+        raise TypeError(f"{kind.__name__} is not a report value")
 
 
 def _emit(args, report, digest: str) -> None:
@@ -247,32 +299,33 @@ def _emit(args, report, digest: str) -> None:
         print("\n".join(_render_text(envelope)))
 
 
-def _texts(values, known: dict, write) -> list[str]:
-    """``known[v]`` for each value, after adding ``write(v)`` for the
-    values not in ``known`` yet: each distinct value is written once over
-    every call that shares ``known``."""
+def _value_ids(values, known: dict) -> list[int]:
+    """``known[v]`` for each value, after giving the values not in
+    ``known`` yet the next ids in order: each distinct value gets one id
+    over every call that shares ``known``."""
     try:
         return list(map(known.__getitem__, values))
     except KeyError:
-        for v in set(values).difference(known):
-            known[v] = write(v)
+        for v in values:
+            if v not in known:
+                known[v] = len(known)
         return list(map(known.__getitem__, values))
 
 
 def _states_table(lattice, polytope) -> _Table:
-    """The vertices as rows of their coordinates' and values' texts, read
-    by id from the polytope's values, each formatted once."""
-    text = list(map(str, polytope.values)).__getitem__
-    rows = [(list(map(text, coords)), list(map(text, ids))) for coords, ids in polytope.rows]
-    return _Table(lattice.elements, "coords", rows, True)
+    """The vertices as the polytope's own rows of value ids, each value
+    formatted once."""
+    return _Table(lattice.elements, list(map(str, polytope.values)), polytope.rows, None, True)
 
 
 def _measures_table(lattice, domain, measures) -> _Table:
-    """The measures as rows of their values' texts (Fractions over Q,
-    integers over Z and Z/m)."""
+    """The measures as rows of value ids, in one pass over the measures,
+    each distinct value formatted once (Fractions over Q, integers over Z
+    and Z/m)."""
     known: dict = {}
-    rows = [(domain.label, _texts(m.values.values(), known, _scalar_text)) for m in measures]
-    return _Table(lattice.elements, "domain", rows, domain.kind == "Q")
+    rows = [_value_ids(m.values.values(), known) for m in measures]
+    texts = list(map(_scalar_text, known))
+    return _Table(lattice.elements, texts, rows, domain.label, domain.kind == "Q")
 
 
 # The checks of lattice.verify_ortho, in its order.  check reports each as

@@ -88,11 +88,6 @@ def _indicator(lattice: OrthoLattice, atom_list: tuple[str, ...], x: str) -> Sim
     )
 
 
-def constant_one(lattice: OrthoLattice) -> SimpleFunction:
-    atom_list = _require_boolean(lattice)
-    return SimpleFunction({z: Fraction(1) for z in atom_list})
-
-
 def check_indicator_identities(lattice: OrthoLattice) -> CheckResult:
     """The three indicator identities, which hold on every Boolean lattice.
 

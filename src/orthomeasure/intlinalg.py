@@ -13,18 +13,6 @@ from fractions import Fraction
 IntMatrix = list[list[int]]
 
 
-def mat_mul(a, b):
-    """Product of two matrices (integers or Fractions)."""
-    if not a or not b:
-        return [[] for _ in a]
-    cols = len(b[0])
-    inner = len(b)
-    return [
-        [sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for row in a
-    ]
-
-
 def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Diagonalize an integer matrix by unimodular row and column operations.
 

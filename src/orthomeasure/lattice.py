@@ -28,7 +28,7 @@ from functools import partial
 from heapq import heapify, heappop, heappush
 from math import prod
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadOrthocomplementError,
@@ -222,15 +222,6 @@ class OrthoLattice:
         """b <= a-orthocomplement."""
         i, j = self._index[a], self._index[b]
         return self.leq_index(j, self.orth_map[i])
-
-    def join_all(self, names: Iterable[str]) -> str:
-        """The least element above all of ``names``: the orthocomplement of
-        the meet of their orthocomplements (bottom for no names)."""
-        orth, down_pos = self.orth_map, self.down_pos
-        common = down_pos[self.top_index]
-        for name in names:
-            common &= down_pos[orth[self._index[name]]]
-        return self.elements[orth[self.order[common.bit_length() - 1]]]
 
     def atom_indices(self) -> list[int]:
         """The covers of the bottom, ascending: the orthocomplements of the

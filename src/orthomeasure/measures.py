@@ -63,7 +63,8 @@ class Domain(NamedTuple):
 
         Over Z and Z/m an integral Fraction, as a file's "3" reads, is its
         integer; the message names a rejected value as it reads, "1/2"."""
-        if self.kind == "Q":
+        kind = self.kind
+        if kind == "Q":
             if isinstance(value, int) and not isinstance(value, bool):
                 return Fraction(value)
             if isinstance(value, Fraction):
@@ -73,9 +74,9 @@ class Domain(NamedTuple):
             value = int(value)
         if not isinstance(value, int) or isinstance(value, bool):
             raise DomainMismatchError(
-                f"{value} is not an integer" if self.kind == "Z"
+                f"{value} is not an integer" if kind == "Z"
                 else f"{value} is not a residue mod {self.modulus}")
-        return value if self.kind == "Z" else value % self.modulus
+        return value if kind == "Z" else value % self.modulus
 
     def add(self, a, b):
         s = a + b
@@ -160,18 +161,25 @@ def is_measure(lattice: OrthoLattice, values: Mapping[str, object],
     bottom is itself a violation.
     """
     vals = _validated_values(lattice, values, domain)
+    # Domain.add, with the record's fields read once per call, not per pair
+    modulus = domain.modulus if domain.kind == "Zmod" else None
+    join = lattice.join_index
     for i, j in _relation_pairs(lattice):
-        if domain.add(vals[i], vals[j]) != vals[lattice.join_index(i, j)]:
+        total = vals[i] + vals[j]
+        if modulus is not None:
+            total %= modulus
+        if total != vals[join(i, j)]:
             return CheckResult(False, (lattice.elements[i], lattice.elements[j]))
     return CheckResult(True)
 
 
 def _validated_values(lattice, values, domain):
+    validate = domain.validate
     out = []
     for e in lattice.elements:
         if e not in values:
             raise DomainMismatchError(f"no value given for element {e!r}")
-        out.append(domain.validate(values[e]))
+        out.append(validate(values[e]))
     return out
 
 

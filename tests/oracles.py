@@ -28,6 +28,27 @@ from math import gcd, lcm, prod
 from operator import mul
 
 
+def mat_mul(a, b):
+    """Product of two matrices (integers or Fractions)."""
+    if not a or not b:
+        return [[] for _ in a]
+    cols = len(b[0])
+    inner = len(b)
+    return [
+        [sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)]
+        for row in a
+    ]
+
+
+def join_all(lattice, names):
+    """The least element above all of ``names``, one join at a time
+    (bottom for no names)."""
+    out = lattice.bottom
+    for name in names:
+        out = lattice.join(out, name)
+    return out
+
+
 def row_reduce(rows):
     """Textbook Gauss-Jordan over Fractions; returns (reduced rows, pivots)."""
     rows = [[Fraction(x) for x in row] for row in rows]
@@ -638,7 +659,7 @@ def inclusion_exclusion_check(lattice, members, partial, k_max=8):
         values[b] = domain.validate(partial.values[b])
     for k in range(2, min(len(names), k_max) + 1):
         for combo in combinations(names, k):
-            join = lattice.join_all(combo)
+            join = join_all(lattice, combo)
             if join not in values:
                 continue
             expected = 0
@@ -661,7 +682,7 @@ def orthogonal_joins_by_subsets(lattice, members):
     for k in range(len(members) + 1):
         for combo in combinations(members, k):
             if all(lattice.orthogonal(a, b) for a, b in combinations(combo, 2)):
-                out.add(lattice.join_all(combo))
+                out.add(join_all(lattice, combo))
     return out
 
 
@@ -673,9 +694,10 @@ def indicator_identities_by_functions(lattice, max_product_size=3):
     pair and every subset of up to ``max_product_size`` elements, which
     ``check_indicator_identities`` proves instead; returns (ok, witness).
     """
-    from orthomeasure.indicators import constant_one, indicator
+    from orthomeasure.indicators import SimpleFunction, indicator
+    from orthomeasure.lattice import atoms
 
-    one = constant_one(lattice)
+    one = SimpleFunction(dict.fromkeys(atoms(lattice), Fraction(1)))
     ind = {x: indicator(lattice, x) for x in lattice.elements}
     for x in lattice.elements:
         for y in lattice.elements:
@@ -690,7 +712,7 @@ def indicator_identities_by_functions(lattice, max_product_size=3):
             for x in combo:
                 expected = expected * (one - ind[x])
             expected = one - expected
-            if expected != ind[lattice.join_all(combo)]:
+            if expected != ind[join_all(lattice, combo)]:
                 return False, ("join_product", *combo)
     return True, None
 

@@ -47,13 +47,14 @@ from orthomeasure import (
     subspace_lattice,
     verify_ortho,
 )
-from orthomeasure.intlinalg import mat_mul, snf_diagonal
+from orthomeasure.intlinalg import snf_diagonal
 from orthomeasure.measures import Measure
 
 from oracles import (
     additivity_nullity,
     det_bareiss,
     hom_count_bruteforce,
+    mat_mul,
     rank as oracle_rank,
     solve_exact,
     unique_measure_with_atom_values,

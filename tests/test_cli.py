@@ -37,14 +37,24 @@ Claims:
     - the states CSV parses back under csv.reader to the element names and
       the reported values; a name holding a comma or a double quote is
       quoted, and with plain names the file is the comma-joined rows
+    - a table of value ids, of vertices or of measures, quoted or not, with
+      names that need escaping, with more distinct values than rows or not,
+      or with no rows, is written as JSON, as text and as CSV byte for byte
+      as the dicts of its rows are by json.dumps, the text writer and
+      csv.writer
+    - states on MO(9) peaks under tracemalloc at less than three times the
+      size of its report
 """
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import re
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -59,7 +69,7 @@ from orthomeasure import (
     positive_cone, product, save_group, save_lattice, verify_ortho,
 )
 from orthomeasure.cli import (
-    _COMMANDS, _ORTHO_AXIOMS, _check_result_dict, _json_text, _render_text,
+    _COMMANDS, _ORTHO_AXIOMS, _Table, _check_result_dict, _json_text, _render_text,
     build_parser, parse_args, run,
 )
 from orthomeasure.symmetry import automorphism_group
@@ -743,6 +753,81 @@ def test_value_tables_are_written_as_the_fraction_route_reports(family, capsys, 
                 if not any(c in e for e in loaded.elements for c in ',"'):
                     assert csv_path.read_text(encoding="utf-8") == "".join(
                         ",".join(r) + "\n" for r in rows)
+
+
+_NAMES = st.lists(_TEXT | st.sampled_from(['a,b', 'say "x"', "two\nlines", "\\", "é"]),
+                 min_size=1, max_size=5, unique=True)
+
+
+@st.composite
+def _tables(draw):
+    """A table of either lead, its values quoted (the texts of Fractions) or
+    not (of integers), with up to six rows and one to six distinct texts,
+    so that some tables have more texts than rows and some no more."""
+    elements = tuple(draw(_NAMES))
+    quoted = draw(st.booleans())
+    value = st.fractions(max_denominator=12) if quoted else st.integers(-10 ** 20, 10 ** 20)
+    texts = list(dict.fromkeys(map(str, draw(st.lists(value, min_size=1, max_size=6)))))
+    ids = st.integers(0, len(texts) - 1)
+    values = st.lists(ids, min_size=len(elements), max_size=len(elements))
+    domain = draw(st.sampled_from([None, "Q", "Z", "Z/6"]))
+    if domain is None:
+        row = st.tuples(st.lists(ids, min_size=1, max_size=3), values)
+    else:
+        row = values
+    return _Table(elements, texts, draw(st.lists(row, max_size=6)), domain, quoted)
+
+
+def _table_dicts(table):
+    """The rows of ``table`` as the dicts the report holds."""
+    value = str if table.quoted else int
+    def values(ids):
+        return {e: value(table.texts[i]) for e, i in zip(table.elements, ids)}
+    if table.domain is None:
+        return [{"coords": [table.texts[i] for i in coords], "values": values(ids)}
+                for coords, ids in table.rows]
+    return [{"domain": table.domain, "values": values(ids)} for ids in table.rows]
+
+
+_ONE_TEXT = _Table(("0", 'a"', "1"), ["0", "1/2", "1"], [((1,), (0, 1, 2))], None, True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+@example(_ONE_TEXT)  # more texts than rows
+@example(_ONE_TEXT._replace(rows=[((1, 2), (0, 1, 2))] * 3))  # no more texts than rows
+@example(_ONE_TEXT._replace(rows=[]))
+@example(_Table(("0", "1"), ["0", "1"], [[0, 1], [0, 0]], "Z/2", False))
+def test_tables_are_written_as_the_dicts_of_their_rows(table):
+    dicts = _table_dicts(table)
+    for outer in (lambda rows: rows, lambda rows: {"report": {"count": 1, "rows": rows}}):
+        assert _json_text(outer(table)) == json.dumps(outer(dicts), indent=2)
+        assert _render_text(outer(table)) == _render_text(outer(dicts))
+    if table.domain is None:
+        written, expected = io.StringIO(), io.StringIO()
+        table.write_csv(written)
+        csv.writer(expected, lineterminator="\n").writerows(
+            [table.elements, *[list(v["values"].values()) for v in dicts]])
+        assert written.getvalue() == expected.getvalue()
+
+
+def test_states_peak_memory_stays_under_three_times_the_report(tmp_path):
+    path = tmp_path / "mo9.json"
+    save_lattice(mo(9), path)
+    argv = ["states", str(path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        run(argv)  # the imports and caches of a first run
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = len(out.getvalue())
+    assert size > 300_000  # 512 vertices
+    assert peak < 3 * size, (peak, size)
 
 
 # --- argument parsing ---------------------------------------------------------------

@@ -65,7 +65,7 @@ from orthomeasure import (
     weak_groemer_check,
 )
 
-from oracles import inclusion_exclusion_check, unique_measure_with_atom_values
+from oracles import inclusion_exclusion_check, join_all, unique_measure_with_atom_values
 
 
 def test_meet_closure():
@@ -123,7 +123,7 @@ def test_inclusion_exclusion_additive_and_perturbed():
         lat, list(lat.elements), PartialMeasure(INTEGERS, perturbed)
     )
     assert not result.ok
-    assert lat.join_all(result.witness) == "111"
+    assert join_all(lat, result.witness) == "111"
 
 
 def test_inclusion_exclusion_requires_distributive():

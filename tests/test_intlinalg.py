@@ -10,14 +10,13 @@ Claims:
 from hypothesis import given, settings, strategies as st
 
 from orthomeasure.intlinalg import (
-    mat_mul,
     rational_rank,
     rational_solve,
     smith_normal_form,
     snf_diagonal,
 )
 
-from oracles import det_bareiss, rank as oracle_rank
+from oracles import det_bareiss, mat_mul, rank as oracle_rank
 
 
 def assert_valid_snf(a):

@@ -57,6 +57,7 @@ from oracles import (
     first_nonadditive_pair,
     first_nonadditive_relation_pair,
     hom_count_bruteforce,
+    join_all,
     rank as oracle_rank,
     solve_exact,
 )
@@ -163,7 +164,7 @@ def test_projection_additive_over_orthogonal_families():
             total = module.zero
             for x in combo:
                 total = module.add(total, module.projection(x))
-            assert total == module.projection(lat.join_all(combo))
+            assert total == module.projection(join_all(lat, combo))
 
 
 def test_benzene_relations_identify_chains():

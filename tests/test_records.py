@@ -66,9 +66,9 @@ CASES = [
      "LinearFunctional(weights={'a': Fraction(1, 1)})"),
     (Orbit, {"representative": "a", "members": ("a", "b")}, {},
      "Orbit(representative='a', members=('a', 'b'))"),
-    (_Table, {"elements": ("0", "1"), "lead": "domain", "rows": [("Z", ["0", "1"])],
+    (_Table, {"elements": ("0", "1"), "texts": ["0", "1"], "rows": [[0, 1]], "domain": "Z",
               "quoted": False}, {},
-     "_Table(elements=('0', '1'), lead='domain', rows=[('Z', ['0', '1'])], quoted=False)"),
+     "_Table(elements=('0', '1'), texts=['0', '1'], rows=[[0, 1]], domain='Z', quoted=False)"),
 ]
 IDS = [cls.__name__ for cls, *_ in CASES]
 
