@@ -59,7 +59,7 @@ from .errors import (
     SchemaError,
 )
 from .lattice import CheckResult, OrthoLattice, is_distributive, read_json
-from .measures import Domain, Measure, RATIONALS, is_measure
+from .measures import Domain, Measure, RATIONALS, _is_measure_of_validated
 from .symmetry import GroupAction, normalizer, orbits, quotient_map_injective
 
 
@@ -139,8 +139,10 @@ def _checked_extension(lattice: OrthoLattice, sums: dict[int, object],
                        values: Mapping[str, object], domain: Domain, error) -> Measure:
     """The closure's path sums as a measure, if they are one that agrees
     with ``values``; otherwise ``error`` naming the first failing check."""
-    extension = {e: domain.validate(sums[i]) for i, e in enumerate(lattice.elements)}
-    check = is_measure(lattice, extension, domain)
+    # each value is validated once, here, and checked as it stands
+    vals = [domain.validate(sums[i]) for i in range(len(lattice))]
+    check = _is_measure_of_validated(lattice, vals, domain)
+    extension = dict(zip(lattice.elements, vals))
     if not check.ok:
         a, b = check.witness
         raise error(

@@ -8,12 +8,13 @@ order.  No up-set, meet or join is stored: the meet of two elements is the
 element at the highest position of their common down-set, one AND and one
 bit scan, and since the orthocomplement reverses the order, the up-set of
 x is the down-set of x' read through it and x v y = (x' ^ y')'.
-Construction puts the elements in a topological order of the given pairs,
-closes the order in one pass over it, and proves that every pair has a
-meet by checking only pairs of lower covers of a common element, so a
-description costs O(pairs + covered pairs) big-int operations and writes
-nothing quadratic, whether it is accepted or rejected: each check that
-fails names the fault from what it holds.
+The constructors write these masks themselves.  Building from a
+description, as a file is loaded, puts the elements in a topological
+order of the given pairs, closes the order in one pass over it, and
+proves that every pair has a meet by checking only pairs of lower covers
+of a common element, so a description costs O(pairs + covered pairs)
+big-int operations and writes nothing quadratic, whether it is accepted
+or rejected: each check that fails names the fault from what it holds.
 
 Instances are immutable after construction and safe to share between readers.
 """
@@ -124,21 +125,28 @@ class LatticeDescription(NamedTuple):
 class OrthoLattice:
     """A validated finite orthocomplemented lattice.
 
-    Use :func:`build_lattice` or one of the constructors below; the raw
-    constructor assumes already-validated data.  ``down_masks`` holds each
-    element's down-set as bits over element indices; ``order`` lists the
-    element indices in a linear extension of the order, and ``down_pos``
-    holds the same sets as bits over positions in it.  Every element of a
-    down-set sits at a lower position than its maximum, so the meet of i
-    and j is the element at the highest set bit of ``down_pos[i] &
-    down_pos[j]``.  Up-sets are not kept: the orthocomplement ``orth_map``
-    reverses the order, so x <= y exactly when y' <= x', the up-set of x
-    is the down-set of x' read through ``orth_map``, and the join of i and
-    j is the orthocomplement of the meet of i' and j'.  These index-level
-    fields are part of the API for sibling modules that run exhaustive
-    scans.  Nothing changes after construction but the two answers kept on
-    first request: whether it is Boolean (:func:`is_boolean`) and how it
-    splits (:func:`decomposition`).
+    Use :func:`load_lattice` (through :func:`build_lattice`) or one of the
+    constructors below; the raw constructor assumes already-validated
+    data.  The constructors vouch for the masks they write: ``boolean``,
+    ``mo``, ``benzene`` and ``subspace_lattice`` write them in closed
+    form, and ``product`` and ``horizontal_sum`` compose them from their
+    parts' masks, as a product or a horizontal sum of ortholattices is
+    again an ortholattice (Kalmbach, *Orthomodular Lattices*, 1983).
+    ``down_masks`` holds each element's down-set as bits over element
+    indices; ``order`` lists the element indices in some linear extension
+    of the order, which one is up to the constructor and no answer
+    depends on it, and ``down_pos`` holds the same sets as bits over
+    positions in it.  Every element of a down-set sits at a lower
+    position than its maximum, so the meet of i and j is the element at
+    the highest set bit of ``down_pos[i] & down_pos[j]``.  Up-sets are
+    not kept: the orthocomplement ``orth_map`` reverses the order, so
+    x <= y exactly when y' <= x', the up-set of x is the down-set of x'
+    read through ``orth_map``, and the join of i and j is the
+    orthocomplement of the meet of i' and j'.  These index-level fields
+    are part of the API for sibling modules that run exhaustive scans.
+    Nothing changes after construction but the two answers kept on first
+    request: whether it is Boolean (:func:`is_boolean`) and how it splits
+    (:func:`decomposition`).
     """
 
     __slots__ = (
@@ -333,7 +341,8 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
     So a returned lattice satisfies every axiom :func:`verify_ortho`
     checks.  The ``check`` command relies on this: it reports those axioms
     for a file that :func:`load_lattice` accepted without checking any of
-    them again.  Every constructor but :func:`_induced` comes through here.
+    them again.  Only descriptions read from files come through here
+    (:func:`load_lattice`); the constructors write their masks directly.
     """
     elements = desc.elements
     n = len(elements)
@@ -342,10 +351,7 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
     if n > max_elements:
         raise SizeCapError(f"{n} elements exceeds the cap of {max_elements}")
     index = {e: i for i, e in enumerate(elements)}
-    if len(index) != n:
-        count = Counter(elements)
-        dup = next(e for e in elements if count[e] > 1)
-        raise SchemaError(f"duplicate element identifier {dup!r}")
+    _refuse_duplicates(elements, index)
 
     above = [[] for _ in range(n)]  # given strict upper neighbours
     below = [[] for _ in range(n)]
@@ -424,6 +430,16 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
                 raise BadOrthocomplementError(
                     f"order reversal fails on ({elements[i]!r}, {elements[j]!r})")
     return OrthoLattice(desc.name, elements, down, orth, order, down_pos)
+
+
+def _refuse_duplicates(elements: Sequence[str], index: Mapping[str, int]) -> None:
+    """SchemaError naming the first element, in listed order, that occurs
+    more than once, when ``index`` (name to index) has fewer names than
+    ``elements``."""
+    if len(index) != len(elements):
+        count = Counter(elements)
+        dup = next(e for e in elements if count[e] > 1)
+        raise SchemaError(f"duplicate element identifier {dup!r}")
 
 
 def _is_lattice(above, below, order, down_pos) -> tuple[str, int, int] | None:
@@ -513,7 +529,10 @@ def boolean(n: int) -> OrthoLattice:
 
     Elements are named by membership bitstrings ("010" is the atom of point 1),
     ordered by (popcount, numeric value), so bottom comes first and top last.
-    Raises SizeCapError when 2^n exceeds DEFAULT_MAX_ELEMENTS.
+    That order is a linear extension, so positions are indices, and each
+    down-set is the element's own bit with the down-sets of its lower
+    covers, the sets with one point fewer.  Raises SizeCapError when 2^n
+    exceeds DEFAULT_MAX_ELEMENTS.
     """
     if n < 1:
         raise ValueError("boolean lattice needs n >= 1")
@@ -523,16 +542,27 @@ def boolean(n: int) -> OrthoLattice:
     full = 2 ** n - 1
 
     name = ["".join("1" if m >> i & 1 else "0" for i in range(n)) for m in range(full + 1)]
-    elements = tuple(name[m] for m in masks)
-    # the covers m < m | bit generate the order
-    pairs = [
-        (name[m], name[m | 1 << i])
-        for m in masks
-        for i in range(n)
-        if not m >> i & 1
-    ]
-    orth = {name[m]: name[m ^ full] for m in masks}
-    return build_lattice(LatticeDescription(f"boolean({n})", elements, tuple(pairs), orth))
+    index = [0] * (full + 1)
+    for k, m in enumerate(masks):
+        index[m] = k
+    down = []
+    for k, m in enumerate(masks):
+        d = 1 << k
+        for i in _bits(m):
+            d |= down[index[m ^ 1 << i]]
+        down.append(d)
+    down = tuple(down)
+    return OrthoLattice(f"boolean({n})", [name[m] for m in masks], down,
+                        [index[m ^ full] for m in masks], range(full + 1), down)
+
+
+def _flat(name: str, elements: Sequence[str], orth: Sequence[int]) -> OrthoLattice:
+    """The lattice of ``elements``, listed bottom first and top last, in
+    which every other element is an atom: MO-shaped, or the chain 0 < 1
+    when there are two.  Listed so, positions are indices."""
+    top = len(elements) - 1
+    down = (1, *(1 | 1 << k for k in range(1, top)), (1 << top + 1) - 1)
+    return OrthoLattice(name, elements, down, orth, range(top + 1), down)
 
 
 def mo(n: int) -> OrthoLattice:
@@ -548,13 +578,9 @@ def mo(n: int) -> OrthoLattice:
     atoms = []
     for i in range(1, n + 1):
         atoms.extend([f"a{i}", f"a{i}'"])
-    elements = ("0", *atoms, "1")
-    pairs = [("0", a) for a in atoms] + [(a, "1") for a in atoms] + [("0", "1")]
-    orth = {"0": "1", "1": "0"}
-    for i in range(1, n + 1):
-        orth[f"a{i}"] = f"a{i}'"
-        orth[f"a{i}'"] = f"a{i}"
-    return build_lattice(LatticeDescription(f"mo({n})", elements, tuple(pairs), orth))
+    # a{i} sits at index 2i - 1 and a{i}' at 2i
+    orth = [2 * n + 1, *(k + 1 if k % 2 else k - 1 for k in range(1, 2 * n + 1)), 0]
+    return _flat(f"mo({n})", ("0", *atoms, "1"), orth)
 
 
 def benzene() -> OrthoLattice:
@@ -563,13 +589,10 @@ def benzene() -> OrthoLattice:
     Two chains 0 < a < b < 1 and 0 < b' < a' < 1 with a' and b' the
     orthocomplements of a and b.
     """
-    elements = ("0", "a", "b", "b'", "a'", "1")
-    pairs = (
-        ("0", "a"), ("a", "b"), ("b", "1"),
-        ("0", "b'"), ("b'", "a'"), ("a'", "1"),
-    )
-    orth = {"0": "1", "1": "0", "a": "a'", "a'": "a", "b": "b'", "b'": "b"}
-    return build_lattice(LatticeDescription("benzene", elements, pairs, orth))
+    # listed in a linear extension of the order, so positions are indices
+    down = (0b1, 0b11, 0b111, 0b1001, 0b11001, 0b111111)
+    return OrthoLattice("benzene", ("0", "a", "b", "b'", "a'", "1"), down,
+                        (5, 4, 3, 2, 1, 0), range(6), down)
 
 
 def subspace_lattice(q: int, n: int, form: tuple[int, ...]) -> OrthoLattice:
@@ -608,15 +631,14 @@ def subspace_lattice(q: int, n: int, form: tuple[int, ...]) -> OrthoLattice:
     if size > DEFAULT_MAX_ELEMENTS:
         raise SizeCapError(f"{size} subspaces exceeds the cap")
     lines = [(0, 1), *((1, x) for x in range(q))] if n == 2 else []
-    names = [f"<{p0},{p1}>" for p0, p1 in lines]
-    orth = {"0": "1"}
-    for name, (p0, p1) in zip(names, lines):
+    # <0,1> sits at index 1 and <1,x> at x + 2
+    orth = [size - 1]
+    for p0, p1 in lines:
         u, v = coeffs[1] * p1 % q, -coeffs[0] * p0 % q
-        orth[name] = f"<1,{v * pow(u, q - 2, q) % q}>" if u else "<0,1>"
-    orth["1"] = "0"
-    pairs = (*(("0", e) for e in names), ("0", "1"), *((e, "1") for e in names))
-    desc = LatticeDescription(f"subspaces(F_{q}^{n})", ("0", *names, "1"), pairs, orth)
-    return build_lattice(desc)
+        orth.append(v * pow(u, q - 2, q) % q + 2 if u else 1)
+    orth.append(0)
+    names = [f"<{p0},{p1}>" for p0, p1 in lines]
+    return _flat(f"subspaces(F_{q}^{n})", ("0", *names, "1"), orth)
 
 
 def _is_prime(q):
@@ -633,53 +655,70 @@ def _is_prime(q):
 def product(a: OrthoLattice, b: OrthoLattice) -> OrthoLattice:
     """Componentwise product lattice; elements are named "(x,y)", x-major.
 
-    The order is generated by the covers (x, y) < (x', y) and
-    (x, y) < (x, y') with x' covering x in a and y' covering y in b.
-    Raises SizeCapError when |a| |b| exceeds DEFAULT_MAX_ELEMENTS.
+    (x, y) has index x |b| + y, and its down-set is the product of x's and
+    y's: x's mask with bit u spread to bit u |b|, times y's mask, since
+    the copies of y's mask shifted by multiples of |b| never overlap.
+    The order is lexicographic in (x's position, y's position), a linear
+    extension, and its masks are made the same way.  Raises SizeCapError
+    when |a| |b| exceeds DEFAULT_MAX_ELEMENTS, and SchemaError when two
+    names coincide.
     """
     if len(a) * len(b) > DEFAULT_MAX_ELEMENTS:
         raise SizeCapError("product exceeds the element cap")
     nb = len(b)
     names = [f"({x},{y})" for x in a.elements for y in b.elements]
-    covers_b = b.cover_masks()
-    pairs = []
-    for x, up_a in enumerate(a.cover_masks()):
-        # the covers of x in a, as bits over the product indices at y = 0
-        above_x = sum(1 << u * nb for u in _bits(up_a))
-        for y, up_b in enumerate(covers_b):
-            p = x * nb + y
-            pairs.extend((names[p], names[q]) for q in _bits(above_x << y | up_b << x * nb))
-    orth = {names[x * nb + y]: names[ox * nb + oy]
-            for x, ox in enumerate(a.orth_map) for y, oy in enumerate(b.orth_map)}
-    desc = LatticeDescription(f"product({a.name},{b.name})", tuple(names), tuple(pairs), orth)
-    return build_lattice(desc)
+    _refuse_duplicates(names, dict.fromkeys(names))
+
+    unit = [1 << u * nb for u in range(len(a))]
+
+    def spread(masks):
+        return [sum(map(unit.__getitem__, _bits(m))) for m in masks]
+
+    return OrthoLattice(
+        f"product({a.name},{b.name})", names,
+        [s * m for s in spread(a.down_masks) for m in b.down_masks],
+        [ox * nb + oy for ox in a.orth_map for oy in b.orth_map],
+        [x * nb + y for x in a.order for y in b.order],
+        [s * m for s in spread(a.down_pos) for m in b.down_pos])
 
 
 def horizontal_sum(a: OrthoLattice, b: OrthoLattice) -> OrthoLattice:
     """Glue two orthocomplemented lattices at a shared bottom and top.
 
     Proper elements keep their own order and orthocomplement and are
-    incomparable across the two summands.  The order is generated by each
-    summand's covers, with its bottom and top renamed "0" and "1".  Raises
-    SizeCapError when the sum's elements exceed DEFAULT_MAX_ELEMENTS.
+    incomparable across the two summands.  Elements are "0", a's proper
+    elements as "a:x", b's as "b:y", each in its summand's index order,
+    and "1"; the order is 0, a's proper elements in a's order, b's in
+    b's, then 1.  Raises SizeCapError when the sum's elements exceed
+    DEFAULT_MAX_ELEMENTS.
     """
-    proper_a = [e for e in a.elements if e not in (a.bottom, a.top)]
-    proper_b = [e for e in b.elements if e not in (b.bottom, b.top)]
-    if len(proper_a) + len(proper_b) + 2 > DEFAULT_MAX_ELEMENTS:
+    proper_a = [i for i in range(len(a)) if i not in (a.bottom_index, a.top_index)]
+    proper_b = [i for i in range(len(b)) if i not in (b.bottom_index, b.top_index)]
+    n = len(proper_a) + len(proper_b) + 2
+    if n > DEFAULT_MAX_ELEMENTS:
         raise SizeCapError("horizontal sum exceeds the element cap")
-    elements = ("0", *(f"a:{e}" for e in proper_a), *(f"b:{e}" for e in proper_b), "1")
-    pairs = {("0", "1"): None}  # 0 < 1 even when both summands have one element
-    orth = {"0": "1", "1": "0"}
-    for side, lat in (("a", a), ("b", b)):
-        glued = [f"{side}:{e}" for e in lat.elements]
-        glued[lat.bottom_index], glued[lat.top_index] = "0", "1"
-        for i, up in enumerate(lat.cover_masks()):
-            pairs.update(((glued[i], glued[j]), None) for j in _bits(up))
-        for i, e in enumerate(lat.elements):
-            if i not in (lat.bottom_index, lat.top_index):
-                orth[glued[i]] = glued[lat.orth_map[i]]
-    desc = LatticeDescription(f"hsum({a.name},{b.name})", elements, tuple(pairs), orth)
-    return build_lattice(desc)
+    elements = ["0"]
+    down = [1]
+    down_pos = [1]
+    orth = [n - 1]
+    order = [0]
+    for side, lat, proper in (("a", a, proper_a), ("b", b, proper_b)):
+        start = len(elements)
+        # a proper element's down-set holds the summand's bottom, not its top
+        glued = {i: start + k for k, i in enumerate(proper)}
+        bit = {i: 1 << k for i, k in glued.items()}
+        bit[lat.bottom_index] = 1
+        pos_bit = {i: 1 << start + p for p, i in enumerate(lat.order[1:-1])}
+        pos_bit[lat.bottom_index] = 1
+        masks, masks_pos = _moved([lat.down_masks[i] for i in proper], bit, pos_bit)
+        elements += [f"{side}:{lat.elements[i]}" for i in proper]
+        down += masks
+        down_pos += masks_pos
+        orth += [glued[lat.orth_map[i]] for i in proper]
+        order += [glued[i] for i in lat.order[1:-1]]
+    full = (1 << n) - 1
+    return OrthoLattice(f"hsum({a.name},{b.name})", [*elements, "1"], [*down, full],
+                        [*orth, 0], [*order, n - 1], [*down_pos, full])
 
 
 # --- verification and classification -------------------------------------------
@@ -692,8 +731,9 @@ def verify_ortho(lattice: OrthoLattice) -> VerificationReport:
     accepts, and names the fault of every one it rejects, without calling
     this, so the ``check`` command never does.  It is the oracle the tests
     run on what the constructors return, :func:`_induced`'s summands and
-    factors among them, which bypass :func:`build_lattice`.  It reads the
-    order off ``down_masks`` and transposes it into up-sets itself.
+    factors among them, all of which bypass :func:`build_lattice`.  It
+    reads the order off ``down_masks`` and transposes it into up-sets
+    itself.
     """
     up = _transposed(lattice.down_masks)
     checks = {
@@ -1184,17 +1224,26 @@ def _induced(lattice: OrthoLattice, members: list[int], orth: list[int]) -> Orth
     bit = {i: 1 << k for k, i in enumerate(members)}
     pos_bit = {i: 1 << p for p, i in enumerate(order)}
     inside = sum(1 << i for i in members)
+    down, down_pos = _moved([lattice.down_masks[i] & inside for i in members], bit, pos_bit)
+    index = {i: k for k, i in enumerate(members)}
+    return OrthoLattice(lattice.name, [lattice.elements[i] for i in members], down,
+                        orth, [index[i] for i in order], down_pos)
+
+
+def _moved(masks: Sequence[int], bit: Mapping[int, int],
+           pos_bit: Mapping[int, int]) -> tuple[list[int], list[int]]:
+    """Each mask with every set bit j moved to the bits of ``bit[j]``, and
+    again to those of ``pos_bit[j]``: down-sets carried into another
+    lattice's indices and positions."""
     down, down_pos = [], []
-    for i in members:
+    for mask in masks:
         bits = pos = 0
-        for j in _bits(lattice.down_masks[i] & inside):
+        for j in _bits(mask):
             bits |= bit[j]
             pos |= pos_bit[j]
         down.append(bits)
         down_pos.append(pos)
-    index = {i: k for k, i in enumerate(members)}
-    return OrthoLattice(lattice.name, [lattice.elements[i] for i in members], down,
-                        orth, [index[i] for i in order], down_pos)
+    return down, down_pos
 
 
 # --- isomorphism search ---------------------------------------------------------

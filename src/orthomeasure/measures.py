@@ -160,7 +160,13 @@ def is_measure(lattice: OrthoLattice, values: Mapping[str, object],
     pair.  The pair ("0", "0") is orthogonal, so a nonzero value at
     bottom is itself a violation.
     """
-    vals = _validated_values(lattice, values, domain)
+    return _is_measure_of_validated(lattice, _validated_values(lattice, values, domain), domain)
+
+
+def _is_measure_of_validated(lattice: OrthoLattice, vals: Sequence,
+                             domain: Domain) -> CheckResult:
+    """:func:`is_measure` on values already validated in ``domain``,
+    listed by element index."""
     # Domain.add, with the record's fields read once per call, not per pair
     modulus = domain.modulus if domain.kind == "Zmod" else None
     join = lattice.join_index
@@ -681,6 +687,8 @@ def brute_force_measures(lattice: OrthoLattice, value_range: Iterable,
         by_last[max(i, j, k)].append((i, j, k))
     assignment = [None] * n
     found: list[Measure] = []
+    # Domain.add, with the record's fields read once per call, not per test
+    modulus = domain.modulus if domain.kind == "Zmod" else None
 
     def extend(t: int):
         if t == n:
@@ -690,10 +698,13 @@ def brute_force_measures(lattice: OrthoLattice, value_range: Iterable,
             return
         for v in values:
             assignment[t] = v
-            if all(
-                domain.add(assignment[i], assignment[j]) == assignment[k]
-                for i, j, k in by_last[t]
-            ):
+            for i, j, k in by_last[t]:
+                total = assignment[i] + assignment[j]
+                if modulus is not None:
+                    total %= modulus
+                if total != assignment[k]:
+                    break
+            else:
                 extend(t + 1)
         assignment[t] = None
 

@@ -19,7 +19,10 @@ lattice file's fields with one generator expression per check, as the
 package did before it ran each check as a map in C.  The ``*_by_up_sets``
 oracles read the order one comparison at a time into up-sets and take
 joins and covers from them, as the package did while it kept up-sets
-beside its down-sets.
+beside its down-sets.  The ``*_by_description`` constructors list element
+names, cover pairs and the orthocomplement and have ``build_lattice``
+close the order and prove every axiom, as the package's constructors did
+before they wrote their masks.
 """
 
 from fractions import Fraction
@@ -1235,3 +1238,96 @@ def rank_colours_by_up_sets(lattice, ups, downs):
     above = [sum(lattice.leq_index(i, j) for j in range(n)) for i in range(n)]
     return list(zip(below, above, map(len, downs), map(len, ups),
                     [below[o] for o in lattice.orth_map]))
+
+
+# --- constructors by description ------------------------------------------------
+
+
+def _built(name, elements, pairs, orth):
+    from orthomeasure import LatticeDescription, build_lattice
+
+    return build_lattice(LatticeDescription(name, tuple(elements), tuple(pairs), orth))
+
+
+def boolean_by_description(n):
+    """``boolean(n)`` from its covers m < m | bit."""
+    masks = sorted(range(2 ** n), key=lambda m: (m.bit_count(), m))
+    full = 2 ** n - 1
+    name = ["".join("1" if m >> i & 1 else "0" for i in range(n)) for m in range(full + 1)]
+    pairs = [(name[m], name[m | 1 << i]) for m in masks for i in range(n) if not m >> i & 1]
+    return _built(f"boolean({n})", [name[m] for m in masks], pairs,
+                  {name[m]: name[m ^ full] for m in masks})
+
+
+def mo_by_description(n):
+    """``mo(n)`` from 0 < a < 1 for every atom a, and 0 < 1."""
+    atoms = [x for i in range(1, n + 1) for x in (f"a{i}", f"a{i}'")]
+    pairs = [("0", a) for a in atoms] + [(a, "1") for a in atoms] + [("0", "1")]
+    orth = {"0": "1", "1": "0"}
+    for i in range(1, n + 1):
+        orth[f"a{i}"], orth[f"a{i}'"] = f"a{i}'", f"a{i}"
+    return _built(f"mo({n})", ("0", *atoms, "1"), pairs, orth)
+
+
+def benzene_by_description():
+    """``benzene()`` from its two chains 0 < a < b < 1 and 0 < b' < a' < 1."""
+    pairs = (("0", "a"), ("a", "b"), ("b", "1"), ("0", "b'"), ("b'", "a'"), ("a'", "1"))
+    orth = {"0": "1", "1": "0", "a": "a'", "a'": "a", "b": "b'", "b'": "b"}
+    return _built("benzene", ("0", "a", "b", "b'", "a'", "1"), pairs, orth)
+
+
+def subspace_lattice_by_description(q, n, form):
+    """``subspace_lattice(q, n, form)`` from its closed-form names: the
+    chain 0 < 1 for n = 1, and 0 < line < 1 for the q + 1 lines of F_q^2;
+    raises IsotropicFormError on the first isotropic vector with leading
+    entry 1, in lexicographic order."""
+    from orthomeasure.errors import IsotropicFormError
+
+    coeffs = [c % q for c in form]
+    for v in product(range(q), repeat=n):
+        if next((x for x in v if x), None) == 1 and sum(
+                c * x * x for c, x in zip(coeffs, v)) % q == 0:
+            raise IsotropicFormError(f"isotropic vector {v} over F_{q}")
+    lines = [(0, 1), *((1, x) for x in range(q))] if n == 2 else []
+    names = [f"<{p0},{p1}>" for p0, p1 in lines]
+    orth = {"0": "1", "1": "0"}
+    for name, (p0, p1) in zip(names, lines):
+        u, v = coeffs[1] * p1 % q, -coeffs[0] * p0 % q
+        orth[name] = f"<1,{v * pow(u, q - 2, q) % q}>" if u else "<0,1>"
+    pairs = (*(("0", e) for e in names), ("0", "1"), *((e, "1") for e in names))
+    return _built(f"subspaces(F_{q}^{n})", ("0", *names, "1"), pairs, orth)
+
+
+def product_by_description(a, b):
+    """``product(a, b)`` from the covers (x, y) < (x', y) and
+    (x, y) < (x, y') of the factors' covers."""
+    names = {(x, y): f"({x},{y})" for x in a.elements for y in b.elements}
+    covers_a, covers_b = a.cover_masks(), b.cover_masks()
+    pairs = []
+    for i, x in enumerate(a.elements):
+        for j, y in enumerate(b.elements):
+            pairs += [(names[x, y], names[a.elements[k], y]) for k in _set_bits(covers_a[i])]
+            pairs += [(names[x, y], names[x, b.elements[k]]) for k in _set_bits(covers_b[j])]
+    orth = {names[x, y]: names[a.orthocomplement(x), b.orthocomplement(y)]
+            for x in a.elements for y in b.elements}
+    return _built(f"product({a.name},{b.name})", names.values(), pairs, orth)
+
+
+def horizontal_sum_by_description(a, b):
+    """``horizontal_sum(a, b)`` from each summand's covers, its bottom and
+    top renamed "0" and "1", and 0 < 1."""
+    elements, pairs, orth = ["0"], [("0", "1")], {"0": "1", "1": "0"}
+    for side, lat in (("a", a), ("b", b)):
+        glued = [f"{side}:{e}" for e in lat.elements]
+        glued[lat.bottom_index], glued[lat.top_index] = "0", "1"
+        elements += [glued[i] for i in range(len(lat))
+                     if i not in (lat.bottom_index, lat.top_index)]
+        for i, up in enumerate(lat.cover_masks()):
+            pairs += [(glued[i], glued[j]) for j in _set_bits(up)]
+        orth.update((glued[i], glued[lat.orth_map[i]]) for i in range(len(lat))
+                    if i not in (lat.bottom_index, lat.top_index))
+    return _built(f"hsum({a.name},{b.name})", [*elements, "1"], pairs, orth)
+
+
+def _set_bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]

@@ -23,11 +23,12 @@ Claims:
     - subspace_lattice rejects n >= 3 at the first isotropic vector in
       lexicographic order without listing F_q^n, in under 1 s for
       F_101^4, and for n = 2 and an anisotropic form it is MO((q + 1) / 2)
-    - subspace_lattice gives the description of the listing of every
-      subspace in ``oracles``, or its exception and message, for every
-      prime q <= 23 and every form with n = 1, 2, and for sampled forms
-      with n = 3; F_4091^2 (4 094 elements) builds in under 10 s, and
-      F_4099^2, past the element cap, is refused in under 1 s
+    - subspace_lattice gives the lattice of the description that lists
+      every subspace in ``oracles``, with its names and masks, or its
+      exception and message, for every prime q <= 23 and every form with
+      n = 1, 2, and for sampled forms with n = 3; F_4091^2 (4 094
+      elements) builds in under 10 s, and F_4099^2, past the element cap,
+      is refused in under 1 s
     - the Greechie loop of k three-atom blocks, k = 5..13: its measure
       group is Z^(k + 1) (free on the k corners and the top), its
       automorphism group is dihedral of order 2k, and its state polytope
@@ -43,7 +44,6 @@ import time
 import pytest
 
 import orthomeasure.cones as cones_mod
-import orthomeasure.lattice as lattice_mod
 import orthomeasure.measures as measures_mod
 from orthomeasure import (
     DimensionCapError,
@@ -54,6 +54,7 @@ from orthomeasure import (
     are_isomorphic,
     atoms,
     boolean,
+    build_lattice,
     close_group,
     coinvariants,
     horizontal_sum,
@@ -251,26 +252,29 @@ def test_anisotropic_plane_is_mo(q, form):
     assert are_isomorphic(subspace_lattice(q, 2, form), mo((q + 1) // 2))
 
 
-def _description_or_error(build, q, n, form):
-    """The description as given to build_lattice, in its dict order, or the
-    class and message raised."""
+def _lattice_or_error(build, q, n, form):
+    """The name, elements, down masks and orthocomplement of the lattice
+    built, or the class and message raised."""
     try:
-        desc = build(q, n, form)
+        lattice = build(q, n, form)
     except IsotropicFormError as exc:
         return type(exc), str(exc)
-    return desc.name, desc.elements, desc.leq_pairs, list(desc.orthocomplement.items())
+    return lattice.name, lattice.elements, lattice.down_masks, lattice.orth_map
+
+
+def _listed_subspaces(q, n, form):
+    return build_lattice(subspace_description_by_listing(q, n, form))
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 19, 23])
-def test_subspace_lattice_matches_the_listing(q, monkeypatch):
-    monkeypatch.setattr(lattice_mod, "build_lattice", lambda desc: desc)
+def test_subspace_lattice_matches_the_listing(q):
     forms = [*itertools.product(range(q), repeat=1), *itertools.product(range(q), repeat=2)]
     rng = random.Random(q)
     forms += [tuple(rng.randrange(q) for _ in range(3)) for _ in range(3)]
     outcomes = set()
     for form in forms:
-        got = _description_or_error(subspace_lattice, q, len(form), form)
-        assert got == _description_or_error(subspace_description_by_listing, q, len(form), form)
+        got = _lattice_or_error(subspace_lattice, q, len(form), form)
+        assert got == _lattice_or_error(_listed_subspaces, q, len(form), form)
         outcomes.add(got[0] is IsotropicFormError)
     assert outcomes == {True, False}
 

@@ -8,7 +8,9 @@ Claims:
     - the inclusion-exclusion oracle (a subset scan, kept in the test
       oracles) verifies and rejects identities as expected
     - the classical extension reproduces the brute-force measure on power
-      sets and rejects inconsistent input
+      sets and rejects inconsistent input; it validates each value once:
+      one extension of boolean(7) from its atom values makes 7 + 128
+      Domain.validate calls
     - the invariant extension matches the invariant basis, realizes the
       dimension-function example, restricts back to its input, and rejects
       non-invariant or relation-violating values
@@ -30,6 +32,7 @@ from itertools import product as iproduct
 import pytest
 
 from orthomeasure import (
+    Domain,
     DomainMismatchError,
     INTEGERS,
     LatticeAutomorphism,
@@ -449,3 +452,22 @@ def test_orth_extend_builds_the_normalizer_once(monkeypatch):
     )
     assert measure.values["1"] == 2
     assert len(calls) == 1
+
+
+def test_classical_extend_validates_each_value_once(monkeypatch):
+    # the seven atom values once as given, then each of the 128 forced
+    # values once (263 calls when is_measure validated them again)
+    calls = 0
+    original = Domain.validate
+
+    def counting(self, value):
+        nonlocal calls
+        calls += 1
+        return original(self, value)
+
+    monkeypatch.setattr(Domain, "validate", counting)
+    lat = boolean(7)
+    measure = classical_groemer_extend(
+        lat, atoms(lat), PartialMeasure(RATIONALS, dict.fromkeys(atoms(lat), 1)))
+    assert measure.values["1111111"] == 7
+    assert calls == 7 + 128

@@ -12,7 +12,9 @@ Claims:
     - hom counting matches exhaustive enumeration, including torsion cases;
       on composites into Z/2 and Z/3 it counts the brute-force measures,
       and under the full automorphism group those constant on orbits
-    - the brute-force oracle is consistent with hand counts
+    - the brute-force oracle is consistent with hand counts, and lists
+      the measures that pass is_measure, in the same order, on the family
+      over Z/2, Z/3 and a range of Q, up to 20 000 candidates each
     - is_measure, which on an orthomodular lattice checks only the pairs
       of the cover rows, gives the verdict of the full orthogonal-pair scan
       on composites over Z, Q and Z/m, for true measures and for true
@@ -325,20 +327,24 @@ def test_brute_force_counts():
         assert m.values["1"] == m.values["a"] + m.values["a'"]
 
 
-def test_brute_force_matches_filter_enumeration():
+def test_brute_force_matches_filter_enumeration(family):
+    # both list the measures in the lexicographic order of their values
     from itertools import product as iproduct
 
-    lat = boolean(2)
-    values = [-1, 0, 1]
-    expected = []
-    for combo in iproduct(values, repeat=len(lat)):
-        candidate = dict(zip(lat.elements, combo))
-        if is_measure(lat, candidate, INTEGERS).ok:
-            expected.append(candidate)
-    got = [dict(m.values) for m in brute_force_measures(lat, values, INTEGERS)]
-    assert sorted(map(sorted, (d.items() for d in got))) == sorted(
-        map(sorted, (d.items() for d in expected))
-    )
+    cases = [(boolean(2), [-1, 0, 1], INTEGERS)]
+    for values, domain in ((range(2), integers_mod(2)), (range(3), integers_mod(3)),
+                           ([Fraction(k, 2) for k in range(-2, 3)], RATIONALS)):
+        cases += [(lat, values, domain) for lat in family.values()
+                  if len(values) ** len(lat) <= 20_000]
+    assert len(cases) > 20
+    for lat, values, domain in cases:
+        expected = []
+        for combo in iproduct(values, repeat=len(lat)):
+            candidate = dict(zip(lat.elements, combo))
+            if is_measure(lat, candidate, domain).ok:
+                expected.append(candidate)
+        got = [dict(m.values) for m in brute_force_measures(lat, values, domain)]
+        assert got == expected, (lat, domain)
 
 
 def test_brute_force_cap():
