@@ -22,19 +22,21 @@ extension is unique by construction.
 
 Classical route: a distributive ortholattice is Boolean, and a set
 generating it by joins contains every atom (atoms are join-irreducible),
-so it also generates by orthogonal joins.  The route checks distributivity
-and meet closure, then runs the closure on the members.
+so it also generates by orthogonal joins.  The route checks distributivity,
+then runs the invariant route with every member its own class and orbit.
 
 Invariant route: the set must generate for the action (the class map from
 normalizer orbits to full orbits is injective, and the orbit set of the
-members generates orthogonally).  Each element of the orbit set gets the
-value of the member in its full orbit; injectivity makes that well defined,
-and any invariant extension takes those values.  The closure then runs on
-the orbit set.  A candidate that is a measure is invariant: each element of
-the orbit set other than bottom is reached from bottom directly, so the
-candidate takes the orbit-constant values there, and for an automorphism g
-the measure x -> mu(g x) agrees with mu on the g-stable orbit set, so by
-uniqueness it is mu.  No group element is listed.
+members generates orthogonally).  One ``orbits`` pass of the normalizer
+gives each class its value and decides injectivity (no two classes share a
+full orbit); one closure over the orbit set decides generation and gives
+the path sums.  Each element of the orbit set gets the value of the class
+in its full orbit; injectivity makes that well defined, and any invariant
+extension takes those values.  A candidate that is a measure is
+invariant: each element of the orbit set other than bottom is reached from
+bottom directly, so the candidate takes the orbit-constant values there,
+and for an automorphism g the measure x -> mu(g x) agrees with mu on the
+g-stable orbit set, so by uniqueness it is mu.  No group element is listed.
 
 Conventions: the bottom element is the join of the empty subset, so it need
 not belong to a generating set.  Witnesses are the first in canonical
@@ -60,7 +62,7 @@ from .errors import (
 )
 from .lattice import CheckResult, OrthoLattice, is_distributive, read_json
 from .measures import Domain, Measure, RATIONALS, _is_measure_of_validated
-from .symmetry import GroupAction, normalizer, orbits, quotient_map_injective
+from .symmetry import GroupAction, Orbit, normalizer, orbits, quotient_map_injective
 
 
 class GeneratingSet(NamedTuple):
@@ -130,9 +132,12 @@ def _orthogonal_closure(lattice: OrthoLattice, members: Iterable[str],
     return missing, sums
 
 
-def _orthogonal_generating(lattice: OrthoLattice, members: tuple[str, ...]) -> CheckResult:
-    missing, _ = _orthogonal_closure(lattice, members, dict.fromkeys(members, 0))
+def _generated(missing: str | None) -> CheckResult:
     return CheckResult(True) if missing is None else CheckResult(False, (missing,))
+
+
+def _orthogonal_generating(lattice: OrthoLattice, members: tuple[str, ...]) -> CheckResult:
+    return _generated(_orthogonal_closure(lattice, members, dict.fromkeys(members, 0))[0])
 
 
 def _checked_extension(lattice: OrthoLattice, sums: dict[int, object],
@@ -181,16 +186,14 @@ class ActionGeneratingReport(NamedTuple):
 
 
 def is_generating_for_action(lattice: OrthoLattice, action: GroupAction,
-                             members: Iterable[str],
-                             norm: GroupAction | None = None) -> ActionGeneratingReport:
+                             members: Iterable[str]) -> ActionGeneratingReport:
     """Injectivity of the class map plus orbit-set orthogonal generation.
 
     Meet closure is required of the set itself; its orbit under the group
     need not be meet-closed and is tested for generation directly.
-    ``norm`` is the normalizer of the members, when the caller has it.
     """
     gs = make_generating_set(lattice, members)
-    injective = quotient_map_injective(action, gs.members, norm)
+    injective = quotient_map_injective(action, gs.members)
     generating = _orthogonal_generating(lattice, _orbit_set(lattice, action, gs.members))
     return ActionGeneratingReport(injective, generating)
 
@@ -203,25 +206,52 @@ def _orbit_set(lattice: OrthoLattice, action: GroupAction,
     return tuple(e for e, k in zip(lattice.elements, labels) if k in hit)
 
 
-def _check_keys(lattice: OrthoLattice, members: tuple[str, ...],
-                partial: PartialMeasure) -> None:
-    """Every key of the partial measure names an element and a member."""
+def _class_values(lattice: OrthoLattice, action: GroupAction | None,
+                  members: tuple[str, ...],
+                  partial: PartialMeasure) -> tuple[list[Orbit], dict[str, object]]:
+    """The classes (each member alone with no action, else its normalizer
+    orbit) and each member's value, validated once: the one given on its
+    class."""
     for b in partial.values:
         if b not in lattice:
             raise SchemaError(f"partial measure names unknown element {b!r}")
         if b not in members:
             raise SchemaError(f"partial measure names non-member {b!r}")
+    if action is None:
+        classes, what = [Orbit(b, (b,)) for b in members], "member"
+    else:
+        classes, what = orbits(normalizer(action, members), members), "the class of"
+    validate = partial.domain.validate
+    values: dict[str, object] = {}
+    for orb in classes:
+        given = {validate(partial.values[b]) for b in orb.members if b in partial.values}
+        if not given:
+            raise DomainMismatchError(f"no value given for {what} {orb.representative!r}")
+        if len(given) > 1:
+            raise NotInvariantOnGeneratorsError(
+                f"values differ on the normalizer orbit of {orb.representative!r}"
+            )
+        v = given.pop()
+        for b in orb.members:
+            values[b] = v
+    return classes, values
 
 
-def _validated_partial(lattice: OrthoLattice, members: tuple[str, ...],
-                       partial: PartialMeasure) -> dict[str, object]:
-    _check_keys(lattice, members, partial)
-    values = {}
-    for b in members:
-        if b not in partial.values:
-            raise DomainMismatchError(f"no value given for member {b!r}")
-        values[b] = partial.domain.validate(partial.values[b])
-    return values
+def _extend(lattice: OrthoLattice, action: GroupAction | None, members: Iterable[str],
+            partial: PartialMeasure) -> tuple[bool, str | None, dict[int, object], dict[str, object]]:
+    """Both routes (module docstring): whether the class map is injective,
+    the first element the orbit set does not generate (or None), the path
+    sums over the orbit set and each member's value."""
+    gs = make_generating_set(lattice, members)
+    classes, values = _class_values(lattice, action, gs.members, partial)
+    labels = range(len(lattice)) if action is None else action.orbit_labels()
+    by_orbit = {labels[lattice.index(orb.representative)]: values[orb.representative]
+                for orb in classes}
+    orbit_values = {
+        e: by_orbit[k] for e, k in zip(lattice.elements, labels) if k in by_orbit
+    }
+    missing, sums = _orthogonal_closure(lattice, orbit_values, orbit_values)
+    return len(by_orbit) == len(classes), missing, sums, values
 
 
 def classical_groemer_extend(lattice: OrthoLattice, members: Iterable[str],
@@ -240,9 +270,7 @@ def classical_groemer_extend(lattice: OrthoLattice, members: Iterable[str],
     dist = is_distributive(lattice)
     if not dist.ok:
         raise NotDistributiveError(f"witness {dist.witness}")
-    gs = make_generating_set(lattice, members)
-    values = _validated_partial(lattice, gs.members, partial)
-    missing, sums = _orthogonal_closure(lattice, gs.members, values)
+    _, missing, sums, values = _extend(lattice, None, members, partial)
     if missing is not None:
         raise NotGeneratingError(f"{missing!r} is not a join of pairwise orthogonal members")
     return _checked_extension(lattice, sums, values, partial.domain,
@@ -259,52 +287,18 @@ def orth_groemer_extend(lattice: OrthoLattice, action: GroupAction,
     action (NotGeneratingForActionError), so a missing value is refused as
     on the classical route; a value given for one member of a normalizer
     orbit stands for the whole orbit.  Each element of the orbit
-    set takes the value of the member in its full orbit, and the extension
+    set takes the value of the class in its full orbit, and the extension
     is the closure's path sums over the orbit set (module docstring); when
     they do not form a measure agreeing with every member value, no
     extension exists and KernelViolationError names the first failure.  A
     measure they form is invariant (module docstring).
     """
-    gs = make_generating_set(lattice, members)
-    _check_keys(lattice, gs.members, partial)
-    norm = normalizer(action, gs.members)
-    domain = partial.domain
-
-    values: dict[str, object] = {}
-    class_values = []  # (representative, value), one per normalizer orbit
-    for orb in orbits(norm, gs.members):
-        given = {
-            b: domain.validate(partial.values[b])
-            for b in orb.members
-            if b in partial.values
-        }
-        if not given:
-            raise DomainMismatchError(
-                f"no value given for the class of {orb.representative!r}"
-            )
-        distinct = set(given.values())
-        if len(distinct) > 1:
-            raise NotInvariantOnGeneratorsError(
-                f"values differ on the normalizer orbit of {orb.representative!r}"
-            )
-        v = distinct.pop()
-        for b in orb.members:
-            values[b] = v
-        class_values.append((orb.representative, v))
-    report = is_generating_for_action(lattice, action, gs.members, norm)
-    if not report.ok:
+    injective, missing, sums, values = _extend(lattice, action, members, partial)
+    if not injective or missing is not None:
         raise NotGeneratingForActionError(
-            f"quotient_injective={report.quotient_injective}, "
-            f"orbit_generating={report.orbit_generating}"
+            f"quotient_injective={injective}, orbit_generating={_generated(missing)}"
         )
-    labels = action.orbit_labels()
-    # the class map is injective: one normalizer orbit per full orbit
-    by_orbit = {labels[lattice.index(b)]: v for b, v in class_values}
-    orbit_values = {
-        e: by_orbit[k] for e, k in zip(lattice.elements, labels) if k in by_orbit
-    }
-    _, sums = _orthogonal_closure(lattice, orbit_values, orbit_values)
-    return _checked_extension(lattice, sums, values, domain, KernelViolationError)
+    return _checked_extension(lattice, sums, values, partial.domain, KernelViolationError)
 
 
 def weak_groemer_check(lattice: OrthoLattice, action: GroupAction,
@@ -330,10 +324,11 @@ def weak_groemer_check(lattice: OrthoLattice, action: GroupAction,
         for x in lattice.elements:
             if measure.values[g(x)] != measure.values[x]:
                 return CheckResult(False, ("precondition:not_invariant", x))
+    member_set = set(gs.members)
     for b1, b2 in combinations(gs.members, 2):
         if lattice.orthogonal(b1, b2):
             join = lattice.join(b1, b2)
-            if join in set(gs.members):
+            if join in member_set:
                 lhs = measure.domain.add(measure.values[b1], measure.values[b2])
                 if lhs != measure.values[join]:
                     return CheckResult(False, ("restriction_not_additive", b1, b2))
@@ -358,7 +353,8 @@ def load_generating_set(path, lattice: OrthoLattice) -> GeneratingSet:
 
 
 def load_partial_measure(path, domain: Domain = RATIONALS) -> PartialMeasure:
-    """Read {"values": {elem: "p/q" or int}} into the given domain."""
+    """Read {"values": {elem: "p/q" or int}} for the given domain; the
+    extension routes check the keys and validate each value."""
     data = read_json(path)
     if not isinstance(data, dict) or set(data) != {"values"}:
         raise SchemaError('partial measure file must be {"values": {...}}')
@@ -374,7 +370,7 @@ def load_partial_measure(path, domain: Domain = RATIONALS) -> PartialMeasure:
                 raise SchemaError(f"bad rational {val!r}") from exc
         elif isinstance(val, bool) or not isinstance(val, int):
             raise SchemaError(f"value for {key!r} must be an int or 'p/q' string")
-        values[key] = domain.validate(val)
+        values[key] = val
     return PartialMeasure(domain, values)
 
 

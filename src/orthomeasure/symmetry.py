@@ -616,24 +616,13 @@ def normalizer(action: GroupAction, members: Iterable[str]) -> GroupAction:
     return GroupAction(lattice, gens, len(perms), perms)
 
 
-def quotient_map_injective(action: GroupAction, members: Iterable[str],
-                           norm: GroupAction | None = None) -> bool:
-    """Distinct normalizer orbits inside the set land in distinct full orbits.
-
-    ``norm`` is the normalizer of the members, when the caller has it.
-    """
+def quotient_map_injective(action: GroupAction, members: Iterable[str]) -> bool:
+    """Distinct normalizer orbits inside the set land in distinct full
+    orbits: no two of their representatives share an orbit label."""
     members = list(members)
-    if norm is None:
-        norm = normalizer(action, members)
-    labels = action.orbit_labels()
-    seen: dict[int, frozenset] = {}
-    for orb in orbits(norm, members):
-        big = labels[action.lattice.index(orb.representative)]
-        small = frozenset(orb.members)
-        if big in seen and seen[big] != small:
-            return False
-        seen[big] = small
-    return True
+    classes = orbits(normalizer(action, members), members)
+    labels, index = action.orbit_labels(), action.lattice.index
+    return len({labels[index(orb.representative)] for orb in classes}) == len(classes)
 
 
 def generating_subset(action: GroupAction) -> list[LatticeAutomorphism]:

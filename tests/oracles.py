@@ -22,7 +22,9 @@ joins and covers from them, as the package did while it kept up-sets
 beside its down-sets.  The ``*_by_description`` constructors list element
 names, cover pairs and the orthocomplement and have ``build_lattice``
 close the order and prove every axiom, as the package's constructors did
-before they wrote their masks.
+before they wrote their masks.  ``quotient_map_injective_by_classes``
+keeps the normalizer class met in each full orbit, as a frozenset, as the
+package did before it compared the classes' orbit labels.
 """
 
 from fractions import Fraction
@@ -1053,6 +1055,23 @@ def orthogonal_closure_by_members(lattice, members, values):
                     queue.append(z)
     missing = next((e for i, e in enumerate(lattice.elements) if i not in sums), None)
     return missing, sums
+
+
+def quotient_map_injective_by_classes(action, members):
+    """Whether no full orbit meets two distinct normalizer orbits of the
+    members, read class by class."""
+    from orthomeasure.symmetry import normalizer, orbits
+
+    members = list(members)
+    labels = action.orbit_labels()
+    seen = {}
+    for orb in orbits(normalizer(action, members), members):
+        big = labels[action.lattice.index(orb.representative)]
+        small = frozenset(orb.members)
+        if big in seen and seen[big] != small:
+            return False
+        seen[big] = small
+    return True
 
 
 def normalizer_by_listing(perms, members):

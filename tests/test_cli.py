@@ -21,7 +21,9 @@ Claims:
       its message naming the value as it reads ("1/2"); a key that is no
       element exits 2 with one message, with and without a group; a member
       with no value exits 2 on both routes, also when the set does not
-      generate
+      generate; the file is only parsed, so an extend of boolean(7) from
+      its 7 atom values validates each value once: 7 + 128 Domain.validate
+      calls
     - a group file is never listed for module: S_9 on boolean(9), past the
       listing cap, gives rank 1 in under 1 s; the normalizer extend needs
       lists it, and past the cap exits 3; no command takes --max-group
@@ -63,7 +65,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import orthomeasure
 from orthomeasure import (
-    LatticeDescription, atoms, benzene, boolean, brute_force_measures, build_lattice,
+    Domain, LatticeDescription, atoms, benzene, boolean, brute_force_measures, build_lattice,
     horizontal_sum, is_orthomodular, load_generating_set, load_group, load_lattice,
     load_partial_measure, measure_basis, measure_coordinates, mo, parse_domain,
     positive_cone, product, save_group, save_lattice, verify_ortho,
@@ -301,6 +303,31 @@ def test_extend_names_a_missing_value_before_generation(group, detail, capsys, t
     code, data = run_json(capsys, argv)
     assert code == 2
     assert data == {"error": "DomainMismatchError", "detail": detail}
+
+
+def test_extend_validates_each_value_once(monkeypatch, capsys, tmp_path):
+    # 142 calls when the partial measure file was validated as it was read
+    calls = 0
+    original = Domain.validate
+
+    def counting(self, value):
+        nonlocal calls
+        calls += 1
+        return original(self, value)
+
+    lattice = boolean(7)
+    path = tmp_path / "b7.json"
+    save_lattice(lattice, path)
+    gs = tmp_path / "gs.json"
+    gs.write_text(json.dumps({"members": list(atoms(lattice))}))
+    pm = tmp_path / "pm.json"
+    pm.write_text(json.dumps({"values": dict.fromkeys(atoms(lattice), 1)}))
+    monkeypatch.setattr(Domain, "validate", counting)
+    code, data = run_json(capsys, ["extend", str(path), "--generating-set", str(gs),
+                                   "--partial", str(pm)])
+    assert code == 0
+    assert data["report"]["measure"]["values"]["1111111"] == "7"
+    assert calls == 7 + 128
 
 
 def test_extend_full_aut_on_mo9_lists_no_group(capsys, tmp_path):

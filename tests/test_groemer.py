@@ -4,7 +4,9 @@ Claims:
     - orthogonal-generating-set detection matches hand-worked examples,
       including the bottom-as-empty-join convention
     - generating-for-the-action combines class-map injectivity with orbit
-      generation and reports which half failed
+      generation and reports which half failed; the invariant route's
+      NotGeneratingForActionError detail is that report's text, when the
+      class map is not injective and when the orbit set does not generate
     - the inclusion-exclusion oracle (a subset scan, kept in the test
       oracles) verifies and rejects identities as expected
     - the classical extension reproduces the brute-force measure on power
@@ -14,6 +16,8 @@ Claims:
     - the invariant extension matches the invariant basis, realizes the
       dimension-function example, restricts back to its input, and rejects
       non-invariant or relation-violating values
+    - one invariant extension builds one normalizer, checks meet closure
+      once, makes one orbits pass and runs one closure
     - over Z/m the extension is a bijection between normalizer-invariant
       additive functions and invariant measures on the acceptance triples
     - the weak inclusion check accepts genuine invariant measures and
@@ -26,6 +30,7 @@ Claims:
       orbit before it too
 """
 
+import re
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -105,6 +110,28 @@ def test_generating_for_action_examples(family, aut_groups):
     assert not report.orbit_generating.ok
     b3 = family["boolean(3)"]
     assert is_generating_for_action(b3, aut_groups["boolean(3)"], ["100", "000"]).ok
+
+
+@pytest.mark.parametrize("case", ["not injective", "not generating"])
+def test_route_detail_is_the_generating_report(case):
+    # under the 3-cycle of the atoms of boolean(3) two atoms are distinct
+    # normalizer classes in one full orbit; under the trivial group {a1}
+    # does not generate mo(2)
+    if case == "not injective":
+        lat = boolean(3)
+        cycle = LatticeAutomorphism.from_mapping(
+            lat, {e: e[2] + e[0] + e[1] for e in lat.elements})
+        action, members = close_group(lat, [cycle]), ["100", "010"]
+    else:
+        lat = mo(2)
+        action, members = trivial_action(lat), ["a1"]
+    report = is_generating_for_action(lat, action, members)
+    assert report.quotient_injective == (case != "not injective")
+    detail = (f"quotient_injective={report.quotient_injective}, "
+              f"orbit_generating={report.orbit_generating}")
+    with pytest.raises(NotGeneratingForActionError, match=f"^{re.escape(detail)}$"):
+        orth_groemer_extend(lat, action, members,
+                            PartialMeasure(INTEGERS, dict.fromkeys(members, 1)))
 
 
 def test_inclusion_exclusion_modular_case():
@@ -446,12 +473,21 @@ def test_orth_extend_builds_the_normalizer_once(monkeypatch):
 
     monkeypatch.setattr(symmetry_module, "normalizer", counting)
     monkeypatch.setattr(groemer_module, "normalizer", counting)
+    # and each other question once: meet closure, the orbits pass, the closure
+    counts = {}
+    for module, name in ((groemer_module, "make_generating_set"), (symmetry_module, "orbits"),
+                         (groemer_module, "orbits"), (groemer_module, "_orthogonal_closure")):
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
     lat = mo(2)
     measure = orth_groemer_extend(
         lat, automorphism_group(lat), ["a1"], PartialMeasure(RATIONALS, {"a1": 1})
     )
     assert measure.values["1"] == 2
     assert len(calls) == 1
+    assert counts == {"make_generating_set": 1, "orbits": 1, "_orthogonal_closure": 1}
 
 
 def test_classical_extend_validates_each_value_once(monkeypatch):

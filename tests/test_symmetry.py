@@ -17,10 +17,13 @@ Claims:
       the trivial action on the family and its pairwise composites, for
       every element and for every other element
     - normalizers are subgroups; the quotient class map injectivity test
-      matches hand-computed cases
+      matches hand-computed cases, and matches the class-by-class oracle
+      for every atom and every pair of atoms of the family under the full
+      group, the trivial action and a cyclic group given by a generator
     - the group file format round-trips
 """
 
+from itertools import combinations
 from math import factorial
 from operator import attrgetter
 
@@ -47,6 +50,7 @@ from orthomeasure import (
 )
 from orthomeasure.symmetry import generating_subset
 
+from oracles import quotient_map_injective_by_classes
 from strategies import pairwise_composites
 
 
@@ -241,6 +245,24 @@ def test_quotient_map_not_injective_case():
     assert not quotient_map_injective(action, ["100", "010"])
     # the same set under the full group is a single normalizer class
     assert quotient_map_injective(automorphism_group(lat), ["100", "010"])
+
+
+def test_quotient_map_injective_matches_the_class_oracle(family, aut_groups):
+    outcomes = set()
+    for name, lat in family.items():
+        full = aut_groups[name]
+        # one element, the product of the full group's generators, held by
+        # its generator as a group file is
+        g = LatticeAutomorphism.identity(lat)
+        for h in full.generators:
+            g = g.compose(h)
+        points = atoms(lat)
+        for action in (full, trivial_action(lat), close_group(lat, [g])):
+            for members in [[a] for a in points] + [list(p) for p in combinations(points, 2)]:
+                got = quotient_map_injective(action, members)
+                assert got == quotient_map_injective_by_classes(action, members), (name, members)
+                outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_group_file_round_trip(tmp_path):
