@@ -411,13 +411,13 @@ def _cmd_states(args, lattice) -> tuple[dict, int]:
 def _cmd_extend(args, lattice) -> tuple[dict, int]:
     action = _load_action(args, lattice)
     domain = parse_domain(args.domain)
-    generating = load_generating_set(args.generating_set, lattice)
+    members = load_generating_set(args.generating_set, lattice)
     partial = load_partial_measure(args.partial, domain)
     if action is None:
-        measure = classical_groemer_extend(lattice, generating.members, partial)
+        measure = classical_groemer_extend(lattice, members, partial)
         mode = "classical"
     else:
-        measure = orth_groemer_extend(lattice, action, generating.members, partial)
+        measure = orth_groemer_extend(lattice, action, members, partial)
         mode = "invariant"
     report = {"mode": mode, "measure": measure.to_json_dict()}
     return report, EXIT_OK

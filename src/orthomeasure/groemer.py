@@ -84,18 +84,19 @@ def make_generating_set(lattice: OrthoLattice, members: Iterable[str]) -> Genera
 
     Bottom counts as implicitly present (it is the empty join and carries
     value zero), so pairwise meets may land on it without it being listed.
+    Meets are symmetric and x ^ x = x, so each pair is tested once.
     """
     idx = sorted({lattice.index(b) for b in members})
-    names = [lattice.elements[i] for i in idx]
-    present = set(names) | {lattice.bottom}
-    for b1 in names:
-        for b2 in names:
-            m = lattice.meet(b1, b2)
-            if m not in present:
+    present = sum(1 << i for i in idx) | 1 << lattice.bottom_index
+    meet, names = lattice.meet_index, lattice.elements
+    for k, i in enumerate(idx):
+        for j in idx[k + 1:]:
+            m = meet(i, j)
+            if not present >> m & 1:
                 raise MeetClosureError(
-                    f"meet of {b1!r} and {b2!r} is {m!r}, not in the set"
+                    f"meet of {names[i]!r} and {names[j]!r} is {names[m]!r}, not in the set"
                 )
-    return GeneratingSet(tuple(names))
+    return GeneratingSet(tuple(names[i] for i in idx))
 
 
 def _orthogonal_closure(lattice: OrthoLattice, members: Iterable[str],
@@ -338,8 +339,8 @@ def weak_groemer_check(lattice: OrthoLattice, action: GroupAction,
 # --- file formats ------------------------------------------------------------------
 
 
-def load_generating_set(path, lattice: OrthoLattice) -> GeneratingSet:
-    """Read {"members": [elem, ...]} and validate meet closure."""
+def load_generating_set(path, lattice: OrthoLattice) -> list[str]:
+    """Read {"members": [elem, ...]}; the extension routes check meet closure."""
     data = read_json(path)
     if not isinstance(data, dict) or set(data) != {"members"}:
         raise SchemaError('generating set file must be {"members": [...]}')
@@ -349,7 +350,7 @@ def load_generating_set(path, lattice: OrthoLattice) -> GeneratingSet:
     unknown = [b for b in members if b not in lattice]
     if unknown:
         raise SchemaError(f"unknown element {unknown[0]!r} in generating set")
-    return make_generating_set(lattice, members)
+    return members
 
 
 def load_partial_measure(path, domain: Domain = RATIONALS) -> PartialMeasure:

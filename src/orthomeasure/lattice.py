@@ -27,7 +27,6 @@ from array import array
 from collections import Counter
 from functools import partial
 from heapq import heapify, heappop, heappush
-from math import prod
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -1083,19 +1082,25 @@ def direct_factors(lattice: OrthoLattice
                    ) -> tuple[list[tuple[OrthoLattice, list[int]]], list[tuple[int, ...]]]:
     """The factors [0, z] over the atoms z of the center, and the
     coordinates of every element in them, if the center has two or more
-    atoms and the split checks out; else ([], []).
+    atoms; else ([], []).  The split holds in every ortholattice:
 
-    z is central when t = (t ^ z) v (t ^ z') for every t.  An atom below
-    neither z nor z' fails this, so only the z whose down-set, with that
-    of z', holds every atom are tested, lowest first, and any z above a
-    central element already found is skipped: the central elements found
-    are the atoms of the center.  In an orthomodular lattice, t ->
-    (t ^ z_1, ..., t ^ z_r) is then an isomorphism onto the product of the
-    [0, z_j], each with x -> x' ^ z_j as its orthocomplement (Kalmbach,
-    *Orthomodular Lattices*, 1983, ch. 3).  Since the lattice need not be
-    orthomodular, the map is checked: it is a bijection, each t is the
-    join of its coordinates (so the inverse preserves order too), and it
-    carries ' to the factors' orthocomplements.
+    Call z central when t = (t ^ z) v (t ^ z') for every t.  For a <= z,
+    centrality at a' gives a' = (a' ^ z) v z', so a = (a v z') ^ z;
+    likewise b = (b v z) ^ z' for b <= z'.  So t -> (t ^ z, t ^ z') is onto
+    [0, z] x [0, z']: for t = a v b, centrality at t' gives t = (a v z') ^
+    (b v z), so t ^ z = a.  It is injective, as t is the join of its
+    image, and its inverse (a, b) -> a v b is monotone.  It carries ' to
+    x -> x' ^ z on each side (the last step, applied to t' = (a' ^ z) v
+    (b' ^ z')).  Centrality is componentwise in a product, so by induction
+    the central elements form a Boolean algebra, whose atoms z_j are
+    pairwise orthogonal, join to 1 and give an ortholattice isomorphism
+    t -> (t ^ z_j)_j onto the product of the [0, z_j], each with x -> x' ^
+    z_j as its orthocomplement.  So the map built here is not checked.
+
+    The loop finds exactly those atoms.  Each atom lies below z or z' for a
+    central z, so every central z passes the prefilter; the candidates go
+    lowest first, and any z above a central element already found is
+    skipped, as a larger central element has a smaller one below it.
 
     Each factor comes with its members, as in :func:`horizontal_summands`;
     coordinates[t][j] is the index in factor j of t ^ z_j.
@@ -1124,17 +1129,6 @@ def direct_factors(lattice: OrthoLattice
                           for z, w in zip(found, where)]) for d in down_pos]
     orths = [[c[j] for c in (coordinates[orth[i]] for i in m)]
              for j, m in enumerate(members)]
-    if prod(map(len, members)) != n or len(set(coordinates)) != n:
-        return [], []
-    everything = down_pos[lattice.top_index]
-    for t, c in enumerate(coordinates):
-        # t' is the meet of the coordinates' complements
-        common = everything
-        for m, k in zip(members, c):
-            common &= down_pos[orth[m[k]]]
-        if (order[common.bit_length() - 1] != orth[t]
-                or coordinates[orth[t]] != tuple([o[k] for o, k in zip(orths, c)])):
-            return [], []
     factors = [(_induced(lattice, m, o), m) for m, o in zip(members, orths)]
     return factors, coordinates
 
@@ -1162,8 +1156,9 @@ class Decomposer:
     """Solves a lattice from the first of its decompositions that applies:
     a Boolean lattice, then a horizontal sum, then a product over the
     center (both kept on the lattice by :func:`decomposition`), and last an
-    irreducible block.  ``automorphism_group``, ``normalizer`` and
-    ``state_polytope`` all break a lattice down this way.
+    irreducible block; both splits hold in every ortholattice.
+    ``automorphism_group``, ``normalizer`` and ``state_polytope`` all break
+    a lattice down this way.
 
     Subclasses define ``boolean(lattice, *more)``, ``summed(lattice,
     summands, *more)``, ``product(lattice, factors, coordinates, *more)``

@@ -486,7 +486,11 @@ def _presentation_rows(lattice: OrthoLattice) -> list[tuple[tuple[int, int], ...
         with x covered by y < z; each interval on the right is shorter,
         since [y ^ x', z ^ x'] is the image of [y, z] under the
         isomorphism.
-    Outside OMLs the isomorphism fails (benzene has a < b with b ^ a' = 0).
+    Outside OMLs the isomorphism fails (benzene has a < b with b ^ a' = 0),
+    and so can the presentation: on the ortholattice 0, p0..p3, q0..q3, 1
+    with qi = pi' and covers 0 < p0, p2, p3; p0 < p1, q2; p1 < q3; p2 < q0,
+    q3; p3 < q1, q2; q1 < q0; q0, q2, q3 < 1, the measure group is Z^2, but
+    -e_0 and the cover rows present Z^3: they miss mu(p1) + mu(q1) = mu(1).
     """
     join = lattice.join_index
     bottom = lattice.bottom_index
@@ -502,7 +506,8 @@ def _relation_pairs(lattice: OrthoLattice) -> Iterator[tuple[int, int]]:
     and a an atom below x', one per covering pair: two orthogonal atoms
     give one pair, taken at the lower index.  On any other lattice every
     orthogonal pair, as :meth:`OrthoLattice.orthogonal_index_pairs` lists
-    them.
+    them, since there the cover rows may present a larger group (the
+    10-element lattice at ``_presentation_rows``).
     """
     if not is_orthomodular(lattice).ok:
         return lattice.orthogonal_index_pairs()

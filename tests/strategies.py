@@ -1,5 +1,6 @@
 """Hypothesis strategies and lattice lists shared by the test modules."""
 
+import random
 from functools import lru_cache
 
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from orthomeasure import (
     product,
     subspace_lattice,
 )
+from orthomeasure.errors import LatticeInputError
 
 BASES = {
     "boolean(1)": lambda: boolean(1),
@@ -51,11 +53,16 @@ def composite_lattices(draw):
         pair = (lattice, other) if draw(st.booleans()) else (other, lattice)
         lattice = op(*pair)
     if draw(st.booleans()):
-        desc = lattice.to_description()
-        elements = tuple(draw(st.permutations(desc.elements)))
-        lattice = build_lattice(LatticeDescription(
-            desc.name, elements, desc.leq_pairs, dict(desc.orthocomplement)))
+        lattice = relisted(lattice, draw(st.permutations(lattice.elements)))
     return lattice
+
+
+def relisted(lattice, elements):
+    """The lattice built again from its description with its elements
+    listed in the order of ``elements``."""
+    desc = lattice.to_description()
+    return build_lattice(LatticeDescription(
+        desc.name, tuple(elements), desc.leq_pairs, dict(desc.orthocomplement)))
 
 
 def pairwise_composites(lattices):
@@ -85,6 +92,64 @@ def greechie_loop(k):
         orth[a], orth[a + "'"] = a + "'", a
     elements = ("0", *atoms_, *(a + "'" for a in atoms_), "1")
     return build_lattice(LatticeDescription(f"loop({k})", elements, tuple(pairs), orth))
+
+
+def random_ortholattice(rng, k):
+    """One draw of an ortholattice on 0, p0..pk-1, q0..qk-1, 1 with
+    qi = pi', or None when build_lattice refuses it.
+
+    The p's get a random order (pi <= pj for i < j with probability 0.3,
+    closed transitively), the q's its dual (qj <= qi when pi <= pj), and
+    "pi <= qj" a random relation that is symmetric, irreflexive and closed
+    downwards: a drawn pair (i, j) brings every pair below it, and is
+    drawn only if no p lies below both pi and pj.  No q lies below a p.
+    """
+    below = [1 << i for i in range(k)]  # below[j]: the i with pi <= pj
+    for j in range(k):
+        for i in range(j):
+            if rng.random() < 0.3:
+                below[j] |= below[i]
+    orth = [0] * k  # orth[i]: the j with pi <= qj
+    for j in range(k):
+        for i in range(j):
+            if rng.random() < 0.3 and not below[i] & below[j]:
+                for a in range(k):
+                    if below[i] >> a & 1:
+                        orth[a] |= below[j]
+                    if below[j] >> a & 1:
+                        orth[a] |= below[i]
+    p = [f"p{i}" for i in range(k)]
+    q = [f"q{i}" for i in range(k)]
+    pairs = [("0", x) for x in p] + [(x, "1") for x in q]
+    for i in range(k):
+        for j in range(k):
+            if i != j and below[j] >> i & 1:
+                pairs += [(p[i], p[j]), (q[j], q[i])]
+            if orth[i] >> j & 1:
+                pairs.append((p[i], q[j]))
+    orthocomplement = {"0": "1", "1": "0"}
+    for a, b in zip(p, q):
+        orthocomplement[a], orthocomplement[b] = b, a
+    try:
+        return build_lattice(LatticeDescription(
+            f"random({k})", ("0", *p, *q, "1"), tuple(pairs), orthocomplement))
+    except LatticeInputError:
+        return None
+
+
+@lru_cache(maxsize=None)
+def random_ortholattices(seed, count):
+    """The first ``count`` distinct draws of :func:`random_ortholattice`
+    that build_lattice accepts (about one in five), with k uniform in 2..6
+    and a generator seeded with ``seed``.  Almost none is orthomodular."""
+    rng = random.Random(seed)
+    kept, seen = [], set()
+    while len(kept) < count:
+        lattice = random_ortholattice(rng, rng.randint(2, 6))
+        if lattice is not None and (lattice.down_masks, lattice.orth_map) not in seen:
+            seen.add((lattice.down_masks, lattice.orth_map))
+            kept.append(lattice)
+    return kept
 
 
 @st.composite

@@ -24,6 +24,10 @@ Claims:
       generate; the file is only parsed, so an extend of boolean(7) from
       its 7 atom values validates each value once: 7 + 128 Domain.validate
       calls
+    - the generating set file is only parsed too: extend checks meet
+      closure once, in its route, with one meet per unordered pair of
+      members, after parsing the partial file and, on the classical route,
+      after the distributivity check
     - a group file is never listed for module: S_9 on boolean(9), past the
       listing cap, gives rank 1 in under 1 s; the normalizer extend needs
       lists it, and past the cap exits 3; no command takes --max-group
@@ -64,10 +68,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import orthomeasure
+import orthomeasure.groemer as groemer_mod
 from orthomeasure import (
-    Domain, LatticeDescription, atoms, benzene, boolean, brute_force_measures, build_lattice,
-    horizontal_sum, is_orthomodular, load_generating_set, load_group, load_lattice,
-    load_partial_measure, measure_basis, measure_coordinates, mo, parse_domain,
+    Domain, LatticeDescription, OrthoLattice, atoms, benzene, boolean, brute_force_measures,
+    build_lattice, horizontal_sum, is_orthomodular, load_generating_set, load_group,
+    load_lattice, load_partial_measure, measure_basis, measure_coordinates, mo, parse_domain,
     positive_cone, product, save_group, save_lattice, verify_ortho,
 )
 from orthomeasure.cli import (
@@ -328,6 +333,63 @@ def test_extend_validates_each_value_once(monkeypatch, capsys, tmp_path):
     assert code == 0
     assert data["report"]["measure"]["values"]["1111111"] == "7"
     assert calls == 7 + 128
+
+
+def test_extend_checks_meet_closure_once(monkeypatch, capsys, tmp_path):
+    # the generating set file is only parsed, so the route's
+    # make_generating_set is the one check, and it meets each unordered
+    # pair of members once: 256 * 255 / 2 meets (two calls of 256^2 each
+    # when the loader checked too)
+    meets, per_call = [0], []
+    check, meet = groemer_mod.make_generating_set, OrthoLattice.meet_index
+
+    def counted_meet(self, i, j):
+        meets[0] += 1
+        return meet(self, i, j)
+
+    def counted_check(lattice, members):
+        before = meets[0]
+        out = check(lattice, members)
+        per_call.append(meets[0] - before)
+        return out
+
+    lattice = boolean(8)
+    path = tmp_path / "b8.json"
+    save_lattice(lattice, path)
+    gs = tmp_path / "gs.json"
+    gs.write_text(json.dumps({"members": list(lattice.elements)}))
+    pm = tmp_path / "pm.json"
+    pm.write_text(json.dumps({"values": {e: e.count("1") for e in lattice.elements}}))
+    monkeypatch.setattr(OrthoLattice, "meet_index", counted_meet)
+    monkeypatch.setattr(groemer_mod, "make_generating_set", counted_check)
+    code, data = run_json(capsys, ["extend", str(path), "--generating-set", str(gs),
+                                   "--partial", str(pm)])
+    assert code == 0
+    assert data["report"]["measure"]["values"]["11111111"] == "8"
+    assert per_call == [256 * 255 // 2]
+
+
+@pytest.mark.parametrize("lattice,values,expected", [
+    (boolean(3), {"110": "one"}, (2, "SchemaError")),
+    (product(mo(2), boolean(1)), {}, (1, "NotDistributiveError")),
+    (boolean(3), {}, (1, "MeetClosureError")),
+], ids=["partial file", "not distributive", "meet closure"])
+def test_extend_checks_meet_closure_in_the_route(lattice, values, expected, capsys, tmp_path):
+    # the two members meet at an atom, so the set is not meet-closed; the
+    # partial file is parsed, and the classical route checks
+    # distributivity, before meet closure
+    path = tmp_path / "lattice.json"
+    save_lattice(lattice, path)
+    members = [e for e in lattice.elements if e in ("110", "011", "(a1,1)", "(a2,1)")]
+    gs = tmp_path / "gs.json"
+    gs.write_text(json.dumps({"members": members}))
+    pm = tmp_path / "pm.json"
+    pm.write_text(json.dumps({"values": values}))
+    code, data = run_json(capsys, ["extend", str(path), "--generating-set", str(gs),
+                                   "--partial", str(pm)])
+    assert (code, data["error"]) == expected
+    if expected[1] == "MeetClosureError":
+        assert data["detail"] == "meet of '110' and '011' is '010', not in the set"
 
 
 def test_extend_full_aut_on_mo9_lists_no_group(capsys, tmp_path):

@@ -35,6 +35,10 @@ Claims:
       has L_k + (k mod 2) vertices, L_k the k-th Lucas number: the L_k
       two-valued states (the stable sets of the k-cycle of corners) and,
       for odd k, the state that is 1/2 at every corner
+    - the loop of k = 1000 blocks (4 002 elements), through the
+      automorphism search: its measure group has rank 1001, its group
+      order 2000, and ``states`` on it exits 3 on the rank cap; building
+      the loop and all three take under 3 s
 """
 
 import itertools
@@ -43,8 +47,10 @@ import time
 
 import pytest
 
+import orthomeasure.cli as cli
 import orthomeasure.cones as cones_mod
 import orthomeasure.measures as measures_mod
+import orthomeasure.symmetry as symmetry_mod
 from orthomeasure import (
     DimensionCapError,
     FPAbelianGroup,
@@ -312,3 +318,25 @@ def test_closed_forms_of_greechie_loops(k):
     two_valued = [ids for _, ids in polytope.rows
                   if {polytope.values[i] for i in ids} <= {0, 1}]
     assert len(two_valued) == _lucas(k)
+
+
+def test_loop_1000_at_scale(monkeypatch, capsys):
+    searched, search_group = [], symmetry_mod._search_group
+
+    def search(lattice, sets):
+        searched.append(lattice)
+        return search_group(lattice, sets)
+
+    monkeypatch.setattr(symmetry_mod, "_search_group", search)
+    start = time.perf_counter()
+    loop = greechie_loop(1000)
+    assert len(loop) == 4002
+    module = measure_module(loop)
+    assert (module.rank, module.torsion) == (1001, ())
+    assert automorphism_group(loop).order == 2000
+    # irreducible and not Boolean: its group comes from the search
+    assert searched == [loop]
+    monkeypatch.setattr(cli, "load_lattice", lambda path, max_elements, digest: loop)
+    assert cli.run(["states", "loop(1000).json"]) == cli.EXIT_CAP
+    assert capsys.readouterr().out.startswith('{"error": "DimensionCapError", "detail": "dimension 1001 ')
+    assert time.perf_counter() - start < 3.0

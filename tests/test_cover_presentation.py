@@ -14,6 +14,13 @@ Claims:
     - the coinvariants of hsum(benzene, MO3) under its full group are
       Z (+) Z/2: the orthogonal-pair oracle, hom counts into Z/2 and Z/3
       and brute-force invariant measures agree
+    - random ortholattices, almost none orthomodular, match the
+      orthogonal-pair oracle too, and on some of them -e_0 and the cover
+      rows alone would present another group
+    - the 10-element ortholattice 0, p0..p3, q0..q3, 1 (qi = pi') with the
+      covers of ``_ten``, not orthomodular: its measure group is Z^2, with
+      4 measures into Z/2 and 9 into Z/3 by brute force, while its cover
+      rows present Z^3, so measure_module needs its is_orthomodular guard
     - closed forms past the 32-element test family, under wall-clock
       bounds: rank M(B_11) = 11 and rank M(MO(400)) = 401; with the atoms
       of MO(400) listed a1..a400, a400'..a1', the passes make at most two
@@ -28,6 +35,7 @@ from hypothesis import given, settings, strategies as st
 import orthomeasure.measures as measures_mod
 from orthomeasure import (
     INTEGERS,
+    CheckResult,
     LatticeDescription,
     benzene,
     boolean,
@@ -45,11 +53,12 @@ from orthomeasure import (
     mo,
     orthogonal_pairs,
     relation_matrix,
+    verify_ortho,
 )
 from orthomeasure.symmetry import automorphism_group
 
 from oracles import measure_group_by_pairs, solve_exact
-from strategies import composite_lattices
+from strategies import composite_lattices, random_ortholattices
 
 
 def _actions(lattice):
@@ -110,6 +119,56 @@ def test_family_matches_orthogonal_pair_oracle(family):
 @given(composite_lattices())
 def test_composites_match_orthogonal_pair_oracle(lattice):
     _check_against_pairs(lattice)
+
+
+def _rank_and_torsion(module):
+    return module.rank, module.torsion
+
+
+def _from_cover_rows(monkeypatch, lattice):
+    """The module of -e_0 and the cover rows, as if the lattice were
+    orthomodular."""
+    with monkeypatch.context() as patched:
+        patched.setattr(measures_mod, "is_orthomodular", lambda lat: CheckResult(True))
+        return measure_module(lattice)
+
+
+def test_random_ortholattices_match_orthogonal_pair_oracle(monkeypatch):
+    differ = 0
+    for lattice in random_ortholattices(1, 120):
+        _check_against_pairs(lattice)
+        differ += (_rank_and_torsion(_from_cover_rows(monkeypatch, lattice))
+                   != _rank_and_torsion(measure_module(lattice)))
+    assert differ > 0
+
+
+def _ten():
+    """The smallest ortholattice found whose cover rows present another
+    group than its orthogonal pairs: 0, p0..p3, q0..q3, 1 with qi = pi',
+    given by its covers."""
+    p = [f"p{i}" for i in range(4)]
+    q = [f"q{i}" for i in range(4)]
+    covers = [("0", "p0"), ("0", "p2"), ("0", "p3"),
+              ("p0", "p1"), ("p0", "q2"), ("p1", "q3"), ("p2", "q0"), ("p2", "q3"),
+              ("p3", "q1"), ("p3", "q2"),
+              ("q1", "q0"), ("q0", "1"), ("q2", "1"), ("q3", "1")]
+    orth = {"0": "1", "1": "0"}
+    for a, b in zip(p, q):
+        orth[a], orth[b] = b, a
+    return build_lattice(LatticeDescription("ten", ("0", *p, *q, "1"), tuple(covers), orth))
+
+
+def test_cover_rows_need_the_orthomodular_guard(monkeypatch):
+    lattice = _ten()
+    assert verify_ortho(lattice).ok
+    assert is_orthomodular(lattice) == CheckResult(False, ("p0", "p1"))
+    module = measure_module(lattice)
+    assert _rank_and_torsion(module) == _rank_and_torsion(measure_group_by_pairs(lattice)) == (2, ())
+    for m, count in ((2, 4), (3, 9)):
+        assert hom_count(module, m) == count
+        assert len(brute_force_measures(lattice, range(m), integers_mod(m))) == count
+    # -e_0 and the cover rows miss mu(p1) + mu(q1) = mu(1)
+    assert _rank_and_torsion(_from_cover_rows(monkeypatch, lattice)) == (3, ())
 
 
 @settings(max_examples=40, deadline=None)

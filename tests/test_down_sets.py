@@ -11,6 +11,9 @@ Claims:
       orthocomplements, and the generators of the automorphism group and
       of the whole-lattice search, against the search rooted at the
       colours that counted up-set sizes
+    - direct_factors gives the oracle's split, which checks its map, on
+      random ortholattices (almost none orthomodular), their products with
+      the base lattices and shuffled copies of both
     - the automorphism validation names, for a map that does not preserve
       the order, the first i by index and then the first j with i <= j
       and perm[i] <= perm[j] disagreeing, and accepts every generator
@@ -20,6 +23,7 @@ Claims:
       under 0.1 s (about 0.3 s each when they scanned comparable pairs)
 """
 
+import random
 import time
 import tracemalloc
 from unittest import mock
@@ -47,7 +51,14 @@ from oracles import (
     rank_colours_by_up_sets,
     up_sets_by_leq,
 )
-from strategies import composite_lattices
+from strategies import (
+    BASES,
+    MAX_ELEMENTS,
+    base,
+    composite_lattices,
+    random_ortholattices,
+    relisted,
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -63,9 +74,7 @@ def test_covers_and_joins_match_the_up_sets(lattice):
                                                 None if failure is None else (failure,))
 
 
-@settings(max_examples=40, deadline=None)
-@given(composite_lattices())
-def test_direct_factors_match_the_definition(lattice):
+def _check_direct_factors(lattice):
     factors, coordinates = direct_factors(lattice)
     members, expected, orths = direct_factors_by_definition(lattice)
     assert [m for _, m in factors] == members
@@ -73,6 +82,29 @@ def test_direct_factors_match_the_definition(lattice):
     assert [list(f.orth_map) for f, _ in factors] == orths
     for (factor, m) in factors:
         assert list(factor.elements) == [lattice.elements[i] for i in m]
+    return bool(factors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(composite_lattices())
+def test_direct_factors_match_the_definition(lattice):
+    _check_direct_factors(lattice)
+
+
+def test_direct_factors_match_the_definition_on_random_ortholattices():
+    # almost none is orthomodular: direct_factors builds its map unchecked,
+    # and the oracle still checks the map it builds
+    rng = random.Random(5)
+    lattices = random_ortholattices(1, 60)
+    products = []
+    for lattice in lattices:
+        for name in sorted(BASES):
+            if len(lattice) * len(base(name)) <= MAX_ELEMENTS:
+                pair = (lattice, base(name)) if rng.random() < 0.5 else (base(name), lattice)
+                products.append(product(*pair))
+    checked = lattices + products
+    checked += [relisted(lat, rng.sample(lat.elements, len(lat))) for lat in checked[::4]]
+    assert sum(map(_check_direct_factors, checked)) > 200
 
 
 def _generators(lattice):
