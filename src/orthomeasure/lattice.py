@@ -16,13 +16,18 @@ of a common element, so a description costs O(pairs + covered pairs)
 big-int operations and writes nothing quadratic, whether it is accepted
 or rejected: each check that fails names the fault from what it holds.
 
-Instances are immutable after construction and safe to share between readers.
+After construction an instance changes only by keeping answers asked of
+it (see :class:`OrthoLattice`), and it is safe to share between readers:
+``load_lattice`` hands the one it built out again for a file of the same
+bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
+import threading
 from array import array
 from collections import Counter
 from functools import partial
@@ -42,6 +47,9 @@ from .errors import (
 # Only build_lattice and load_lattice take the element cap as a parameter
 # (--max-elements); the constructors check this constant.
 DEFAULT_MAX_ELEMENTS = 4096
+# The most lattices load_lattice keeps for files read again; together they
+# also hold at most DEFAULT_MAX_ELEMENTS elements.
+LOADED_LATTICES = 32
 
 
 class CheckResult(NamedTuple):
@@ -143,9 +151,12 @@ class OrthoLattice:
     read through ``orth_map``, and the join of i and j is the
     orthocomplement of the meet of i' and j'.  These index-level fields
     are part of the API for sibling modules that run exhaustive scans.
-    Nothing changes after construction but the two answers kept on first
-    request: whether it is Boolean (:func:`is_boolean`) and how it splits
-    (:func:`decomposition`).
+    Nothing changes after construction but the answers kept on first
+    request: whether it is Boolean (:func:`is_boolean`), how it splits
+    (:func:`decomposition`), its automorphism group
+    (``symmetry.automorphism_group``) and its measure module, plain and
+    under that group (``measures.measure_module``).  A module under any
+    other group, such as one read from a file, is built anew each time.
     """
 
     __slots__ = (
@@ -160,6 +171,9 @@ class OrthoLattice:
         "top_index",
         "_boolean",
         "_split",
+        "_aut",
+        "_module",
+        "_aut_module",
     )
 
     def __init__(self, name, elements, down_masks, orth_map, order, down_pos):
@@ -175,6 +189,8 @@ class OrthoLattice:
         self.top_index = self.order[-1]
         self._boolean = None  # decided by is_boolean on its first call
         self._split = None  # decided by decomposition on its first call
+        self._aut = None  # kept by symmetry.automorphism_group
+        self._module = self._aut_module = None  # kept by measures.measure_module
 
     # --- basic queries -------------------------------------------------------
 
@@ -347,8 +363,7 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
     n = len(elements)
     if n == 0:
         raise NotALatticeError("a lattice needs at least one element")
-    if n > max_elements:
-        raise SizeCapError(f"{n} elements exceeds the cap of {max_elements}")
+    _refuse_oversize(n, max_elements)
     index = {e: i for i, e in enumerate(elements)}
     _refuse_duplicates(elements, index)
 
@@ -431,6 +446,11 @@ def build_lattice(desc: LatticeDescription, max_elements: int = DEFAULT_MAX_ELEM
     return OrthoLattice(desc.name, elements, down, orth, order, down_pos)
 
 
+def _refuse_oversize(n: int, max_elements: int) -> None:
+    if n > max_elements:
+        raise SizeCapError(f"{n} elements exceeds the cap of {max_elements}")
+
+
 def _refuse_duplicates(elements: Sequence[str], index: Mapping[str, int]) -> None:
     """SchemaError naming the first element, in listed order, that occurs
     more than once, when ``index`` (name to index) has fewer names than
@@ -485,21 +505,25 @@ def _is_lattice(above, below, order, down_pos) -> tuple[str, int, int] | None:
 # --- file format --------------------------------------------------------------
 
 
-def read_json(path, digest=None):
+def read_json(path):
     """The JSON value in the file at ``path``: the one reader of every input
-    file (lattices, groups, generating sets, partial measures).  A file that
-    is not UTF-8 JSON raises SchemaError naming the path.
+    file but lattices, which :func:`load_lattice` reads through the same
+    two steps.  A file that is not UTF-8 JSON raises SchemaError naming the
+    path."""
+    return _json_value(_read_bytes(path), path)
 
-    The file is read once, as bytes.  ``digest``, a hashlib object, is fed
-    those bytes if given, so a report can name the very input it parsed.
-    They are decoded strictly as UTF-8 (``json.loads`` on bytes would take
-    UTF-16 and UTF-32 too), with line ends translated as a text-mode read
-    does, so an error names the same position.
-    """
+
+def _read_bytes(path) -> bytes:
+    """The file's bytes, read once."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if digest is not None:
-        digest.update(data)
+        return fh.read()
+
+
+def _json_value(data: bytes, path):
+    """The JSON value of a file's bytes, decoded strictly as UTF-8
+    (``json.loads`` on bytes would take UTF-16 and UTF-32 too), with line
+    ends translated as a text-mode read does, so an error names the same
+    position."""
     try:
         return json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     # ValueError: malformed JSON, bytes that are not UTF-8, or an int past
@@ -508,10 +532,45 @@ def read_json(path, digest=None):
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
 
+# The lattices load_lattice built lately, by the SHA-256 of their file's
+# bytes, least recently loaded first (see load_lattice), and the lock that
+# each read or update of the table holds, as threads may load at once.
+_LOADED: dict[bytes, OrthoLattice] = {}
+_LOADED_LOCK = threading.Lock()
+
+
 def load_lattice(path, max_elements: int = DEFAULT_MAX_ELEMENTS, digest=None) -> OrthoLattice:
-    """The lattice in the file at ``path``; ``digest`` as for :func:`read_json`."""
-    return build_lattice(LatticeDescription.from_json_dict(read_json(path, digest)),
-                         max_elements)
+    """The lattice in the file at ``path``.  The file is read once, as
+    bytes, and ``digest``, a hashlib object, is fed those bytes if given,
+    so a report can name the very input it parsed.
+
+    A lattice built from identical bytes lately is returned again, the
+    same object with the answers kept on it (see :class:`OrthoLattice`),
+    after the size check of :func:`build_lattice`.  The table keeps the
+    last :data:`LOADED_LATTICES` lattices loaded, and drops the least
+    recently loaded first while they hold more than DEFAULT_MAX_ELEMENTS
+    elements in all; a larger lattice and a file that fails to load are
+    not kept.
+    """
+    data = _read_bytes(path)
+    if digest is not None:
+        digest.update(data)
+    key = hashlib.sha256(data).digest()
+    with _LOADED_LOCK:
+        lattice = _LOADED.get(key)
+    if lattice is None:
+        lattice = build_lattice(LatticeDescription.from_json_dict(_json_value(data, path)),
+                                max_elements)
+    else:
+        _refuse_oversize(len(lattice), max_elements)
+    if len(lattice) <= DEFAULT_MAX_ELEMENTS:
+        with _LOADED_LOCK:
+            _LOADED.pop(key, None)  # kept again as the most recent
+            _LOADED[key] = lattice
+            while (len(_LOADED) > LOADED_LATTICES
+                   or sum(map(len, _LOADED.values())) > DEFAULT_MAX_ELEMENTS):
+                del _LOADED[next(iter(_LOADED))]
+    return lattice
 
 
 def save_lattice(lattice: OrthoLattice, path) -> None:

@@ -443,10 +443,21 @@ def measure_module(lattice: OrthoLattice,
     """The universal measure group, or with an action its coinvariants,
     with projection coordinates per element.  A Boolean lattice takes the
     closed form; otherwise the rows are cover rows on an orthomodular
-    lattice and orthogonal-pair rows on any other."""
-    if is_boolean(lattice):
-        return _boolean_module(lattice, action)
-    return _module(lattice, _presentation_rows(lattice), action)
+    lattice and orthogonal-pair rows on any other.
+
+    The plain module and the one under the lattice's kept automorphism
+    group (``symmetry.automorphism_group``) are built once and kept on the
+    lattice; a module under any other action is built on each call."""
+    slot = "_module" if action is None else "_aut_module" if action is lattice._aut else None
+    module = getattr(lattice, slot) if slot else None
+    if module is None:
+        if is_boolean(lattice):
+            module = _boolean_module(lattice, action)
+        else:
+            module = _module(lattice, _presentation_rows(lattice), action)
+        if slot:
+            setattr(lattice, slot, module)
+    return module
 
 
 def coinvariants(module: MeasureModule, action: GroupAction) -> MeasureModule:

@@ -302,9 +302,12 @@ def automorphism_group(lattice: OrthoLattice) -> GroupAction:
     carry one member onto another by matching their listings (see
     ``_Part``).  The order is prod |Aut(B)|^m m!, and no element is
     listed; ``perms`` lists them under the default cap.  This is the
-    uncoloured case of :func:`_composed`.
+    uncoloured case of :func:`_composed`.  The group is built once per
+    lattice and kept on it, so every call returns the same object.
     """
-    return _composed(lattice, ())
+    if lattice._aut is None:
+        lattice._aut = _composed(lattice, ())
+    return lattice._aut
 
 
 def _composed(lattice: OrthoLattice, sets: tuple[frozenset[int], ...]) -> GroupAction:

@@ -5,7 +5,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import orthomeasure.lattice as lattice_mod
 from orthomeasure import automorphism_group, benzene, boolean, mo, subspace_lattice
+
+
+def pytest_runtest_setup(item):
+    """Every test starts with an empty load table, so no answer depends on
+    the files an earlier test loaded."""
+    lattice_mod._LOADED.clear()
 
 
 @pytest.fixture(scope="session")

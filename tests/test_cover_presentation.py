@@ -37,6 +37,7 @@ from orthomeasure import (
     INTEGERS,
     CheckResult,
     LatticeDescription,
+    OrthoLattice,
     benzene,
     boolean,
     brute_force_measures,
@@ -127,10 +128,13 @@ def _rank_and_torsion(module):
 
 def _from_cover_rows(monkeypatch, lattice):
     """The module of -e_0 and the cover rows, as if the lattice were
-    orthomodular."""
+    orthomodular, built on a fresh copy of the lattice: the lattice keeps
+    the plain module it built first."""
+    copy = OrthoLattice(lattice.name, lattice.elements, lattice.down_masks,
+                        lattice.orth_map, lattice.order, lattice.down_pos)
     with monkeypatch.context() as patched:
         patched.setattr(measures_mod, "is_orthomodular", lambda lat: CheckResult(True))
-        return measure_module(lattice)
+        return measure_module(copy)
 
 
 def test_random_ortholattices_match_orthogonal_pair_oracle(monkeypatch):
