@@ -19,7 +19,6 @@ printed), 2 input or schema error, 3 resource cap.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from collections.abc import Callable, Iterable, Sequence
@@ -556,10 +555,10 @@ def run(argv=None) -> int:
     report, or one JSON error line; returns the exit code."""
     args = parse_args(argv)
     try:
-        digest = hashlib.sha256()
-        lattice = load_lattice(args.lattice, args.max_elements, digest)
+        digest = []
+        lattice = load_lattice(args.lattice, args.max_elements, digest.append)
         report, code = _COMMANDS[args.command].handler(args, lattice)
-        _emit(args, report, digest.hexdigest())
+        _emit(args, report, digest[0])
         return code
     except (OrthomeasureError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))

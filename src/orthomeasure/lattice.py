@@ -18,8 +18,8 @@ or rejected: each check that fails names the fault from what it holds.
 
 After construction an instance changes only by keeping answers asked of
 it (see :class:`OrthoLattice`), and it is safe to share between readers:
-``load_lattice`` hands the one it built out again for a file of the same
-bytes.
+``load_lattice`` hands one lattice out again for repeated loads of the
+same bytes.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ from .errors import (
 # Only build_lattice and load_lattice take the element cap as a parameter
 # (--max-elements); the constructors check this constant.
 DEFAULT_MAX_ELEMENTS = 4096
-# The most lattices load_lattice keeps for files read again; together they
-# also hold at most DEFAULT_MAX_ELEMENTS elements.
+# The most files whose bytes load_lattice remembers, so as to keep the
+# lattice of a file read again; the lattices kept also hold at most
+# DEFAULT_MAX_ELEMENTS elements together.
 LOADED_LATTICES = 32
 
 
@@ -152,11 +153,15 @@ class OrthoLattice:
     orthocomplement of the meet of i' and j'.  These index-level fields
     are part of the API for sibling modules that run exhaustive scans.
     Nothing changes after construction but the answers kept on first
-    request: whether it is Boolean (:func:`is_boolean`), how it splits
-    (:func:`decomposition`), its automorphism group
-    (``symmetry.automorphism_group``) and its measure module, plain and
-    under that group (``measures.measure_module``).  A module under any
-    other group, such as one read from a file, is built anew each time.
+    request: whether it is Boolean (:func:`is_boolean`) and how it splits
+    (:func:`decomposition`).  While the table of :func:`load_lattice`
+    holds a lattice, ``_kept`` is a dict that also keeps its automorphism
+    group (``symmetry.automorphism_group``) and its measure module, plain
+    and under that group (``measures.measure_module``); the table empties
+    it to None when it drops the lattice.  Those answers point back at
+    the lattice, so keeping them on every lattice, the blocks that a
+    decomposition builds included, would leave each one in a reference
+    cycle that only the cyclic collector frees.
     """
 
     __slots__ = (
@@ -171,9 +176,7 @@ class OrthoLattice:
         "top_index",
         "_boolean",
         "_split",
-        "_aut",
-        "_module",
-        "_aut_module",
+        "_kept",
     )
 
     def __init__(self, name, elements, down_masks, orth_map, order, down_pos):
@@ -189,8 +192,7 @@ class OrthoLattice:
         self.top_index = self.order[-1]
         self._boolean = None  # decided by is_boolean on its first call
         self._split = None  # decided by decomposition on its first call
-        self._aut = None  # kept by symmetry.automorphism_group
-        self._module = self._aut_module = None  # kept by measures.measure_module
+        self._kept = None  # a dict while load_lattice's table holds the lattice
 
     # --- basic queries -------------------------------------------------------
 
@@ -532,31 +534,36 @@ def _json_value(data: bytes, path):
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
 
-# The lattices load_lattice built lately, by the SHA-256 of their file's
-# bytes, least recently loaded first (see load_lattice), and the lock that
-# each read or update of the table holds, as threads may load at once.
-_LOADED: dict[bytes, OrthoLattice] = {}
+# The files load_lattice read lately, by the SHA-256 of their bytes, least
+# recently loaded first: each maps to its lattice once loaded twice, to None
+# before (see load_lattice).  Each read or update of the table holds the
+# lock, as threads may load at once.
+_LOADED: dict[bytes, OrthoLattice | None] = {}
 _LOADED_LOCK = threading.Lock()
 
 
 def load_lattice(path, max_elements: int = DEFAULT_MAX_ELEMENTS, digest=None) -> OrthoLattice:
     """The lattice in the file at ``path``.  The file is read once, as
-    bytes, and ``digest``, a hashlib object, is fed those bytes if given,
-    so a report can name the very input it parsed.
+    bytes, and ``digest``, a callable, is given the hex SHA-256 of those
+    bytes if given, so a report can name the very input it parsed.
 
-    A lattice built from identical bytes lately is returned again, the
-    same object with the answers kept on it (see :class:`OrthoLattice`),
-    after the size check of :func:`build_lattice`.  The table keeps the
-    last :data:`LOADED_LATTICES` lattices loaded, and drops the least
-    recently loaded first while they hold more than DEFAULT_MAX_ELEMENTS
-    elements in all; a larger lattice and a file that fails to load are
-    not kept.
+    The table remembers the last :data:`LOADED_LATTICES` files loaded by
+    that SHA-256.  From the second load of the same bytes on, it keeps
+    the lattice and returns it again, the same object with the answers
+    kept on it (see :class:`OrthoLattice`), after the size check of
+    :func:`build_lattice`.  A file read once keeps nothing, so a process
+    that asks one question of each file builds no more than it uses.
+    The least recently loaded file goes first, also while the kept
+    lattices hold more than DEFAULT_MAX_ELEMENTS elements in all; a
+    larger lattice and a file that fails to load are not remembered.
     """
     data = _read_bytes(path)
+    sha = hashlib.sha256(data)
     if digest is not None:
-        digest.update(data)
-    key = hashlib.sha256(data).digest()
+        digest(sha.hexdigest())
+    key = sha.digest()
     with _LOADED_LOCK:
+        seen = key in _LOADED
         lattice = _LOADED.get(key)
     if lattice is None:
         lattice = build_lattice(LatticeDescription.from_json_dict(_json_value(data, path)),
@@ -565,11 +572,18 @@ def load_lattice(path, max_elements: int = DEFAULT_MAX_ELEMENTS, digest=None) ->
         _refuse_oversize(len(lattice), max_elements)
     if len(lattice) <= DEFAULT_MAX_ELEMENTS:
         with _LOADED_LOCK:
-            _LOADED.pop(key, None)  # kept again as the most recent
-            _LOADED[key] = lattice
+            _LOADED.pop(key, None)  # the most recent again
+            _LOADED[key] = lattice if seen else None
+            if seen and lattice._kept is None:
+                lattice._kept = {}
             while (len(_LOADED) > LOADED_LATTICES
-                   or sum(map(len, _LOADED.values())) > DEFAULT_MAX_ELEMENTS):
-                del _LOADED[next(iter(_LOADED))]
+                   or sum(len(kept) for kept in _LOADED.values() if kept is not None)
+                   > DEFAULT_MAX_ELEMENTS):
+                dropped = _LOADED.pop(next(iter(_LOADED)))
+                if dropped is not None:
+                    # its answers point back at it: dropping them frees it
+                    # by reference count once no caller holds it
+                    dropped._kept = None
     return lattice
 
 

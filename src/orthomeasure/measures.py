@@ -445,18 +445,22 @@ def measure_module(lattice: OrthoLattice,
     closed form; otherwise the rows are cover rows on an orthomodular
     lattice and orthogonal-pair rows on any other.
 
-    The plain module and the one under the lattice's kept automorphism
-    group (``symmetry.automorphism_group``) are built once and kept on the
-    lattice; a module under any other action is built on each call."""
-    slot = "_module" if action is None else "_aut_module" if action is lattice._aut else None
-    module = getattr(lattice, slot) if slot else None
+    A lattice that ``lattice.load_lattice`` keeps keeps its plain module
+    and the one under its kept automorphism group
+    (``symmetry.automorphism_group``); a module under any other action,
+    or of any other lattice, is built on each call."""
+    kept = lattice._kept
+    key = None
+    if kept is not None:
+        key = "module" if action is None else "aut_module" if action is kept.get("aut") else None
+    module = kept.get(key) if key else None
     if module is None:
         if is_boolean(lattice):
             module = _boolean_module(lattice, action)
         else:
             module = _module(lattice, _presentation_rows(lattice), action)
-        if slot:
-            setattr(lattice, slot, module)
+        if key:
+            kept[key] = module
     return module
 
 

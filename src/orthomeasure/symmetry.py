@@ -302,12 +302,17 @@ def automorphism_group(lattice: OrthoLattice) -> GroupAction:
     carry one member onto another by matching their listings (see
     ``_Part``).  The order is prod |Aut(B)|^m m!, and no element is
     listed; ``perms`` lists them under the default cap.  This is the
-    uncoloured case of :func:`_composed`.  The group is built once per
-    lattice and kept on it, so every call returns the same object.
+    uncoloured case of :func:`_composed`.  A lattice that
+    ``lattice.load_lattice`` keeps keeps its group too, so every call on
+    it returns the same object.
     """
-    if lattice._aut is None:
-        lattice._aut = _composed(lattice, ())
-    return lattice._aut
+    kept = lattice._kept
+    if kept is None:
+        return _composed(lattice, ())
+    group = kept.get("aut")
+    if group is None:
+        group = kept["aut"] = _composed(lattice, ())
+    return group
 
 
 def _composed(lattice: OrthoLattice, sets: tuple[frozenset[int], ...]) -> GroupAction:

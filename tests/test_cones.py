@@ -509,18 +509,14 @@ def test_refused_rank_costs_no_more_than_the_measure_module(build):
     # by no generators, runs double description on the whole lattice at
     # rank 2001.  Either way the rank is refused before any dense
     # coordinate is written
-    def peak(call):
-        # each route gets a lattice of its own, as a lattice keeps the
-        # plain module it built first
-        lattice, generators = build()
-        action = None if generators is None else close_group(lattice, generators)
-        return _traced_peak(lambda: call(lattice, action))
+    lattice, generators = build()
+    action = None if generators is None else close_group(lattice, generators)
 
-    def refused(lattice, action):
+    def refused():
         with pytest.raises(DimensionCapError, match="dimension"):
             state_polytope(lattice, action)
 
-    assert peak(refused) <= 1.5 * peak(measure_module)
+    assert _traced_peak(refused) <= 1.5 * _traced_peak(lambda: measure_module(lattice, action))
 
 
 def test_state_polytope_searches_no_group(monkeypatch):

@@ -37,7 +37,6 @@ from orthomeasure import (
     INTEGERS,
     CheckResult,
     LatticeDescription,
-    OrthoLattice,
     benzene,
     boolean,
     brute_force_measures,
@@ -128,13 +127,10 @@ def _rank_and_torsion(module):
 
 def _from_cover_rows(monkeypatch, lattice):
     """The module of -e_0 and the cover rows, as if the lattice were
-    orthomodular, built on a fresh copy of the lattice: the lattice keeps
-    the plain module it built first."""
-    copy = OrthoLattice(lattice.name, lattice.elements, lattice.down_masks,
-                        lattice.orth_map, lattice.order, lattice.down_pos)
+    orthomodular."""
     with monkeypatch.context() as patched:
         patched.setattr(measures_mod, "is_orthomodular", lambda lat: CheckResult(True))
-        return measure_module(copy)
+        return measure_module(lattice)
 
 
 def test_random_ortholattices_match_orthogonal_pair_oracle(monkeypatch):

@@ -1,22 +1,27 @@
 """Lattices kept by load_lattice, and the answers kept on a lattice.
 
 Claims:
-    - load_lattice keys the lattices it built by the SHA-256 of the file's
-      bytes: identical bytes at two paths give one lattice object, and a
-      file rewritten at the same path between two cli.run calls gives the
-      new lattice's report
+    - load_lattice remembers files by the SHA-256 of their bytes and keeps
+      a lattice from the second load of its bytes on, not at the first:
+      identical bytes at two paths give one lattice object, and a file
+      rewritten at the same path between two cli.run calls gives the new
+      lattice's report
     - a kept lattice asked with a lower --max-elements exits 3 with the
       detail a cold load gives, and stays kept
     - a file that fails to load (not JSON, not a lattice description, not
       a lattice) fails again with the same error and is never kept
-    - the table drops the least recently loaded lattice first, past
-      LOADED_LATTICES lattices and past DEFAULT_MAX_ELEMENTS elements in
+    - the table drops the least recently loaded file first, past
+      LOADED_LATTICES files and past DEFAULT_MAX_ELEMENTS elements kept in
       all, and keeps no lattice larger than that; threads loading at once
       keep it within both bounds
-    - automorphism_group(L) is one object per lattice; measure_module(L)
-      and measure_module(L, automorphism_group(L)) are each kept, and a
-      module under any other group is built anew, so queries with a group
-      file keep no module for it
+    - on a lattice the table holds, automorphism_group(L) is one object;
+      measure_module(L) and measure_module(L, automorphism_group(L)) are
+      each kept, and a module under any other group is built anew, so
+      queries with a group file keep no module for it
+    - a lattice the table does not hold (one a constructor built, or one
+      the table dropped) keeps none of these three answers, so no answer
+      points back at a lattice that points at it, and a dropped lattice is
+      freed by reference count
     - every command, in the shapes the benchmark workloads use, on boolean,
       mo, a product, a horizontal sum and benzene, run twice in one process
       in shuffled order, prints what it prints when the table is emptied
@@ -24,6 +29,7 @@ Claims:
 """
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -70,8 +76,32 @@ def _cold(argv) -> tuple[int, str]:
     return _run(argv)
 
 
+def _key(path) -> bytes:
+    return hashlib.sha256(path.read_bytes()).digest()
+
+
 def _kept(path) -> bool:
-    return hashlib.sha256(path.read_bytes()).digest() in lattice_mod._LOADED
+    return lattice_mod._LOADED.get(_key(path)) is not None
+
+
+def _load_kept(path):
+    """The lattice the table keeps for the file at ``path``: the second
+    load of its bytes keeps it."""
+    load_lattice(path)
+    lattice = load_lattice(path)
+    assert _kept(path)
+    return lattice
+
+
+def test_a_file_loaded_once_is_remembered_but_its_lattice_is_not_kept(tmp_path):
+    path = tmp_path / "mo3.json"
+    save_lattice(mo(3), path)
+    first = load_lattice(path)
+    assert lattice_mod._LOADED == {_key(path): None} and first._kept is None
+    second = load_lattice(path)
+    assert second is not first and first._kept is None
+    assert lattice_mod._LOADED == {_key(path): second} and second._kept == {}
+    assert load_lattice(path) is second
 
 
 def test_identical_bytes_at_two_paths_give_one_lattice(tmp_path):
@@ -79,9 +109,10 @@ def test_identical_bytes_at_two_paths_give_one_lattice(tmp_path):
     save_lattice(mo(3), first)
     second.write_bytes(first.read_bytes())
     save_lattice(mo(4), other)
-    lattice = load_lattice(first)
-    assert load_lattice(second) is lattice
-    assert load_lattice(other) is not lattice
+    load_lattice(first)
+    lattice = load_lattice(second)
+    assert load_lattice(first) is lattice and load_lattice(second) is lattice
+    assert _load_kept(other) is not lattice
 
 
 def test_a_file_rewritten_at_the_same_path_gives_the_new_report(tmp_path):
@@ -96,7 +127,7 @@ def test_a_file_rewritten_at_the_same_path_gives_the_new_report(tmp_path):
 def test_a_kept_lattice_over_a_lower_cap_exits_3_as_a_cold_load(tmp_path):
     path = tmp_path / "mo3.json"
     save_lattice(mo(3), path)
-    lattice = load_lattice(path)
+    lattice = _load_kept(path)
     argv = ["check", path, "--max-elements", "7"]
     code, out = _run(argv)
     assert code == 3
@@ -136,18 +167,23 @@ def test_a_file_that_fails_to_load_is_not_kept(tmp_path, content, error):
     assert not lattice_mod._LOADED
 
 
-def test_the_table_drops_the_least_recently_loaded_lattice_first(tmp_path):
+def test_the_table_drops_the_least_recently_loaded_file_first(tmp_path):
     paths = []
-    for n in range(1, LOADED_LATTICES + 2):
+    for n in range(1, LOADED_LATTICES + 3):
         paths.append(tmp_path / f"mo{n}.json")
         save_lattice(mo(n), paths[-1])
-    first = load_lattice(paths[0])
-    for path in paths[1:LOADED_LATTICES]:
-        load_lattice(path)
+    first = _load_kept(paths[0])
+    for path in paths[1:LOADED_LATTICES - 1]:
+        _load_kept(path)
+    load_lattice(paths[LOADED_LATTICES - 1])  # remembered, not kept
     assert load_lattice(paths[0]) is first  # now the most recent
-    load_lattice(paths[-1])
+    load_lattice(paths[-2])
     assert len(lattice_mod._LOADED) == LOADED_LATTICES
-    assert [_kept(p) for p in paths] == [True, False] + [True] * (LOADED_LATTICES - 1)
+    assert [_kept(p) for p in paths] == \
+        [True, False] + [True] * (LOADED_LATTICES - 3) + [False] * 3
+    assert _key(paths[LOADED_LATTICES - 1]) in lattice_mod._LOADED
+    load_lattice(paths[-1])  # drops paths[2], the least recent, kept or not
+    assert not _kept(paths[2]) and _key(paths[2]) not in lattice_mod._LOADED
     assert load_lattice(paths[0]) is first
 
 
@@ -159,8 +195,10 @@ def test_the_table_holds_at_most_the_element_cap_in_all(tmp_path):
         paths[name] = tmp_path / f"{name}.json"
         save_lattice(lattice, paths[name])
     for name in ("b11", "b10", "mo400"):
-        load_lattice(paths[name])
+        _load_kept(paths[name])
     assert all(_kept(paths[name]) for name in ("b11", "b10", "mo400"))
+    load_lattice(paths["mo200"])  # remembered only, so nothing is dropped
+    assert [_kept(paths[name]) for name in lattices] == [True, True, True, False]
     load_lattice(paths["mo200"])
     assert [_kept(paths[name]) for name in lattices] == [False, True, True, True]
     # a lattice past the total, loaded under a raised cap, is not kept and
@@ -172,8 +210,9 @@ def test_the_table_holds_at_most_the_element_cap_in_all(tmp_path):
         "leq": [[x, y] for pair in pairs for a in pair for x, y in (("0", a), (a, "1"))],
         "orthocomplement": {"0": "1", "1": "0", **dict(pairs), **{b: a for a, b in pairs}},
     }))
-    assert len(load_lattice(big, DEFAULT_MAX_ELEMENTS + 6)) == DEFAULT_MAX_ELEMENTS + 6
-    assert not _kept(big)
+    for _ in range(2):
+        assert len(load_lattice(big, DEFAULT_MAX_ELEMENTS + 6)) == DEFAULT_MAX_ELEMENTS + 6
+    assert _key(big) not in lattice_mod._LOADED
     assert [_kept(paths[name]) for name in lattices] == [False, True, True, True]
 
 
@@ -208,10 +247,10 @@ def test_threads_loading_at_once_keep_the_table_within_its_bounds(tmp_path):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    kept = lattice_mod._LOADED
-    assert len(kept) <= LOADED_LATTICES
-    assert sum(map(len, kept.values())) <= DEFAULT_MAX_ELEMENTS
-    digests = {hashlib.sha256(p.read_bytes()).digest(): int(p.stem[2:]) for p in paths}
+    assert len(lattice_mod._LOADED) <= LOADED_LATTICES
+    kept = {key: lattice for key, lattice in lattice_mod._LOADED.items() if lattice is not None}
+    assert kept and sum(map(len, kept.values())) <= DEFAULT_MAX_ELEMENTS
+    digests = {_key(p): int(p.stem[2:]) for p in paths}
     assert all(len(lattice) == 2 * digests[key] + 2 for key, lattice in kept.items())
 
 
@@ -219,8 +258,11 @@ _SHAPES = [mo(3), boolean(3), benzene(), product(boolean(2), mo(2)),
            horizontal_sum(boolean(3), mo(3))]
 
 
-@pytest.mark.parametrize("lattice", _SHAPES, ids=lambda lat: lat.name)
-def test_the_automorphism_group_and_two_modules_are_kept(lattice):
+@pytest.mark.parametrize("shape", _SHAPES, ids=lambda lat: lat.name)
+def test_the_automorphism_group_and_two_modules_are_kept(tmp_path, shape):
+    path = tmp_path / "lattice.json"
+    save_lattice(shape, path)
+    lattice = _load_kept(path)
     group = automorphism_group(lattice)
     assert automorphism_group(lattice) is group
     plain = measure_module(lattice)
@@ -229,20 +271,53 @@ def test_the_automorphism_group_and_two_modules_are_kept(lattice):
     assert measure_module(lattice, group) is invariant and invariant.action is group
     for other in (trivial_action(lattice), close_group(lattice, group.generators)):
         assert measure_module(lattice, other) is not measure_module(lattice, other)
-    assert (lattice._module, lattice._aut_module) == (plain, invariant)
+    assert lattice._kept == {"aut": group, "module": plain, "aut_module": invariant}
+
+
+@pytest.mark.parametrize("lattice", _SHAPES, ids=lambda lat: lat.name)
+def test_a_lattice_the_table_does_not_hold_keeps_no_group_or_module(lattice):
+    group = automorphism_group(lattice)
+    assert automorphism_group(lattice) is not group
+    assert measure_module(lattice) is not measure_module(lattice)
+    assert measure_module(lattice, group) is not measure_module(lattice, group)
+    assert lattice._kept is None
+
+
+def test_a_dropped_lattice_keeps_nothing_and_is_freed_by_reference_count(tmp_path):
+    paths = []
+    for n in range(1, LOADED_LATTICES + 2):
+        paths.append(tmp_path / f"mo{n}.json")
+        save_lattice(mo(n), paths[-1])
+    lattice = _load_kept(paths[2])
+    answers = [measure_module(lattice), measure_module(lattice, automorphism_group(lattice))]
+    assert len(lattice._kept) == 3
+    for path in paths:
+        if path != paths[2]:
+            load_lattice(path)
+    assert _key(paths[2]) not in lattice_mod._LOADED and lattice._kept is None
+    assert load_lattice(paths[2]) is not lattice
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del lattice, answers
+        assert gc.collect() == 0  # nothing was left in a cycle
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_group_file_queries_keep_no_module_for_the_file_group(tmp_path):
     path, group = tmp_path / "mo4.json", tmp_path / "aut.json"
     save_lattice(mo(4), path)
     save_group(automorphism_group(mo(4)), group)
-    lattice = load_lattice(path)
+    lattice = _load_kept(path)
     outputs = [_run([command, path, "--group", group])
                for command in ("module", "states", "module", "states")]
     assert outputs[:2] == outputs[2:]
     assert load_lattice(path) is lattice
-    assert lattice._aut is None and lattice._aut_module is None
-    assert lattice._module is None or lattice._module.action is None
+    assert set(lattice._kept) <= {"module"}
+    assert all(module.action is None for module in lattice._kept.values())
     # a group read from the file is a new object on every load
     assert load_group(group, lattice) is not load_group(group, lattice)
 
